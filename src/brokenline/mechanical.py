@@ -1,8 +1,9 @@
 """Cutting sequences, mechanical words, broken-line periods, block structure.
 
-The geometric pipeline (grid crossings, then contraction) and the recursive
-pipeline (mediant concatenation down the Stern-Brocot tree) compute the same
-words; the test suite holds them against each other.
+Mechanical words and the tags of their factorization come from one closed
+form, the digit rule of the Christoffel word.  The geometric pipeline (grid
+crossings, then contraction) computes the same words independently; the test
+suite holds both against mediant concatenation over the Stern-Brocot tree.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from .angles import PeriodicAngle, word_to_fraction
 from .errors import MalformedCuttingSequence
-from .farey import BrokenLineSpec, FareyContext, mediant, single_block_slope
+from .farey import BrokenLineSpec, FareyContext, single_block_slope
 from .words import Convention
 
 __all__ = [
@@ -28,9 +29,6 @@ __all__ = [
     "mechanical_word",
     "mediant_tags",
 ]
-
-_WORD_CACHE: dict[tuple[Fraction, Convention], str] = {}
-
 
 def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
     """Grid-crossing word of the line y = (p/q)x over one period.
@@ -66,53 +64,27 @@ def cutting_to_mechanical(kappa: str) -> str:
     return "".join(out)
 
 
-def _node_word(node: Fraction, w_lo: str, w_hi: str, convention: Convention) -> str:
-    num, den = node.numerator, node.denominator
-    if convention is Convention.ZERO_ONE:
-        if num == 1:
-            return "0" * (den - 1) + "1"
-        return w_hi + w_lo
-    if num == 1:
-        return "0" * (den - 2) + "10"
-    if den - num == 1:
-        return "1" * num + "0"
-    return w_lo + w_hi
+def _digits(p: int, q: int) -> str:
+    # inner digits 1..q-2 of the p/q Christoffel word: digit j is 1 exactly
+    # when the fractional part of j*p/q lies in [1 - p/q, 1)
+    return "".join(["1" if j * p % q >= q - p else "0" for j in range(1, q - 1)])
 
 
 def mechanical_word(p_over_q: Fraction, convention: Convention) -> str:
     """The length-q word whose repetition is the angle of the line of slope
     p/q under the given convention.
 
-    Built by mediant concatenation down the Stern-Brocot tree, seeded by the
-    closed forms for slopes 1/m and m/(m+1).  The boundary slopes 1 ("01")
-    and 0 ("10") carry the one-letter words "1" and "0".  Results are
-    memoized across calls.
+    The first q - 2 digits follow the digit rule of the Christoffel word and
+    the convention supplies the last two.  The boundary slopes 1 ("01") and
+    0 ("10") carry the one-letter words "1" and "0".
     """
-    key = (p_over_q, convention)
-    cached = _WORD_CACHE.get(key)
-    if cached is not None:
-        return cached
     if convention is Convention.ZERO_ONE and p_over_q == 1:
-        return _WORD_CACHE.setdefault(key, "1")
+        return "1"
     if convention is Convention.ONE_ZERO and p_over_q == 0:
-        return _WORD_CACHE.setdefault(key, "0")
+        return "0"
     if not 0 < p_over_q < 1:
         raise ValueError(f"no {convention} word for {p_over_q}")
-    lo, hi = Fraction(0), Fraction(1)
-    w_lo = "0" if convention is Convention.ONE_ZERO else ""
-    w_hi = "1" if convention is Convention.ZERO_ONE else ""
-    while True:
-        node = mediant(lo, hi)
-        word = _WORD_CACHE.get((node, convention))
-        if word is None:
-            word = _node_word(node, w_lo, w_hi, convention)
-            _WORD_CACHE[(node, convention)] = word
-        if node == p_over_q:
-            return word
-        if p_over_q < node:
-            hi, w_hi = node, word
-        else:
-            lo, w_lo = node, word
+    return _digits(p_over_q.numerator, p_over_q.denominator) + convention.value
 
 
 def characteristic_pair(p_over_q: Fraction) -> tuple[Fraction, Fraction]:
@@ -129,25 +101,20 @@ def mediant_tags(
     """Labels of the factorization of x's word into lo-words and hi-words.
 
     Requires lo < x < hi with lo, hi Farey neighbors.  Under 01 a mediant's
-    word is (hi word)(lo word), under 10 it is (lo word)(hi word); the list
-    returned is the flattened label sequence down the tree.
+    word is (hi word)(lo word), under 10 it is (lo word)(hi word).  In the
+    basis (lo, hi) x has j hi-words and i lo-words, and their order is the
+    digit rule of j/(i + j) with 0 read as lo and 1 as hi.
     """
     if not lo < x < hi:
         raise ValueError("x must lie strictly between lo and hi")
     if hi.numerator * lo.denominator - lo.numerator * hi.denominator != 1:
         raise ValueError("lo and hi must be Farey neighbors")
-    zero_one = convention is Convention.ZERO_ONE
-    left, right = lo, hi
-    exp_lo, exp_hi = [lo], [hi]
-    while True:
-        node = mediant(left, right)
-        exp = exp_hi + exp_lo if zero_one else exp_lo + exp_hi
-        if node == x:
-            return exp
-        if x < node:
-            right, exp_hi = node, exp
-        else:
-            left, exp_lo = node, exp
+    j = x.numerator * lo.denominator - x.denominator * lo.numerator
+    i = x.denominator * hi.numerator - x.numerator * hi.denominator
+    middle = [hi if d == "1" else lo for d in _digits(j, i + j)]
+    if convention is Convention.ZERO_ONE:
+        return [hi] + middle + [lo]
+    return [lo] + middle + [hi]
 
 
 def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
@@ -231,38 +198,21 @@ class BlockDecomposition:
         return "".join(self.block_words[e] for e in self.exponents)
 
 
-def _parse_blocks(word: str, long_word: str, short_word: str, base: int) -> list[int]:
-    # leftmost match preferring the longer block, with backtracking; dead
-    # positions are memoized so the scan stays linear
-    n = len(word)
-    dead: set[int] = set()
-    out: list[int] = []
-
-    def walk(pos: int) -> bool:
-        if pos == n:
-            return True
-        if pos in dead:
-            return False
-        for piece, exponent in ((long_word, base + 1), (short_word, base)):
-            if word.startswith(piece, pos):
-                out.append(exponent)
-                if walk(pos + len(piece)):
-                    return True
-                out.pop()
-        dead.add(pos)
-        return False
-
-    if not walk(0):
-        raise AssertionError("period word does not factor into blocks")
-    return out
+def _block_labels(n: int, m: int) -> str:
+    # block_word(context, m) spelled in limb (L) and parent (P) tags
+    if m == 0:
+        return "L"
+    return "L" * n + ("P" + "L" * (n - 1)) * (m - 1) + "P"
 
 
 def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     """Factor the period word into blocks of two adjacent indices.
 
     The slope's position between consecutive single-block fractions pins the
-    base index; re-concatenation of the result is asserted to reproduce the
-    period word.
+    base index.  The blocks are read greedily off the broken-line tags, the
+    longer block first: block 0 is one limb tag and block e >= 1 is
+    L^n (P L^(n-1))^(e-1) P, with L the limb tag and P the parent tag.
+    Re-concatenation of the result is asserted to reproduce the period word.
     """
     ctx = spec.context
     word = broken_line_word(spec)
@@ -278,13 +228,25 @@ def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
         if (spec.slope < candidate) if zero_one else (spec.slope > candidate):
             break
         m += 1
-    long_word, short_word = block_word(ctx, m + 1), block_word(ctx, m)
-    exponents = _parse_blocks(word, long_word, short_word, m)
+    q, n = ctx.p_over_q.denominator, ctx.hinge
+    # both Farey parents of P/Q have denominators below Q
+    tags = broken_line_tags(spec)
+    labels = "".join("L" if tag.denominator == q else "P" for tag in tags)
+    pieces = ((_block_labels(n, m + 1), m + 1), (_block_labels(n, m), m))
+    exponents: list[int] = []
+    pos = 0
+    while pos < len(labels):
+        for piece, exponent in pieces:
+            if labels.startswith(piece, pos):
+                exponents.append(exponent)
+                pos += len(piece)
+                break
+        else:
+            raise AssertionError("period word does not factor into blocks")
     if len(exponents) < 2 or exponents[0] != m + 1 or exponents[-1] != m:
         raise AssertionError("block exponents violate the boundary pattern")
-    decomposition = BlockDecomposition(
-        spec, m, tuple(exponents), {m: short_word, m + 1: long_word}
-    )
+    block_words = {m: block_word(ctx, m), m + 1: block_word(ctx, m + 1)}
+    decomposition = BlockDecomposition(spec, m, tuple(exponents), block_words)
     if decomposition.word != word:
         raise AssertionError("block re-concatenation mismatch")
     return decomposition

@@ -2,10 +2,11 @@
 
 Everything here is deliberately independent of the production code paths it
 is used to check: the pair rewriter scans for literal "01" pairs, the digit
-rule tracks fractional parts of multiples, the orbit test just iterates the
-doubling map, the census set is built from digit-rule rotations alone, and
-the parameter sweep tries every limb, hinge and slope instead of walking the
-Stern-Brocot tree.
+rule tracks fractional parts of multiples, the mediant word and the descent
+tags concatenate parent words down the Stern-Brocot tree (production uses the
+digit rule for both), the orbit test just iterates the doubling map, the
+census set is built from digit-rule rotations alone, and the parameter sweep
+tries every limb, hinge and slope instead of walking the Stern-Brocot tree.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from brokenline import (
     HypothesisViolated,
     broken_line_word,
     enumerate_specs,
+    mediant,
     validate_spec,
     word_to_fraction,
 )
@@ -57,6 +59,58 @@ def rotation_digit_word(p_over_q, convention):
     p, q = p_over_q.numerator, p_over_q.denominator
     digits = ["0" if (j * p) % q < q - p else "1" for j in range(1, q - 1)]
     return "".join(digits) + convention.value
+
+
+def _node_word(node, w_lo, w_hi, convention):
+    num, den = node.numerator, node.denominator
+    if convention is Convention.ZERO_ONE:
+        if num == 1:
+            return "0" * (den - 1) + "1"
+        return w_hi + w_lo
+    if num == 1:
+        return "0" * (den - 2) + "10"
+    if den - num == 1:
+        return "1" * num + "0"
+    return w_lo + w_hi
+
+
+def mediant_word(p_over_q, convention):
+    """Recursive construction: a node's word is the concatenation of its two
+    Stern-Brocot parents' words, (hi)(lo) under 01 and (lo)(hi) under 10,
+    seeded by the closed forms for slopes 1/m and m/(m+1)."""
+    if convention is Convention.ZERO_ONE and p_over_q == 1:
+        return "1"
+    if convention is Convention.ONE_ZERO and p_over_q == 0:
+        return "0"
+    lo, hi = Fraction(0), Fraction(1)
+    w_lo = "0" if convention is Convention.ONE_ZERO else ""
+    w_hi = "1" if convention is Convention.ZERO_ONE else ""
+    while True:
+        node = mediant(lo, hi)
+        word = _node_word(node, w_lo, w_hi, convention)
+        if node == p_over_q:
+            return word
+        if p_over_q < node:
+            hi, w_hi = node, word
+        else:
+            lo, w_lo = node, word
+
+
+def descent_tags(x, lo, hi, convention):
+    """Labels of x's word over lo-words and hi-words, read by descending from
+    (lo, hi) to x and concatenating the parents' label lists."""
+    zero_one = convention is Convention.ZERO_ONE
+    left, right = lo, hi
+    exp_lo, exp_hi = [lo], [hi]
+    while True:
+        node = mediant(left, right)
+        exp = exp_hi + exp_lo if zero_one else exp_lo + exp_hi
+        if node == x:
+            return exp
+        if x < node:
+            right, exp_hi = node, exp
+        else:
+            left, exp_lo = node, exp
 
 
 def doubling_orbit(theta):

@@ -42,6 +42,7 @@ from helpers import (
     all_words,
     census_angles,
     doubling_orbit,
+    mediant_word,
     parameter_sweep_angles,
     reduced_fractions,
     rotation_digit_word,
@@ -111,6 +112,7 @@ def test_criterion_04_mechanical_oracles():
             geometric = cutting_to_mechanical(
                 cutting_sequence(slope, convention)
             )
+            ok &= geometric == mediant_word(slope, convention)
             ok &= geometric == mechanical_word(slope, convention)
             ok &= geometric == rotation_digit_word(slope, convention)
             cases += 1

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from brokenline import kneading_of_angle
 from brokenline.cli import main
 
 
@@ -61,6 +63,20 @@ def test_broken_json(capsys):
     assert doc["status"] == "ok"
     assert doc["payload"]["angle"] == "38057/131071"
     assert doc["payload"]["expansion"] == "0.(01001010010101001)"
+
+
+def test_broken_all_at_a_long_period(capsys):
+    code, out, _ = run(
+        capsys,
+        "broken", "1/2", "2502/5003", "--hinge", "1", "--convention", "01",
+        "--all", "--json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "ok"
+    payload = doc["payload"]
+    assert payload["period"] == 5003
+    assert payload["kneading"] == str(kneading_of_angle(Fraction(payload["angle"])))
 
 
 def test_conjugate_verify(capsys):

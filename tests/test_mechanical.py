@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,8 @@ from brokenline import (
 from helpers import (
     CONVENTIONS,
     all_specs,
+    descent_tags,
+    mediant_word,
     pair_rewrite,
     reduced_fractions,
     rotation_digit_word,
@@ -88,8 +92,39 @@ def test_geometric_and_recursive_pipelines_agree():
     for slope in reduced_fractions(30):
         for convention in CONVENTIONS:
             geometric = cutting_to_mechanical(cutting_sequence(slope, convention))
+            assert geometric == mediant_word(slope, convention)
             assert geometric == mechanical_word(slope, convention)
             assert geometric == rotation_digit_word(slope, convention)
+
+
+def test_mechanical_word_keeps_no_memory():
+    tracemalloc.start()
+    try:
+        word = mechanical_word(Fraction(1, 20000), Convention.ZERO_ONE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert word == "0" * 19999 + "1"
+    assert peak < 2_000_000
+
+
+def test_mediant_tags_match_descent():
+    # lo, hi: Farey neighbours in [0, 1] with denominators up to 25
+    points = [Fraction(0), Fraction(1), *reduced_fractions(25)]
+    slopes = list(reduced_fractions(60))
+    cases = 0
+    for lo, hi in itertools.product(points, points):
+        if hi.numerator * lo.denominator - lo.numerator * hi.denominator != 1:
+            continue
+        for x in slopes:
+            if not lo < x < hi:
+                continue
+            for convention in CONVENTIONS:
+                assert mediant_tags(x, lo, hi, convention) == descent_tags(
+                    x, lo, hi, convention
+                )
+                cases += 1
+    assert cases == 23662
 
 
 def test_word_counts_and_minimal_period():
