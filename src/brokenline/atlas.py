@@ -26,6 +26,8 @@ __all__ = [
     "tuned_is_nonsturmian",
 ]
 
+CENSUS_LIMIT = 14
+
 
 def tune(phi: PeriodicAngle, bulb: Fraction) -> PeriodicAngle:
     """Replace every digit of the expansion by the matching characteristic
@@ -208,26 +210,26 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
     equality through b = 6 only; from b = 7 on (first missing angle 55/127)
     the enumeration reaches a strict subset.
     """
-    if not 3 <= period <= 14:
-        raise ValueError("census is desk-scale: 3 <= period <= 14")
+    if not 3 <= period <= CENSUS_LIMIT:
+        raise ValueError(f"census is desk-scale: 3 <= period <= {CENSUS_LIMIT}")
     constructed = len(enumerate_specs(period))
     formula = (period - 2) * euler_phi(period)
 
-    partner: dict[Fraction, Fraction] = {}
-    for x, y in lavaurs_pairs(period):
-        partner[x] = y
-        partner[y] = x
+    # the sweep keys every angle by its numerator over 2^b - 1
     full = (1 << period) - 1
+    partner: dict[int, int] = {}
+    for x, y in lavaurs_pairs(period):
+        kx = x.numerator * (full // x.denominator)
+        ky = y.numerator * (full // y.denominator)
+        partner[kx] = ky
+        partner[ky] = kx
     width = f"0{period}b"
     brute = 0
     for k in range(1, full):
         word = format(k, width)
         if minimal_period(word) != period or not is_sturmian(word):
             continue
-        theta = Fraction(k, full)
-        orbit = {
-            word_to_fraction(rotate_left(word, i)) for i in range(period)
-        }
-        if partner[theta] not in orbit:
+        orbit = {int(rotate_left(word, i), 2) for i in range(period)}
+        if partner[k] not in orbit:
             brute += 1
     return constructed, formula, brute

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .angles import PeriodicAngle, fraction_to_expansion, word_to_fraction
-from .atlas import enumerate_specs, locate, sturmian_census, tune
+from .atlas import CENSUS_LIMIT, enumerate_specs, locate, sturmian_census, tune
 from .conjugate import conjugate_chain, conjugate_word, lavaurs_partner
 from .errors import BrokenLineError, PreconditionUnmet
 from .farey import BrokenLineSpec, validate_spec
@@ -239,6 +239,8 @@ def cmd_invert_kneading(args: argparse.Namespace) -> dict:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict:
+    if args.census and args.period > CENSUS_LIMIT:
+        sturmian_census(args.period)  # raises the cap error before any work
     enumeration = enumerate_specs(args.period)
     payload: dict = {"period": args.period, "count": len(enumeration)}
     entries = []

@@ -3,22 +3,22 @@
 The production path primes every block of the decomposition.  The chain
 verifier pulls the angle back one doubling step at a time and certifies the
 circle intervals stay unlinked; the Lavaurs pairing is a test-only oracle
-that matches angles of one exact period by non-crossing chords.
+that matches angles of one exact period by non-crossing chords.  Inside
+both, an angle is an integer numerator over one fixed denominator:
+2^b (2^b - 1) along the chain, the lcm of all 2^p - 1 with p <= 20 in the
+pairing.  A ``Fraction`` is built only where a public function returns one.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .angles import (
-    PeriodicAngle,
-    minimal_period,
-    multiplicative_order,
-    word_to_fraction,
-)
+from .angles import PeriodicAngle, minimal_period, multiplicative_order
 from .errors import UnlinkViolation
 from .farey import BrokenLineSpec
 from .mechanical import block_decomposition, broken_line_word
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 LAVAURS_LIMIT = 20
+# every angle of period <= LAVAURS_LIMIT is an integer over this (132 bits)
+_GRID = math.lcm(*((1 << p) - 1 for p in range(1, LAVAURS_LIMIT + 1)))
 
 
 def conjugate_word(spec: BrokenLineSpec) -> str:
@@ -84,8 +86,15 @@ class UnlinkCertificate:
 class ConjugateChain:
     theta: PeriodicAngle
     conjugate: PeriodicAngle
-    preimages: tuple[PeriodicAngle, ...]
     certificates: tuple[UnlinkCertificate, ...]
+
+    @property
+    def preimages(self) -> tuple[PeriodicAngle, ...]:
+        """The k-th preimage is 0.[last k digits of the conjugate](theta),
+        for k = 1..b; both stored periods are the full primitive words."""
+        word, cword = self.theta.period, self.conjugate.period
+        b = len(word)
+        return tuple(PeriodicAngle(cword[b - k :], word) for k in range(1, b + 1))
 
 
 def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
@@ -98,69 +107,54 @@ def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
     """
     word = broken_line_word(spec)
     b = len(word)
-    theta = word_to_fraction(word)
     cword = conjugate_word(spec)
-    conj = word_to_fraction(cword)
+    full = (1 << b) - 1
+    # every orbit point and preimage is an integer over den = 2^b (2^b - 1)
+    den = full << b
+    t = int(word, 2) % full
+    theta = t << b
 
     orbit = [theta]
     for _ in range(b - 1):
-        orbit.append(2 * orbit[-1] % 1)
-    preimage_values = [
-        (int(cword[b - k :], 2) + theta) / Fraction(2**k) for k in range(1, b + 1)
+        orbit.append(2 * orbit[-1] % den)
+    # (c + theta) / 2^k with c the last k conjugate digits, over den
+    preimages = [
+        (int(cword[b - k :], 2) * full + t) << (b - k) for k in range(1, b + 1)
     ]
-    if 2 * preimage_values[0] % 1 != theta:
+    if 2 * preimages[0] % den != theta:
         raise AssertionError("first preimage does not halve the angle")
     for k in range(2, b + 1):
-        if 2 * preimage_values[k - 1] % 1 != preimage_values[k - 2]:
+        if 2 * preimages[k - 1] % den != preimages[k - 2]:
             raise AssertionError(f"chain breaks at step {k}")
 
-    x1, x2 = preimage_values[0], orbit[b - 1]
+    x1, x2 = preimages[0], orbit[b - 1]
     zero_one = spec.convention is Convention.ZERO_ONE
     certificates = []
     for k in range(2, b + 1):
-        y1, y2 = orbit[b - k], preimage_values[k - 1]
+        y1, y2 = orbit[b - k], preimages[k - 1]
         if len({x1, x2, y1, y2}) != 4 or not unlinked((x1, x2), (y1, y2)):
             raise UnlinkViolation(k)
         case = (y1 > x2) if zero_one else (y1 < x2)
         certificates.append(UnlinkCertificate(k, case))
 
-    closed = theta + (preimage_values[b - 1] - theta) / (1 - Fraction(1, 2**b))
-    if closed != conj:
+    # theta + (last - theta) / (1 - 2^-b) == conjugate, times den * (2^b - 1)
+    conj = int(cword, 2) % full
+    if theta * full + ((preimages[b - 1] - theta) << b) != conj * den:
         raise AssertionError("chain closed form disagrees with primed blocks")
-    preimages = tuple(
-        PeriodicAngle(cword[b - k :], word) for k in range(1, b + 1)
-    )
     return ConjugateChain(
         PeriodicAngle(period=word),
         PeriodicAngle(period=cword),
-        preimages,
         tuple(certificates),
     )
 
 
-_pair_cache: dict[int, tuple[tuple[Fraction, Fraction], ...]] = {}
-
-
-def _exact_period_angles(period: int) -> list[Fraction]:
-    full = (1 << period) - 1
-    width = f"0{period}b"
-    return [
-        Fraction(k, full)
-        for k in range(1, full)
-        if minimal_period(format(k, width)) == period
-    ]
-
-
-def _pairs_at(period: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    cached = _pair_cache.get(period)
-    if cached is not None:
-        return cached
-
-    # distinct rationals with denominators below 2**LAVAURS_LIMIT differ by
-    # more than 2**-40, so their float64 images are distinct and in the same
-    # order; floats position the bisects while arc membership stays exact
-    endpoints: list[Fraction] = []
-    partner: dict[Fraction, Fraction] = {}
+@cache
+def _pairs_at(period: int) -> tuple[tuple[int, int], ...]:
+    """Chords of one exact period as sorted numerator pairs over _GRID."""
+    if not 2 <= period <= LAVAURS_LIMIT:
+        raise ValueError(f"period must be between 2 and {LAVAURS_LIMIT}")
+    endpoints: list[int] = []
+    partner: dict[int, int] = {}
     for lower in range(2, period):
         for x, y in _pairs_at(lower):
             partner[x] = y
@@ -168,95 +162,64 @@ def _pairs_at(period: int) -> tuple[tuple[Fraction, Fraction], ...]:
             endpoints.append(x)
             endpoints.append(y)
     endpoints.sort()
-    keys = [float(e) for e in endpoints]
 
-    def add_endpoint(value: Fraction) -> None:
-        key = float(value)
-        at = bisect_right(keys, key)
-        keys.insert(at, key)
-        endpoints.insert(at, value)
-
-    def crosses(lo: Fraction, hi: Fraction) -> bool:
-        # chord {lo, hi} against every existing chord; arc runs ccw lo -> hi.
-        # existing chords never cross each other, so once a chord is known to
-        # sit inside the arc the whole span it encloses can be skipped
-        lo_key, hi_key = float(lo), float(hi)
-        if lo < hi:
-            i = bisect_right(keys, lo_key)
-            stop = bisect_left(keys, hi_key)
-            while i < stop:
-                e = endpoints[i]
-                mate = partner[e]
-                if not lo < mate < hi:
-                    return True
-                i = bisect_right(keys, float(mate), i + 1, stop) if mate > e else i + 1
-            return False
-        barrier = None  # rightmost wrap-around landing inside [0, hi)
-        i = bisect_right(keys, lo_key)
-        count = len(endpoints)
-        while i < count:
-            e = endpoints[i]
-            mate = partner[e]
-            if not (mate > lo or mate < hi):
-                return True
-            if mate > e:
-                i = bisect_right(keys, float(mate), i + 1)
-            else:
-                if mate < hi and (barrier is None or mate > barrier):
-                    barrier = mate
-                i += 1
-        stop = bisect_left(keys, hi_key)
-        i = 0 if barrier is None else bisect_right(keys, float(barrier), 0, stop)
+    def crosses(lo: int, hi: int) -> bool:
+        # chord {lo, hi}, lo < hi, against every existing chord: they cross
+        # exactly when one endpoint of the other lies strictly between lo and
+        # hi.  Existing chords never cross each other, so once a chord is
+        # known to sit inside (lo, hi) the whole span it encloses is skipped
+        i = bisect_right(endpoints, lo)
+        stop = bisect_left(endpoints, hi)
         while i < stop:
             e = endpoints[i]
             mate = partner[e]
-            if not (mate > lo or mate < hi):
+            if not lo < mate < hi:
                 return True
-            i = bisect_right(keys, float(mate), i + 1, stop) if mate > e else i + 1
+            i = bisect_right(endpoints, mate, i + 1, stop) if mate > e else i + 1
         return False
 
-    angles = _exact_period_angles(period)
+    full = (1 << period) - 1
+    scale = _GRID // full
+    width = f"0{period}b"
+    angles = [
+        k * scale
+        for k in range(1, full)
+        if minimal_period(format(k, width)) == period
+    ]
     count = len(angles)
-    pairs: list[tuple[Fraction, Fraction]] = []
-    if count:
-        full = (1 << period) - 1
-        # every angle of this period sits on the 1/full grid, so adjacency
-        # gaps are plain integers and the heap never compares fractions
-        ticks = [int(a * full) for a in angles]
-        nxt = list(range(1, count)) + [0]
-        prv = [count - 1] + list(range(count - 1))
-        done = [False] * count
-        heap = [
-            ((ticks[nxt[i]] - ticks[i]) % full, i, nxt[i]) for i in range(count)
-        ]
-        heapq.heapify(heap)
-        remaining = count
-        while remaining:
-            if not heap:
-                raise RuntimeError(f"pairing stalled at period {period}")
-            _, i, j = heapq.heappop(heap)
-            if done[i] or done[j]:
-                continue
-            x, y = angles[i], angles[j]
-            if crosses(x, y):
-                continue  # blocked for good: chords are never removed
-            pairs.append((x, y) if x < y else (y, x))
-            done[i] = done[j] = True
-            remaining -= 2
-            partner[x] = y
-            partner[y] = x
-            add_endpoint(x)
-            add_endpoint(y)
-            before, after = prv[i], nxt[j]
-            nxt[before] = after
-            prv[after] = before
-            if remaining >= 2:
-                heapq.heappush(
-                    heap, ((ticks[after] - ticks[before]) % full, before, after)
-                )
-    result = tuple(sorted(pairs))
-    _pair_cache[period] = result
-    return result
+    pairs: list[tuple[int, int]] = []
+    nxt = list(range(1, count)) + [0]
+    prv = [count - 1] + list(range(count - 1))
+    done = [False] * count
+    heap = [((angles[nxt[i]] - angles[i]) % _GRID, i, nxt[i]) for i in range(count)]
+    heapq.heapify(heap)
+    remaining = count
+    while remaining:
+        if not heap:
+            raise RuntimeError(f"pairing stalled at period {period}")
+        _, i, j = heapq.heappop(heap)
+        if done[i] or done[j]:
+            continue
+        x, y = angles[i], angles[j]
+        if x > y:
+            x, y = y, x
+        if crosses(x, y):
+            continue  # blocked for good: chords are never removed
+        pairs.append((x, y))
+        done[i] = done[j] = True
+        remaining -= 2
+        partner[x] = y
+        partner[y] = x
+        insort(endpoints, x)
+        insort(endpoints, y)
+        before, after = prv[i], nxt[j]
+        nxt[before] = after
+        prv[after] = before
+        if remaining >= 2:
+            heapq.heappush(
+                heap, ((angles[after] - angles[before]) % _GRID, before, after)
+            )
+    return tuple(sorted(pairs))
 
 
 def lavaurs_pairs(period: int) -> set[tuple[Fraction, Fraction]]:
@@ -267,9 +230,7 @@ def lavaurs_pairs(period: int) -> set[tuple[Fraction, Fraction]]:
     are joined first (ties broken by the smaller left endpoint).  Capped at
     period 20: this is a desk-scale oracle, not a production path.
     """
-    if not 2 <= period <= LAVAURS_LIMIT:
-        raise ValueError(f"period must be between 2 and {LAVAURS_LIMIT}")
-    return set(_pairs_at(period))
+    return {(Fraction(x, _GRID), Fraction(y, _GRID)) for x, y in _pairs_at(period)}
 
 
 def lavaurs_partner(theta: Fraction) -> Fraction:
@@ -279,9 +240,10 @@ def lavaurs_partner(theta: Fraction) -> Fraction:
     if den == 1 or den % 2 == 0:
         raise ValueError("angle is not periodic of period >= 2 under doubling")
     period = multiplicative_order(2, den)
-    for x, y in lavaurs_pairs(period):
-        if x == theta:
-            return y
-        if y == theta:
-            return x
+    target = theta.numerator * (_GRID // den)
+    for x, y in _pairs_at(period):
+        if x == target:
+            return Fraction(y, _GRID)
+        if y == target:
+            return Fraction(x, _GRID)
     raise ValueError(f"{theta} missing from the period-{period} pairing")

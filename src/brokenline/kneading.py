@@ -63,15 +63,18 @@ def kneading_of_angle(theta: Fraction) -> KneadingSequence:
         raise NotPeriodic(f"{theta} has an even denominator")
     if theta.denominator == 1:
         raise ValueError("the fixed angle 0 has no kneading sequence")
-    low, high = theta / 2, (theta + 1) / 2
+    # orbit points are integers x over den; x/den sits at theta/2 or
+    # (theta + 1)/2 when 2x equals k or k + den
+    k, den = theta.numerator, theta.denominator
     symbols: list[str] = []
-    x = theta
+    x = k
     while True:
-        if x == low or x == high:
+        twice = 2 * x
+        if twice == k or twice == k + den:
             symbols.append("*")
             break
-        symbols.append("1" if low < x < high else "0")
-        x = 2 * x % 1
+        symbols.append("1" if k < twice < k + den else "0")
+        x = twice % den
     return KneadingSequence("".join(symbols))
 
 
@@ -116,11 +119,9 @@ def lower_kneading_period(theta: Fraction) -> int:
     """
     theta %= 1
     ks = kneading_of_angle(theta)
-    b = ks.period
-    last = theta
-    for _ in range(b - 1):
-        last = 2 * last % 1
-    fill = "1" if last == (theta + 1) / 2 else "0"
+    k, den = theta.numerator, theta.denominator
+    last = pow(2, ks.period - 1, den) * k % den
+    fill = "1" if 2 * last == k + den else "0"
     return minimal_period(ks.symbols[:-1] + fill)
 
 

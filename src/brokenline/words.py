@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .angles import double_angle, minimal_period, word_to_fraction
+from .angles import minimal_period
 from .errors import NoDifference, NonMinimalPeriod
 
 __all__ = [
@@ -69,9 +69,10 @@ def rotation_diagnostics(word: str) -> tuple[Fraction, bool]:
     if minimal_period(word) != n:
         raise NonMinimalPeriod(word)
     rotation = Fraction(word.count("1"), n)
-    points = sorted(word_to_fraction(rotate_left(word, i)) for i in range(n))
+    full = (1 << n) - 1  # orbit points are integers over 2^n - 1
+    points = sorted(int(rotate_left(word, i), 2) % full for i in range(n))
     index = {p: i for i, p in enumerate(points)}
-    steps = {(index[double_angle(p)] - i) % n for i, p in enumerate(points)}
+    steps = {(index[2 * p % full] - i) % n for i, p in enumerate(points)}
     return rotation, len(steps) == 1
 
 

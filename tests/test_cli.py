@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from brokenline import kneading_of_angle
+from brokenline import (
+    Convention,
+    conjugate_word,
+    kneading_of_angle,
+    validate_spec,
+    word_to_fraction,
+)
+from brokenline import cli
 from brokenline.cli import main
 
 
@@ -78,6 +85,20 @@ def test_broken_all_at_a_long_period(capsys):
     assert payload["period"] == 5003
     assert payload["kneading"] == str(kneading_of_angle(Fraction(payload["angle"])))
 
+    code, out, _ = run(
+        capsys,
+        "conjugate", "1/2", "2502/5003", "--hinge", "1", "--convention", "01",
+        "--verify", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["chain"] == "ok"
+    assert payload["lavaurs"] == "skipped (period > 16)"
+    spec = validate_spec(
+        Fraction(1, 2), Fraction(2502, 5003), 1, Convention.ZERO_ONE
+    )
+    assert payload["conjugate"] == str(word_to_fraction(conjugate_word(spec)))
+
 
 def test_conjugate_verify(capsys):
     code, out, _ = run(
@@ -136,6 +157,18 @@ def test_enumerate_census_reports_construction_gap(capsys):
     assert code == 0
     assert "census-7: 30 28 30" in out
     assert "census-discrepancy" in out
+
+
+def test_enumerate_census_cap_checked_before_any_work(capsys, monkeypatch):
+    def no_work(period):
+        raise AssertionError("enumerated before the census cap was checked")
+
+    monkeypatch.setattr(cli, "enumerate_specs", no_work)
+    code, out, _ = run(capsys, "enumerate", "--period", "15", "--census", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error_kind"] == "ValueError"
+    assert doc["message"] == "census is desk-scale: 3 <= period <= 14"
 
 
 def test_tune(capsys):
@@ -214,13 +247,21 @@ def test_output_round_trips(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import brokenline
+
+    # the child imports the package under test, installed or not
+    root = str(Path(brokenline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "brokenline", "bulb", "1/3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert done.returncode == 0
     assert "theta-01: 1/7" in done.stdout

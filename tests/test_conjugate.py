@@ -56,6 +56,15 @@ def test_chain_golden():
     assert chain.preimages[0].value == Fraction(7, 30)
     assert chain.conjugate.value == Fraction(8, 15)
     assert [c.index for c in chain.certificates] == [2, 3, 4]
+    # the chain checks itself on integers; the preimages it hands out are
+    # built separately and checked here
+    for spec in all_specs(3, 10):
+        chain = conjugate_chain(spec)
+        values = [angle.value for angle in chain.preimages]
+        assert len(values) == spec.period
+        assert 2 * values[0] % 1 == chain.theta.value
+        for earlier, later in zip(values, values[1:]):
+            assert 2 * later % 1 == earlier
 
 
 def test_chain_runs_clean_on_sweep():
@@ -111,6 +120,16 @@ def test_lavaurs_pairs_partition_each_period():
             if minimal_period(format(k, f"0{period}b")) == period
         )
         assert len(seen) == count
+
+
+def test_lavaurs_chords_never_cross():
+    # all chords of periods 2..9 at once; two chords cross exactly when one
+    # endpoint of the second lies strictly inside the first and one outside
+    chords = [pair for period in range(2, 10) for pair in lavaurs_pairs(period)]
+    for i, (a, b) in enumerate(chords):
+        assert a < b
+        for c, d in chords[i + 1 :]:
+            assert (a < c < b) == (a < d < b), ((a, b), (c, d))
 
 
 def test_conjugate_matches_lavaurs_partner():
