@@ -43,12 +43,11 @@ def double_angle(x: Fraction) -> Fraction:
 
 
 def minimal_period(word: str) -> int:
-    """Length of the shortest prefix whose repetitions give back the word."""
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return d
-    raise AssertionError("unreachable")
+    """Length of the shortest prefix whose repetitions give back the word: the
+    first shift at which the word recurs in its own square."""
+    if not word:
+        raise ValueError("the empty word has no period")
+    return (word + word).find(word, 1)
 
 
 def multiplicative_order(base: int, modulus: int) -> int:
@@ -67,8 +66,9 @@ def multiplicative_order(base: int, modulus: int) -> int:
     return k
 
 
-def _expand(x: Fraction) -> tuple[str, str]:
-    """Canonical (preperiod, period) of x in [0, 1)."""
+def _expand(x: Fraction, multiple: int = 0) -> tuple[str, str]:
+    """Canonical (preperiod, period) of x in [0, 1); a nonzero ``multiple`` n,
+    with 2**n == 1 modulo the denominator's odd part, skips the order search."""
     num, den = x.numerator, x.denominator
     e = (den & -den).bit_length() - 1
     odd = den >> e
@@ -76,9 +76,9 @@ def _expand(x: Fraction) -> tuple[str, str]:
     pre = format(head, f"0{e}b") if e else ""
     if odd == 1:
         return pre, "0"
-    length = multiplicative_order(2, odd)
-    per = format(rem * (2**length - 1) // odd, f"0{length}b")
-    return pre, per
+    n = multiple or multiplicative_order(2, odd)
+    per = format(rem * (2**n - 1) // odd, f"0{n}b")
+    return pre, per[: minimal_period(per)]
 
 
 def fraction_to_expansion(x: Fraction) -> "PeriodicAngle":
@@ -103,7 +103,7 @@ class PeriodicAngle:
         if self.preperiod:
             _check_word(self.preperiod)
         _check_word(self.period)
-        pre, per = _expand(self.value % 1)
+        pre, per = _expand(self.value % 1, len(self.period))
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 

@@ -59,32 +59,35 @@ def junction_rays(
     p_over_q: Fraction, hinge: int, convention: Convention
 ) -> list[PeriodicAngle]:
     """The Q preperiodic rays landing at the branch point of the sublimb's
-    antenna, in increasing order.
+    antenna, in increasing order (locate builds only the two it needs).
 
     Each ray has preperiod length hinge*Q and period length Q; the periodic
     tails are rotations (by multiples of the lower parent's denominator) of
     the primed limb word under 01, of the limb word itself under 10.
     """
+    indices = range(1, p_over_q.denominator + 1)
+    return _junction_rays(p_over_q, hinge, convention, indices)
+
+
+def _junction_rays(p_over_q: Fraction, hinge: int, convention: Convention, indices):
+    """The rays of junction_rays with the given 1-based indices, in order."""
     if hinge < 1:
         raise ValueError("hinge must be a positive integer")
     lower, _ = farey_parents(p_over_q)
-    shift_unit = lower.denominator
     word = mechanical_word(p_over_q, convention)
-    q = len(word)
-    cutoff = q - p_over_q.numerator
-    zero_one = convention is Convention.ZERO_ONE
-    primed = prime_plus(word) if zero_one else prime_minus(word)
-    tail_base = primed if zero_one else word
-    rays = []
-    for k in range(1, q + 1):
-        if zero_one:
-            filler = word if k <= cutoff else primed
-        else:
-            filler = primed if k <= cutoff else word
-        head = word * (hinge - 1) + filler
-        tail = rotate_left(tail_base, (k - 1) * shift_unit)
-        rays.append(PeriodicAngle(head, tail))
-    return rays
+    cutoff = len(word) - p_over_q.numerator
+    if convention is Convention.ZERO_ONE:
+        primed = prime_plus(word)
+        early, late, tail_base = word, primed, primed
+    else:
+        early, late, tail_base = prime_minus(word), word, word
+    return [
+        PeriodicAngle(
+            word * (hinge - 1) + (early if k <= cutoff else late),
+            rotate_left(tail_base, (k - 1) * lower.denominator),
+        )
+        for k in indices
+    ]
 
 
 @dataclass(frozen=True)
@@ -103,17 +106,18 @@ def locate(spec: BrokenLineSpec) -> SpokeLocation:
     """Bracket the broken-line angle between consecutive junction rays.
 
     The angle lies in the first spoke under the 01 convention and in the
-    (Q-1)-th under 10; failure to bracket signals a bug, not bad input.
+    (Q-1)-th under 10; only the two rays bounding it are built.  Failure to
+    bracket signals a bug, not bad input.
     """
     ctx = spec.context
-    rays = junction_rays(ctx.p_over_q, ctx.hinge, ctx.convention)
     q = ctx.p_over_q.denominator
     if ctx.convention is Convention.ZERO_ONE:
-        low, high, index = rays[0], rays[1], 1
-        internal = Fraction(1, ctx.hinge + 1)
+        index, internal = 1, Fraction(1, ctx.hinge + 1)
     else:
-        low, high, index = rays[q - 2], rays[q - 1], q - 1
-        internal = Fraction(ctx.hinge, ctx.hinge + 1)
+        index, internal = q - 1, Fraction(ctx.hinge, ctx.hinge + 1)
+    low, high = _junction_rays(
+        ctx.p_over_q, ctx.hinge, ctx.convention, (index, index + 1)
+    )
     theta = word_to_fraction(broken_line_word(spec))
     if not low.value < theta < high.value:
         raise BracketingFailed(f"{theta} is outside ({low.value}, {high.value})")

@@ -117,9 +117,10 @@ def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
     orbit = [theta]
     for _ in range(b - 1):
         orbit.append(2 * orbit[-1] % den)
-    # (c + theta) / 2^k with c the last k conjugate digits, over den
+    # (c + theta) / 2^k over den, c the last k conjugate digits; c * full by shifts
     preimages = [
-        (int(cword[b - k :], 2) * full + t) << (b - k) for k in range(1, b + 1)
+        (((c := int(cword[b - k :], 2)) << b) - c + t) << (b - k)
+        for k in range(1, b + 1)
     ]
     if 2 * preimages[0] % den != theta:
         raise AssertionError("first preimage does not halve the angle")

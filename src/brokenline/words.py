@@ -49,17 +49,12 @@ def rotate_left(word: str, k: int) -> str:
 
 def is_sturmian(word: str) -> bool:
     """Balance test on the biinfinite repetition of the word: the 1-counts of
-    equal-length cyclic factors never differ by more than one."""
-    n = len(word)
-    doubled = word + word
-    prefix = [0]
-    for ch in doubled:
-        prefix.append(prefix[-1] + (ch == "1"))
-    for length in range(2, n + 1):
-        counts = [prefix[i + length] - prefix[i] for i in range(n)]
-        if max(counts) - min(counts) > 1:
-            return False
-    return True
+    equal-length cyclic factors never differ by more than one.  In linear time:
+    that holds iff the word is a rotation of the Christoffel word of its density,
+    built below (Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
+    n, m = len(word), word.count("1")
+    christoffel = "".join("01"[(j + 1) * m // n - j * m // n] for j in range(n))
+    return word in christoffel + christoffel
 
 
 def rotation_diagnostics(word: str) -> tuple[Fraction, bool]:

@@ -5,8 +5,10 @@ is used to check: the pair rewriter scans for literal "01" pairs, the digit
 rule tracks fractional parts of multiples, the mediant word and the descent
 tags concatenate parent words down the Stern-Brocot tree (production uses the
 digit rule for both), the orbit test just iterates the doubling map, the
-census set is built from digit-rule rotations alone, and the parameter sweep
-tries every limb, hinge and slope instead of walking the Stern-Brocot tree.
+balance test counts the 1s of every cyclic factor (production looks for the
+word among the rotations of a Christoffel word), the census set is built from
+digit-rule rotations alone, and the parameter sweep tries every limb, hinge
+and slope instead of walking the Stern-Brocot tree.
 """
 
 from fractions import Fraction
@@ -52,6 +54,21 @@ def pair_rewrite(word):
             out.append(word[i])
             i += 1
     return "".join(out)
+
+
+def balanced_by_factor_counts(word):
+    """Balance of the biinfinite repetition by definition: for every length,
+    the 1-counts of the cyclic factors of that length differ by at most one.
+    Quadratic in the word length."""
+    n = len(word)
+    prefix = [0]
+    for ch in word + word:
+        prefix.append(prefix[-1] + (ch == "1"))
+    for length in range(2, n + 1):
+        counts = [prefix[i + length] - prefix[i] for i in range(n)]
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
 
 
 def rotation_digit_word(p_over_q, convention):

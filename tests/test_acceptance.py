@@ -23,7 +23,6 @@ from brokenline import (
     cutting_to_mechanical,
     enumerate_specs,
     invert_kneading,
-    is_sturmian,
     kneading_of_angle,
     kneading_of_spec,
     lavaurs_pairs,
@@ -40,6 +39,7 @@ from helpers import (
     CONVENTIONS,
     all_specs,
     all_words,
+    balanced_by_factor_counts,
     census_angles,
     doubling_orbit,
     mediant_word,
@@ -122,7 +122,7 @@ def test_criterion_04_mechanical_oracles():
 def test_criterion_05_sturmian_periods():
     specs = all_specs(3, 24)
     ok = all(
-        is_sturmian(broken_line_word(s))
+        balanced_by_factor_counts(broken_line_word(s))
         and minimal_period(broken_line_word(s)) == s.period
         for s in specs
     )
@@ -196,7 +196,7 @@ def _brute_census_angles(b):
         partner[y] = x
     out = set()
     for word in all_words(b):
-        if minimal_period(word) != b or not is_sturmian(word):
+        if minimal_period(word) != b or not balanced_by_factor_counts(word):
             continue
         theta = word_to_fraction(word)
         if partner[theta] not in doubling_orbit(theta):

@@ -5,6 +5,7 @@ import pytest
 
 from brokenline import (
     ClassOrder,
+    Convention,
     PeriodicAngle,
     compare_prefix_classes,
     double_angle,
@@ -13,7 +14,7 @@ from brokenline import (
     rotate_left,
     word_to_fraction,
 )
-from helpers import all_words
+from helpers import all_words, mediant_word
 
 
 def test_word_to_fraction_golden():
@@ -44,6 +45,8 @@ def test_minimal_period():
     assert minimal_period("0101") == 2
     assert minimal_period("01001") == 5
     assert minimal_period("0111") == 4
+    with pytest.raises(ValueError):
+        minimal_period("")
 
 
 def test_compare_prefix_classes_golden():
@@ -124,6 +127,31 @@ def test_periodic_angle_canonicalizes():
     assert PeriodicAngle("", "0101") == PeriodicAngle("", "01")
     assert PeriodicAngle("0", "10") == PeriodicAngle("", "01")
     assert PeriodicAngle("", "1").value == 0
+
+
+def test_periodic_angle_is_canonical_exhaustive():
+    # the canonical form is the unique one with a primitive period that is
+    # not all ones and a preperiod that does not end in the period's last digit
+    for pre_length in range(4):
+        preperiods = all_words(pre_length) if pre_length else [""]
+        for u in preperiods:
+            head = int(u, 2) if u else 0
+            for length in range(1, 11):
+                for w in all_words(length):
+                    tail = Fraction(int(w, 2), 2**length - 1)
+                    angle = PeriodicAngle(u, w)
+                    assert angle.value == (head + tail) / 2**pre_length % 1
+                    period = angle.period
+                    assert minimal_period(period) == len(period)
+                    assert period == "0" or "0" in period
+                    assert not angle.preperiod or angle.preperiod[-1] != period[-1]
+
+
+def test_periodic_angle_canonicalizes_long_periods():
+    word = mediant_word(Fraction(610, 987), Convention.ZERO_ONE)
+    angle = PeriodicAngle(word[-5:], word * 3)
+    assert angle.preperiod == ""
+    assert angle.period == word[-5:] + word[:-5]
 
 
 def test_periodic_angle_value_and_text():

@@ -12,7 +12,6 @@ from brokenline import (
     enumerate_specs,
     euler_phi,
     fraction_to_expansion,
-    is_sturmian,
     junction_rays,
     lavaurs_partner,
     locate,
@@ -26,7 +25,12 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
-from helpers import CONVENTIONS, all_specs, reduced_fractions
+from helpers import (
+    CONVENTIONS,
+    all_specs,
+    balanced_by_factor_counts,
+    reduced_fractions,
+)
 
 
 def _spec(limb, slope, hinge, convention):
@@ -136,6 +140,20 @@ def test_locate_golden():
     assert spot2.junction_preperiod == 10
 
 
+def test_locate_brackets_with_the_junction_rays():
+    # locate builds only the two rays around its spoke; they must be the
+    # ones junction_rays lists there
+    for spec in all_specs(3, 40):
+        ctx = spec.context
+        rays = junction_rays(ctx.p_over_q, ctx.hinge, ctx.convention)
+        q = ctx.p_over_q.denominator
+        if ctx.convention is Convention.ZERO_ONE:
+            expected = rays[0:2]
+        else:
+            expected = rays[q - 2 : q]
+        assert locate(spec).bracketing_rays == tuple(expected)
+
+
 def test_locate_never_fails_on_valid_specs():
     for spec in all_specs(3, 14):
         spot = locate(spec)
@@ -196,7 +214,7 @@ def test_census_constructed_angles_are_counted_by_the_sweep():
         enumeration = enumerate_specs(b)
         for angle, specs in enumeration.entries:
             word = broken_line_word(specs[0])
-            assert is_sturmian(word)
+            assert balanced_by_factor_counts(word)
             assert minimal_period(word) == b
 
 

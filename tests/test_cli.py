@@ -100,6 +100,19 @@ def test_broken_all_at_a_long_period(capsys):
     assert payload["conjugate"] == str(word_to_fraction(conjugate_word(spec)))
 
 
+def test_broken_all_check_at_period_ten_thousand(capsys):
+    code, out, _ = run(
+        capsys,
+        "broken", "1/2", "5001/10001", "--hinge", "1", "--convention", "01",
+        "--all", "--check", "--json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "ok"
+    assert doc["payload"]["period"] == 10001
+    assert doc["payload"]["check"] == "ok"
+
+
 def test_conjugate_verify(capsys):
     code, out, _ = run(
         capsys,

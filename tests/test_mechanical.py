@@ -18,7 +18,6 @@ from brokenline import (
     cutting_sequence,
     cutting_to_mechanical,
     farey_parents,
-    is_sturmian,
     mechanical_word,
     mediant_tags,
     minimal_period,
@@ -28,6 +27,7 @@ from brokenline import (
 from helpers import (
     CONVENTIONS,
     all_specs,
+    balanced_by_factor_counts,
     descent_tags,
     mediant_word,
     pair_rewrite,
@@ -293,5 +293,5 @@ def test_blockwise_shift_comparison():
 def test_sturmian_period_sweep():
     for spec in all_specs(3, 18):
         word = broken_line_word(spec)
-        assert is_sturmian(word)
+        assert balanced_by_factor_counts(word)
         assert minimal_period(word) == spec.period

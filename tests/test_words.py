@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brokenline import (
     Convention,
     NoDifference,
     NonMinimalPeriod,
+    broken_line_word,
     first_difference,
     is_sturmian,
     mechanical_word,
@@ -13,8 +16,15 @@ from brokenline import (
     prime_minus,
     prime_plus,
     rotation_diagnostics,
+    validate_spec,
 )
-from helpers import CONVENTIONS, all_words, reduced_fractions
+from helpers import (
+    CONVENTIONS,
+    all_words,
+    balanced_by_factor_counts,
+    mediant_word,
+    reduced_fractions,
+)
 
 
 def test_prime_plus_golden():
@@ -40,6 +50,46 @@ def test_is_sturmian_golden():
     assert is_sturmian("0100")
     assert not is_sturmian("0011")
     assert is_sturmian("0")
+
+
+def _flip(word, position):
+    return word[:position] + "10"[int(word[position])] + word[position + 1 :]
+
+
+def test_is_sturmian_matches_factor_counts():
+    # every word through length 14, non-primitive and constant words included
+    for length in range(1, 15):
+        for word in all_words(length):
+            assert is_sturmian(word) == balanced_by_factor_counts(word)
+
+
+def test_balance_of_long_words_under_rotations_and_flips():
+    # the half-limb family and a Fibonacci slope, both near period 2000
+    specs = [
+        validate_spec(Fraction(1, 2), Fraction(1001, 2001), 1, Convention.ZERO_ONE),
+        validate_spec(Fraction(3, 5), Fraction(987, 1597), 1, Convention.ZERO_ONE),
+    ]
+    for spec in specs:
+        word = broken_line_word(spec)
+        n = len(word)
+        for k in range(0, n, 97):
+            assert is_sturmian(word[k:] + word[:k])
+        for position in range(0, n, n // 20)[:20]:
+            flipped = _flip(word, position)
+            assert is_sturmian(flipped) == balanced_by_factor_counts(flipped)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_balance_property_on_random_slopes(data):
+    b = data.draw(st.integers(2, 400), label="b")
+    slope = Fraction(data.draw(st.integers(1, b - 1), label="a"), b)
+    word = mediant_word(slope, data.draw(st.sampled_from(CONVENTIONS)))
+    n = len(word)
+    k = data.draw(st.integers(0, n - 1), label="rotation")
+    assert is_sturmian(word[k:] + word[:k])
+    flipped = _flip(word, data.draw(st.integers(0, n - 1), label="flip"))
+    assert is_sturmian(flipped) == balanced_by_factor_counts(flipped)
 
 
 def test_rotation_diagnostics_golden():
