@@ -43,6 +43,7 @@ from .errors import (
     BracketingFailed,
     BrokenLineError,
     HypothesisViolated,
+    InvariantViolated,
     MalformedCuttingSequence,
     NoDifference,
     NonMinimalPeriod,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .angles import PeriodicAngle, minimal_period, word_to_fraction
 from .conjugate import lavaurs_pairs
-from .errors import BracketingFailed, PreconditionUnmet
+from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
 from .farey import BrokenLineSpec, farey_parents, stern_brocot_path, validate_spec
 from .mechanical import broken_line_word, mechanical_word
 from .words import Convention, is_sturmian, prime_minus, prime_plus, rotate_left
@@ -156,20 +156,28 @@ def enumerate_specs(period: int) -> SpecEnumeration:
 
     Candidates are read off the Stern-Brocot path of each slope: a right turn
     at a node opens 01-choices there, a left turn 10-choices, and the length
-    of the straight run just after the turn caps the hinge.
+    of the straight run just after the turn caps the hinge.  Each candidate
+    goes through validate_spec.  The slope word is built once per slope and
+    convention; a choice's period word is that word with its trailing hinge
+    prefix, hinge*Q digits, rotated to the front (as in broken_line_word).
+    Angles are keyed by their integer numerator over 2^period - 1, and one
+    Fraction is built per angle.
     """
     if period < 3:
         raise ValueError("enumeration starts at period 3")
-    found: dict[Fraction, list[BrokenLineSpec]] = {}
+    found: dict[int, list[BrokenLineSpec]] = {}
     for a in range(1, period):
         if math.gcd(a, period) != 1:
             continue
         slope = Fraction(a, period)
+        words = {c: mechanical_word(slope, c) for c in Convention}
         path = stern_brocot_path(slope)
         for i, (node, side) in enumerate(path):
             convention = (
                 Convention.ZERO_ONE if side == "R" else Convention.ONE_ZERO
             )
+            word = words[convention]
+            limb_word = mechanical_word(node, convention)
             straight = 0
             for _, later in path[i + 1 :]:
                 if later == side:
@@ -177,13 +185,18 @@ def enumerate_specs(period: int) -> SpecEnumeration:
                 straight += 1
             for hinge in range(1, straight + 2):
                 spec = validate_spec(node, slope, hinge, convention)
-                angle = word_to_fraction(broken_line_word(spec))
-                found.setdefault(angle, []).append(spec)
+                if not word.endswith(limb_word * hinge):
+                    raise InvariantViolated(
+                        "enumerate_specs",
+                        "slope word does not end in the hinge prefix",
+                        spec,
+                    )
+                cut = hinge * node.denominator
+                key = int(word[-cut:] + word[:-cut], 2)
+                found.setdefault(key, []).append(spec)
+    full = (1 << period) - 1
     entries = tuple(
-        sorted(
-            ((angle, tuple(specs)) for angle, specs in found.items()),
-            key=lambda item: item[0],
-        )
+        (Fraction(key, full), tuple(found[key])) for key in sorted(found)
     )
     return SpecEnumeration(period, entries)
 

@@ -8,6 +8,7 @@ or a bit string, never a float.  Exit codes: 0 ok, 1 domain error, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -294,6 +295,10 @@ def cmd_tune(args: argparse.Namespace) -> dict:
     return payload
 
 
+# Building the 13 parsers costs 1.5-2 ms, more than a small command's own
+# work, and batch callers run many commands in one process; parse_args leaves
+# the parser unchanged, so one per process serves every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 
 from .angles import PeriodicAngle, minimal_period, multiplicative_order
-from .errors import UnlinkViolation
+from .errors import InvariantViolated, UnlinkViolation
 from .farey import BrokenLineSpec
 from .mechanical import block_decomposition, broken_line_word
 from .words import Convention, prime_minus, prime_plus
@@ -123,10 +123,12 @@ def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
         for k in range(1, b + 1)
     ]
     if 2 * preimages[0] % den != theta:
-        raise AssertionError("first preimage does not halve the angle")
+        raise InvariantViolated(
+            "conjugate_chain", "first preimage does not halve the angle", spec
+        )
     for k in range(2, b + 1):
         if 2 * preimages[k - 1] % den != preimages[k - 2]:
-            raise AssertionError(f"chain breaks at step {k}")
+            raise InvariantViolated("conjugate_chain", f"chain breaks at step {k}", spec)
 
     x1, x2 = preimages[0], orbit[b - 1]
     zero_one = spec.convention is Convention.ZERO_ONE
@@ -141,7 +143,9 @@ def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
     # theta + (last - theta) / (1 - 2^-b) == conjugate, times den * (2^b - 1)
     conj = int(cword, 2) % full
     if theta * full + ((preimages[b - 1] - theta) << b) != conj * den:
-        raise AssertionError("chain closed form disagrees with primed blocks")
+        raise InvariantViolated(
+            "conjugate_chain", "chain closed form disagrees with primed blocks", spec
+        )
     return ConjugateChain(
         PeriodicAngle(period=word),
         PeriodicAngle(period=cword),
@@ -197,7 +201,9 @@ def _pairs_at(period: int) -> tuple[tuple[int, int], ...]:
     remaining = count
     while remaining:
         if not heap:
-            raise RuntimeError(f"pairing stalled at period {period}")
+            raise InvariantViolated(
+                "lavaurs_pairs", f"pairing stalled at period {period}"
+            )
         _, i, j = heapq.heappop(heap)
         if done[i] or done[j]:
             continue

@@ -47,3 +47,16 @@ class BracketingFailed(BrokenLineError):
 
 class PreconditionUnmet(BrokenLineError):
     """An input does not satisfy a documented precondition."""
+
+
+class InvariantViolated(BrokenLineError):
+    """An internal consistency check failed: a bug, not bad input.
+
+    ``stage`` names the function whose check failed; ``spec`` is the
+    broken-line parameter choice it was working on, when there is one.
+    """
+
+    def __init__(self, stage: str, message: str, spec=None):
+        self.stage = stage
+        self.spec = spec
+        super().__init__(f"{stage}: {message}")

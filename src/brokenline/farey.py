@@ -83,9 +83,20 @@ def bound_fraction(p_over_q: Fraction, hinge: int, convention: Convention) -> Fr
     bound under the 01 convention, a lower bound under 10."""
     if not 0 < p_over_q < 1:
         raise ValueError("limb fraction must lie strictly between 0 and 1")
+    return _bound(p_over_q, farey_parents(p_over_q), hinge, convention)
+
+
+def _bound(
+    p_over_q: Fraction,
+    parents: tuple[Fraction, Fraction],
+    hinge: int,
+    convention: Convention,
+) -> Fraction:
+    # the Farey neighbour of P/Q reached by adding hinge-1 copies of P/Q to
+    # the upper parent (01) or the lower one (10)
     if hinge < 1:
         raise ValueError("hinge must be a positive integer")
-    lower, upper = farey_parents(p_over_q)
+    lower, upper = parents
     p, q = p_over_q.numerator, p_over_q.denominator
     if convention is Convention.ZERO_ONE:
         return Fraction((hinge - 1) * p + upper.numerator, (hinge - 1) * q + upper.denominator)
@@ -116,15 +127,10 @@ class FareyContext:
 
     @classmethod
     def build(cls, p_over_q: Fraction, hinge: int, convention: Convention) -> "FareyContext":
-        lower, upper = farey_parents(p_over_q)
-        return cls(
-            p_over_q,
-            lower,
-            upper,
-            hinge,
-            convention,
-            bound_fraction(p_over_q, hinge, convention),
-        )
+        """Solve for the Farey parents once and derive the bound from them."""
+        parents = farey_parents(p_over_q)
+        bound = _bound(p_over_q, parents, hinge, convention)
+        return cls(p_over_q, *parents, hinge, convention, bound)
 
 
 def single_block_slope(context: FareyContext, m: int) -> Fraction:
@@ -170,29 +176,35 @@ def validate_spec(
     """Check the hinge inequalities and return the validated parameters.
 
     Raises HypothesisViolated naming the failing constraint.  Slopes equal to
-    a single-block fraction are accepted; the bound itself is not.
+    a single-block fraction are accepted; the bound itself is not.  Every
+    comparison is an integer cross-multiplication over the positive
+    denominators.
     """
     limb = _as_reduced(p_over_q, "P/Q")
     slope = _as_reduced(a_over_b, "a/b")
-    if not 0 < limb < 1:
+    p, q = limb.numerator, limb.denominator
+    a, b = slope.numerator, slope.denominator
+    if not 0 < p < q:
         raise HypothesisViolated(f"0 < P/Q < 1 fails for {limb}")
-    if not 0 < slope < 1:
+    if not 0 < a < b:
         raise HypothesisViolated(f"0 < a/b < 1 fails for {slope}")
     if hinge < 1:
         raise HypothesisViolated(f"hinge must be >= 1, got {hinge}")
     context = FareyContext.build(limb, hinge, convention)
+    bound = context.bound
+    c, d = bound.numerator, bound.denominator
     if convention is Convention.ZERO_ONE:
-        if not limb < slope:
+        if not p * b < a * q:
             raise HypothesisViolated(f"P/Q < a/b fails: {limb} vs {slope}")
-        if not slope < context.bound:
+        if not a * d < c * b:
             raise HypothesisViolated(
-                f"a/b below the hinge bound fails: {slope} vs {context.bound}"
+                f"a/b below the hinge bound fails: {slope} vs {bound}"
             )
     else:
-        if not context.bound < slope:
+        if not c * b < a * d:
             raise HypothesisViolated(
-                f"a/b above the hinge bound fails: {slope} vs {context.bound}"
+                f"a/b above the hinge bound fails: {slope} vs {bound}"
             )
-        if not slope < limb:
+        if not a * q < p * b:
             raise HypothesisViolated(f"a/b < P/Q fails: {slope} vs {limb}")
     return BrokenLineSpec(context, slope)

@@ -7,7 +7,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import PeriodicAngle, minimal_period
-from .errors import HypothesisViolated, NotBrokenLineKneading, NotPeriodic
+from .errors import (
+    HypothesisViolated,
+    InvariantViolated,
+    NotBrokenLineKneading,
+    NotPeriodic,
+)
 from .farey import BrokenLineSpec, validate_spec
 from .mechanical import broken_line_tags, broken_line_word, mechanical_word
 from .words import Convention
@@ -101,7 +106,9 @@ def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:
     for i, tag in enumerate(tags):
         if position == 1:
             if runs[0] < n:
-                raise AssertionError("period does not open with the hinge run")
+                raise InvariantViolated(
+                    "kneading_of_spec", "period does not open with the hinge run", spec
+                )
         elif min(runs[i], k) < n:
             symbols[position - 2] = "0"
         position += tag.denominator

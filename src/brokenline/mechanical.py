@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import PeriodicAngle, word_to_fraction
-from .errors import MalformedCuttingSequence
+from .errors import InvariantViolated, MalformedCuttingSequence
 from .farey import BrokenLineSpec, FareyContext, single_block_slope
 from .words import Convention
 
@@ -141,7 +141,9 @@ def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
             tags.append(parent)
             tags.extend([limb] * (n - 1))
     if tags[-n:] != [limb] * n:
-        raise AssertionError("slope word does not end in the hinge prefix")
+        raise InvariantViolated(
+            "broken_line_tags", "slope word does not end in the hinge prefix", spec
+        )
     return [limb] * n + tags[:-n]
 
 
@@ -152,7 +154,9 @@ def broken_line_word(spec: BrokenLineSpec) -> str:
     head = mechanical_word(ctx.p_over_q, ctx.convention) * ctx.hinge
     slope_word = mechanical_word(spec.slope, ctx.convention)
     if not slope_word.endswith(head):
-        raise AssertionError("slope word does not end in the hinge prefix")
+        raise InvariantViolated(
+            "broken_line_word", "slope word does not end in the hinge prefix", spec
+        )
     return head + slope_word[: len(slope_word) - len(head)]
 
 
@@ -212,7 +216,7 @@ def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     base index.  The blocks are read greedily off the broken-line tags, the
     longer block first: block 0 is one limb tag and block e >= 1 is
     L^n (P L^(n-1))^(e-1) P, with L the limb tag and P the parent tag.
-    Re-concatenation of the result is asserted to reproduce the period word.
+    Re-concatenation of the result is checked to reproduce the period word.
     """
     ctx = spec.context
     word = broken_line_word(spec)
@@ -223,7 +227,9 @@ def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
         if spec.slope == candidate:
             piece = block_word(ctx, m + 1)
             if word != piece:
-                raise AssertionError("single-block word mismatch")
+                raise InvariantViolated(
+                    "block_decomposition", "single-block word mismatch", spec
+                )
             return BlockDecomposition(spec, m + 1, (m + 1,), {m + 1: piece})
         if (spec.slope < candidate) if zero_one else (spec.slope > candidate):
             break
@@ -242,11 +248,17 @@ def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
                 pos += len(piece)
                 break
         else:
-            raise AssertionError("period word does not factor into blocks")
+            raise InvariantViolated(
+                "block_decomposition", "period word does not factor into blocks", spec
+            )
     if len(exponents) < 2 or exponents[0] != m + 1 or exponents[-1] != m:
-        raise AssertionError("block exponents violate the boundary pattern")
+        raise InvariantViolated(
+            "block_decomposition", "block exponents violate the boundary pattern", spec
+        )
     block_words = {m: block_word(ctx, m), m + 1: block_word(ctx, m + 1)}
     decomposition = BlockDecomposition(spec, m, tuple(exponents), block_words)
     if decomposition.word != word:
-        raise AssertionError("block re-concatenation mismatch")
+        raise InvariantViolated(
+            "block_decomposition", "block re-concatenation mismatch", spec
+        )
     return decomposition

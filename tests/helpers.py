@@ -7,8 +7,10 @@ tags concatenate parent words down the Stern-Brocot tree (production uses the
 digit rule for both), the orbit test just iterates the doubling map, the
 balance test counts the 1s of every cyclic factor (production looks for the
 word among the rotations of a Christoffel word), the census set is built from
-digit-rule rotations alone, and the parameter sweep tries every limb, hinge
-and slope instead of walking the Stern-Brocot tree.
+digit-rule rotations alone, the parameter sweep tries every limb, hinge
+and slope instead of walking the Stern-Brocot tree, and the per-spec
+enumeration builds every period word through broken_line_word and keys it by
+its Fraction (production rotates one word per slope and keys by integers).
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ from brokenline import (
     broken_line_word,
     enumerate_specs,
     mediant,
+    stern_brocot_path,
     validate_spec,
     word_to_fraction,
 )
@@ -187,3 +190,30 @@ def parameter_sweep_angles(b):
                         continue
                     out.add(word_to_fraction(broken_line_word(spec)))
     return out
+
+
+def enumerate_specs_per_spec(period):
+    """The entries of enumerate_specs(period), one spec at a time: every
+    candidate of the Stern-Brocot path is validated, its period word built by
+    broken_line_word and its angle by word_to_fraction; specs are grouped by
+    angle in the order they are met and the groups sorted by angle."""
+    found = {}
+    for a in range(1, period):
+        if gcd(a, period) != 1:
+            continue
+        slope = Fraction(a, period)
+        path = stern_brocot_path(slope)
+        for i, (node, side) in enumerate(path):
+            convention = (
+                Convention.ZERO_ONE if side == "R" else Convention.ONE_ZERO
+            )
+            straight = 0
+            for _, later in path[i + 1 :]:
+                if later == side:
+                    break
+                straight += 1
+            for hinge in range(1, straight + 2):
+                spec = validate_spec(node, slope, hinge, convention)
+                angle = word_to_fraction(broken_line_word(spec))
+                found.setdefault(angle, []).append(spec)
+    return tuple((angle, tuple(found[angle])) for angle in sorted(found))

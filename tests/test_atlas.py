@@ -5,8 +5,10 @@ import pytest
 
 from brokenline import (
     Convention,
+    InvariantViolated,
     PeriodicAngle,
     PreconditionUnmet,
+    atlas,
     broken_line_word,
     conjugate_angle,
     enumerate_specs,
@@ -29,6 +31,7 @@ from helpers import (
     CONVENTIONS,
     all_specs,
     balanced_by_factor_counts,
+    enumerate_specs_per_spec,
     reduced_fractions,
 )
 
@@ -177,6 +180,32 @@ def test_enumerate_golden():
 def test_enumerate_has_no_collisions():
     for b in range(3, 15):
         assert enumerate_specs(b).collisions == []
+
+
+def test_enumerate_matches_the_per_spec_loop():
+    # one rotated word per slope and integer keys give the same angles, the
+    # same specs and the same spec order as building every word on its own
+    for b in [*range(3, 61), 127]:
+        enumeration = enumerate_specs(b)
+        assert enumeration.entries == enumerate_specs_per_spec(b)
+        angles = enumeration.angles
+        assert all(x < y for x, y in zip(angles, angles[1:]))
+
+
+def test_enumerate_checks_the_hinge_prefix(monkeypatch):
+    real = atlas.mechanical_word
+
+    def wrong_limb_word(x, convention):
+        # a run of 1s of the limb's length never ends a mechanical word
+        if x.denominator < 7:
+            return "1" * x.denominator
+        return real(x, convention)
+
+    monkeypatch.setattr(atlas, "mechanical_word", wrong_limb_word)
+    with pytest.raises(InvariantViolated) as failure:
+        enumerate_specs(7)
+    assert failure.value.stage == "enumerate_specs"
+    assert failure.value.spec.period == 7
 
 
 def test_enumerated_conjugates():

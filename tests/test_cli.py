@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import brokenline
 from brokenline import (
     Convention,
     conjugate_word,
     kneading_of_angle,
+    mechanical,
     validate_spec,
     word_to_fraction,
 )
@@ -18,6 +24,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(*argv):
+    """Run the command line in a new interpreter."""
+    # the child imports the package under test, installed or not
+    root = str(Path(brokenline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "brokenline", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def as_dict(text):
@@ -260,22 +279,7 @@ def test_output_round_trips(capsys):
 
 
 def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import brokenline
-
-    # the child imports the package under test, installed or not
-    root = str(Path(brokenline.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "brokenline", "bulb", "1/3"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    done = run_fresh("bulb", "1/3")
     assert done.returncode == 0
     assert "theta-01: 1/7" in done.stdout
 
@@ -288,3 +292,46 @@ def test_check_smoke_over_enumeration(capsys):
         )
         assert code == 0
         assert "check: ok" in out
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys):
+    good = ("broken", "2/5", "7/17", "--hinge", "3", "--convention", "01", "--all")
+    with pytest.raises(SystemExit) as usage:
+        main(["broken", "2/5", "--hinge", "3"])
+    assert usage.value.code == 2
+    code, _, err = run(
+        capsys, "broken", "2/5", "1/2", "--hinge", "3", "--convention", "01"
+    )
+    assert code == 1
+    assert "HypothesisViolated" in err
+    code, out, _ = run(capsys, *good)
+    assert code == 0
+    fresh = run_fresh(*good)
+    assert fresh.returncode == 0
+    assert out == fresh.stdout
+
+
+def test_invariant_failure_is_a_typed_error(capsys, monkeypatch):
+    real = mechanical.block_word
+
+    def wrong_block(context, m):
+        word = real(context, m)
+        return ("1" if word[0] == "0" else "0") + word[1:]
+
+    monkeypatch.setattr(mechanical, "block_word", wrong_block)
+    for slope in ("3/4", "7/11"):  # one block, then four
+        code, out, err = run(
+            capsys,
+            "broken", "1/2", slope, "--hinge", "1", "--convention", "01",
+            "--all", "--json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["error_kind"] == "InvariantViolated"
+        assert doc["message"].startswith("block_decomposition: ")
+        assert "Traceback" not in err

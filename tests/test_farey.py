@@ -110,6 +110,77 @@ def test_validate_spec_accepts_single_block_slopes_but_not_the_bound():
         validate_spec(Fraction(2, 5), ctx.bound, 2, Convention.ZERO_ONE)
 
 
+def _farey_neighbours(x):
+    """The fractions of [0, 1] with denominator at most x's that sit closest
+    below and above x, found by search."""
+    candidates = [Fraction(0), Fraction(1), *reduced_fractions(x.denominator)]
+    return (
+        max(f for f in candidates if f < x),
+        min(f for f in candidates if f > x),
+    )
+
+
+def _expected_rejection(limb, slope, hinge, convention, bound):
+    """The message validate_spec must raise with, or None to accept."""
+    if not 0 < limb < 1:
+        return f"0 < P/Q < 1 fails for {limb}"
+    if not 0 < slope < 1:
+        return f"0 < a/b < 1 fails for {slope}"
+    if convention is Convention.ZERO_ONE:
+        if not limb < slope:
+            return f"P/Q < a/b fails: {limb} vs {slope}"
+        if not slope < bound:
+            return f"a/b below the hinge bound fails: {slope} vs {bound}"
+    else:
+        if not bound < slope:
+            return f"a/b above the hinge bound fails: {slope} vs {bound}"
+        if not slope < limb:
+            return f"a/b < P/Q fails: {slope} vs {limb}"
+    return None
+
+
+def test_validate_spec_matches_fraction_predicate_exhaustively():
+    # every limb with Q <= 12 and slope with b <= 30, the ends 0 and 1
+    # included, at hinges 1..4 under both conventions
+    ends = [Fraction(0), Fraction(1)]
+    limbs = ends + list(reduced_fractions(12))
+    slopes = ends + list(reduced_fractions(30))
+    accepted = 0
+    for limb in limbs:
+        parents = _farey_neighbours(limb) if 0 < limb < 1 else None
+        for hinge in range(1, 5):
+            for convention in CONVENTIONS:
+                bound = None
+                if parents is not None:
+                    # hinge - 1 copies of the limb joined to the upper parent
+                    # under 01, to the lower one under 10
+                    lower, upper = parents
+                    bound = upper if convention is Convention.ZERO_ONE else lower
+                    for _ in range(hinge - 1):
+                        bound = mediant(bound, limb)
+                    ctx = FareyContext.build(limb, hinge, convention)
+                    assert (ctx.lower_parent, ctx.upper_parent) == parents
+                    assert parents == farey_parents(limb)
+                    assert ctx.bound == bound == bound_fraction(limb, hinge, convention)
+                    assert (ctx.p_over_q, ctx.hinge, ctx.convention) == (
+                        limb,
+                        hinge,
+                        convention,
+                    )
+                for slope in slopes:
+                    message = _expected_rejection(limb, slope, hinge, convention, bound)
+                    try:
+                        spec = validate_spec(limb, slope, hinge, convention)
+                    except HypothesisViolated as rejection:
+                        assert str(rejection) == message
+                    else:
+                        assert message is None
+                        assert spec.slope == slope
+                        assert spec.context == ctx
+                        accepted += 1
+    assert accepted > 0
+
+
 def test_bezout_minimal():
     assert bezout_minimal(5, 2) == (2, 1)
     assert bezout_minimal(2, 1) == (1, 1)
