@@ -154,9 +154,9 @@ def cmd_broken(args: argparse.Namespace) -> dict:
                 "conjugate-expansion": f"0.({cword})",
                 "kneading": str(kneading_of_spec(spec)),
                 "block-exponents": list(decomposition.exponents),
-                "blocks": [
-                    decomposition.block_words[e] for e in decomposition.exponents
-                ],
+                "blocks": list(
+                    map(decomposition.block_words.__getitem__, decomposition.exponents)
+                ),
                 "spoke": spot.spoke_index,
                 "spoke-lower": str(spot.bracketing_rays[0].value),
                 "spoke-upper": str(spot.bracketing_rays[1].value),
@@ -408,6 +408,11 @@ def _print_text(payload: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a period-b angle has about 0.3*b decimal digits; the interpreter's cap
+    # on int-to-str conversion is lifted while the command computes its
+    # answer and restored after, so argument parsing keeps the cap
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         payload = args.handler(args)
     except (BrokenLineError, ValueError) as exc:
@@ -421,6 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {kind}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
     if args.json:
         print(json.dumps({"status": "ok", "payload": payload}))
     else:

@@ -46,7 +46,7 @@ def conjugate_word(spec: BrokenLineSpec) -> str:
     decomposition = block_decomposition(spec)
     prime = prime_plus if spec.convention is Convention.ZERO_ONE else prime_minus
     primed = {e: prime(w) for e, w in decomposition.block_words.items()}
-    return "".join(primed[e] for e in decomposition.exponents)
+    return "".join(map(primed.__getitem__, decomposition.exponents))
 
 
 def conjugate_angle(spec: BrokenLineSpec) -> PeriodicAngle:

@@ -14,7 +14,7 @@ from .errors import (
     NotPeriodic,
 )
 from .farey import BrokenLineSpec, validate_spec
-from .mechanical import broken_line_tags, broken_line_word, mechanical_word
+from .mechanical import _parent, _tag_labels, broken_line_word, mechanical_word
 from .words import Convention
 
 __all__ = [
@@ -92,28 +92,23 @@ def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:
     the final slot is the star.
     """
     ctx = spec.context
-    limb, n = ctx.p_over_q, ctx.hinge
-    tags = broken_line_tags(spec)
-    k = len(tags)
-    doubled = tags + tags
-    runs = [0] * (2 * k + 1)
-    for i in range(2 * k - 1, -1, -1):
-        runs[i] = runs[i + 1] + 1 if doubled[i] == limb else 0
-
-    b = spec.period
-    symbols = ["1"] * b
-    position = 1
-    for i, tag in enumerate(tags):
-        if position == 1:
-            if runs[0] < n:
-                raise InvariantViolated(
-                    "kneading_of_spec", "period does not open with the hinge run", spec
-                )
-        elif min(runs[i], k) < n:
-            symbols[position - 2] = "0"
-        position += tag.denominator
-    symbols[b - 1] = "*"
-    return KneadingSequence("".join(symbols))
+    n, q, t = ctx.hinge, ctx.p_over_q.denominator, _parent(ctx).denominator
+    labels = _tag_labels(spec)
+    if not labels.startswith("L" * n):
+        raise InvariantViolated(
+            "kneading_of_spec", "period does not open with the hinge run", spec
+        )
+    # every parent tag follows at least n - 1 limb tags, so the tags that open
+    # a run of fewer than n limb tags before a parent are the n tags of each
+    # window L^(n-1) P.  Spelling every tag with its first slot standing for
+    # the slot before it gives the kneading one slot early, led by the star's
+    window = ("0" + "1" * (q - 1)) * (n - 1) + "0" + "1" * (t - 1)
+    shifted = labels.replace("L" * (n - 1) + "P", window)
+    if "P" in shifted:
+        raise InvariantViolated(
+            "kneading_of_spec", "a parent tag follows fewer than n - 1 limb tags", spec
+        )
+    return KneadingSequence(shifted.replace("L", "1" * q)[1:] + "*")
 
 
 def lower_kneading_period(theta: Fraction) -> int:
@@ -130,17 +125,6 @@ def lower_kneading_period(theta: Fraction) -> int:
     last = pow(2, ks.period - 1, den) * k % den
     fill = "1" if 2 * last == k + den else "0"
     return minimal_period(ks.symbols[:-1] + fill)
-
-
-def _blocks_of(symbols: str) -> list[int]:
-    lengths = []
-    current = 0
-    for ch in symbols:
-        current += 1
-        if ch in "0*":
-            lengths.append(current)
-            current = 0
-    return lengths
 
 
 def invert_kneading(
@@ -161,20 +145,21 @@ def invert_kneading(
         except ValueError as exc:
             raise NotBrokenLineKneading(str(exc)) from exc
     symbols = kneading.symbols
-    lengths = _blocks_of(symbols)
+    # a block is a run of 1s closed by a 0, the last one by the star; the
+    # distinct block lengths are listed once each, in order of appearance
+    blocks = symbols[:-1].split("0")
+    lengths = [len(block) + 1 for block in dict.fromkeys(blocks)]
     q = lengths[0]
     if q < 2:
         raise NotBrokenLineKneading("leading block is too short to be a limb word")
-    n = 0
-    while n < len(lengths) and lengths[n] == q:
-        n += 1
-    if n == len(lengths):
+    if len(lengths) == 1:
         raise NotBrokenLineKneading("every block has the limb length")
-    t = lengths[n] % q
+    n = blocks.index("1" * (lengths[1] - 1))
+    t = lengths[1] % q
     if t == 0 or math.gcd(q, t) != 1:
         raise NotBrokenLineKneading("parent length is incompatible with the limb")
-    for length in lengths:
-        if length != q and length % q != t:
+    for length in lengths[1:]:
+        if length % q != t:
             raise NotBrokenLineKneading(f"block of length {length} fits no word")
 
     if convention is Convention.ZERO_ONE:
@@ -187,13 +172,10 @@ def invert_kneading(
 
     limb_word = mechanical_word(limb, convention)
     parent_word = mechanical_word(parent, convention)
-    pieces = []
-    for length in lengths:
-        if length == q:
-            pieces.append(limb_word)
-        else:
-            pieces.append(parent_word + limb_word * ((length - t) // q))
-    word = "".join(pieces)
+    pieces = {"1" * (q - 1): limb_word}
+    for length in lengths[1:]:
+        pieces["1" * (length - 1)] = parent_word + limb_word * ((length - t) // q)
+    word = "".join(map(pieces.__getitem__, blocks))
     a, b = word.count("1"), len(word)
     if math.gcd(a, b) != 1:
         raise NotBrokenLineKneading("transcribed word has a reducible 1-count")

@@ -1,9 +1,11 @@
 """Cutting sequences, mechanical words, broken-line periods, block structure.
 
-Mechanical words and the tags of their factorization come from one closed
-form, the digit rule of the Christoffel word.  The geometric pipeline (grid
-crossings, then contraction) computes the same words independently; the test
-suite holds both against mediant concatenation over the Stern-Brocot tree.
+Mechanical words and the tags of their factorization come from one
+construction, the standard-word recursion over the continued fraction of the
+slope: a few string operations per partial quotient, none per letter.  The
+geometric pipeline (grid crossings, then contraction) computes the same words
+independently; the test suite holds both against the digit rule of the
+Christoffel word and against mediant concatenation over the Stern-Brocot tree.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from .angles import PeriodicAngle, word_to_fraction
 from .errors import InvariantViolated, MalformedCuttingSequence
-from .farey import BrokenLineSpec, FareyContext, single_block_slope
+from .farey import BrokenLineSpec, FareyContext
 from .words import Convention
 
 __all__ = [
@@ -65,18 +67,27 @@ def cutting_to_mechanical(kappa: str) -> str:
 
 
 def _digits(p: int, q: int) -> str:
-    # inner digits 1..q-2 of the p/q Christoffel word: digit j is 1 exactly
-    # when the fractional part of j*p/q lies in [1 - p/q, 1)
-    return "".join(["1" if j * p % q >= q - p else "0" for j in range(1, q - 1)])
+    # inner digits 1..q-2 of the p/q Christoffel word, which the standard word
+    # of p/q = [0; a1, ..., an] spells before its two closing letters; the
+    # standard words are s_k = s_(k-1)^(a_k) s_(k-2) from s_(-1) = 1, s_0 = 0,
+    # with a1 - 1 in place of a1 (Lothaire, Algebraic Combinatorics on Words,
+    # ch. 2)
+    prev, word = "1", "0"
+    q -= p
+    while p:
+        a, r = divmod(q, p)
+        prev, word = word, word * a + prev
+        q, p = p, r
+    return word[:-2]
 
 
 def mechanical_word(p_over_q: Fraction, convention: Convention) -> str:
     """The length-q word whose repetition is the angle of the line of slope
     p/q under the given convention.
 
-    The first q - 2 digits follow the digit rule of the Christoffel word and
-    the convention supplies the last two.  The boundary slopes 1 ("01") and
-    0 ("10") carry the one-letter words "1" and "0".
+    The first q - 2 digits are the standard word of p/q without its last two
+    letters, and the convention supplies those two.  The boundary slopes 1
+    ("01") and 0 ("10") carry the one-letter words "1" and "0".
     """
     if convention is Convention.ZERO_ONE and p_over_q == 1:
         return "1"
@@ -103,7 +114,8 @@ def mediant_tags(
     Requires lo < x < hi with lo, hi Farey neighbors.  Under 01 a mediant's
     word is (hi word)(lo word), under 10 it is (lo word)(hi word).  In the
     basis (lo, hi) x has j hi-words and i lo-words, and their order is the
-    digit rule of j/(i + j) with 0 read as lo and 1 as hi.
+    inner q - 2 digits of the j/(i + j) word, q = i + j, with 0 read as lo
+    and 1 as hi.
     """
     if not lo < x < hi:
         raise ValueError("x must lie strictly between lo and hi")
@@ -117,6 +129,46 @@ def mediant_tags(
     return [lo] + middle + [hi]
 
 
+def _parent(context: FareyContext) -> Fraction:
+    # the Farey parent whose word the bound's word opens with
+    if context.convention is Convention.ZERO_ONE:
+        return context.upper_parent
+    return context.lower_parent
+
+
+def _word_counts(spec: BrokenLineSpec) -> tuple[int, int]:
+    # the slope's word is `limbs` limb words and `bounds` bound words: the
+    # slope is their mediant-weighted sum, (limbs*P + bounds*c)/(limbs*Q +
+    # bounds*d) with c/d the bound, in either convention
+    ctx = spec.context
+    a, b = spec.slope.numerator, spec.slope.denominator
+    p, q = ctx.p_over_q.numerator, ctx.p_over_q.denominator
+    c, d = ctx.bound.numerator, ctx.bound.denominator
+    return abs(b * c - a * d), abs(a * q - b * p)
+
+
+def _tag_labels(spec: BrokenLineSpec) -> str:
+    # broken_line_tags spelled with L for the limb and P for the parent.  The
+    # slope's mediant_tags over the limb and the bound open with the bound,
+    # close with the limb, and read digit 1 as the upper of the two: the
+    # bound under 01, the limb under 10.  Each bound tag is spelled P L^(n-1),
+    # and the trailing hinge run moves to the front.
+    n = spec.context.hinge
+    limbs, bounds = _word_counts(spec)
+    bound = "P" + "L" * (n - 1)
+    if spec.convention is Convention.ZERO_ONE:
+        upper, lower, ones = bound, "L", bounds
+    else:
+        upper, lower, ones = "L", bound, limbs
+    middle = _digits(ones, limbs + bounds).replace("1", upper).replace("0", lower)
+    labels = bound + middle + "L"
+    if not labels.endswith("L" * n):
+        raise InvariantViolated(
+            "broken_line_tags", "slope word does not end in the hinge prefix", spec
+        )
+    return "L" * n + labels[:-n]
+
+
 def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
     """Wordwise labels of the broken-line period: n copies of P/Q followed by
     the slope word's labels with their trailing P/Q run shortened by n.
@@ -124,27 +176,8 @@ def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
     Labels take values in {P/Q, parent}, where the parent is the upper Farey
     parent under 01 and the lower one under 10.
     """
-    ctx = spec.context
-    limb, n = ctx.p_over_q, ctx.hinge
-    if ctx.convention is Convention.ZERO_ONE:
-        raw = mediant_tags(spec.slope, limb, ctx.bound, ctx.convention)
-        parent = ctx.upper_parent
-    else:
-        raw = mediant_tags(spec.slope, ctx.bound, limb, ctx.convention)
-        parent = ctx.lower_parent
-    tags: list[Fraction] = []
-    for tag in raw:
-        if tag == limb:
-            tags.append(limb)
-        else:
-            # the bound's own word is (parent word)(P/Q word)^(n-1)
-            tags.append(parent)
-            tags.extend([limb] * (n - 1))
-    if tags[-n:] != [limb] * n:
-        raise InvariantViolated(
-            "broken_line_tags", "slope word does not end in the hinge prefix", spec
-        )
-    return [limb] * n + tags[:-n]
+    value = {"L": spec.context.p_over_q, "P": _parent(spec.context)}
+    return list(map(value.__getitem__, _tag_labels(spec)))
 
 
 def broken_line_word(spec: BrokenLineSpec) -> str:
@@ -173,12 +206,7 @@ def block_word(context: FareyContext, m: int) -> str:
     wp = mechanical_word(context.p_over_q, context.convention)
     if m == 0:
         return wp
-    parent = (
-        context.upper_parent
-        if context.convention is Convention.ZERO_ONE
-        else context.lower_parent
-    )
-    wx = mechanical_word(parent, context.convention)
+    wx = mechanical_word(_parent(context), context.convention)
     n = context.hinge
     return wp * n + (wx + wp * (n - 1)) * (m - 1) + wx
 
@@ -199,7 +227,7 @@ class BlockDecomposition:
 
     @property
     def word(self) -> str:
-        return "".join(self.block_words[e] for e in self.exponents)
+        return "".join(map(self.block_words.__getitem__, self.exponents))
 
 
 def _block_labels(n: int, m: int) -> str:
@@ -212,51 +240,46 @@ def _block_labels(n: int, m: int) -> str:
 def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     """Factor the period word into blocks of two adjacent indices.
 
-    The slope's position between consecutive single-block fractions pins the
-    base index.  The blocks are read greedily off the broken-line tags, the
+    Block m holds one limb word and m bound words, so with the slope's word
+    made of ``limbs`` limb words and ``bounds`` bound words there are
+    ``limbs`` blocks, of index bounds // limbs and one more; when limbs
+    divides bounds the slope is a single-block fraction and its one block has
+    index bounds / limbs.  The blocks are read off the broken-line tags, the
     longer block first: block 0 is one limb tag and block e >= 1 is
     L^n (P L^(n-1))^(e-1) P, with L the limb tag and P the parent tag.
     Re-concatenation of the result is checked to reproduce the period word.
     """
     ctx = spec.context
     word = broken_line_word(spec)
-    zero_one = ctx.convention is Convention.ZERO_ONE
-    m = 0
-    while True:
-        candidate = single_block_slope(ctx, m + 1)
-        if spec.slope == candidate:
-            piece = block_word(ctx, m + 1)
-            if word != piece:
-                raise InvariantViolated(
-                    "block_decomposition", "single-block word mismatch", spec
-                )
-            return BlockDecomposition(spec, m + 1, (m + 1,), {m + 1: piece})
-        if (spec.slope < candidate) if zero_one else (spec.slope > candidate):
-            break
-        m += 1
-    q, n = ctx.p_over_q.denominator, ctx.hinge
-    # both Farey parents of P/Q have denominators below Q
-    tags = broken_line_tags(spec)
-    labels = "".join("L" if tag.denominator == q else "P" for tag in tags)
-    pieces = ((_block_labels(n, m + 1), m + 1), (_block_labels(n, m), m))
-    exponents: list[int] = []
-    pos = 0
-    while pos < len(labels):
-        for piece, exponent in pieces:
-            if labels.startswith(piece, pos):
-                exponents.append(exponent)
-                pos += len(piece)
-                break
-        else:
+    limbs, bounds = _word_counts(spec)
+    m, rest = divmod(bounds, limbs)
+    if not rest:
+        piece = block_word(ctx, m)
+        if word != piece:
             raise InvariantViolated(
-                "block_decomposition", "period word does not factor into blocks", spec
+                "block_decomposition", "single-block word mismatch", spec
             )
-    if len(exponents) < 2 or exponents[0] != m + 1 or exponents[-1] != m:
+        return BlockDecomposition(spec, m, (m,), {m: piece})
+    n = ctx.hinge
+    # block m is a prefix of block m + 1, which is therefore replaced first;
+    # every block m + 1 opens with L^n P, which marks block starts only, so
+    # this reads the same blocks as a greedy parse, longer block first
+    parsed = (
+        _tag_labels(spec)
+        .replace(_block_labels(n, m + 1), "1")
+        .replace(_block_labels(n, m), "0")
+    )
+    if "L" in parsed or "P" in parsed:
+        raise InvariantViolated(
+            "block_decomposition", "period word does not factor into blocks", spec
+        )
+    if len(parsed) < 2 or parsed[0] != "1" or parsed[-1] != "0":
         raise InvariantViolated(
             "block_decomposition", "block exponents violate the boundary pattern", spec
         )
+    exponents = tuple(map({"0": m, "1": m + 1}.__getitem__, parsed))
     block_words = {m: block_word(ctx, m), m + 1: block_word(ctx, m + 1)}
-    decomposition = BlockDecomposition(spec, m, tuple(exponents), block_words)
+    decomposition = BlockDecomposition(spec, m, exponents, block_words)
     if decomposition.word != word:
         raise InvariantViolated(
             "block_decomposition", "block re-concatenation mismatch", spec

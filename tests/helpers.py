@@ -2,9 +2,12 @@
 
 Everything here is deliberately independent of the production code paths it
 is used to check: the pair rewriter scans for literal "01" pairs, the digit
-rule tracks fractional parts of multiples, the mediant word and the descent
-tags concatenate parent words down the Stern-Brocot tree (production uses the
-digit rule for both), the orbit test just iterates the doubling map, the
+rule tracks fractional parts of multiples (production runs the standard-word
+recursion), the mediant word and the descent tags concatenate parent words
+down the Stern-Brocot tree, the base-index scan walks the single-block
+slopes one Fraction at a time (production divides once), the tag-run
+kneading marks slots tag by tag over Fraction tags (production rewrites one
+label string), the orbit test just iterates the doubling map, the
 balance test counts the 1s of every cyclic factor (production looks for the
 word among the rotations of a Christoffel word), the census set is built from
 digit-rule rotations alone, the parameter sweep tries every limb, hinge
@@ -14,14 +17,17 @@ its Fraction (production rotates one word per slope and keys by integers).
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from brokenline import (
     Convention,
     HypothesisViolated,
+    broken_line_tags,
     broken_line_word,
     enumerate_specs,
     mediant,
+    single_block_slope,
     stern_brocot_path,
     validate_spec,
     word_to_fraction,
@@ -37,12 +43,13 @@ def reduced_fractions(max_den, min_den=2):
                 yield Fraction(p, q)
 
 
+@cache
 def all_specs(b_min, b_max):
-    return [
+    return tuple(
         spec
         for b in range(b_min, b_max + 1)
         for spec in enumerate_specs(b).specs()
-    ]
+    )
 
 
 def pair_rewrite(word):
@@ -74,11 +81,23 @@ def balanced_by_factor_counts(word):
     return True
 
 
+def digit_rule(p, q):
+    """Digits 1..q-2 of the p/q Christoffel word: digit j is 0 when j*p/q
+    mod 1 lands in [0, 1 - p/q), one digit at a time."""
+    return "".join(["0" if (j * p) % q < q - p else "1" for j in range(1, q - 1)])
+
+
 def rotation_digit_word(p_over_q, convention):
     """Digit rule: entry j is 0 when j*p/q mod 1 lands in (0, 1 - p/q)."""
-    p, q = p_over_q.numerator, p_over_q.denominator
-    digits = ["0" if (j * p) % q < q - p else "1" for j in range(1, q - 1)]
-    return "".join(digits) + convention.value
+    return digit_rule(p_over_q.numerator, p_over_q.denominator) + convention.value
+
+
+def broken_word_by_digit_rule(spec):
+    """The broken-line period word: the digit-rule word of the slope with its
+    last hinge*Q letters moved to the front."""
+    word = rotation_digit_word(spec.slope, spec.convention)
+    cut = spec.hinge * spec.p_over_q.denominator
+    return word[-cut:] + word[:-cut]
 
 
 def _node_word(node, w_lo, w_hi, convention):
@@ -131,6 +150,25 @@ def descent_tags(x, lo, hi, convention):
             right, exp_hi = node, exp
         else:
             left, exp_lo = node, exp
+
+
+def tags_by_descent(spec):
+    """broken_line_tags from the descent tags of the slope over the limb and
+    the bound: each bound tag is the parent followed by hinge - 1 limbs, and
+    the trailing hinge run of limbs moves to the front."""
+    ctx = spec.context
+    limb, n = ctx.p_over_q, ctx.hinge
+    if spec.convention is Convention.ZERO_ONE:
+        raw = descent_tags(spec.slope, limb, ctx.bound, spec.convention)
+        parent = ctx.upper_parent
+    else:
+        raw = descent_tags(spec.slope, ctx.bound, limb, spec.convention)
+        parent = ctx.lower_parent
+    tags = []
+    for tag in raw:
+        tags.extend([limb] if tag == limb else [parent] + [limb] * (n - 1))
+    assert tags[-n:] == [limb] * n
+    return [limb] * n + tags[:-n]
 
 
 def doubling_orbit(theta):
@@ -217,3 +255,39 @@ def enumerate_specs_per_spec(period):
                 angle = word_to_fraction(broken_line_word(spec))
                 found.setdefault(angle, []).append(spec)
     return tuple((angle, tuple(found[angle])) for angle in sorted(found))
+
+
+def base_index_by_scan(spec):
+    """(base index, single block?) of the block decomposition, found by
+    walking the single-block slopes m = 1, 2, ... until the slope is met or
+    passed: they increase toward the bound under 01 and decrease under 10."""
+    zero_one = spec.convention is Convention.ZERO_ONE
+    m = 0
+    while True:
+        candidate = single_block_slope(spec.context, m + 1)
+        if spec.slope == candidate:
+            return m + 1, True
+        if (spec.slope < candidate) if zero_one else (spec.slope > candidate):
+            return m, False
+        m += 1
+
+
+def kneading_by_tag_runs(spec):
+    """Structural kneading, one tag at a time: the slot before a tag is 0
+    when the cyclic run of limb tags starting there is shorter than the
+    hinge; the first tag's slot is the star."""
+    limb, n = spec.p_over_q, spec.hinge
+    tags = broken_line_tags(spec)
+    k = len(tags)
+    doubled = tags + tags
+    runs = [0] * (2 * k + 1)
+    for i in range(2 * k - 1, -1, -1):
+        runs[i] = runs[i + 1] + 1 if doubled[i] == limb else 0
+    symbols = ["1"] * spec.period
+    position = 1
+    for i, tag in enumerate(tags):
+        if position > 1 and min(runs[i], k) < n:
+            symbols[position - 2] = "0"
+        position += tag.denominator
+    symbols[-1] = "*"
+    return "".join(symbols)

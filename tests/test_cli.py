@@ -18,6 +18,7 @@ from brokenline import (
 )
 from brokenline import cli
 from brokenline.cli import main
+from helpers import broken_word_by_digit_rule
 
 
 def run(capsys, *argv):
@@ -130,6 +131,46 @@ def test_broken_all_check_at_period_ten_thousand(capsys):
     assert doc["status"] == "ok"
     assert doc["payload"]["period"] == 10001
     assert doc["payload"]["check"] == "ok"
+
+
+def test_broken_past_the_int_to_str_digit_limit(capsys):
+    # the angle's numerator and denominator have 4516 decimal digits
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(
+        capsys,
+        "broken", "1/2", "7501/15001", "--hinge", "1", "--convention", "01",
+        "--json",
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(out)
+    assert doc["status"] == "ok"
+    num, den = doc["payload"]["angle"].split("/")
+    sys.set_int_max_str_digits(0)
+    try:
+        angle = Fraction(int(num), int(den))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    spec = validate_spec(
+        Fraction(1, 2), Fraction(7501, 15001), 1, Convention.ZERO_ONE
+    )
+    word = broken_word_by_digit_rule(spec)
+    assert len(den) > limit
+    assert angle == Fraction(int(word, 2), (1 << len(word)) - 1)
+
+
+def test_digit_limit_kept_for_arguments_and_restored_after_errors(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, _, err = run(
+        capsys, "broken", "2/5", "1/2", "--hinge", "3", "--convention", "01"
+    )
+    assert code == 1
+    assert "HypothesisViolated" in err
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(SystemExit) as usage:
+        main(["bulb", "1" * (limit + 1) + "/3"])
+    assert usage.value.code == 2
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_conjugate_verify(capsys):

@@ -21,7 +21,7 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
-from helpers import all_specs, doubling_orbit
+from helpers import all_specs, doubling_orbit, kneading_by_tag_runs
 
 
 def _spec(limb, slope, hinge, convention):
@@ -69,6 +69,11 @@ def test_structural_equals_direct():
     for spec in all_specs(3, 20):
         theta = word_to_fraction(broken_line_word(spec))
         assert kneading_of_spec(spec) == kneading_of_angle(theta)
+
+
+def test_structural_kneading_matches_the_tag_loop():
+    for spec in all_specs(3, 70):
+        assert kneading_of_spec(spec).symbols == kneading_by_tag_runs(spec)
 
 
 def test_invert_kneading_golden():

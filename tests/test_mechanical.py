@@ -1,6 +1,9 @@
 import itertools
+import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -24,15 +27,21 @@ from brokenline import (
     stern_brocot_path,
     validate_spec,
 )
+from brokenline import farey
+from brokenline.mechanical import _digits
 from helpers import (
     CONVENTIONS,
     all_specs,
     balanced_by_factor_counts,
+    base_index_by_scan,
+    broken_word_by_digit_rule,
     descent_tags,
+    digit_rule,
     mediant_word,
     pair_rewrite,
     reduced_fractions,
     rotation_digit_word,
+    tags_by_descent,
 )
 
 
@@ -95,6 +104,24 @@ def test_geometric_and_recursive_pipelines_agree():
             assert geometric == mediant_word(slope, convention)
             assert geometric == mechanical_word(slope, convention)
             assert geometric == rotation_digit_word(slope, convention)
+
+
+def test_standard_words_match_the_digit_rule():
+    for q in range(2, 501):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                assert _digits(p, q) == digit_rule(p, q)
+    rng = random.Random(7)
+    for _ in range(20):
+        q = rng.randrange(3, 200_000)
+        p = rng.randrange(1, q)
+        while gcd(p, q) != 1:
+            p = rng.randrange(1, q)
+        slope = Fraction(p, q)
+        for convention in CONVENTIONS:
+            assert mechanical_word(slope, convention) == rotation_digit_word(
+                slope, convention
+            )
 
 
 def test_mechanical_word_keeps_no_memory():
@@ -169,6 +196,11 @@ def test_broken_line_tags_reconcatenate():
         assert word == broken_line_word(spec)
 
 
+def test_broken_line_tags_match_descent():
+    for spec in all_specs(3, 30):
+        assert broken_line_tags(spec) == tags_by_descent(spec)
+
+
 def test_block_words_and_lengths():
     ctx = _spec((2, 5), (7, 17), 2, "01").context
     q = ctx.p_over_q.denominator
@@ -196,6 +228,35 @@ def test_block_decomposition_reconcatenates():
         assert set(exps) <= {base, base + 1}
         if len(exps) > 1:
             assert exps[0] == base + 1 and exps[-1] == base
+
+
+def test_base_index_matches_the_scan():
+    for spec in all_specs(3, 70):
+        decomposition = block_decomposition(spec)
+        base, single = base_index_by_scan(spec)
+        assert decomposition.base_m == base
+        assert (decomposition.exponents == (base,)) is single
+    # the 1/b family, where the scan walks b - k single-block slopes
+    for k, b in ((2, 9973), (6, 10007), (97, 10001)):
+        spec = validate_spec(Fraction(1, k), Fraction(1, b), 1, Convention.ONE_ZERO)
+        assert base_index_by_scan(spec) == (b - k, True)
+        assert block_decomposition(spec).exponents == (b - k,)
+
+
+def test_block_decomposition_needs_no_single_block_scan(monkeypatch):
+    original = farey.single_block_slope
+
+    def refuse(context, m):
+        raise AssertionError("single_block_slope was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "brokenline":
+            if getattr(module, "single_block_slope", None) is original:
+                monkeypatch.setattr(module, "single_block_slope", refuse)
+    spec = validate_spec(Fraction(1, 6), Fraction(1, 13517), 1, Convention.ONE_ZERO)
+    decomposition = block_decomposition(spec)
+    assert decomposition.exponents == (13511,)
+    assert decomposition.word == broken_word_by_digit_rule(spec)
 
 
 def test_broken_line_concatenation_of_mediants():

@@ -1,0 +1,93 @@
+"""Properties of the single-spec pipeline on random specs of period up to
+2000, each checked against an oracle that shares no code with the path it
+checks: the digit-rule word, the doubling-orbit kneading, the single-block
+scan and the preimage chain."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from brokenline import (
+    Convention,
+    PeriodicAngle,
+    block_decomposition,
+    block_word,
+    conjugate_chain,
+    conjugate_word,
+    invert_kneading,
+    kneading_of_angle,
+    kneading_of_spec,
+    stern_brocot_path,
+    validate_spec,
+    word_to_fraction,
+)
+from helpers import base_index_by_scan, broken_word_by_digit_rule
+
+MAX_PERIOD = 2000
+PROPERTY = settings(
+    max_examples=200, deadline=None, derandomize=True, database=None
+)
+
+
+@st.composite
+def specs(draw):
+    """A slope a/b with b <= MAX_PERIOD, then one of its admissible limbs
+    (an ancestor in the Stern-Brocot tree), convention and hinge, chosen the
+    way enumerate_specs_per_spec lists them."""
+    b = draw(st.integers(3, MAX_PERIOD), label="b")
+    slope = Fraction(draw(st.integers(1, b - 1), label="a"), b)
+    assume(slope.denominator >= 3)
+    path = stern_brocot_path(slope)
+    i = draw(st.integers(0, len(path) - 1), label="limb")
+    node, side = path[i]
+    straight = 0
+    for _, later in path[i + 1 :]:
+        if later == side:
+            break
+        straight += 1
+    hinge = draw(st.integers(1, straight + 1), label="hinge")
+    convention = Convention.ZERO_ONE if side == "R" else Convention.ONE_ZERO
+    return validate_spec(node, slope, hinge, convention)
+
+
+@PROPERTY
+@given(specs())
+def test_structural_kneading_equals_the_orbit_itinerary(spec):
+    theta = word_to_fraction(broken_word_by_digit_rule(spec))
+    assert kneading_of_spec(spec) == kneading_of_angle(theta)
+
+
+@PROPERTY
+@given(specs())
+def test_invert_kneading_undoes_kneading_of_spec(spec):
+    recovered, angle = invert_kneading(kneading_of_spec(spec), spec.convention)
+    assert recovered == spec
+    assert angle == PeriodicAngle(period=broken_word_by_digit_rule(spec))
+
+
+@PROPERTY
+@given(specs())
+def test_blocks_reconcatenate_to_the_period_word(spec):
+    decomposition = block_decomposition(spec)
+    base, single = base_index_by_scan(spec)
+    exponents = decomposition.exponents
+    assert decomposition.base_m == base
+    if single:
+        assert exponents == (base,)
+    else:
+        assert set(exponents) == {base, base + 1}
+        assert exponents[0] == base + 1 and exponents[-1] == base
+    word = "".join(block_word(spec.context, e) for e in exponents)
+    assert word == broken_word_by_digit_rule(spec)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(specs())
+def test_conjugate_word_is_the_chain_conjugate(spec):
+    cword = conjugate_word(spec)
+    chain = conjugate_chain(spec)  # raises unless every link checks
+    assert chain.conjugate.value == word_to_fraction(cword)
+    assert chain.theta.value == word_to_fraction(broken_word_by_digit_rule(spec))
+    # both angles of a primitive pair have one itinerary
+    assert kneading_of_angle(chain.conjugate.value) == kneading_of_spec(spec)
