@@ -7,14 +7,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import PeriodicAngle, minimal_period
-from .errors import (
-    HypothesisViolated,
-    InvariantViolated,
-    NotBrokenLineKneading,
-    NotPeriodic,
-)
+from .errors import HypothesisViolated, NotBrokenLineKneading, NotPeriodic
 from .farey import BrokenLineSpec, validate_spec
-from .mechanical import _parent, _tag_labels, broken_line_word, mechanical_word
+from .mechanical import (
+    _block_pattern,
+    _parent,
+    _spell,
+    broken_line_word,
+    mechanical_word,
+)
 from .words import Convention
 
 __all__ = [
@@ -84,31 +85,23 @@ def kneading_of_angle(theta: Fraction) -> KneadingSequence:
 
 
 def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:
-    """Kneading sequence read off the word structure of the period, with no
+    """Kneading sequence read off the block pattern of the period, with no
     orbit computation.
 
     A slot is 0 exactly when the next position opens a cyclic run of fewer
     than n limb words followed by a parent word; everything else is 1, and
-    the final slot is the star.
+    the final slot is the star.  Block e is L (L^(n-1) P)^e in limb (L) and
+    parent (P) tags, and the slots before the n tags of each window
+    L^(n-1) P are its 0s, so block e spells 1^Q window^e when every tag
+    stands for the slot before it.  Spelled over the closed-form block
+    pattern, this gives the kneading one slot early, led by the star's.
     """
     ctx = spec.context
     n, q, t = ctx.hinge, ctx.p_over_q.denominator, _parent(ctx).denominator
-    labels = _tag_labels(spec)
-    if not labels.startswith("L" * n):
-        raise InvariantViolated(
-            "kneading_of_spec", "period does not open with the hinge run", spec
-        )
-    # every parent tag follows at least n - 1 limb tags, so the tags that open
-    # a run of fewer than n limb tags before a parent are the n tags of each
-    # window L^(n-1) P.  Spelling every tag with its first slot standing for
-    # the slot before it gives the kneading one slot early, led by the star's
     window = ("0" + "1" * (q - 1)) * (n - 1) + "0" + "1" * (t - 1)
-    shifted = labels.replace("L" * (n - 1) + "P", window)
-    if "P" in shifted:
-        raise InvariantViolated(
-            "kneading_of_spec", "a parent tag follows fewer than n - 1 limb tags", spec
-        )
-    return KneadingSequence(shifted.replace("L", "1" * q)[1:] + "*")
+    limb = "1" * q
+    shifted = _spell(*_block_pattern(spec), lambda e: limb + window * e)
+    return KneadingSequence(shifted[1:] + "*")
 
 
 def lower_kneading_period(theta: Fraction) -> int:

@@ -1,17 +1,26 @@
 """Cutting sequences, mechanical words, broken-line periods, block structure.
 
-Mechanical words and the tags of their factorization come from one
-construction, the standard-word recursion over the continued fraction of the
-slope: a few string operations per partial quotient, none per letter.  The
-geometric pipeline (grid crossings, then contraction) computes the same words
-independently; the test suite holds both against the digit rule of the
-Christoffel word and against mediant concatenation over the Stern-Brocot tree.
+Mechanical words come from the standard-word recursion over the continued
+fraction of the slope: a few string operations per partial quotient, none per
+letter.  The period's blocks follow one closed-form block pattern: with the
+slope's word made of `limbs` limb words and `bounds` bound words, and m, r =
+divmod(bounds, limbs), the blocks of index m and m + 1 read as 0 and 1 form
+the upper Christoffel word of r/limbs.  The block decomposition and the
+conjugate read their exponents off that pattern, and the tags and the
+structural kneading spell it with ``str.replace``, each block written as its
+tags or its kneading slots.  The geometric pipeline (grid crossings, then
+contraction) computes the same words independently; the test suite holds
+both against the digit rule of the Christoffel word and against mediant
+concatenation over the Stern-Brocot tree, and the block pattern against a
+greedy parse of the descent tags.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .angles import PeriodicAngle, word_to_fraction
 from .errors import InvariantViolated, MalformedCuttingSequence
@@ -147,26 +156,32 @@ def _word_counts(spec: BrokenLineSpec) -> tuple[int, int]:
     return abs(b * c - a * d), abs(a * q - b * p)
 
 
-def _tag_labels(spec: BrokenLineSpec) -> str:
-    # broken_line_tags spelled with L for the limb and P for the parent.  The
-    # slope's mediant_tags over the limb and the bound open with the bound,
-    # close with the limb, and read digit 1 as the upper of the two: the
-    # bound under 01, the limb under 10.  Each bound tag is spelled P L^(n-1),
-    # and the trailing hinge run moves to the front.
-    n = spec.context.hinge
+def _block_pattern(spec: BrokenLineSpec) -> tuple[int, str]:
+    # (m, pattern): the period is `limbs` blocks of index m and m + 1, and
+    # pattern spells their order with 0 for block m and 1 for block m + 1.
+    # Block e holds one limb word and e bound words, so m, rest = divmod(
+    # bounds, limbs) and `rest` blocks have index m + 1.  Read over {0, 1}
+    # the blocks are the upper Christoffel word 1 w 0 of rest/limbs, w its
+    # central word (the derived word of a Christoffel word is Christoffel;
+    # Lothaire, ch. 2), and the one block m when limbs = 1
     limbs, bounds = _word_counts(spec)
-    bound = "P" + "L" * (n - 1)
-    if spec.convention is Convention.ZERO_ONE:
-        upper, lower, ones = bound, "L", bounds
-    else:
-        upper, lower, ones = "L", bound, limbs
-    middle = _digits(ones, limbs + bounds).replace("1", upper).replace("0", lower)
-    labels = bound + middle + "L"
-    if not labels.endswith("L" * n):
-        raise InvariantViolated(
-            "broken_line_tags", "slope word does not end in the hinge prefix", spec
-        )
-    return "L" * n + labels[:-n]
+    m, rest = divmod(bounds, limbs)
+    if limbs == 1:
+        return m, "0"
+    return m, "1" + _digits(rest, limbs) + "0"
+
+
+def _spell(m: int, pattern: str, piece: Callable[[int], str]) -> str:
+    # the block pattern with block e written as piece(e); the 1s are set
+    # aside first, as piece(m) may contain 1s
+    return pattern.replace("1", "+").replace("0", piece(m)).replace("+", piece(m + 1))
+
+
+def _block_labels(n: int, m: int) -> str:
+    # block_word(context, m) spelled in limb (L) and parent (P) tags
+    if m == 0:
+        return "L"
+    return "L" * n + ("P" + "L" * (n - 1)) * (m - 1) + "P"
 
 
 def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
@@ -176,8 +191,10 @@ def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
     Labels take values in {P/Q, parent}, where the parent is the upper Farey
     parent under 01 and the lower one under 10.
     """
-    value = {"L": spec.context.p_over_q, "P": _parent(spec.context)}
-    return list(map(value.__getitem__, _tag_labels(spec)))
+    ctx = spec.context
+    value = {"L": ctx.p_over_q, "P": _parent(ctx)}
+    labels = _spell(*_block_pattern(spec), partial(_block_labels, ctx.hinge))
+    return list(map(value.__getitem__, labels))
 
 
 def broken_line_word(spec: BrokenLineSpec) -> str:
@@ -230,57 +247,27 @@ class BlockDecomposition:
         return "".join(map(self.block_words.__getitem__, self.exponents))
 
 
-def _block_labels(n: int, m: int) -> str:
-    # block_word(context, m) spelled in limb (L) and parent (P) tags
-    if m == 0:
-        return "L"
-    return "L" * n + ("P" + "L" * (n - 1)) * (m - 1) + "P"
-
-
 def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     """Factor the period word into blocks of two adjacent indices.
 
     Block m holds one limb word and m bound words, so with the slope's word
     made of ``limbs`` limb words and ``bounds`` bound words there are
-    ``limbs`` blocks, of index bounds // limbs and one more; when limbs
-    divides bounds the slope is a single-block fraction and its one block has
-    index bounds / limbs.  The blocks are read off the broken-line tags, the
-    longer block first: block 0 is one limb tag and block e >= 1 is
-    L^n (P L^(n-1))^(e-1) P, with L the limb tag and P the parent tag.
-    Re-concatenation of the result is checked to reproduce the period word.
+    ``limbs`` blocks, of index m = bounds // limbs and m + 1.  Their order is
+    a closed-form block pattern: reading 0 for block m and 1 for block m + 1,
+    the blocks spell the upper Christoffel word 1 w 0 of (bounds mod
+    limbs)/limbs, w its central word, or the one block m when limbs = 1,
+    which is when the slope is a single-block fraction.  The tags and the
+    structural kneading spell the same pattern, and the conjugate primes
+    these blocks.  Re-concatenation of the result is checked to reproduce
+    the period word.
     """
     ctx = spec.context
-    word = broken_line_word(spec)
-    limbs, bounds = _word_counts(spec)
-    m, rest = divmod(bounds, limbs)
-    if not rest:
-        piece = block_word(ctx, m)
-        if word != piece:
-            raise InvariantViolated(
-                "block_decomposition", "single-block word mismatch", spec
-            )
-        return BlockDecomposition(spec, m, (m,), {m: piece})
-    n = ctx.hinge
-    # block m is a prefix of block m + 1, which is therefore replaced first;
-    # every block m + 1 opens with L^n P, which marks block starts only, so
-    # this reads the same blocks as a greedy parse, longer block first
-    parsed = (
-        _tag_labels(spec)
-        .replace(_block_labels(n, m + 1), "1")
-        .replace(_block_labels(n, m), "0")
-    )
-    if "L" in parsed or "P" in parsed:
-        raise InvariantViolated(
-            "block_decomposition", "period word does not factor into blocks", spec
-        )
-    if len(parsed) < 2 or parsed[0] != "1" or parsed[-1] != "0":
-        raise InvariantViolated(
-            "block_decomposition", "block exponents violate the boundary pattern", spec
-        )
-    exponents = tuple(map({"0": m, "1": m + 1}.__getitem__, parsed))
-    block_words = {m: block_word(ctx, m), m + 1: block_word(ctx, m + 1)}
+    m, pattern = _block_pattern(spec)
+    exponents = tuple(map({"0": m, "1": m + 1}.__getitem__, pattern))
+    indices = (m,) if pattern == "0" else (m, m + 1)
+    block_words = {e: block_word(ctx, e) for e in indices}
     decomposition = BlockDecomposition(spec, m, exponents, block_words)
-    if decomposition.word != word:
+    if decomposition.word != broken_line_word(spec):
         raise InvariantViolated(
             "block_decomposition", "block re-concatenation mismatch", spec
         )

@@ -5,9 +5,10 @@ is used to check: the pair rewriter scans for literal "01" pairs, the digit
 rule tracks fractional parts of multiples (production runs the standard-word
 recursion), the mediant word and the descent tags concatenate parent words
 down the Stern-Brocot tree, the base-index scan walks the single-block
-slopes one Fraction at a time (production divides once), the tag-run
-kneading marks slots tag by tag over Fraction tags (production rewrites one
-label string), the orbit test just iterates the doubling map, the
+slopes one Fraction at a time (production divides once), the tag parse
+reads the block exponents off the descent tags, the longer block first, and
+the tag-run kneading marks slots tag by tag over Fraction tags (production
+spells both from one closed-form block pattern), the orbit test just iterates the doubling map, the
 balance test counts the 1s of every cyclic factor (production looks for the
 word among the rotations of a Christoffel word), the census set is built from
 digit-rule rotations alone, the parameter sweep tries every limb, hinge
@@ -270,6 +271,28 @@ def base_index_by_scan(spec):
         if (spec.slope < candidate) if zero_one else (spec.slope > candidate):
             return m, False
         m += 1
+
+
+def exponents_by_tag_parse(spec):
+    """Block exponents by a greedy parse of the descent tags, the longer block
+    first, with the base index from the single-block scan.  Block 0 is one
+    limb tag L and block e >= 1 is L^n (P L^(n-1))^(e-1) P, with P the parent
+    tag; block m is a prefix of block m + 1."""
+    limb, n = spec.p_over_q, spec.hinge
+    labels = "".join("L" if tag == limb else "P" for tag in tags_by_descent(spec))
+    base, single = base_index_by_scan(spec)
+    candidates = (base,) if single else (base + 1, base)
+    pieces = {
+        e: "L" if e == 0 else "L" * n + ("P" + "L" * (n - 1)) * (e - 1) + "P"
+        for e in candidates
+    }
+    exponents = []
+    i = 0
+    while i < len(labels):
+        e = next(e for e in candidates if labels.startswith(pieces[e], i))
+        exponents.append(e)
+        i += len(pieces[e])
+    return tuple(exponents)
 
 
 def kneading_by_tag_runs(spec):

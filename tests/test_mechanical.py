@@ -37,6 +37,7 @@ from helpers import (
     broken_word_by_digit_rule,
     descent_tags,
     digit_rule,
+    exponents_by_tag_parse,
     mediant_word,
     pair_rewrite,
     reduced_fractions,
@@ -236,6 +237,7 @@ def test_base_index_matches_the_scan():
         base, single = base_index_by_scan(spec)
         assert decomposition.base_m == base
         assert (decomposition.exponents == (base,)) is single
+        assert decomposition.exponents == exponents_by_tag_parse(spec)
     # the 1/b family, where the scan walks b - k single-block slopes
     for k, b in ((2, 9973), (6, 10007), (97, 10001)):
         spec = validate_spec(Fraction(1, k), Fraction(1, b), 1, Convention.ONE_ZERO)
