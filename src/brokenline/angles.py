@@ -66,9 +66,10 @@ def multiplicative_order(base: int, modulus: int) -> int:
     return k
 
 
-def _expand(x: Fraction, multiple: int = 0) -> tuple[str, str]:
-    """Canonical (preperiod, period) of x in [0, 1); a nonzero ``multiple`` n,
-    with 2**n == 1 modulo the denominator's odd part, skips the order search."""
+def _expand(x: Fraction) -> tuple[str, str]:
+    """Canonical (preperiod, period) of x in [0, 1), from its denominator: the
+    preperiod has one digit per factor 2, the period one per step of the
+    multiplicative order of 2 modulo the odd part."""
     num, den = x.numerator, x.denominator
     e = (den & -den).bit_length() - 1
     odd = den >> e
@@ -76,7 +77,7 @@ def _expand(x: Fraction, multiple: int = 0) -> tuple[str, str]:
     pre = format(head, f"0{e}b") if e else ""
     if odd == 1:
         return pre, "0"
-    n = multiple or multiplicative_order(2, odd)
+    n = multiplicative_order(2, odd)
     per = format(rem * (2**n - 1) // odd, f"0{n}b")
     return pre, per[: minimal_period(per)]
 
@@ -91,19 +92,38 @@ def fraction_to_expansion(x: Fraction) -> "PeriodicAngle":
 class PeriodicAngle:
     """Angle 0.preperiod(period)^inf in canonical form.
 
-    The constructor normalizes its input: the stored period is primitive, the
-    preperiod is the shortest possible, and the value lies in [0, 1).  The
-    all-ones period collapses to the zero angle.
+    The constructor normalizes its input on the words alone: the stored
+    period is primitive, the preperiod is the shortest possible, and the
+    value lies in [0, 1).  The all-ones period collapses to the zero angle,
+    carrying one into the preperiod.
     """
 
     preperiod: str = ""
     period: str = "0"
 
     def __post_init__(self) -> None:
-        if self.preperiod:
-            _check_word(self.preperiod)
-        _check_word(self.period)
-        pre, per = _expand(self.value % 1, len(self.period))
+        pre, per = self.preperiod, self.period
+        if pre:
+            _check_word(pre)
+        _check_word(per)
+        per = per[: minimal_period(per)]
+        if per == "1":
+            # 0.u(1) == 0.(u + 1)(0), the carry out of u dropped (mod 1)
+            per = "0"
+            if pre:
+                width = len(pre)
+                pre = format((int(pre, 2) + 1) & ((1 << width) - 1), f"0{width}b")
+        if pre:
+            # absorb the longest suffix of u that the periodic tail ends in:
+            # the trailing zeros of u XOR the tail's last |u| digits
+            width, n = len(pre), len(per)
+            tail = (per * (width // n + 1))[-width:]
+            diff = int(pre, 2) ^ int(tail, 2)
+            k = (diff & -diff).bit_length() - 1 if diff else width
+            if k:
+                pre = pre[: width - k]
+                k %= n
+                per = per[n - k :] + per[: n - k]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import PeriodicAngle, minimal_period, word_to_fraction
-from .conjugate import lavaurs_pairs
+from .conjugate import _GRID, _pairs_at
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
-from .farey import BrokenLineSpec, farey_parents, stern_brocot_path, validate_spec
+from .farey import BrokenLineSpec, FareyContext, _checked_spec, farey_parents
 from .mechanical import broken_line_word, mechanical_word
 from .words import Convention, is_sturmian, prime_minus, prime_plus, rotate_left
 
@@ -154,46 +154,65 @@ def enumerate_specs(period: int) -> SpecEnumeration:
     """Every valid parameter choice whose broken line has the given period,
     over both conventions.
 
-    Candidates are read off the Stern-Brocot path of each slope: a right turn
-    at a node opens 01-choices there, a left turn 10-choices, and the length
-    of the straight run just after the turn caps the hinge.  Each candidate
-    goes through validate_spec.  The slope word is built once per slope and
-    convention; a choice's period word is that word with its trailing hinge
-    prefix, hinge*Q digits, rotated to the front (as in broken_line_word).
-    Angles are keyed by their integer numerator over 2^period - 1, and one
-    Fraction is built per angle.
+    Candidates are read off the Stern-Brocot path of each slope, walked with
+    integer pairs: a right turn at a node opens 01-choices there, a left turn
+    10-choices, and the length of the straight run just after the turn caps
+    the hinge.  Each candidate passes the hinge inequalities of validate_spec
+    against a context built once per node, hinge and convention.  The slope
+    word is built once per slope and convention; a choice's period word is
+    that word with its trailing hinge prefix, hinge*Q digits, rotated to the
+    front (as in broken_line_word).  Angles are keyed by their integer
+    numerator over 2^period - 1, and one Fraction is built per angle.
     """
     if period < 3:
         raise ValueError("enumeration starts at period 3")
+    conventions = {"R": Convention.ZERO_ONE, "L": Convention.ONE_ZERO}
+    # (P, Q, hinge, turn) -> (context, hinge prefix of the period word)
+    contexts: dict[tuple, tuple[FareyContext, str]] = {}
     found: dict[int, list[BrokenLineSpec]] = {}
     for a in range(1, period):
         if math.gcd(a, period) != 1:
             continue
         slope = Fraction(a, period)
-        words = {c: mechanical_word(slope, c) for c in Convention}
-        path = stern_brocot_path(slope)
-        for i, (node, side) in enumerate(path):
-            convention = (
-                Convention.ZERO_ONE if side == "R" else Convention.ONE_ZERO
-            )
-            word = words[convention]
-            limb_word = mechanical_word(node, convention)
-            straight = 0
-            for _, later in path[i + 1 :]:
-                if later == side:
-                    break
-                straight += 1
+        words = {side: mechanical_word(slope, c) for side, c in conventions.items()}
+        # the strict ancestors of the slope and the turn taken at each
+        nodes, sides = [], []
+        lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
+        while True:
+            p, q = lo_p + hi_p, lo_q + hi_q
+            if p == a and q == period:
+                break
+            nodes.append((p, q))
+            if a * q < p * period:
+                sides.append("L")
+                hi_p, hi_q = p, q
+            else:
+                sides.append("R")
+                lo_p, lo_q = p, q
+        turns = "".join(sides)
+        for i, (p, q) in enumerate(nodes):
+            side = turns[i]
+            word = words[side]
+            after = turns.find(side, i + 1)
+            straight = (len(turns) if after < 0 else after) - i - 1
             for hinge in range(1, straight + 2):
-                spec = validate_spec(node, slope, hinge, convention)
-                if not word.endswith(limb_word * hinge):
+                key = (p, q, hinge, side)
+                if key not in contexts:
+                    node, convention = Fraction(p, q), conventions[side]
+                    contexts[key] = (
+                        FareyContext.build(node, hinge, convention),
+                        mechanical_word(node, convention) * hinge,
+                    )
+                context, prefix = contexts[key]
+                spec = _checked_spec(context, slope)
+                if not word.endswith(prefix):
                     raise InvariantViolated(
                         "enumerate_specs",
                         "slope word does not end in the hinge prefix",
                         spec,
                     )
-                cut = hinge * node.denominator
-                key = int(word[-cut:] + word[:-cut], 2)
-                found.setdefault(key, []).append(spec)
+                cut = hinge * q
+                found.setdefault(int(word[-cut:] + word[:-cut], 2), []).append(spec)
     full = (1 << period) - 1
     entries = tuple(
         (Fraction(key, full), tuple(found[key])) for key in sorted(found)
@@ -234,19 +253,25 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
 
     # the sweep keys every angle by its numerator over 2^b - 1
     full = (1 << period) - 1
+    scale = _GRID // full
     partner: dict[int, int] = {}
-    for x, y in lavaurs_pairs(period):
-        kx = x.numerator * (full // x.denominator)
-        ky = y.numerator * (full // y.denominator)
-        partner[kx] = ky
-        partner[ky] = kx
+    for x, y in _pairs_at(period):
+        partner[x // scale] = y // scale
+        partner[y // scale] = x // scale
+    # exact period and balance are properties of the whole doubling orbit,
+    # which rotates the word: test them once per orbit, at its first member
     width = f"0{period}b"
+    seen = bytearray(full)
     brute = 0
     for k in range(1, full):
-        word = format(k, width)
-        if minimal_period(word) != period or not is_sturmian(word):
+        if seen[k]:
             continue
-        orbit = {int(rotate_left(word, i), 2) for i in range(period)}
-        if partner[k] not in orbit:
-            brute += 1
+        word = format(k, width)
+        n = minimal_period(word)
+        orbit = {int(rotate_left(word, i), 2) for i in range(n)}
+        for j in orbit:
+            seen[j] = 1
+        if n != period or not is_sturmian(word):
+            continue
+        brute += sum(partner[j] not in orbit for j in orbit)
     return constructed, formula, brute

@@ -171,11 +171,13 @@ def cmd_broken(args: argparse.Namespace) -> dict:
 def cmd_conjugate(args: argparse.Namespace) -> dict:
     spec = _spec_of(args)
     cword = conjugate_word(spec)
+    angle = word_to_fraction(broken_line_word(spec))
+    conjugate = word_to_fraction(cword)
     payload = _spec_fields(spec)
     payload.update(
         {
-            "angle": str(word_to_fraction(broken_line_word(spec))),
-            "conjugate": str(word_to_fraction(cword)),
+            "angle": str(angle),
+            "conjugate": str(conjugate),
             "conjugate-expansion": f"0.({cword})",
         }
     )
@@ -184,8 +186,8 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
         payload["chain"] = "ok"
     if args.verify:
         if spec.period <= LAVAURS_VERIFY_LIMIT:
-            partner = lavaurs_partner(word_to_fraction(broken_line_word(spec)))
-            if partner != word_to_fraction(cword):
+            partner = lavaurs_partner(angle)
+            if partner != conjugate:
                 raise PreconditionUnmet("pairing oracle disagrees")
             payload["lavaurs"] = "ok"
         else:

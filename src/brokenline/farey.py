@@ -51,9 +51,9 @@ def farey_parents(x: Fraction) -> tuple[Fraction, Fraction]:
     The lower parent a/b solves p*b - a*q == 1 with 0 < b < q, so b is the
     inverse of p modulo q; the upper parent is what remains of x.
     """
-    if not 0 < x < 1:
-        raise ValueError("parents exist for fractions strictly between 0 and 1")
     p, q = x.numerator, x.denominator
+    if not 0 < p < q:
+        raise ValueError("parents exist for fractions strictly between 0 and 1")
     b = pow(p, -1, q)
     a = (p * b - 1) // q
     return Fraction(a, b), Fraction(p - a, q - b)
@@ -190,10 +190,17 @@ def validate_spec(
         raise HypothesisViolated(f"0 < a/b < 1 fails for {slope}")
     if hinge < 1:
         raise HypothesisViolated(f"hinge must be >= 1, got {hinge}")
-    context = FareyContext.build(limb, hinge, convention)
-    bound = context.bound
+    return _checked_spec(FareyContext.build(limb, hinge, convention), slope)
+
+
+def _checked_spec(context: FareyContext, slope: Fraction) -> BrokenLineSpec:
+    # the hinge inequalities: the slope lies strictly between P/Q and the
+    # hinge bound, compared by integer cross-multiplication
+    limb, bound = context.p_over_q, context.bound
+    p, q = limb.numerator, limb.denominator
+    a, b = slope.numerator, slope.denominator
     c, d = bound.numerator, bound.denominator
-    if convention is Convention.ZERO_ONE:
+    if context.convention is Convention.ZERO_ONE:
         if not p * b < a * q:
             raise HypothesisViolated(f"P/Q < a/b fails: {limb} vs {slope}")
         if not a * d < c * b:

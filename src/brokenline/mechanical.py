@@ -98,13 +98,14 @@ def mechanical_word(p_over_q: Fraction, convention: Convention) -> str:
     letters, and the convention supplies those two.  The boundary slopes 1
     ("01") and 0 ("10") carry the one-letter words "1" and "0".
     """
-    if convention is Convention.ZERO_ONE and p_over_q == 1:
+    p, q = p_over_q.numerator, p_over_q.denominator
+    if 0 < p < q:
+        return _digits(p, q) + convention.value
+    if convention is Convention.ZERO_ONE and p == q:
         return "1"
-    if convention is Convention.ONE_ZERO and p_over_q == 0:
+    if convention is Convention.ONE_ZERO and p == 0:
         return "0"
-    if not 0 < p_over_q < 1:
-        raise ValueError(f"no {convention} word for {p_over_q}")
-    return _digits(p_over_q.numerator, p_over_q.denominator) + convention.value
+    raise ValueError(f"no {convention} word for {p_over_q}")
 
 
 def characteristic_pair(p_over_q: Fraction) -> tuple[Fraction, Fraction]:

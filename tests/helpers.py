@@ -15,6 +15,12 @@ digit-rule rotations alone, the parameter sweep tries every limb, hinge
 and slope instead of walking the Stern-Brocot tree, and the per-spec
 enumeration builds every period word through broken_line_word and keys it by
 its Fraction (production rotates one word per slope and keys by integers).
+The enumeration by validation walks stern_brocot_path and calls validate_spec
+once per candidate (production walks integer pairs and builds one context per
+node, hinge and convention), the word census tests every word on its own over
+the Fraction pairs of lavaurs_pairs (production tests one word per doubling
+orbit over integer chords), and the long division reads an angle's expansion
+digit by digit (production canonicalizes PeriodicAngle on its words).
 """
 
 from fractions import Fraction
@@ -24,10 +30,16 @@ from math import gcd
 from brokenline import (
     Convention,
     HypothesisViolated,
+    InvariantViolated,
     broken_line_tags,
     broken_line_word,
     enumerate_specs,
+    is_sturmian,
+    lavaurs_pairs,
+    mechanical_word,
     mediant,
+    minimal_period,
+    rotate_left,
     single_block_slope,
     stern_brocot_path,
     validate_spec,
@@ -256,6 +268,88 @@ def enumerate_specs_per_spec(period):
                 angle = word_to_fraction(broken_line_word(spec))
                 found.setdefault(angle, []).append(spec)
     return tuple((angle, tuple(found[angle])) for angle in sorted(found))
+
+
+def enumerate_by_validation(period):
+    """The entries of enumerate_specs(period) by validating every candidate
+    of each slope's Stern-Brocot path with validate_spec: the slope word is
+    built once per convention and each choice's period word is that word with
+    its trailing hinge prefix rotated to the front, keyed by its integer
+    numerator over 2^period - 1."""
+    found = {}
+    for a in range(1, period):
+        if gcd(a, period) != 1:
+            continue
+        slope = Fraction(a, period)
+        words = {c: mechanical_word(slope, c) for c in CONVENTIONS}
+        path = stern_brocot_path(slope)
+        for i, (node, side) in enumerate(path):
+            convention = (
+                Convention.ZERO_ONE if side == "R" else Convention.ONE_ZERO
+            )
+            word = words[convention]
+            limb_word = mechanical_word(node, convention)
+            straight = 0
+            for _, later in path[i + 1 :]:
+                if later == side:
+                    break
+                straight += 1
+            for hinge in range(1, straight + 2):
+                spec = validate_spec(node, slope, hinge, convention)
+                if not word.endswith(limb_word * hinge):
+                    raise InvariantViolated(
+                        "enumerate_specs",
+                        "slope word does not end in the hinge prefix",
+                        spec,
+                    )
+                cut = hinge * node.denominator
+                key = int(word[-cut:] + word[:-cut], 2)
+                found.setdefault(key, []).append(spec)
+    full = (1 << period) - 1
+    return tuple((Fraction(key, full), tuple(found[key])) for key in sorted(found))
+
+
+def census_by_word(period):
+    """(constructed, formula, brute) of sturmian_census, one word at a time:
+    every word of exact period b with a balanced repetition counts when the
+    Lavaurs partner of its angle lies off its doubling orbit."""
+    constructed = len(enumerate_by_validation(period))
+    formula = (period - 2) * sum(gcd(a, period) == 1 for a in range(1, period))
+    partner = {}
+    for x, y in lavaurs_pairs(period):
+        partner[x] = y
+        partner[y] = x
+    brute = 0
+    for word in all_words(period):
+        if minimal_period(word) != period or not is_sturmian(word):
+            continue
+        orbit = {word_to_fraction(rotate_left(word, i)) for i in range(period)}
+        if partner[word_to_fraction(word)] not in orbit:
+            brute += 1
+    return constructed, formula, brute
+
+
+def expansion_value(u, w):
+    """The exact value of 0.u(w)^inf: (int(u) + int(w) / (2^|w| - 1)) / 2^|u|
+    mod 1."""
+    head = int(u, 2) if u else 0
+    return (head + Fraction(int(w, 2), 2 ** len(w) - 1)) / 2 ** len(u) % 1
+
+
+def expansion_by_long_division(x):
+    """(preperiod, period) of x in [0, 1) by long division in base 2: each
+    digit doubles the remainder, and the period starts at the first
+    remainder that recurs."""
+    num, den = x.numerator, x.denominator
+    first = {}
+    digits = []
+    while num not in first:
+        first[num] = len(digits)
+        num *= 2
+        digits.append("1" if num >= den else "0")
+        num %= den
+    start = first[num]
+    return "".join(digits[:start]), "".join(digits[start:])
 
 
 def base_index_by_scan(spec):

@@ -14,7 +14,12 @@ from brokenline import (
     rotate_left,
     word_to_fraction,
 )
-from helpers import all_words, mediant_word
+from helpers import (
+    all_words,
+    expansion_by_long_division,
+    expansion_value,
+    mediant_word,
+)
 
 
 def test_word_to_fraction_golden():
@@ -145,6 +150,29 @@ def test_periodic_angle_is_canonical_exhaustive():
                     assert minimal_period(period) == len(period)
                     assert period == "0" or "0" in period
                     assert not angle.preperiod or angle.preperiod[-1] != period[-1]
+
+
+def test_periodic_angle_matches_the_expansion_of_its_value():
+    # the word canonicalization against the expansion of the exact value,
+    # read off the denominator and by long division
+    preperiods = ["", *(u for length in range(1, 7) for u in all_words(length))]
+    periods = [w for length in range(1, 9) for w in all_words(length)]
+    for u in preperiods:
+        for w in periods:
+            x = expansion_value(u, w)
+            angle = PeriodicAngle(u, w)
+            assert angle == fraction_to_expansion(x)
+            assert (angle.preperiod, angle.period) == expansion_by_long_division(x)
+            assert angle.value == x
+
+
+def test_periodic_angle_carries_the_all_ones_period():
+    # 0.u(1) is 0.(u + 1)(0), the carry out of u dropped
+    cases = [("0111", "1", "1"), ("111", "1", ""), ("", "11", "")]
+    for u, w, preperiod in cases:
+        angle = PeriodicAngle(u, w)
+        assert (angle.preperiod, angle.period) == (preperiod, "0")
+        assert angle.value == expansion_value(u, w)
 
 
 def test_periodic_angle_canonicalizes_long_periods():

@@ -31,6 +31,8 @@ from helpers import (
     CONVENTIONS,
     all_specs,
     balanced_by_factor_counts,
+    census_by_word,
+    enumerate_by_validation,
     enumerate_specs_per_spec,
     reduced_fractions,
 )
@@ -184,10 +186,13 @@ def test_enumerate_has_no_collisions():
 
 def test_enumerate_matches_the_per_spec_loop():
     # one rotated word per slope and integer keys give the same angles, the
-    # same specs and the same spec order as building every word on its own
+    # same specs and the same spec order as building every word on its own,
+    # and the integer walk with one context per node, hinge and convention
+    # gives the same as validating every candidate of stern_brocot_path
     for b in [*range(3, 61), 127]:
         enumeration = enumerate_specs(b)
         assert enumeration.entries == enumerate_specs_per_spec(b)
+        assert enumeration.entries == enumerate_by_validation(b)
         angles = enumeration.angles
         assert all(x < y for x, y in zip(angles, angles[1:]))
 
@@ -236,6 +241,13 @@ def test_census_small():
         assert constructed <= brute
         if b <= 6:
             assert constructed == brute
+
+
+def test_census_by_orbit_matches_the_census_by_word():
+    # balance and exact period tested once per doubling orbit over integer
+    # chords give the counts of testing every word over the Fraction pairs
+    for b in range(3, 13):
+        assert sturmian_census(b) == census_by_word(b)
 
 
 def test_census_constructed_angles_are_counted_by_the_sweep():

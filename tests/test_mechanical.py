@@ -86,6 +86,18 @@ def test_mechanical_word_golden():
     assert mechanical_word(Fraction(0), Convention.ONE_ZERO) == "0"
 
 
+def test_mechanical_word_rejects_slopes_outside_its_range():
+    out_of_range = [
+        (Fraction(0), Convention.ZERO_ONE),
+        (Fraction(1), Convention.ONE_ZERO),
+    ]
+    for convention in CONVENTIONS:
+        out_of_range += [(Fraction(3, 2), convention), (Fraction(-1, 2), convention)]
+    for slope, convention in out_of_range:
+        with pytest.raises(ValueError):
+            mechanical_word(slope, convention)
+
+
 def test_mechanical_word_base_formulas():
     for m in range(2, 11):
         assert (

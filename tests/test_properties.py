@@ -1,7 +1,8 @@
 """Properties of the single-spec pipeline on random specs of period up to
 2000, each checked against an oracle that shares no code with the path it
 checks: the digit-rule word, the doubling-orbit kneading, the single-block
-scan and the preimage chain."""
+scan and the preimage chain; and of PeriodicAngle on random words of period
+up to 2000, against the long division of its exact value."""
 
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from brokenline import (
     block_word,
     conjugate_chain,
     conjugate_word,
+    fraction_to_expansion,
     invert_kneading,
     kneading_of_angle,
     kneading_of_spec,
@@ -22,7 +24,12 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
-from helpers import base_index_by_scan, broken_word_by_digit_rule
+from helpers import (
+    base_index_by_scan,
+    broken_word_by_digit_rule,
+    expansion_by_long_division,
+    expansion_value,
+)
 
 MAX_PERIOD = 2000
 PROPERTY = settings(
@@ -91,3 +98,32 @@ def test_conjugate_word_is_the_chain_conjugate(spec):
     assert chain.theta.value == word_to_fraction(broken_word_by_digit_rule(spec))
     # both angles of a primitive pair have one itinerary
     assert kneading_of_angle(chain.conjugate.value) == kneading_of_spec(spec)
+
+
+@st.composite
+def expansions(draw):
+    """A period of up to MAX_PERIOD digits, sometimes a power of a shorter
+    root and sometimes all ones, with a preperiod that ends in a long copy of
+    the periodic tail: up to three periods' worth."""
+    reps = draw(st.integers(1, 3), label="reps")
+    d = draw(st.integers(1, MAX_PERIOD // reps), label="root length")
+    if draw(st.integers(0, 3), label="all ones if 0") == 0:
+        root = "1" * d
+    else:
+        root = format(draw(st.integers(0, (1 << d) - 1), label="root"), f"0{d}b")
+    period = root * reps
+    head = draw(st.text("01", max_size=20), label="head")
+    copy = draw(st.integers(0, 3 * len(period)), label="copy")
+    copies = period * (copy // len(period) + 1)
+    return head + copies[len(copies) - copy :], period
+
+
+@settings(PROPERTY, max_examples=100)
+@given(expansions())
+def test_periodic_angle_is_the_expansion_of_its_value(expansion):
+    u, w = expansion
+    x = expansion_value(u, w)
+    angle = PeriodicAngle(u, w)
+    assert (angle.preperiod, angle.period) == expansion_by_long_division(x)
+    assert angle == fraction_to_expansion(x)
+    assert angle.value == x
