@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import PeriodicAngle, minimal_period, word_to_fraction
-from .conjugate import _GRID, _pairs_at
+from .conjugate import _GRID, _partners_at
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
 from .farey import BrokenLineSpec, FareyContext, _checked_spec, farey_parents
 from .mechanical import broken_line_word, mechanical_word
@@ -251,13 +251,11 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
     constructed = len(enumerate_specs(period))
     formula = (period - 2) * euler_phi(period)
 
-    # the sweep keys every angle by its numerator over 2^b - 1
+    # the sweep keys every angle by its numerator over 2^b - 1, the pairing
+    # by its numerator over _GRID
     full = (1 << period) - 1
     scale = _GRID // full
-    partner: dict[int, int] = {}
-    for x, y in _pairs_at(period):
-        partner[x // scale] = y // scale
-        partner[y // scale] = x // scale
+    partner = _partners_at(period)
     # exact period and balance are properties of the whole doubling orbit,
     # which rotates the word: test them once per orbit, at its first member
     width = f"0{period}b"
@@ -273,5 +271,5 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
             seen[j] = 1
         if n != period or not is_sturmian(word):
             continue
-        brute += sum(partner[j] not in orbit for j in orbit)
+        brute += sum(partner[j * scale] // scale not in orbit for j in orbit)
     return constructed, formula, brute

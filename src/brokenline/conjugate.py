@@ -1,24 +1,26 @@
 """Conjugate angles via primed blocks, with two independent verifiers.
 
 The production path primes every block of the decomposition.  The chain
-verifier pulls the angle back one doubling step at a time and certifies the
-circle intervals stay unlinked; the Lavaurs pairing is a test-only oracle
-that matches angles of one exact period by non-crossing chords.  Inside
-both, an angle is an integer numerator over one fixed denominator:
-2^b (2^b - 1) along the chain, the lcm of all 2^p - 1 with p <= 20 in the
-pairing.  A ``Fraction`` is built only where a public function returns one.
+verifier pulls the angle back one doubling step at a time, holding two orbit
+points and two preimages, and certifies the circle intervals stay unlinked.
+The Lavaurs pairing is a test-only oracle: the chords of the lower periods
+cut the disc into regions, and inside each region the angles of one exact
+period are joined in consecutive pairs, by one sweep over the sorted chord
+endpoints.  Inside both, an angle is an integer numerator over one fixed
+denominator: 2^b (2^b - 1) along the chain, the lcm of all 2^p - 1 with
+p <= 20 in the pairing.  A ``Fraction`` is built only where a public
+function returns one.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 
-from .angles import PeriodicAngle, minimal_period, multiplicative_order
+from .angles import PeriodicAngle
 from .errors import InvariantViolated, UnlinkViolation
 from .farey import BrokenLineSpec
 from .mechanical import block_decomposition, broken_line_word
@@ -103,46 +105,47 @@ def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
     Checks, exactly: each chain element halves to the previous one; for every
     k the interval from the k-th orbit point to the k-th preimage is unlinked
     from the partition interval; and the closed form over the whole chain
-    reproduces the primed-block conjugate.
+    reproduces the primed-block conjugate.  The chain is streamed.
     """
     word = broken_line_word(spec)
     b = len(word)
     cword = conjugate_word(spec)
     full = (1 << b) - 1
-    # every orbit point and preimage is an integer over den = 2^b (2^b - 1)
+    # every orbit point and preimage is an integer over den = 2^b (2^b - 1);
+    # the orbit point 2^i theta is (2^i t mod full) << b, walked backwards
+    # from t by halving mod full
     den = full << b
     t = int(word, 2) % full
     theta = t << b
-
-    orbit = [theta]
-    for _ in range(b - 1):
-        orbit.append(2 * orbit[-1] % den)
-    # (c + theta) / 2^k over den, c the last k conjugate digits; c * full by shifts
-    preimages = [
-        (((c := int(cword[b - k :], 2)) << b) - c + t) << (b - k)
-        for k in range(1, b + 1)
-    ]
-    if 2 * preimages[0] % den != theta:
-        raise InvariantViolated(
-            "conjugate_chain", "first preimage does not halve the angle", spec
-        )
-    for k in range(2, b + 1):
-        if 2 * preimages[k - 1] % den != preimages[k - 2]:
-            raise InvariantViolated("conjugate_chain", f"chain breaks at step {k}", spec)
-
-    x1, x2 = preimages[0], orbit[b - 1]
     zero_one = spec.convention is Convention.ZERO_ONE
+    c, bit, u, previous = 0, 1, t, theta
     certificates = []
-    for k in range(2, b + 1):
-        y1, y2 = orbit[b - k], preimages[k - 1]
-        if len({x1, x2, y1, y2}) != 4 or not unlinked((x1, x2), (y1, y2)):
+    for k in range(1, b + 1):
+        # the k-th preimage is (c + theta) / 2^k over den, c the last k
+        # conjugate digits, grown one digit per step; c * full by shifts
+        if cword[b - k] == "1":
+            c += bit
+        bit <<= 1
+        y2 = ((c << b) - c + t) << (b - k)
+        # 0 <= y2 < den, so doubling mod den is one subtraction
+        if 2 * y2 - previous not in (0, den):
+            raise InvariantViolated("conjugate_chain", f"chain breaks at step {k}", spec)
+        previous = y2
+        u = (u + full if u & 1 else u) >> 1
+        y1 = u << b
+        if k == 1:
+            x1, x2 = y2, y1
+            continue
+        # four distinct points, compared pairwise (a hash reads every digit)
+        distinct = x1 != x2 and y1 not in (x1, x2, y2) and y2 not in (x1, x2)
+        if not distinct or not unlinked((x1, x2), (y1, y2)):
             raise UnlinkViolation(k)
         case = (y1 > x2) if zero_one else (y1 < x2)
         certificates.append(UnlinkCertificate(k, case))
 
     # theta + (last - theta) / (1 - 2^-b) == conjugate, times den * (2^b - 1)
     conj = int(cword, 2) % full
-    if theta * full + ((preimages[b - 1] - theta) << b) != conj * den:
+    if theta * full + ((previous - theta) << b) != conj * den:
         raise InvariantViolated(
             "conjugate_chain", "chain closed form disagrees with primed blocks", spec
         )
@@ -153,91 +156,77 @@ def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
     )
 
 
+# event kinds of the pairing sweep, encoded as 4 * numerator + kind
+_ANGLE, _OPEN, _CLOSE = 0, 1, 2
+
+
+def _pair_regions(events: list[int], period: int) -> dict[int, int]:
+    """Partner map of one period's angles, each chord entered from both ends.
+
+    ``events`` are sorted codes ``4 * numerator + kind``: the new angles, and
+    the ends of every lower chord, the smaller opening a region and the
+    larger closing it.  The stack holds, per open region, its angle still
+    waiting for a partner.
+    """
+    partner: dict[int, int] = {}
+    waiting: list[int | None] = [None]
+    for event in events:
+        kind = event & 3
+        if kind == _ANGLE:
+            x, y = event >> 2, waiting[-1]
+            if y is None:
+                waiting[-1] = x
+            else:
+                partner[x], partner[y] = y, x
+                waiting[-1] = None
+        elif kind == _OPEN:
+            waiting.append(None)
+        elif waiting.pop() is not None or not waiting:
+            break
+    else:
+        if waiting == [None]:
+            return partner
+    raise InvariantViolated("lavaurs_pairs", f"odd region at period {period}")
+
+
 @cache
-def _pairs_at(period: int) -> tuple[tuple[int, int], ...]:
-    """Chords of one exact period as sorted numerator pairs over _GRID."""
+def _partners_at(period: int) -> dict[int, int]:
+    """Lavaurs partner of every angle of one exact period, as numerators over
+    _GRID, each chord entered from both ends."""
     if not 2 <= period <= LAVAURS_LIMIT:
         raise ValueError(f"period must be between 2 and {LAVAURS_LIMIT}")
-    endpoints: list[int] = []
-    partner: dict[int, int] = {}
-    for lower in range(2, period):
-        for x, y in _pairs_at(lower):
-            partner[x] = y
-            partner[y] = x
-            endpoints.append(x)
-            endpoints.append(y)
-    endpoints.sort()
-
-    def crosses(lo: int, hi: int) -> bool:
-        # chord {lo, hi}, lo < hi, against every existing chord: they cross
-        # exactly when one endpoint of the other lies strictly between lo and
-        # hi.  Existing chords never cross each other, so once a chord is
-        # known to sit inside (lo, hi) the whole span it encloses is skipped
-        i = bisect_right(endpoints, lo)
-        stop = bisect_left(endpoints, hi)
-        while i < stop:
-            e = endpoints[i]
-            mate = partner[e]
-            if not lo < mate < hi:
-                return True
-            i = bisect_right(endpoints, mate, i + 1, stop) if mate > e else i + 1
-        return False
-
     full = (1 << period) - 1
-    scale = _GRID // full
-    width = f"0{period}b"
-    angles = [
-        k * scale
-        for k in range(1, full)
-        if minimal_period(format(k, width)) == period
-    ]
-    count = len(angles)
-    pairs: list[tuple[int, int]] = []
-    nxt = list(range(1, count)) + [0]
-    prv = [count - 1] + list(range(count - 1))
-    done = [False] * count
-    heap = [((angles[nxt[i]] - angles[i]) % _GRID, i, nxt[i]) for i in range(count)]
-    heapq.heapify(heap)
-    remaining = count
-    while remaining:
-        if not heap:
-            raise InvariantViolated(
-                "lavaurs_pairs", f"pairing stalled at period {period}"
-            )
-        _, i, j = heapq.heappop(heap)
-        if done[i] or done[j]:
-            continue
-        x, y = angles[i], angles[j]
-        if x > y:
-            x, y = y, x
-        if crosses(x, y):
-            continue  # blocked for good: chords are never removed
-        pairs.append((x, y))
-        done[i] = done[j] = True
-        remaining -= 2
-        partner[x] = y
-        partner[y] = x
-        insort(endpoints, x)
-        insort(endpoints, y)
-        before, after = prv[i], nxt[j]
-        nxt[before] = after
-        prv[after] = before
-        if remaining >= 2:
-            heapq.heappush(
-                heap, ((angles[after] - angles[before]) % _GRID, before, after)
-            )
-    return tuple(sorted(pairs))
+    # sieve out the numerators k/full of every period d | p, d < p: the
+    # multiples of full / (2^d - 1)
+    exact = bytearray(b"\x01") * full
+    for d in range(1, period):
+        if period % d == 0:
+            exact[:: full // ((1 << d) - 1)] = bytes((1 << d) - 1)
+    scale = 4 * (_GRID // full)
+    events = [k * scale for k in compress(range(full), exact)]
+    for lower in range(2, period):
+        events += [
+            4 * x + (_OPEN if x < y else _CLOSE)
+            for x, y in _partners_at(lower).items()
+        ]
+    events.sort()
+    return _pair_regions(events, period)
 
 
 def lavaurs_pairs(period: int) -> set[tuple[Fraction, Fraction]]:
     """Partition the angles of one exact doubling period into conjugate pairs.
 
-    Periods are processed in increasing order; within a period, the closest
-    cyclically adjacent unpaired angles whose chord crosses no existing chord
-    are joined first (ties broken by the smaller left endpoint).  Capped at
-    period 20: this is a desk-scale oracle, not a production path.
+    Periods are processed in increasing order.  The chords of the lower
+    periods cut the disc into regions; inside each region the angles of this
+    period are joined in consecutive pairs, counted up from 0.  The tests
+    hold this equal to Lavaurs' greedy rule, closest non-crossing neighbours
+    first.  Capped at period 20: a desk-scale oracle, not a production path.
     """
-    return {(Fraction(x, _GRID), Fraction(y, _GRID)) for x, y in _pairs_at(period)}
+    return {
+        (Fraction(x, _GRID), Fraction(y, _GRID))
+        for x, y in _partners_at(period).items()
+        if x < y
+    }
 
 
 def lavaurs_partner(theta: Fraction) -> Fraction:
@@ -246,11 +235,12 @@ def lavaurs_partner(theta: Fraction) -> Fraction:
     den = theta.denominator
     if den == 1 or den % 2 == 0:
         raise ValueError("angle is not periodic of period >= 2 under doubling")
-    period = multiplicative_order(2, den)
-    target = theta.numerator * (_GRID // den)
-    for x, y in _pairs_at(period):
-        if x == target:
-            return Fraction(y, _GRID)
-        if y == target:
-            return Fraction(x, _GRID)
-    raise ValueError(f"{theta} missing from the period-{period} pairing")
+    for period in range(2, LAVAURS_LIMIT + 1):
+        if ((1 << period) - 1) % den == 0:
+            break
+    else:
+        raise ValueError(f"period must be between 2 and {LAVAURS_LIMIT}")
+    partner = _partners_at(period).get(theta.numerator * (_GRID // den))
+    if partner is None:
+        raise ValueError(f"{theta} missing from the period-{period} pairing")
+    return Fraction(partner, _GRID)

@@ -51,12 +51,12 @@ def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
     if not 0 < p_over_q < 1:
         raise ValueError("slope must lie strictly between 0 and 1")
     p, q = p_over_q.numerator, p_over_q.denominator
-    # scale every crossing abscissa by p: vertical i sits at i*p, horizontal
-    # j at j*q; coincidences are impossible since gcd(p, q) == 1
-    events = sorted(
-        [(i * p, "0") for i in range(1, q)] + [(j * q, "1") for j in range(1, p)]
-    )
-    return "".join(symbol for _, symbol in events) + convention.value
+    # scale every crossing abscissa by 2p: vertical i sits at 2*i*p, horizontal
+    # j at 2*j*q + 1, so the parity is the symbol; coincidences are impossible
+    # since gcd(p, q) == 1
+    end = 2 * p * q
+    events = sorted([*range(2 * p, end, 2 * p), *range(2 * q + 1, end, 2 * q)])
+    return "".join(["01"[e & 1] for e in events]) + convention.value
 
 
 def cutting_to_mechanical(kappa: str) -> str:

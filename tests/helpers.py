@@ -20,19 +20,32 @@ once per candidate (production walks integer pairs and builds one context per
 node, hinge and convention), the word census tests every word on its own over
 the Fraction pairs of lavaurs_pairs (production tests one word per doubling
 orbit over integer chords), and the long division reads an angle's expansion
-digit by digit (production canonicalizes PeriodicAngle on its words).
+digit by digit (production canonicalizes PeriodicAngle on its words).  The
+cutting word sorts one (abscissa, symbol) tuple per crossing (production
+sorts integers whose parity is the symbol), the heap pairing joins the
+closest non-crossing neighbours first with a crossing test per chord
+(production sweeps the regions of the lower chords once), and the stored
+chain keeps every orbit point and preimage and checks each list in a pass of
+its own (production streams two of each).
 """
 
+import heapq
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from brokenline import (
+    ConjugateChain,
     Convention,
     HypothesisViolated,
     InvariantViolated,
+    PeriodicAngle,
+    UnlinkCertificate,
+    UnlinkViolation,
     broken_line_tags,
     broken_line_word,
+    conjugate_word,
     enumerate_specs,
     is_sturmian,
     lavaurs_pairs,
@@ -42,6 +55,7 @@ from brokenline import (
     rotate_left,
     single_block_slope,
     stern_brocot_path,
+    unlinked,
     validate_spec,
     word_to_fraction,
 )
@@ -408,3 +422,134 @@ def kneading_by_tag_runs(spec):
         position += tag.denominator
     symbols[-1] = "*"
     return "".join(symbols)
+
+
+def cutting_sequence_by_tuples(p_over_q, convention):
+    """Grid-crossing word of y = (p/q)x: one (abscissa * p, symbol) tuple
+    per crossing, sorted; vertical line i at i*p, horizontal j at j*q."""
+    p, q = p_over_q.numerator, p_over_q.denominator
+    events = sorted(
+        [(i * p, "0") for i in range(1, q)] + [(j * q, "1") for j in range(1, p)]
+    )
+    return "".join(symbol for _, symbol in events) + convention.value
+
+
+# every angle of period <= 20 is an integer over this
+LAVAURS_GRID = lcm(*((1 << p) - 1 for p in range(1, 21)))
+
+
+@cache
+def lavaurs_pairs_by_heap(period):
+    """Chords of one exact period as sorted numerator pairs over
+    LAVAURS_GRID, by the greedy rule: after all lower periods, the closest
+    cyclically adjacent unpaired angles whose chord crosses no existing chord
+    are joined first (a heap of gaps over a linked list of the unpaired
+    angles; ties broken by the smaller left endpoint)."""
+    endpoints = []
+    partner = {}
+    for lower in range(2, period):
+        for x, y in lavaurs_pairs_by_heap(lower):
+            partner[x] = y
+            partner[y] = x
+            endpoints.append(x)
+            endpoints.append(y)
+    endpoints.sort()
+
+    def crosses(lo, hi):
+        # chord {lo, hi} crosses an existing chord exactly when one endpoint
+        # of it lies strictly between lo and hi and its mate does not;
+        # existing chords never cross, so an enclosed span is skipped whole
+        i = bisect_right(endpoints, lo)
+        stop = bisect_left(endpoints, hi)
+        while i < stop:
+            e = endpoints[i]
+            mate = partner[e]
+            if not lo < mate < hi:
+                return True
+            i = bisect_right(endpoints, mate, i + 1, stop) if mate > e else i + 1
+        return False
+
+    full = (1 << period) - 1
+    scale = LAVAURS_GRID // full
+    width = f"0{period}b"
+    angles = [
+        k * scale for k in range(1, full) if minimal_period(format(k, width)) == period
+    ]
+    count = len(angles)
+    pairs = []
+    nxt = list(range(1, count)) + [0]
+    prv = [count - 1] + list(range(count - 1))
+    done = [False] * count
+    heap = [
+        ((angles[nxt[i]] - angles[i]) % LAVAURS_GRID, i, nxt[i]) for i in range(count)
+    ]
+    heapq.heapify(heap)
+    remaining = count
+    while remaining:
+        _, i, j = heapq.heappop(heap)
+        if done[i] or done[j]:
+            continue
+        x, y = sorted((angles[i], angles[j]))
+        if crosses(x, y):
+            continue  # blocked for good: chords are never removed
+        pairs.append((x, y))
+        done[i] = done[j] = True
+        remaining -= 2
+        partner[x] = y
+        partner[y] = x
+        insort(endpoints, x)
+        insort(endpoints, y)
+        before, after = prv[i], nxt[j]
+        nxt[before] = after
+        prv[after] = before
+        if remaining >= 2:
+            heapq.heappush(
+                heap, ((angles[after] - angles[before]) % LAVAURS_GRID, before, after)
+            )
+    return tuple(sorted(pairs))
+
+
+def chain_by_stored_lists(spec):
+    """conjugate_chain with every orbit point and every preimage stored: the
+    orbit by repeated doubling, the k-th preimage from the integer of the
+    last k conjugate digits, each list checked in a pass of its own."""
+    word = broken_line_word(spec)
+    b = len(word)
+    cword = conjugate_word(spec)
+    full = (1 << b) - 1
+    den = full << b
+    t = int(word, 2) % full
+    theta = t << b
+    orbit = [theta]
+    for _ in range(b - 1):
+        orbit.append(2 * orbit[-1] % den)
+    preimages = [
+        (((c := int(cword[b - k :], 2)) << b) - c + t) << (b - k)
+        for k in range(1, b + 1)
+    ]
+    if 2 * preimages[0] % den != theta:
+        raise InvariantViolated(
+            "conjugate_chain", "first preimage does not halve the angle", spec
+        )
+    for k in range(2, b + 1):
+        if 2 * preimages[k - 1] % den != preimages[k - 2]:
+            raise InvariantViolated(
+                "conjugate_chain", f"chain breaks at step {k}", spec
+            )
+    x1, x2 = preimages[0], orbit[b - 1]
+    zero_one = spec.convention is Convention.ZERO_ONE
+    certificates = []
+    for k in range(2, b + 1):
+        y1, y2 = orbit[b - k], preimages[k - 1]
+        if len({x1, x2, y1, y2}) != 4 or not unlinked((x1, x2), (y1, y2)):
+            raise UnlinkViolation(k)
+        case = (y1 > x2) if zero_one else (y1 < x2)
+        certificates.append(UnlinkCertificate(k, case))
+    conj = int(cword, 2) % full
+    if theta * full + ((preimages[b - 1] - theta) << b) != conj * den:
+        raise InvariantViolated(
+            "conjugate_chain", "chain closed form disagrees with primed blocks", spec
+        )
+    return ConjugateChain(
+        PeriodicAngle(period=word), PeriodicAngle(period=cword), tuple(certificates)
+    )

@@ -1,7 +1,13 @@
+import time
+import tracemalloc
 from fractions import Fraction
+
+import pytest
 
 from brokenline import (
     Convention,
+    InvariantViolated,
+    UnlinkViolation,
     broken_line_word,
     conjugate_angle,
     conjugate_chain,
@@ -14,7 +20,9 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
-from helpers import all_specs
+from brokenline import conjugate
+from brokenline.conjugate import _CLOSE, _OPEN, _pair_regions, _partners_at
+from helpers import all_specs, chain_by_stored_lists, lavaurs_pairs_by_heap
 
 
 def _spec(limb, slope, hinge, convention):
@@ -73,6 +81,7 @@ def test_chain_runs_clean_on_sweep():
     for spec in all_specs(3, 24):
         chain = conjugate_chain(spec)
         assert chain.conjugate == conjugate_angle(spec)
+        assert chain == chain_by_stored_lists(spec)
 
 
 def test_chain_cases_match_kneading_digits():
@@ -146,3 +155,69 @@ def test_lavaurs_pairs_share_kneading():
     for period in range(2, 13):
         for x, y in lavaurs_pairs(period):
             assert kneading_of_angle(x) == kneading_of_angle(y)
+
+
+def test_partners_match_the_heap_pairing():
+    for period in range(2, 15):
+        partners = _partners_at(period)
+        pairs = sorted((x, y) for x, y in partners.items() if x < y)
+        assert pairs == list(lavaurs_pairs_by_heap(period)), period
+        assert all(partners[y] == x for x, y in pairs)
+        assert len(partners) == 2 * len(pairs)
+
+
+def _events(angles=(), chords=()):
+    return sorted(
+        [4 * x for x in angles]
+        + [4 * x + _OPEN for x, _ in chords]
+        + [4 * y + _CLOSE for _, y in chords]
+    )
+
+
+def test_pair_regions_pairs_inside_each_region():
+    # the chord (10, 50) encloses 20 and 30; 5 and 60 share the outer region
+    partner = _pair_regions(_events((5, 20, 30, 60), [(10, 50)]), 4)
+    assert partner == {20: 30, 30: 20, 5: 60, 60: 5}
+    # nested chords (20, 100) and (40, 60): three regions, paired apart
+    angles = (10, 30, 45, 55, 70, 80, 90, 110)
+    nested = _pair_regions(_events(angles, [(20, 100), (40, 60)]), 4)
+    assert sorted((x, y) for x, y in nested.items() if x < y) == [
+        (10, 110),
+        (30, 70),
+        (45, 55),
+        (80, 90),
+    ]
+
+
+def test_pair_regions_rejects_an_odd_region():
+    with pytest.raises(InvariantViolated, match="odd region at period 5"):
+        _pair_regions(_events((5, 20, 30, 40, 60), [(10, 50)]), 5)
+    with pytest.raises(InvariantViolated, match="odd region"):
+        _pair_regions(_events((1, 2, 3)), 5)
+
+
+def test_lavaurs_partner_of_a_long_period_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="period must be between 2 and 20"):
+        lavaurs_partner(Fraction(1, 1000000007))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_chain_streams_in_bounded_memory():
+    spec = _spec((1, 2), (5001, 10001), 1, "01")
+    tracemalloc.start()
+    try:
+        conjugate_chain(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+
+
+def test_chain_rejects_coincident_points(monkeypatch):
+    # a "conjugate" equal to the angle itself puts every preimage on the
+    # angle's own orbit: only the distinctness test stands in the way
+    spec = _spec((2, 5), (7, 17), 2, "01")
+    monkeypatch.setattr(conjugate, "conjugate_word", broken_line_word)
+    with pytest.raises(UnlinkViolation):
+        conjugate_chain(spec)

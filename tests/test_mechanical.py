@@ -35,6 +35,7 @@ from helpers import (
     balanced_by_factor_counts,
     base_index_by_scan,
     broken_word_by_digit_rule,
+    cutting_sequence_by_tuples,
     descent_tags,
     digit_rule,
     exponents_by_tag_parse,
@@ -370,3 +371,12 @@ def test_sturmian_period_sweep():
         word = broken_line_word(spec)
         assert balanced_by_factor_counts(word)
         assert minimal_period(word) == spec.period
+
+
+def test_cutting_sequence_matches_the_tuple_sort():
+    slopes = [*reduced_fractions(150), Fraction(8001, 16001), Fraction(1, 16001)]
+    for slope in slopes:
+        for convention in CONVENTIONS:
+            assert cutting_sequence(slope, convention) == cutting_sequence_by_tuples(
+                slope, convention
+            )

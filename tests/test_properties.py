@@ -1,7 +1,8 @@
 """Properties of the single-spec pipeline on random specs of period up to
 2000, each checked against an oracle that shares no code with the path it
 checks: the digit-rule word, the doubling-orbit kneading, the single-block
-scan and the preimage chain; and of PeriodicAngle on random words of period
+scan and the preimage chain, and the streamed chain against the chain
+that stores every element; and of PeriodicAngle on random words of period
 up to 2000, against the long division of its exact value."""
 
 from fractions import Fraction
@@ -27,6 +28,7 @@ from brokenline import (
 from helpers import (
     base_index_by_scan,
     broken_word_by_digit_rule,
+    chain_by_stored_lists,
     expansion_by_long_division,
     expansion_value,
 )
@@ -98,6 +100,12 @@ def test_conjugate_word_is_the_chain_conjugate(spec):
     assert chain.theta.value == word_to_fraction(broken_word_by_digit_rule(spec))
     # both angles of a primitive pair have one itinerary
     assert kneading_of_angle(chain.conjugate.value) == kneading_of_spec(spec)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(specs())
+def test_streamed_chain_equals_the_stored_chain(spec):
+    assert conjugate_chain(spec) == chain_by_stored_lists(spec)
 
 
 @st.composite
