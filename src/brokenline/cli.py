@@ -19,7 +19,12 @@ from .atlas import CENSUS_LIMIT, enumerate_specs, locate, sturmian_census, tune
 from .conjugate import conjugate_chain, conjugate_word, lavaurs_partner
 from .errors import BrokenLineError, PreconditionUnmet
 from .farey import BrokenLineSpec, validate_spec
-from .kneading import invert_kneading, kneading_of_angle, kneading_of_spec
+from .kneading import (
+    _kneading_of_word,
+    invert_kneading,
+    kneading_of_angle,
+    kneading_of_spec,
+)
 from .mechanical import (
     block_decomposition,
     broken_line_word,
@@ -127,7 +132,7 @@ def _check_spec(spec: BrokenLineSpec) -> None:
     word = broken_line_word(spec)
     if not is_sturmian(word):
         raise PreconditionUnmet("period word fails the balance test")
-    if kneading_of_spec(spec) != kneading_of_angle(word_to_fraction(word)):
+    if kneading_of_spec(spec) != _kneading_of_word(word):
         raise PreconditionUnmet("structural and direct kneading disagree")
     conjugate_chain(spec)
     locate(spec)
@@ -201,7 +206,7 @@ def cmd_kneading(args: argparse.Namespace) -> dict:
     payload = _spec_fields(spec)
     payload["kneading"] = str(ks)
     if args.check:
-        direct = kneading_of_angle(word_to_fraction(broken_line_word(spec)))
+        direct = _kneading_of_word(broken_line_word(spec))
         if ks != direct:
             raise PreconditionUnmet("structural and direct kneading disagree")
         payload["check"] = "ok"

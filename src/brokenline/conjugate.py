@@ -1,15 +1,17 @@
 """Conjugate angles via primed blocks, with two independent verifiers.
 
 The production path primes every block of the decomposition.  The chain
-verifier pulls the angle back one doubling step at a time, holding two orbit
-points and two preimages, and certifies the circle intervals stay unlinked.
-The Lavaurs pairing is a test-only oracle: the chords of the lower periods
-cut the disc into regions, and inside each region the angles of one exact
-period are joined in consecutive pairs, by one sweep over the sorted chord
-endpoints.  Inside both, an angle is an integer numerator over one fixed
-denominator: 2^b (2^b - 1) along the chain, the lcm of all 2^p - 1 with
-p <= 20 in the pairing.  A ``Fraction`` is built only where a public
-function returns one.
+verifier pulls the angle back one doubling step at a time and certifies the
+circle intervals stay unlinked.  Every point along the chain is a suffix of
+the period word or of the conjugate word followed by theta, so it compares
+with theta by slice comparisons of those two words: a period word of exact
+period b >= 2 mixes 0s and 1s, so no expansion ends in 0^inf or 1^inf and
+comparing two expansions compares their values.  The Lavaurs pairing is a
+test-only oracle: the chords of the lower periods cut the disc into
+regions, and inside each region the angles of one exact period are joined
+in consecutive pairs, by one sweep over the sorted chord endpoints.  There
+an angle is an integer numerator over the lcm of all 2^p - 1 with p <= 20.
+A ``Fraction`` is built only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -99,60 +101,75 @@ class ConjugateChain:
         return tuple(PeriodicAngle(cword[b - k :], word) for k in range(1, b + 1))
 
 
-def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
-    """Build the full preimage chain of the broken-line angle and verify it.
+def _chain_certificates(
+    word: str, cword: str, zero_one: bool, spec: BrokenLineSpec | None = None
+) -> tuple[UnlinkCertificate, ...]:
+    """Unlinking certificates of the preimage chain of theta = word^inf
+    towards the candidate conjugate cword^inf, read from the two words alone.
 
-    Checks, exactly: each chain element halves to the previous one; for every
-    k the interval from the k-th orbit point to the k-th preimage is unlinked
-    from the partition interval; and the closed form over the whole chain
-    reproduces the primed-block conjugate.  The chain is streamed.
+    The k-th orbit point is O_k = word[b-k:] theta and the k-th preimage
+    P_k = cword[b-k:] theta; the partition points are x1 = P_1 and x2 = O_1,
+    that is theta/2 and (theta+1)/2.  A point d.z lies strictly between them
+    when d = 0 and z > theta or d = 1 and z < theta, and on one of them when
+    z = theta.  Raises unless x1 != x2 and, at every k >= 2, O_k and P_k lie
+    on the same side of the partition.
+    """
+    b = len(word)
+    ww = word + word
+    # exact period b: rotation i of the word differs from it for 0 < i < b,
+    # so no O_k or P_k with k >= 2 lies on a partition point
+    if b < 2 or ww.find(word, 1) != b:
+        raise InvariantViolated(
+            "conjugate_chain", f"period word has no exact period {b}", spec
+        )
+    if len(cword) != b:
+        raise InvariantViolated(
+            "conjugate_chain", f"conjugate word has length {len(cword)}, not {b}", spec
+        )
+    last = word[-1]
+    if cword[-1] == last:
+        raise UnlinkViolation(2, "the partition points coincide")
+    # up[i] is 1 when rotation i of the word lies above theta, one byte each;
+    # points of period b compare as their b-digit words
+    up = bytes(ww[i : i + b] > word for i in range(b))
+    # by k = 2..b: O_k = d (rotation b-k+1)^inf and P_k = e P_(k-1), where
+    # P_j = cword[b-j:] theta ties with theta = word[:j] (rotation j)^inf on
+    # its first j digits exactly when word starts with them
+    digits, conjugate_digits = word[-2::-1], cword[-2::-1]
+    preimage_up = (
+        (tail := cword[b - j :]) > word or (not up[j] and word.startswith(tail))
+        for j in range(1, b)
+    )
+    sides = zip(range(2, b + 1), digits, reversed(up), conjugate_digits, preimage_up)
+    for k, d, o_up, e, p_up in sides:
+        if ((d == "0") == o_up) != ((e == "0") == p_up):
+            raise UnlinkViolation(k)
+    # O_k against x2 = last theta: by the first digit, then by the rotation;
+    # a second lazy pass, so that only the returned tuple holds b pointers
+    cases = (
+        (d > last if d != last else o_up) == zero_one
+        for d, o_up in zip(digits, reversed(up))
+    )
+    return tuple(map(UnlinkCertificate, range(2, b + 1), cases))
+
+
+def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
+    """Pull the broken-line angle back along the primed-block conjugate and
+    certify every step.
+
+    For every k >= 2 the interval from the k-th orbit point to the k-th
+    preimage is unlinked from the partition interval.  The k-th preimage is
+    the last k conjugate digits before theta, so it halves to the previous
+    one and the b-th closes the chain on the conjugate by construction; the
+    checks that remain are the ones above (see _chain_certificates).
     """
     word = broken_line_word(spec)
-    b = len(word)
     cword = conjugate_word(spec)
-    full = (1 << b) - 1
-    # every orbit point and preimage is an integer over den = 2^b (2^b - 1);
-    # the orbit point 2^i theta is (2^i t mod full) << b, walked backwards
-    # from t by halving mod full
-    den = full << b
-    t = int(word, 2) % full
-    theta = t << b
     zero_one = spec.convention is Convention.ZERO_ONE
-    c, bit, u, previous = 0, 1, t, theta
-    certificates = []
-    for k in range(1, b + 1):
-        # the k-th preimage is (c + theta) / 2^k over den, c the last k
-        # conjugate digits, grown one digit per step; c * full by shifts
-        if cword[b - k] == "1":
-            c += bit
-        bit <<= 1
-        y2 = ((c << b) - c + t) << (b - k)
-        # 0 <= y2 < den, so doubling mod den is one subtraction
-        if 2 * y2 - previous not in (0, den):
-            raise InvariantViolated("conjugate_chain", f"chain breaks at step {k}", spec)
-        previous = y2
-        u = (u + full if u & 1 else u) >> 1
-        y1 = u << b
-        if k == 1:
-            x1, x2 = y2, y1
-            continue
-        # four distinct points, compared pairwise (a hash reads every digit)
-        distinct = x1 != x2 and y1 not in (x1, x2, y2) and y2 not in (x1, x2)
-        if not distinct or not unlinked((x1, x2), (y1, y2)):
-            raise UnlinkViolation(k)
-        case = (y1 > x2) if zero_one else (y1 < x2)
-        certificates.append(UnlinkCertificate(k, case))
-
-    # theta + (last - theta) / (1 - 2^-b) == conjugate, times den * (2^b - 1)
-    conj = int(cword, 2) % full
-    if theta * full + ((previous - theta) << b) != conj * den:
-        raise InvariantViolated(
-            "conjugate_chain", "chain closed form disagrees with primed blocks", spec
-        )
     return ConjugateChain(
         PeriodicAngle(period=word),
         PeriodicAngle(period=cword),
-        tuple(certificates),
+        _chain_certificates(word, cword, zero_one, spec),
     )
 
 

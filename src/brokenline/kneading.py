@@ -7,7 +7,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import PeriodicAngle, minimal_period
-from .errors import HypothesisViolated, NotBrokenLineKneading, NotPeriodic
+from .errors import (
+    HypothesisViolated,
+    InvariantViolated,
+    NotBrokenLineKneading,
+    NotPeriodic,
+)
 from .farey import BrokenLineSpec, validate_spec
 from .mechanical import (
     _block_pattern,
@@ -72,16 +77,39 @@ def kneading_of_angle(theta: Fraction) -> KneadingSequence:
     # orbit points are integers x over den; x/den sits at theta/2 or
     # (theta + 1)/2 when 2x equals k or k + den
     k, den = theta.numerator, theta.denominator
+    upper = k + den
     symbols: list[str] = []
     x = k
     while True:
         twice = 2 * x
-        if twice == k or twice == k + den:
+        if twice == k or twice == upper:
             symbols.append("*")
             break
-        symbols.append("1" if k < twice < k + den else "0")
-        x = twice % den
+        symbols.append("1" if k < twice < upper else "0")
+        # 0 <= twice < 2 den, so doubling mod den is one subtraction
+        x = twice - den if twice >= den else twice
     return KneadingSequence("".join(symbols))
+
+
+def _kneading_of_word(word: str) -> KneadingSequence:
+    """kneading_of_angle of theta = word^inf, read from the word alone.
+
+    Orbit point i is d.z with d = word[i] and z = rotation i+1 of the word,
+    repeated; it lies strictly between theta/2 and (theta+1)/2 when d = 0 and
+    z > theta or d = 1 and z < theta, and on one of them when z = theta.
+    Points of period b compare as their b-digit words.  With exact period b
+    only the last orbit point, whose z is theta itself, lies on a partition
+    point: the star.
+    """
+    b = len(word)
+    ww = word + word
+    if b < 2 or ww.find(word, 1) != b:
+        raise InvariantViolated("kneading_of_word", f"word has no exact period {b}")
+    body = [
+        "1" if (d == "0") == (ww[i : i + b] > word) else "0"
+        for i, d in enumerate(word[:-1], 1)
+    ]
+    return KneadingSequence("".join(body) + "*")
 
 
 def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:

@@ -24,9 +24,11 @@ digit by digit (production canonicalizes PeriodicAngle on its words).  The
 cutting word sorts one (abscissa, symbol) tuple per crossing (production
 sorts integers whose parity is the symbol), the heap pairing joins the
 closest non-crossing neighbours first with a crossing test per chord
-(production sweeps the regions of the lower chords once), and the stored
-chain keeps every orbit point and preimage and checks each list in a pass of
-its own (production streams two of each).
+(production sweeps the regions of the lower chords once).  The stored chain
+keeps every orbit point and preimage and checks each list in a pass of its
+own, and the integer chain streams them as integer numerators over
+2^b (2^b - 1), with its halving and closed-form checks (production compares
+the period word and the conjugate word, slice against slice).
 """
 
 import heapq
@@ -547,6 +549,55 @@ def chain_by_stored_lists(spec):
         certificates.append(UnlinkCertificate(k, case))
     conj = int(cword, 2) % full
     if theta * full + ((preimages[b - 1] - theta) << b) != conj * den:
+        raise InvariantViolated(
+            "conjugate_chain", "chain closed form disagrees with primed blocks", spec
+        )
+    return ConjugateChain(
+        PeriodicAngle(period=word), PeriodicAngle(period=cword), tuple(certificates)
+    )
+
+
+def chain_by_integers(spec):
+    """conjugate_chain with every orbit point and preimage an integer over
+    den = 2^b (2^b - 1), streamed two at a time: each preimage is checked to
+    halve to the one before, the four points of each step to be distinct and
+    unlinked, and the last preimage to close the chain on the conjugate."""
+    word = broken_line_word(spec)
+    b = len(word)
+    cword = conjugate_word(spec)
+    full = (1 << b) - 1
+    # the orbit point 2^i theta is (2^i t mod full) << b, walked backwards
+    # from t by halving mod full
+    den = full << b
+    t = int(word, 2) % full
+    theta = t << b
+    zero_one = spec.convention is Convention.ZERO_ONE
+    c, bit, u, previous = 0, 1, t, theta
+    certificates = []
+    for k in range(1, b + 1):
+        # the k-th preimage is (c + theta) / 2^k over den, c the last k
+        # conjugate digits, grown one digit per step; c * full by shifts
+        if cword[b - k] == "1":
+            c += bit
+        bit <<= 1
+        y2 = ((c << b) - c + t) << (b - k)
+        # 0 <= y2 < den, so doubling mod den is one subtraction
+        if 2 * y2 - previous not in (0, den):
+            raise InvariantViolated("conjugate_chain", f"chain breaks at step {k}", spec)
+        previous = y2
+        u = (u + full if u & 1 else u) >> 1
+        y1 = u << b
+        if k == 1:
+            x1, x2 = y2, y1
+            continue
+        distinct = x1 != x2 and y1 not in (x1, x2, y2) and y2 not in (x1, x2)
+        if not distinct or not unlinked((x1, x2), (y1, y2)):
+            raise UnlinkViolation(k)
+        case = (y1 > x2) if zero_one else (y1 < x2)
+        certificates.append(UnlinkCertificate(k, case))
+    # theta + (last - theta) / (1 - 2^-b) == conjugate, times den * (2^b - 1)
+    conj = int(cword, 2) % full
+    if theta * full + ((previous - theta) << b) != conj * den:
         raise InvariantViolated(
             "conjugate_chain", "chain closed form disagrees with primed blocks", spec
         )

@@ -21,8 +21,19 @@ from brokenline import (
     word_to_fraction,
 )
 from brokenline import conjugate
-from brokenline.conjugate import _CLOSE, _OPEN, _pair_regions, _partners_at
-from helpers import all_specs, chain_by_stored_lists, lavaurs_pairs_by_heap
+from brokenline.conjugate import (
+    _CLOSE,
+    _OPEN,
+    _chain_certificates,
+    _pair_regions,
+    _partners_at,
+)
+from helpers import (
+    all_specs,
+    chain_by_integers,
+    chain_by_stored_lists,
+    lavaurs_pairs_by_heap,
+)
 
 
 def _spec(limb, slope, hinge, convention):
@@ -64,7 +75,7 @@ def test_chain_golden():
     assert chain.preimages[0].value == Fraction(7, 30)
     assert chain.conjugate.value == Fraction(8, 15)
     assert [c.index for c in chain.certificates] == [2, 3, 4]
-    # the chain checks itself on integers; the preimages it hands out are
+    # the chain checks itself on words; the preimages it hands out are
     # built separately and checked here
     for spec in all_specs(3, 10):
         chain = conjugate_chain(spec)
@@ -76,12 +87,57 @@ def test_chain_golden():
 
 
 def test_chain_runs_clean_on_sweep():
-    # the chain itself raises on any doubling, unlinking, or closed-form
-    # failure, so running it is the assertion
+    # the chain itself raises on any unlinking failure; the stored and the
+    # integer chains also check the doubling and the closed form
     for spec in all_specs(3, 24):
         chain = conjugate_chain(spec)
         assert chain.conjugate == conjugate_angle(spec)
-        assert chain == chain_by_stored_lists(spec)
+        assert chain == chain_by_stored_lists(spec) == chain_by_integers(spec)
+
+
+def test_word_chain_equals_the_integer_chain_at_a_long_period():
+    spec = _spec((2, 5), (3999, 10001), 2, "10")
+    assert conjugate_chain(spec) == chain_by_integers(spec)
+
+
+def _wrong_conjugates(word, cword):
+    """theta itself, the conjugate rotated by one, the conjugate with its
+    last digit swapped for the nearest unlike one before it (the last two
+    digits when they differ; when they are equal, swapping them leaves the
+    word as it is), and the conjugate with its middle digit flipped."""
+    b, last = len(cword), cword[-1]
+    j = cword.rindex("1" if last == "0" else "0")
+    middle = "1" if cword[b // 2] == "0" else "0"
+    return (
+        word,
+        cword[1:] + cword[0],
+        cword[:j] + last + cword[j + 1 : -1] + cword[j],
+        cword[: b // 2] + middle + cword[b // 2 + 1 :],
+    )
+
+
+def test_word_chain_rejects_wrong_conjugates():
+    # the halving and closed-form checks are identities on words; what the
+    # chain still rejects is pinned here
+    for spec in all_specs(3, 22):
+        word, cword = broken_line_word(spec), conjugate_word(spec)
+        zero_one = spec.convention is Convention.ZERO_ONE
+        for wrong in _wrong_conjugates(word, cword):
+            assert wrong != cword and len(wrong) == len(cword)
+            with pytest.raises(UnlinkViolation):
+                _chain_certificates(word, wrong, zero_one)
+
+
+def test_word_chain_rejects_malformed_words():
+    # a proper power puts an orbit point on a partition point; a single
+    # digit is a fixed angle
+    for word in ("011011", "0101", "111", "0"):
+        cword = word[:-1] + ("1" if word[-1] == "0" else "0")
+        with pytest.raises(InvariantViolated, match="no exact period"):
+            _chain_certificates(word, cword, True)
+    for cword in ("10", "0110", ""):
+        with pytest.raises(InvariantViolated, match="conjugate word has length"):
+            _chain_certificates("011", cword, False)
 
 
 def test_chain_cases_match_kneading_digits():

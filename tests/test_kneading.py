@@ -4,6 +4,7 @@ import pytest
 
 from brokenline import (
     Convention,
+    InvariantViolated,
     KneadingSequence,
     NotBrokenLineKneading,
     NotPeriodic,
@@ -21,7 +22,8 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
-from helpers import all_specs, doubling_orbit, kneading_by_tag_runs
+from brokenline.kneading import _kneading_of_word
+from helpers import all_specs, all_words, doubling_orbit, kneading_by_tag_runs
 
 
 def _spec(limb, slope, hinge, convention):
@@ -43,6 +45,25 @@ def test_kneading_of_angle_rejects_bad_input():
         kneading_of_angle(Fraction(1, 2))
     with pytest.raises(ValueError):
         kneading_of_angle(Fraction(0))
+
+
+def test_word_kneading_equals_the_orbit_itinerary():
+    # every primitive word of length 2..14: 32,474 of them
+    count = 0
+    for length in range(2, 15):
+        for word in all_words(length):
+            if minimal_period(word) == length:
+                assert _kneading_of_word(word) == kneading_of_angle(
+                    word_to_fraction(word)
+                ), word
+                count += 1
+    assert count == 32474
+
+
+def test_word_kneading_rejects_a_proper_power():
+    for word in ("011011", "0101", "111", "0", ""):
+        with pytest.raises(InvariantViolated, match="no exact period"):
+            _kneading_of_word(word)
 
 
 def test_kneading_sequence_form():

@@ -1,9 +1,11 @@
 """Properties of the single-spec pipeline on random specs of period up to
 2000, each checked against an oracle that shares no code with the path it
 checks: the digit-rule word, the doubling-orbit kneading, the single-block
-scan and the preimage chain, and the streamed chain against the chain
-that stores every element; and of PeriodicAngle on random words of period
-up to 2000, against the long division of its exact value."""
+scan and the preimage chain, and the word-level chain against the chain
+that stores every element and the chain on integers; of the word-level
+kneading on primitive words of period up to 2000, against the doubling
+orbit of their value; and of PeriodicAngle on random words of period up to
+2000, against the long division of its exact value."""
 
 from fractions import Fraction
 
@@ -21,13 +23,16 @@ from brokenline import (
     invert_kneading,
     kneading_of_angle,
     kneading_of_spec,
+    minimal_period,
     stern_brocot_path,
     validate_spec,
     word_to_fraction,
 )
+from brokenline.kneading import _kneading_of_word
 from helpers import (
     base_index_by_scan,
     broken_word_by_digit_rule,
+    chain_by_integers,
     chain_by_stored_lists,
     expansion_by_long_division,
     expansion_value,
@@ -105,7 +110,38 @@ def test_conjugate_word_is_the_chain_conjugate(spec):
 @settings(PROPERTY, max_examples=100)
 @given(specs())
 def test_streamed_chain_equals_the_stored_chain(spec):
-    assert conjugate_chain(spec) == chain_by_stored_lists(spec)
+    chain = conjugate_chain(spec)
+    assert chain == chain_by_stored_lists(spec) == chain_by_integers(spec)
+
+
+@st.composite
+def near_powers(draw):
+    """A word of up to MAX_PERIOD digits that repeats a short root, with one
+    digit flipped: its rotations agree with it for long stretches."""
+    root = draw(st.text("01", min_size=1, max_size=40), label="root")
+    length = draw(st.integers(2, MAX_PERIOD), label="length")
+    word = (root * (length // len(root) + 1))[:length]
+    i = draw(st.integers(0, length - 1), label="flipped digit")
+    return word[:i] + ("1" if word[i] == "0" else "0") + word[i + 1 :]
+
+
+@st.composite
+def binary_words(draw):
+    d = draw(st.integers(2, MAX_PERIOD), label="length")
+    return format(draw(st.integers(0, (1 << d) - 1), label="word"), f"0{d}b")
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        specs().map(broken_word_by_digit_rule),
+        near_powers(),
+        binary_words(),
+    )
+)
+def test_word_kneading_equals_the_orbit_itinerary(word):
+    assume(minimal_period(word) == len(word))
+    assert _kneading_of_word(word) == kneading_of_angle(word_to_fraction(word))
 
 
 @st.composite
