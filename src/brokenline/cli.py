@@ -15,17 +15,26 @@ import sys
 from fractions import Fraction
 
 from .angles import PeriodicAngle, fraction_to_expansion, word_to_fraction
-from .atlas import CENSUS_LIMIT, enumerate_specs, locate, sturmian_census, tune
-from .conjugate import conjugate_chain, conjugate_word, lavaurs_partner
+from .atlas import (
+    CENSUS_LIMIT,
+    SpokeLocation,
+    enumerate_specs,
+    locate,
+    sturmian_census,
+    tune,
+)
+from .conjugate import _check_chain, _primed_word, lavaurs_partner
 from .errors import BrokenLineError, PreconditionUnmet
 from .farey import BrokenLineSpec, validate_spec
 from .kneading import (
+    KneadingSequence,
     _kneading_of_word,
     invert_kneading,
     kneading_of_angle,
     kneading_of_spec,
 )
 from .mechanical import (
+    BlockDecomposition,
     block_decomposition,
     broken_line_word,
     characteristic_pair,
@@ -33,7 +42,7 @@ from .mechanical import (
     cutting_to_mechanical,
     mechanical_word,
 )
-from .words import Convention, is_sturmian
+from .words import Convention, _rotation_signs, is_sturmian
 
 LAVAURS_VERIFY_LIMIT = 16
 
@@ -128,19 +137,57 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _check_spec(spec: BrokenLineSpec) -> None:
-    word = broken_line_word(spec)
-    if not is_sturmian(word):
+class _Stages:
+    """The pipeline stages of one spec, each computed on first read and kept
+    for the rest of the command."""
+
+    def __init__(self, spec: BrokenLineSpec) -> None:
+        self.spec = spec
+
+    @functools.cached_property
+    def word(self) -> str:
+        return broken_line_word(self.spec)
+
+    @functools.cached_property
+    def decomposition(self) -> BlockDecomposition:
+        return block_decomposition(self.spec)
+
+    @functools.cached_property
+    def cword(self) -> str:
+        return _primed_word(self.decomposition)
+
+    @functools.cached_property
+    def kneading(self) -> KneadingSequence:
+        return kneading_of_spec(self.spec)
+
+    @functools.cached_property
+    def spot(self) -> SpokeLocation:
+        return locate(self.spec)
+
+    @functools.cached_property
+    def up(self) -> bytes:
+        return _rotation_signs(self.word)
+
+    def check_kneading(self) -> None:
+        # the structural kneading against the one read off the orbit
+        if self.kneading != _kneading_of_word(self.word, self.up):
+            raise PreconditionUnmet("structural and direct kneading disagree")
+
+    def check_chain(self) -> None:
+        _check_chain(self.word, self.cword, self.up, self.spec)
+
+
+def _check_spec(stages: _Stages) -> None:
+    if not is_sturmian(stages.word):
         raise PreconditionUnmet("period word fails the balance test")
-    if kneading_of_spec(spec) != _kneading_of_word(word):
-        raise PreconditionUnmet("structural and direct kneading disagree")
-    conjugate_chain(spec)
-    locate(spec)
+    stages.check_kneading()
+    stages.check_chain()
+    stages.spot  # locate raises when no spoke brackets the angle
 
 
 def cmd_broken(args: argparse.Namespace) -> dict:
-    spec = _spec_of(args)
-    word = broken_line_word(spec)
+    stages = _Stages(_spec_of(args))
+    spec, word = stages.spec, stages.word
     payload = _spec_fields(spec)
     payload.update(
         {
@@ -150,14 +197,12 @@ def cmd_broken(args: argparse.Namespace) -> dict:
         }
     )
     if args.all:
-        cword = conjugate_word(spec)
-        decomposition = block_decomposition(spec)
-        spot = locate(spec)
+        cword, decomposition, spot = stages.cword, stages.decomposition, stages.spot
         payload.update(
             {
                 "conjugate": str(word_to_fraction(cword)),
                 "conjugate-expansion": f"0.({cword})",
-                "kneading": str(kneading_of_spec(spec)),
+                "kneading": str(stages.kneading),
                 "block-exponents": list(decomposition.exponents),
                 "blocks": list(
                     map(decomposition.block_words.__getitem__, decomposition.exponents)
@@ -168,15 +213,15 @@ def cmd_broken(args: argparse.Namespace) -> dict:
             }
         )
     if args.check:
-        _check_spec(spec)
+        _check_spec(stages)
         payload["check"] = "ok"
     return payload
 
 
 def cmd_conjugate(args: argparse.Namespace) -> dict:
-    spec = _spec_of(args)
-    cword = conjugate_word(spec)
-    angle = word_to_fraction(broken_line_word(spec))
+    stages = _Stages(_spec_of(args))
+    spec, cword = stages.spec, stages.cword
+    angle = word_to_fraction(stages.word)
     conjugate = word_to_fraction(cword)
     payload = _spec_fields(spec)
     payload.update(
@@ -187,7 +232,7 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
         }
     )
     if args.verify or args.check:
-        conjugate_chain(spec)
+        stages.check_chain()
         payload["chain"] = "ok"
     if args.verify:
         if spec.period <= LAVAURS_VERIFY_LIMIT:
@@ -201,14 +246,11 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
 
 
 def cmd_kneading(args: argparse.Namespace) -> dict:
-    spec = _spec_of(args)
-    ks = kneading_of_spec(spec)
-    payload = _spec_fields(spec)
-    payload["kneading"] = str(ks)
+    stages = _Stages(_spec_of(args))
+    payload = _spec_fields(stages.spec)
+    payload["kneading"] = str(stages.kneading)
     if args.check:
-        direct = _kneading_of_word(broken_line_word(spec))
-        if ks != direct:
-            raise PreconditionUnmet("structural and direct kneading disagree")
+        stages.check_kneading()
         payload["check"] = "ok"
     return payload
 
@@ -281,7 +323,7 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
         payload["census"] = rows
     if args.check:
         for _, specs in enumeration.entries:
-            _check_spec(specs[0])
+            _check_spec(_Stages(specs[0]))
         payload["check"] = f"ok ({len(enumeration)} angles)"
     return payload
 

@@ -1,17 +1,21 @@
 """Conjugate angles via primed blocks, with two independent verifiers.
 
 The production path primes every block of the decomposition.  The chain
-verifier pulls the angle back one doubling step at a time and certifies the
+verifier pulls the angle back one doubling step at a time and checks the
 circle intervals stay unlinked.  Every point along the chain is a suffix of
 the period word or of the conjugate word followed by theta, so it compares
-with theta by slice comparisons of those two words: a period word of exact
-period b >= 2 mixes 0s and 1s, so no expansion ends in 0^inf or 1^inf and
-comparing two expansions compares their values.  The Lavaurs pairing is a
-test-only oracle: the chords of the lower periods cut the disc into
-regions, and inside each region the angles of one exact period are joined
-in consecutive pairs, by one sweep over the sorted chord endpoints.  There
-an angle is an integer numerator over the lcm of all 2^p - 1 with p <= 20.
-A ``Fraction`` is built only where a public function returns one.
+with theta by slice comparisons of those two words and by the rotation
+signs of the period word, which the direct kneading reads too: a period
+word of exact period b >= 2 mixes 0s and 1s, so no expansion ends in 0^inf
+or 1^inf and comparing two expansions compares their values.  The check
+(_check_chain) only raises; the command line runs it alone.  The public
+conjugate_chain runs it and then one more pass that builds an
+UnlinkCertificate per step.  The Lavaurs pairing is a test-only oracle: the
+chords of the lower periods cut the disc into regions, and inside each
+region the angles of one exact period are joined in consecutive pairs, by
+one sweep over the sorted chord endpoints.  There an angle is an integer
+numerator over the lcm of all 2^p - 1 with p <= 20.  A ``Fraction`` is
+built only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress
+from operator import xor
 
 from .angles import PeriodicAngle
 from .errors import InvariantViolated, UnlinkViolation
 from .farey import BrokenLineSpec
-from .mechanical import block_decomposition, broken_line_word
-from .words import Convention, prime_minus, prime_plus
+from .mechanical import BlockDecomposition, block_decomposition, broken_line_word
+from .words import Convention, _rotation_signs, prime_minus, prime_plus
 
 __all__ = [
     "ConjugateChain",
@@ -44,13 +49,19 @@ LAVAURS_LIMIT = 20
 _GRID = math.lcm(*((1 << p) - 1 for p in range(1, LAVAURS_LIMIT + 1)))
 
 
+def _primed_word(decomposition: BlockDecomposition) -> str:
+    # the blocks of the decomposition, each primed: +1 under the 01
+    # convention and -1 under 10
+    zero_one = decomposition.spec.convention is Convention.ZERO_ONE
+    prime = prime_plus if zero_one else prime_minus
+    primed = {e: prime(w) for e, w in decomposition.block_words.items()}
+    return "".join(map(primed.__getitem__, decomposition.exponents))
+
+
 def conjugate_word(spec: BrokenLineSpec) -> str:
     """Period word of the conjugate angle: every block primed, +1 under the
     01 convention and -1 under 10."""
-    decomposition = block_decomposition(spec)
-    prime = prime_plus if spec.convention is Convention.ZERO_ONE else prime_minus
-    primed = {e: prime(w) for e, w in decomposition.block_words.items()}
-    return "".join(map(primed.__getitem__, decomposition.exponents))
+    return _primed_word(block_decomposition(spec))
 
 
 def conjugate_angle(spec: BrokenLineSpec) -> PeriodicAngle:
@@ -101,11 +112,12 @@ class ConjugateChain:
         return tuple(PeriodicAngle(cword[b - k :], word) for k in range(1, b + 1))
 
 
-def _chain_certificates(
-    word: str, cword: str, zero_one: bool, spec: BrokenLineSpec | None = None
-) -> tuple[UnlinkCertificate, ...]:
-    """Unlinking certificates of the preimage chain of theta = word^inf
-    towards the candidate conjugate cword^inf, read from the two words alone.
+def _check_chain(
+    word: str, cword: str, up: bytes, spec: BrokenLineSpec | None = None
+) -> None:
+    """Check the preimage chain of theta = word^inf towards the candidate
+    conjugate cword^inf, read from the two words and the rotation signs
+    ``up = _rotation_signs(word)``.
 
     The k-th orbit point is O_k = word[b-k:] theta and the k-th preimage
     P_k = cword[b-k:] theta; the partition points are x1 = P_1 and x2 = O_1,
@@ -115,10 +127,9 @@ def _chain_certificates(
     on the same side of the partition.
     """
     b = len(word)
-    ww = word + word
     # exact period b: rotation i of the word differs from it for 0 < i < b,
     # so no O_k or P_k with k >= 2 lies on a partition point
-    if b < 2 or ww.find(word, 1) != b:
+    if b < 2 or (word + word).find(word, 1) != b:
         raise InvariantViolated(
             "conjugate_chain", f"period word has no exact period {b}", spec
         )
@@ -126,31 +137,39 @@ def _chain_certificates(
         raise InvariantViolated(
             "conjugate_chain", f"conjugate word has length {len(cword)}, not {b}", spec
         )
-    last = word[-1]
-    if cword[-1] == last:
+    if cword[-1] == word[-1]:
         raise UnlinkViolation(2, "the partition points coincide")
-    # up[i] is 1 when rotation i of the word lies above theta, one byte each;
-    # points of period b compare as their b-digit words
-    up = bytes(ww[i : i + b] > word for i in range(b))
     # by k = 2..b: O_k = d (rotation b-k+1)^inf and P_k = e P_(k-1), where
     # P_j = cword[b-j:] theta ties with theta = word[:j] (rotation j)^inf on
-    # its first j digits exactly when word starts with them
-    digits, conjugate_digits = word[-2::-1], cword[-2::-1]
-    preimage_up = (
+    # its first j digits exactly when word starts with them; points of
+    # period b compare as their b-digit words
+    preimage_up = bytes(
         (tail := cword[b - j :]) > word or (not up[j] and word.startswith(tail))
         for j in range(1, b)
     )
-    sides = zip(range(2, b + 1), digits, reversed(up), conjugate_digits, preimage_up)
-    for k, d, o_up, e, p_up in sides:
-        if ((d == "0") == o_up) != ((e == "0") == p_up):
-            raise UnlinkViolation(k)
+    # d.z lies between the partition points when the digit d and the sign of
+    # z differ: the code of "0" or "1" xor 0 or 1 names the side
+    orbit_sides = bytes(map(xor, word[-2::-1].encode(), up[:0:-1]))
+    preimage_sides = bytes(map(xor, cword[-2::-1].encode(), preimage_up))
+    if orbit_sides != preimage_sides:
+        pairs = zip(range(2, b + 1), orbit_sides, preimage_sides)
+        raise UnlinkViolation(next(k for k, x, y in pairs if x != y))
+
+
+def _chain_certificates(
+    word: str, cword: str, zero_one: bool, spec: BrokenLineSpec | None = None
+) -> tuple[UnlinkCertificate, ...]:
+    """_check_chain, then the unlinking certificates of its steps."""
+    up = _rotation_signs(word)
+    _check_chain(word, cword, up, spec)
     # O_k against x2 = last theta: by the first digit, then by the rotation;
-    # a second lazy pass, so that only the returned tuple holds b pointers
+    # a lazy pass, so that only the returned tuple holds b pointers
+    last = word[-1]
     cases = (
         (d > last if d != last else o_up) == zero_one
-        for d, o_up in zip(digits, reversed(up))
+        for d, o_up in zip(word[-2::-1], reversed(up))
     )
-    return tuple(map(UnlinkCertificate, range(2, b + 1), cases))
+    return tuple(map(UnlinkCertificate, range(2, len(word) + 1), cases))
 
 
 def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
@@ -161,7 +180,7 @@ def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
     preimage is unlinked from the partition interval.  The k-th preimage is
     the last k conjugate digits before theta, so it halves to the previous
     one and the b-th closes the chain on the conjugate by construction; the
-    checks that remain are the ones above (see _chain_certificates).
+    checks that remain are the ones above (see _check_chain).
     """
     word = broken_line_word(spec)
     cword = conjugate_word(spec)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import xor
 
 from .angles import PeriodicAngle, minimal_period
 from .errors import (
@@ -91,8 +92,9 @@ def kneading_of_angle(theta: Fraction) -> KneadingSequence:
     return KneadingSequence("".join(symbols))
 
 
-def _kneading_of_word(word: str) -> KneadingSequence:
-    """kneading_of_angle of theta = word^inf, read from the word alone.
+def _kneading_of_word(word: str, up: bytes) -> KneadingSequence:
+    """kneading_of_angle of theta = word^inf, read from the word and its
+    rotation signs ``up = _rotation_signs(word)``.
 
     Orbit point i is d.z with d = word[i] and z = rotation i+1 of the word,
     repeated; it lies strictly between theta/2 and (theta+1)/2 when d = 0 and
@@ -102,14 +104,12 @@ def _kneading_of_word(word: str) -> KneadingSequence:
     point: the star.
     """
     b = len(word)
-    ww = word + word
-    if b < 2 or ww.find(word, 1) != b:
+    if b < 2 or (word + word).find(word, 1) != b:
         raise InvariantViolated("kneading_of_word", f"word has no exact period {b}")
-    body = [
-        "1" if (d == "0") == (ww[i : i + b] > word) else "0"
-        for i, d in enumerate(word[:-1], 1)
-    ]
-    return KneadingSequence("".join(body) + "*")
+    # slot i-1 is 1 exactly when digit i-1 and the sign of rotation i differ:
+    # the code of "0" or "1" xor 0 or 1 is the slot's own character
+    body = bytes(map(xor, word[:-1].encode(), up[1:])).decode()
+    return KneadingSequence(body + "*")
 
 
 def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:

@@ -62,17 +62,12 @@ def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
 def cutting_to_mechanical(kappa: str) -> str:
     """Contract a cutting word by deleting the 0 immediately before each 1
     (the rewriting 01 -> 1).  Output length equals the number of 0s."""
-    out: list[str] = []
-    for ch in kappa:
-        if ch == "0":
-            out.append("0")
-        elif ch == "1":
-            if not out or out[-1] != "0":
-                raise MalformedCuttingSequence(kappa)
-            out[-1] = "1"
-        else:
-            raise MalformedCuttingSequence(kappa)
-    return "".join(out)
+    # a word over {0, 1} in which every 1 follows a 0 of its own: no leading
+    # 1 and no 11, so the rewriting never overlaps itself
+    binary = kappa.count("0") + kappa.count("1") == len(kappa)
+    if not binary or kappa.startswith("1") or "11" in kappa:
+        raise MalformedCuttingSequence(kappa)
+    return kappa.replace("01", "1")
 
 
 def _digits(p: int, q: int) -> str:

@@ -47,6 +47,15 @@ def rotate_left(word: str, k: int) -> str:
     return word[k:] + word[:k]
 
 
+def _rotation_signs(word: str) -> bytes:
+    """One byte per rotation of the word: byte i is 1 when rotation i lies
+    above the word, ``ww[i:i+b] > word`` with ``ww = word + word``.  Both
+    word oracles, the preimage chain and the direct kneading, read it."""
+    b = len(word)
+    ww = word + word
+    return bytes(ww[i : i + b] > word for i in range(b))
+
+
 def is_sturmian(word: str) -> bool:
     """Balance test on the biinfinite repetition of the word: the 1-counts of
     equal-length cyclic factors never differ by more than one.  In linear time:

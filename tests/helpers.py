@@ -22,7 +22,9 @@ the Fraction pairs of lavaurs_pairs (production tests one word per doubling
 orbit over integer chords), and the long division reads an angle's expansion
 digit by digit (production canonicalizes PeriodicAngle on its words).  The
 cutting word sorts one (abscissa, symbol) tuple per crossing (production
-sorts integers whose parity is the symbol), the heap pairing joins the
+sorts integers whose parity is the symbol), the contraction scan rewrites
+the cutting word letter by letter (production tests it once and rewrites
+with str.replace), the heap pairing joins the
 closest non-crossing neighbours first with a crossing test per chord
 (production sweeps the regions of the lower chords once).  The stored chain
 keeps every orbit point and preimage and checks each list in a pass of its
@@ -42,6 +44,7 @@ from brokenline import (
     Convention,
     HypothesisViolated,
     InvariantViolated,
+    MalformedCuttingSequence,
     PeriodicAngle,
     UnlinkCertificate,
     UnlinkViolation,
@@ -434,6 +437,22 @@ def cutting_sequence_by_tuples(p_over_q, convention):
         [(i * p, "0") for i in range(1, q)] + [(j * q, "1") for j in range(1, p)]
     )
     return "".join(symbol for _, symbol in events) + convention.value
+
+
+def contract_by_scan(kappa):
+    """cutting_to_mechanical one letter at a time: each 1 overwrites the 0
+    written just before it, and a 1 with no such 0 is malformed."""
+    out = []
+    for ch in kappa:
+        if ch == "0":
+            out.append("0")
+        elif ch == "1":
+            if not out or out[-1] != "0":
+                raise MalformedCuttingSequence(kappa)
+            out[-1] = "1"
+        else:
+            raise MalformedCuttingSequence(kappa)
+    return "".join(out)
 
 
 # every angle of period <= 20 is an integer over this

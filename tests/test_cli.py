@@ -10,6 +10,8 @@ import pytest
 import brokenline
 from brokenline import (
     Convention,
+    KneadingSequence,
+    conjugate,
     conjugate_word,
     kneading_of_angle,
     mechanical,
@@ -376,3 +378,95 @@ def test_invariant_failure_is_a_typed_error(capsys, monkeypatch):
         assert doc["error_kind"] == "InvariantViolated"
         assert doc["message"].startswith("block_decomposition: ")
         assert "Traceback" not in err
+
+
+def _error_kind(capsys, *argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 1
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    return doc["error_kind"]
+
+
+def test_command_line_chain_catches_a_wrong_conjugate(capsys, monkeypatch):
+    # the command line checks the chain without conjugate_chain: one flipped
+    # conjugate digit must still fail it, at a period where the pairing
+    # oracle runs and at one where it is skipped
+    real = conjugate._primed_word
+
+    def flipped(decomposition):
+        word = real(decomposition)
+        middle = len(word) // 2
+        return word[:middle] + ("1" if word[middle] == "0" else "0") + word[middle + 1 :]
+
+    monkeypatch.setattr(conjugate, "_primed_word", flipped)
+    monkeypatch.setattr(cli, "_primed_word", flipped)
+    for spec in (("1/2", "7/11", "--hinge", "1"), ("2/5", "7/17", "--hinge", "2")):
+        base = (*spec, "--convention", "01")
+        assert _error_kind(capsys, "broken", *base, "--all", "--check") == "UnlinkViolation"
+        assert _error_kind(capsys, "conjugate", *base, "--verify") == "UnlinkViolation"
+
+
+def test_command_line_catches_a_wrong_structural_kneading(capsys, monkeypatch):
+    real = cli.kneading_of_spec
+
+    def wrong(spec):
+        symbols = real(spec).symbols
+        return KneadingSequence(("1" if symbols[0] == "0" else "0") + symbols[1:])
+
+    monkeypatch.setattr(cli, "kneading_of_spec", wrong)
+    base = ("2/5", "7/17", "--hinge", "2", "--convention", "01")
+    assert _error_kind(capsys, "broken", *base, "--check") == "PreconditionUnmet"
+    assert _error_kind(capsys, "kneading", *base, "--check") == "PreconditionUnmet"
+    assert _error_kind(capsys, "enumerate", "--period", "9", "--check") == "PreconditionUnmet"
+
+
+def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
+    # every namespace of the package that holds a counted function gets a
+    # counting wrapper; each stage of one command runs once
+    counts = dict.fromkeys(
+        ("broken_line_word", "block_decomposition", "locate", "_rotation_signs"), 0
+    )
+    modules = [
+        module for name, module in sys.modules.items()
+        if name == "brokenline" or name.startswith("brokenline.")
+    ]
+    originals = {
+        name: getattr(sys.modules["brokenline." + home], name)
+        for name, home in (
+            ("broken_line_word", "mechanical"),
+            ("block_decomposition", "mechanical"),
+            ("locate", "atlas"),
+            ("_rotation_signs", "words"),
+        )
+    }
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name, fn in originals.items():
+        wrapper = counting(name, fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    code, out, _ = run(
+        capsys,
+        "broken", "55/144", "377/987", "--hinge", "1", "--convention", "01",
+        "--all", "--check",
+    )
+    assert code == 0
+    assert as_dict(out)["check"] == "ok"
+    # the period word is built by the command, by block_decomposition's
+    # re-concatenation check and by locate
+    assert counts == {
+        "broken_line_word": 3,
+        "block_decomposition": 1,
+        "locate": 1,
+        "_rotation_signs": 1,
+    }

@@ -25,9 +25,11 @@ from brokenline.conjugate import (
     _CLOSE,
     _OPEN,
     _chain_certificates,
+    _check_chain,
     _pair_regions,
     _partners_at,
 )
+from brokenline.words import _rotation_signs
 from helpers import (
     all_specs,
     chain_by_integers,
@@ -138,6 +140,33 @@ def test_word_chain_rejects_malformed_words():
     for cword in ("10", "0110", ""):
         with pytest.raises(InvariantViolated, match="conjugate word has length"):
             _chain_certificates("011", cword, False)
+
+
+def _outcome(run):
+    try:
+        run()
+    except (InvariantViolated, UnlinkViolation) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_chain_check_raises_what_the_certificate_pass_raises():
+    # the command line runs the check alone: on every true conjugate it
+    # passes, and on every wrong conjugate and every malformed word it raises
+    # what the certificate pass raises
+    cases = []
+    for spec in all_specs(3, 14):
+        word, cword = broken_line_word(spec), conjugate_word(spec)
+        cases.append((word, cword, True))
+        cases += [(word, wrong, False) for wrong in _wrong_conjugates(word, cword)]
+    for word in ("011011", "0101", "111", "0"):
+        cases.append((word, word[:-1] + ("1" if word[-1] == "0" else "0"), False))
+    cases += [("011", "10", False), ("011", "", False)]
+    for word, cword, good in cases:
+        checked = _outcome(lambda: _check_chain(word, cword, _rotation_signs(word)))
+        certified = _outcome(lambda: _chain_certificates(word, cword, True))
+        assert checked == certified, (word, cword)
+        assert (checked is None) == good, (word, cword)
 
 
 def test_chain_cases_match_kneading_digits():

@@ -23,6 +23,7 @@ from brokenline import (
     word_to_fraction,
 )
 from brokenline.kneading import _kneading_of_word
+from brokenline.words import _rotation_signs
 from helpers import all_specs, all_words, doubling_orbit, kneading_by_tag_runs
 
 
@@ -53,7 +54,7 @@ def test_word_kneading_equals_the_orbit_itinerary():
     for length in range(2, 15):
         for word in all_words(length):
             if minimal_period(word) == length:
-                assert _kneading_of_word(word) == kneading_of_angle(
+                assert _kneading_of_word(word, _rotation_signs(word)) == kneading_of_angle(
                     word_to_fraction(word)
                 ), word
                 count += 1
@@ -63,7 +64,7 @@ def test_word_kneading_equals_the_orbit_itinerary():
 def test_word_kneading_rejects_a_proper_power():
     for word in ("011011", "0101", "111", "0", ""):
         with pytest.raises(InvariantViolated, match="no exact period"):
-            _kneading_of_word(word)
+            _kneading_of_word(word, _rotation_signs(word))
 
 
 def test_kneading_sequence_form():

@@ -35,6 +35,7 @@ from helpers import (
     balanced_by_factor_counts,
     base_index_by_scan,
     broken_word_by_digit_rule,
+    contract_by_scan,
     cutting_sequence_by_tuples,
     descent_tags,
     digit_rule,
@@ -64,6 +65,32 @@ def test_cutting_to_mechanical_rejects_orphan_ones():
         cutting_to_mechanical("100")
     with pytest.raises(MalformedCuttingSequence):
         cutting_to_mechanical("011")
+
+
+def _contraction(contract, kappa):
+    try:
+        return contract(kappa)
+    except MalformedCuttingSequence:
+        return MalformedCuttingSequence
+
+
+def test_contraction_matches_the_scan_on_every_short_word():
+    # every word over {0, 1, 2} of length <= 9, malformed ones included
+    count = 0
+    for length in range(10):
+        for letters in itertools.product("012", repeat=length):
+            kappa = "".join(letters)
+            assert _contraction(cutting_to_mechanical, kappa) == _contraction(
+                contract_by_scan, kappa
+            ), kappa
+            count += 1
+    assert count == (3**10 - 1) // 2
+
+
+def test_contraction_matches_the_scan_at_a_long_period():
+    for convention in CONVENTIONS:
+        kappa = cutting_sequence(Fraction(8001, 16001), convention)
+        assert cutting_to_mechanical(kappa) == contract_by_scan(kappa)
 
 
 def test_contraction_agrees_with_pair_rewriter():

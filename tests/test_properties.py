@@ -29,6 +29,7 @@ from brokenline import (
     word_to_fraction,
 )
 from brokenline.kneading import _kneading_of_word
+from brokenline.words import _rotation_signs
 from helpers import (
     base_index_by_scan,
     broken_word_by_digit_rule,
@@ -141,7 +142,8 @@ def binary_words(draw):
 )
 def test_word_kneading_equals_the_orbit_itinerary(word):
     assume(minimal_period(word) == len(word))
-    assert _kneading_of_word(word) == kneading_of_angle(word_to_fraction(word))
+    direct = _kneading_of_word(word, _rotation_signs(word))
+    assert direct == kneading_of_angle(word_to_fraction(word))
 
 
 @st.composite

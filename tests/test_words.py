@@ -15,9 +15,11 @@ from brokenline import (
     minimal_period,
     prime_minus,
     prime_plus,
+    rotate_left,
     rotation_diagnostics,
     validate_spec,
 )
+from brokenline.words import _rotation_signs
 from helpers import (
     CONVENTIONS,
     all_words,
@@ -185,3 +187,11 @@ def test_mediant_word_identities():
                     mechanical_word(upper, Convention.ONE_ZERO),
                 )
                 assert w == wl + wu == prime_minus(wu) + wl
+
+
+def test_rotation_signs_match_the_rotations():
+    # every word of length 2..12, proper powers included
+    for length in range(2, 13):
+        for word in all_words(length):
+            expected = bytes(rotate_left(word, i) > word for i in range(length))
+            assert _rotation_signs(word) == expected, word
