@@ -3,15 +3,24 @@ exhaustive enumeration of broken-line parameters, and the census."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
-from .angles import PeriodicAngle, minimal_period, word_to_fraction
+from .angles import PeriodicAngle, minimal_period
 from .conjugate import _GRID, _partners_at
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
-from .farey import BrokenLineSpec, FareyContext, _checked_spec, farey_parents
-from .mechanical import broken_line_word, mechanical_word
+from .farey import (
+    BrokenLineSpec,
+    FareyContext,
+    _bound_terms,
+    _check_hinge,
+    farey_parents,
+)
+from .mechanical import _digits, broken_line_word, mechanical_word
 from .words import Convention, is_sturmian, prime_minus, prime_plus, rotate_left
 
 __all__ = [
@@ -65,15 +74,18 @@ def junction_rays(
     tails are rotations (by multiples of the lower parent's denominator) of
     the primed limb word under 01, of the limb word itself under 10.
     """
-    indices = range(1, p_over_q.denominator + 1)
-    return _junction_rays(p_over_q, hinge, convention, indices)
-
-
-def _junction_rays(p_over_q: Fraction, hinge: int, convention: Convention, indices):
-    """The rays of junction_rays with the given 1-based indices, in order."""
     if hinge < 1:
         raise ValueError("hinge must be a positive integer")
     lower, _ = farey_parents(p_over_q)
+    indices = range(1, p_over_q.denominator + 1)
+    return _junction_rays(p_over_q, lower, hinge, convention, indices)
+
+
+def _junction_rays(
+    p_over_q: Fraction, lower: Fraction, hinge: int, convention: Convention, indices
+):
+    """The rays of junction_rays with the given 1-based indices, in order;
+    ``lower`` is the lower Farey parent of P/Q."""
     word = mechanical_word(p_over_q, convention)
     cutoff = len(word) - p_over_q.numerator
     if convention is Convention.ZERO_ONE:
@@ -109,6 +121,11 @@ def locate(spec: BrokenLineSpec) -> SpokeLocation:
     (Q-1)-th under 10; only the two rays bounding it are built.  Failure to
     bracket signals a bug, not bad input.
     """
+    return _locate(spec, broken_line_word(spec))
+
+
+def _locate(spec: BrokenLineSpec, word: str) -> SpokeLocation:
+    # locate for a spec whose period word is already built
     ctx = spec.context
     q = ctx.p_over_q.denominator
     if ctx.convention is Convention.ZERO_ONE:
@@ -116,27 +133,72 @@ def locate(spec: BrokenLineSpec) -> SpokeLocation:
     else:
         index, internal = q - 1, Fraction(ctx.hinge, ctx.hinge + 1)
     low, high = _junction_rays(
-        ctx.p_over_q, ctx.hinge, ctx.convention, (index, index + 1)
+        ctx.p_over_q, ctx.lower_parent, ctx.hinge, ctx.convention, (index, index + 1)
     )
-    theta = word_to_fraction(broken_line_word(spec))
-    if not low.value < theta < high.value:
+    # theta = k/full against each ray n/d, by cross-multiplication
+    k, full = int(word, 2), (1 << len(word)) - 1
+    (low_n, low_d), (high_n, high_d) = _ray_terms(low), _ray_terms(high)
+    if not (low_n * full < k * low_d and k * high_d < high_n * full):
+        theta = Fraction(k, full)
         raise BracketingFailed(f"{theta} is outside ({low.value}, {high.value})")
     return SpokeLocation(
         ctx.p_over_q, internal, index, (low, high), ctx.hinge * q
     )
 
 
+def _ray_terms(ray: PeriodicAngle) -> tuple[int, int]:
+    # the value of 0.u(v) as n/d, unreduced: n = int(u)*(2^|v| - 1) + int(v)
+    # and d = 2^|u| * (2^|v| - 1)
+    u, v = ray.preperiod, ray.period
+    cycle = (1 << len(v)) - 1
+    return (int(u, 2) if u else 0) * cycle + int(v, 2), cycle << len(u)
+
+
+# the convention of the broken lines hinged at a Stern-Brocot node, by the
+# turn the path to the slope takes there
+_TURNS = {"R": Convention.ZERO_ONE, "L": Convention.ONE_ZERO}
+
+
 @dataclass(frozen=True)
 class SpecEnumeration:
     """All validated parameter choices of one period, grouped by the angle
     they produce (several choices mapping to one angle would be a collision;
-    none are known)."""
+    none are known).
+
+    ``rows`` holds one row per choice, ``(key, P, Q, hinge, turn, a)``, in
+    increasing angle order and, within one angle, in the order the walk met
+    them: the angle is key/(2^period - 1), the limb P/Q, the slope a/period,
+    and turn is the side the slope's Stern-Brocot path takes at P/Q, "R" for
+    the 01 convention and "L" for 10.  ``len()`` reads the rows; the
+    Fractions, contexts and specs of ``entries`` are built on first read.
+    """
 
     period: int
-    entries: tuple[tuple[Fraction, tuple[BrokenLineSpec, ...]], ...]
+    rows: tuple[tuple[int, int, int, int, str, int], ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len({row[0] for row in self.rows})
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[Fraction, tuple[BrokenLineSpec, ...]], ...]:
+        """(angle, specs) per angle, in increasing angle order."""
+        full = (1 << self.period) - 1
+        contexts: dict[tuple[int, int, int, str], FareyContext] = {}
+        slopes: dict[int, Fraction] = {}
+        entries = []
+        for key, group in groupby(self.rows, itemgetter(0)):
+            specs = []
+            for _, p, q, hinge, turn, a in group:
+                node = (p, q, hinge, turn)
+                if node not in contexts:
+                    contexts[node] = FareyContext.build(
+                        Fraction(p, q), hinge, _TURNS[turn]
+                    )
+                if a not in slopes:
+                    slopes[a] = Fraction(a, self.period)
+                specs.append(BrokenLineSpec(contexts[node], slopes[a]))
+            entries.append((Fraction(key, full), tuple(specs)))
+        return tuple(entries)
 
     @property
     def angles(self) -> list[Fraction]:
@@ -158,66 +220,81 @@ def enumerate_specs(period: int) -> SpecEnumeration:
     integer pairs: a right turn at a node opens 01-choices there, a left turn
     10-choices, and the length of the straight run just after the turn caps
     the hinge.  Each candidate passes the hinge inequalities of validate_spec
-    against a context built once per node, hinge and convention.  The slope
-    word is built once per slope and convention; a choice's period word is
-    that word with its trailing hinge prefix, hinge*Q digits, rotated to the
-    front (as in broken_line_word).  Angles are keyed by their integer
-    numerator over 2^period - 1, and one Fraction is built per angle.
+    on integers, against the bound built from the node's Farey parents, which
+    are the two ends of the walk's interval there.  The slope word is built
+    once per slope and convention; a choice's period word is that word with
+    its trailing hinge prefix, hinge*Q digits, rotated to the front (as in
+    broken_line_word), which must be hinge copies of the limb word.  The
+    rotation is taken on the word's integer value, which is the angle's
+    numerator over 2^period - 1.  The result holds one integer row per
+    choice and builds no Fraction, context or spec until they are read.
     """
     if period < 3:
         raise ValueError("enumeration starts at period 3")
-    conventions = {"R": Convention.ZERO_ONE, "L": Convention.ONE_ZERO}
-    # (P, Q, hinge, turn) -> (context, hinge prefix of the period word)
-    contexts: dict[tuple, tuple[FareyContext, str]] = {}
-    found: dict[int, list[BrokenLineSpec]] = {}
+    rows = sorted(_spec_rows(period), key=itemgetter(0))
+    return SpecEnumeration(period, tuple(rows))
+
+
+def _spec_rows(period: int) -> list[tuple[int, int, int, int, str, int]]:
+    # the rows of enumerate_specs, in the order the walk meets them
+    limb_words: dict[tuple[int, int, str], str] = {}
+    rows = []
     for a in range(1, period):
         if math.gcd(a, period) != 1:
             continue
-        slope = Fraction(a, period)
-        words = {side: mechanical_word(slope, c) for side, c in conventions.items()}
-        # the strict ancestors of the slope and the turn taken at each
+        inner = _digits(a, period)
+        words = {turn: inner + c.value for turn, c in _TURNS.items()}
+        values = {turn: int(word, 2) for turn, word in words.items()}
+        # the strict ancestors of the slope, each with the turn the path takes
+        # there and the Farey parent its hinge bounds start from: the upper
+        # one after a right turn, the lower one after a left turn
         nodes, sides = [], []
         lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
         while True:
             p, q = lo_p + hi_p, lo_q + hi_q
             if p == a and q == period:
                 break
-            nodes.append((p, q))
             if a * q < p * period:
+                nodes.append((p, q, (lo_p, lo_q)))
                 sides.append("L")
                 hi_p, hi_q = p, q
             else:
+                nodes.append((p, q, (hi_p, hi_q)))
                 sides.append("R")
                 lo_p, lo_q = p, q
         turns = "".join(sides)
-        for i, (p, q) in enumerate(nodes):
-            side = turns[i]
-            word = words[side]
-            after = turns.find(side, i + 1)
-            straight = (len(turns) if after < 0 else after) - i - 1
-            for hinge in range(1, straight + 2):
-                key = (p, q, hinge, side)
-                if key not in contexts:
-                    node, convention = Fraction(p, q), conventions[side]
-                    contexts[key] = (
-                        FareyContext.build(node, hinge, convention),
-                        mechanical_word(node, convention) * hinge,
+        for (p, q, parent), turn, cap in zip(nodes, turns, _hinge_caps(turns)):
+            word, value = words[turn], values[turn]
+            limb = limb_words.get((p, q, turn))
+            if limb is None:
+                limb = limb_words[p, q, turn] = _digits(p, q) + _TURNS[turn].value
+            for hinge in range(1, cap + 1):
+                c, d = _bound_terms(p, q, parent, hinge)
+                _check_hinge(p, q, a, period, c, d, turn == "R")
+                if not word.endswith(limb * hinge):
+                    spec = BrokenLineSpec(
+                        FareyContext.build(Fraction(p, q), hinge, _TURNS[turn]),
+                        Fraction(a, period),
                     )
-                context, prefix = contexts[key]
-                spec = _checked_spec(context, slope)
-                if not word.endswith(prefix):
                     raise InvariantViolated(
                         "enumerate_specs",
                         "slope word does not end in the hinge prefix",
                         spec,
                     )
                 cut = hinge * q
-                found.setdefault(int(word[-cut:] + word[:-cut], 2), []).append(spec)
-    full = (1 << period) - 1
-    entries = tuple(
-        (Fraction(key, full), tuple(found[key])) for key in sorted(found)
-    )
-    return SpecEnumeration(period, entries)
+                key = (value & ((1 << cut) - 1)) << (period - cut) | value >> cut
+                rows.append((key, p, q, hinge, turn, a))
+    return rows
+
+
+def _hinge_caps(turns: str) -> list[int]:
+    # the largest hinge at each node of a Stern-Brocot path: one more than
+    # the number of nodes after it before the path turns to its side again
+    caps = []
+    for i, turn in enumerate(turns):
+        after = turns.find(turn, i + 1)
+        caps.append(len(turns) - i if after < 0 else after - i)
+    return caps
 
 
 def euler_phi(n: int) -> int:

@@ -13,13 +13,16 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .angles import PeriodicAngle, fraction_to_expansion, word_to_fraction
 from .atlas import (
     CENSUS_LIMIT,
     SpokeLocation,
+    _TURNS,
+    _locate,
     enumerate_specs,
-    locate,
     sturmian_census,
     tune,
 )
@@ -35,7 +38,7 @@ from .kneading import (
 )
 from .mechanical import (
     BlockDecomposition,
-    block_decomposition,
+    _block_decomposition,
     broken_line_word,
     characteristic_pair,
     cutting_sequence,
@@ -150,7 +153,7 @@ class _Stages:
 
     @functools.cached_property
     def decomposition(self) -> BlockDecomposition:
-        return block_decomposition(self.spec)
+        return _block_decomposition(self.spec, self.word)
 
     @functools.cached_property
     def cword(self) -> str:
@@ -162,7 +165,7 @@ class _Stages:
 
     @functools.cached_property
     def spot(self) -> SpokeLocation:
-        return locate(self.spec)
+        return _locate(self.spec, self.word)
 
     @functools.cached_property
     def up(self) -> bytes:
@@ -293,16 +296,30 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
         sturmian_census(args.period)  # raises the cap error before any work
     enumeration = enumerate_specs(args.period)
     payload: dict = {"period": args.period, "count": len(enumeration)}
+    # each angle's first spec, written from its row as _spec_fields would
+    # write it: the limb and the slope are reduced, the angle is reduced by
+    # g, and each lies strictly between 0 and 1, so its Fraction prints p/q
+    full = (1 << args.period) - 1
     entries = []
-    for angle, specs in enumeration.entries:
-        head = _spec_fields(specs[0])
-        head["angle"] = str(angle)
-        if len(specs) > 1:
-            head["collisions"] = len(specs)
+    collisions = 0
+    for key, group in groupby(enumeration.rows, itemgetter(0)):
+        _, p, q, hinge, turn, a = next(group)
+        g = math.gcd(key, full)
+        head = {
+            "limb": f"{p}/{q}",
+            "slope": f"{a}/{args.period}",
+            "hinge": hinge,
+            "convention": _TURNS[turn].value,
+            "angle": f"{key // g}/{full // g}",
+        }
+        more = sum(1 for _ in group)
+        if more:
+            head["collisions"] = more + 1
+            collisions += 1
         entries.append(head)
     payload["entries"] = entries
-    if enumeration.collisions:
-        payload["collisions"] = len(enumeration.collisions)
+    if collisions:
+        payload["collisions"] = collisions
     if args.census:
         rows = []
         for b in range(3, args.period + 1):

@@ -92,15 +92,23 @@ def _bound(
     hinge: int,
     convention: Convention,
 ) -> Fraction:
-    # the Farey neighbour of P/Q reached by adding hinge-1 copies of P/Q to
-    # the upper parent (01) or the lower one (10)
     if hinge < 1:
         raise ValueError("hinge must be a positive integer")
     lower, upper = parents
+    parent = upper if convention is Convention.ZERO_ONE else lower
     p, q = p_over_q.numerator, p_over_q.denominator
-    if convention is Convention.ZERO_ONE:
-        return Fraction((hinge - 1) * p + upper.numerator, (hinge - 1) * q + upper.denominator)
-    return Fraction(lower.numerator + (hinge - 1) * p, lower.denominator + (hinge - 1) * q)
+    c, d = _bound_terms(p, q, (parent.numerator, parent.denominator), hinge)
+    return Fraction(c, d)
+
+
+def _bound_terms(
+    p: int, q: int, parent: tuple[int, int], hinge: int
+) -> tuple[int, int]:
+    # the Farey neighbour of P/Q reached by adding hinge-1 copies of P/Q to
+    # the parent, the upper one under 01 and the lower one under 10, as
+    # (numerator, denominator): reduced, since it neighbours P/Q
+    n, d = parent
+    return n + (hinge - 1) * p, d + (hinge - 1) * q
 
 
 def bezout_minimal(q: int, t: int) -> tuple[int, int]:
@@ -194,24 +202,40 @@ def validate_spec(
 
 
 def _checked_spec(context: FareyContext, slope: Fraction) -> BrokenLineSpec:
-    # the hinge inequalities: the slope lies strictly between P/Q and the
-    # hinge bound, compared by integer cross-multiplication
     limb, bound = context.p_over_q, context.bound
-    p, q = limb.numerator, limb.denominator
-    a, b = slope.numerator, slope.denominator
-    c, d = bound.numerator, bound.denominator
-    if context.convention is Convention.ZERO_ONE:
+    _check_hinge(
+        limb.numerator,
+        limb.denominator,
+        slope.numerator,
+        slope.denominator,
+        bound.numerator,
+        bound.denominator,
+        context.convention is Convention.ZERO_ONE,
+    )
+    return BrokenLineSpec(context, slope)
+
+
+def _check_hinge(
+    p: int, q: int, a: int, b: int, c: int, d: int, zero_one: bool
+) -> None:
+    # the hinge inequalities: the slope a/b lies strictly between P/Q and the
+    # hinge bound c/d, compared by integer cross-multiplication over the
+    # positive denominators; each ratio is written as its Fraction
+    if zero_one:
         if not p * b < a * q:
-            raise HypothesisViolated(f"P/Q < a/b fails: {limb} vs {slope}")
+            raise HypothesisViolated(
+                f"P/Q < a/b fails: {Fraction(p, q)} vs {Fraction(a, b)}"
+            )
         if not a * d < c * b:
             raise HypothesisViolated(
-                f"a/b below the hinge bound fails: {slope} vs {bound}"
+                f"a/b below the hinge bound fails: {Fraction(a, b)} vs {Fraction(c, d)}"
             )
     else:
         if not c * b < a * d:
             raise HypothesisViolated(
-                f"a/b above the hinge bound fails: {slope} vs {bound}"
+                f"a/b above the hinge bound fails: {Fraction(a, b)} vs {Fraction(c, d)}"
             )
         if not a * q < p * b:
-            raise HypothesisViolated(f"a/b < P/Q fails: {slope} vs {limb}")
-    return BrokenLineSpec(context, slope)
+            raise HypothesisViolated(
+                f"a/b < P/Q fails: {Fraction(a, b)} vs {Fraction(p, q)}"
+            )

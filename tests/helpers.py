@@ -30,7 +30,9 @@ closest non-crossing neighbours first with a crossing test per chord
 keeps every orbit point and preimage and checks each list in a pass of its
 own, and the integer chain streams them as integer numerators over
 2^b (2^b - 1), with its halving and closed-form checks (production compares
-the period word and the conjugate word, slice against slice).
+the period word and the conjugate word, slice against slice).  The object
+payload writes `enumerate --period B` from the Fractions and specs of the
+enumeration's entries (production writes it from the integer rows).
 """
 
 import heapq
@@ -60,10 +62,12 @@ from brokenline import (
     rotate_left,
     single_block_slope,
     stern_brocot_path,
+    sturmian_census,
     unlinked,
     validate_spec,
     word_to_fraction,
 )
+from brokenline.cli import _check_spec, _Stages
 
 CONVENTIONS = (Convention.ZERO_ONE, Convention.ONE_ZERO)
 
@@ -326,6 +330,53 @@ def enumerate_by_validation(period):
                 found.setdefault(key, []).append(spec)
     full = (1 << period) - 1
     return tuple((Fraction(key, full), tuple(found[key])) for key in sorted(found))
+
+
+def enumerate_payload_by_objects(period, census=False, check=False):
+    """The payload of `enumerate --period B`, written from the Fractions and
+    specs of enumerate_specs(period).entries: str of each Fraction and of the
+    first spec's fields, the collisions read off the groups."""
+    enumeration = enumerate_specs(period)
+    payload = {"period": period, "count": len(enumeration)}
+    entries = []
+    for angle, specs in enumeration.entries:
+        spec = specs[0]
+        head = {
+            "limb": str(spec.p_over_q),
+            "slope": str(spec.slope),
+            "hinge": spec.hinge,
+            "convention": str(spec.convention),
+            "angle": str(angle),
+        }
+        if len(specs) > 1:
+            head["collisions"] = len(specs)
+        entries.append(head)
+    payload["entries"] = entries
+    if enumeration.collisions:
+        payload["collisions"] = len(enumeration.collisions)
+    if census:
+        rows = []
+        for b in range(3, period + 1):
+            constructed, formula, brute = sturmian_census(b)
+            rows.append(
+                {
+                    "period": b,
+                    "formula": formula,
+                    "constructed": constructed,
+                    "brute": brute,
+                }
+            )
+            if not constructed == formula == brute:
+                payload["census-discrepancy"] = (
+                    f"period {b}: formula={formula} "
+                    f"constructed={constructed} brute={brute}"
+                )
+        payload["census"] = rows
+    if check:
+        for _, specs in enumeration.entries:
+            _check_spec(_Stages(specs[0]))
+        payload["check"] = f"ok ({len(enumeration)} angles)"
+    return payload
 
 
 def census_by_word(period):

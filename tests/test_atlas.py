@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from brokenline import (
+    BracketingFailed,
     Convention,
+    HypothesisViolated,
     InvariantViolated,
     PeriodicAngle,
     PreconditionUnmet,
@@ -167,6 +169,36 @@ def test_locate_never_fails_on_valid_specs():
         assert lo.value < theta < hi.value
 
 
+def test_locate_rejects_the_neighbouring_spoke(monkeypatch):
+    # handed the rays of the next spoke inward, locate must find the angle
+    # below the lower ray (01, spoke 2) or above the upper one (10, spoke
+    # Q-2) and say so in Fractions
+    expected = {}
+    for spec in all_specs(3, 16):
+        ctx = spec.context
+        q = ctx.p_over_q.denominator
+        if q < 3:
+            continue
+        rays = junction_rays(ctx.p_over_q, ctx.hinge, ctx.convention)
+        zero_one = ctx.convention is Convention.ZERO_ONE
+        lo, hi = rays[1:3] if zero_one else rays[q - 3 : q - 1]
+        theta = word_to_fraction(broken_line_word(spec))
+        expected[spec] = f"{theta} is outside ({lo.value}, {hi.value})"
+    real = atlas._junction_rays
+    step = {Convention.ZERO_ONE: 1, Convention.ONE_ZERO: -1}
+
+    def inward(p_over_q, lower, hinge, convention, indices):
+        indices = tuple(k + step[convention] for k in indices)
+        return real(p_over_q, lower, hinge, convention, indices)
+
+    monkeypatch.setattr(atlas, "_junction_rays", inward)
+    for spec, message in expected.items():
+        with pytest.raises(BracketingFailed) as failure:
+            locate(spec)
+        assert str(failure.value) == message
+    assert len(expected) > 100
+
+
 def test_enumerate_golden():
     assert enumerate_specs(3).angles == [Fraction(3, 7), Fraction(4, 7)]
     enum4 = enumerate_specs(4)
@@ -198,19 +230,35 @@ def test_enumerate_matches_the_per_spec_loop():
 
 
 def test_enumerate_checks_the_hinge_prefix(monkeypatch):
-    real = atlas.mechanical_word
+    real = atlas._digits
 
-    def wrong_limb_word(x, convention):
-        # a run of 1s of the limb's length never ends a mechanical word
-        if x.denominator < 7:
-            return "1" * x.denominator
-        return real(x, convention)
+    def wrong_limb_digits(p, q):
+        # the limb word of a node below 7 gets its first digit flipped: a
+        # word of the right length that is not the one the slope word ends in
+        digits = real(p, q)
+        if 2 < q < 7:
+            return ("1" if digits[0] == "0" else "0") + digits[1:]
+        return digits
 
-    monkeypatch.setattr(atlas, "mechanical_word", wrong_limb_word)
+    monkeypatch.setattr(atlas, "_digits", wrong_limb_digits)
     with pytest.raises(InvariantViolated) as failure:
         enumerate_specs(7)
     assert failure.value.stage == "enumerate_specs"
     assert failure.value.spec.period == 7
+
+
+def test_enumerate_checks_the_hinge_inequalities(monkeypatch):
+    # one hinge past the straight run after a turn breaks the hinge bound;
+    # the walk must reject that choice with validate_spec's error before its
+    # hinge-prefix test or its key are reached
+    real = atlas._hinge_caps
+    monkeypatch.setattr(
+        atlas, "_hinge_caps", lambda turns: [cap + 1 for cap in real(turns)]
+    )
+    for b in (3, 7, 12):
+        with pytest.raises(HypothesisViolated) as failure:
+            enumerate_specs(b)
+        assert "hinge bound fails" in str(failure.value)
 
 
 def test_enumerated_conjugates():

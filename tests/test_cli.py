@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -9,10 +10,14 @@ import pytest
 
 import brokenline
 from brokenline import (
+    BrokenLineSpec,
     Convention,
+    FareyContext,
     KneadingSequence,
+    atlas,
     conjugate,
     conjugate_word,
+    enumerate_specs,
     kneading_of_angle,
     mechanical,
     validate_spec,
@@ -20,7 +25,7 @@ from brokenline import (
 )
 from brokenline import cli
 from brokenline.cli import main
-from helpers import broken_word_by_digit_rule
+from helpers import broken_word_by_digit_rule, enumerate_payload_by_objects
 
 
 def run(capsys, *argv):
@@ -426,7 +431,7 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
     # every namespace of the package that holds a counted function gets a
     # counting wrapper; each stage of one command runs once
     counts = dict.fromkeys(
-        ("broken_line_word", "block_decomposition", "locate", "_rotation_signs"), 0
+        ("broken_line_word", "_block_decomposition", "_locate", "_rotation_signs"), 0
     )
     modules = [
         module for name, module in sys.modules.items()
@@ -436,8 +441,8 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
         name: getattr(sys.modules["brokenline." + home], name)
         for name, home in (
             ("broken_line_word", "mechanical"),
-            ("block_decomposition", "mechanical"),
-            ("locate", "atlas"),
+            ("_block_decomposition", "mechanical"),
+            ("_locate", "atlas"),
             ("_rotation_signs", "words"),
         )
     }
@@ -462,11 +467,86 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
     )
     assert code == 0
     assert as_dict(out)["check"] == "ok"
-    # the period word is built by the command, by block_decomposition's
-    # re-concatenation check and by locate
+    # the period word is built once, by the command, and handed to the
+    # block decomposition's re-concatenation check and to the location
     assert counts == {
-        "broken_line_word": 3,
-        "block_decomposition": 1,
-        "locate": 1,
+        "broken_line_word": 1,
+        "_block_decomposition": 1,
+        "_locate": 1,
         "_rotation_signs": 1,
     }
+
+
+def _assert_enumerate_prints(capsys, payload, *argv):
+    # text and --json stdout of `enumerate --period ...` against the payload
+    code, out, err = run(capsys, "enumerate", "--period", *argv)
+    assert code == 0 and err == ""
+    cli._print_text(payload)
+    assert out == capsys.readouterr().out
+    code, out, _ = run(capsys, "enumerate", "--period", *argv, "--json")
+    assert code == 0
+    assert out == json.dumps({"status": "ok", "payload": payload}) + "\n"
+
+
+def test_enumerate_prints_what_the_object_path_prints(capsys):
+    # the command writes each entry from its integer row; the object payload
+    # writes it from the entries' Fractions and specs
+    for b in [*range(3, 61), 127, 229]:
+        _assert_enumerate_prints(capsys, enumerate_payload_by_objects(b), str(b))
+        if b <= 24:
+            payload = enumerate_payload_by_objects(b, check=True)
+            _assert_enumerate_prints(capsys, payload, str(b), "--check")
+    payload = enumerate_payload_by_objects(9, census=True, check=True)
+    _assert_enumerate_prints(capsys, payload, "9", "--census", "--check")
+
+
+def test_enumerate_prints_collisions_and_reducible_keys(capsys, monkeypatch):
+    real = atlas._spec_rows
+
+    def injected(period):
+        # a second choice for the first angle met, two more for the last, and
+        # a key sharing the factor 7 with 2^9 - 1 = 7 * 73, which no real
+        # angle of these periods has but a Fraction would reduce
+        rows = real(period)
+        last = rows[-1][0]
+        return [
+            *rows,
+            rows[0],
+            (last, *rows[1][1:]),
+            (last, *rows[2][1:]),
+            (21, *rows[3][1:]),
+        ]
+
+    monkeypatch.setattr(atlas, "_spec_rows", injected)
+    payload = enumerate_payload_by_objects(9)
+    assert payload["collisions"] == 2
+    assert payload["count"] == len(payload["entries"])
+    sizes = [e["collisions"] for e in payload["entries"] if "collisions" in e]
+    assert sorted(sizes) == [2, 3]
+    assert "3/73" in [e["angle"] for e in payload["entries"]]
+    _assert_enumerate_prints(capsys, payload, "9")
+
+
+def test_plain_enumerate_builds_no_specs(capsys, monkeypatch):
+    # len() and the command without --check read the integer rows only
+    built = collections.Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args):
+            built[cls.__name__] += 1
+            init(self, *args)
+
+        return counted
+
+    for cls in (BrokenLineSpec, FareyContext):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    assert len(enumerate_specs(229)) > 0
+    assert run(capsys, "enumerate", "--period", "229")[0] == 0
+    assert run(capsys, "enumerate", "--period", "229", "--json")[0] == 0
+    assert built == {}
+    # the counters see what reading the entries builds
+    specs = enumerate_specs(7).specs()
+    assert built["BrokenLineSpec"] == len(specs) > 0
+    assert 0 < built["FareyContext"] <= len(specs)
