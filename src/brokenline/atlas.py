@@ -121,11 +121,6 @@ def locate(spec: BrokenLineSpec) -> SpokeLocation:
     (Q-1)-th under 10; only the two rays bounding it are built.  Failure to
     bracket signals a bug, not bad input.
     """
-    return _locate(spec, broken_line_word(spec))
-
-
-def _locate(spec: BrokenLineSpec, word: str) -> SpokeLocation:
-    # locate for a spec whose period word is already built
     ctx = spec.context
     q = ctx.p_over_q.denominator
     if ctx.convention is Convention.ZERO_ONE:
@@ -135,6 +130,7 @@ def _locate(spec: BrokenLineSpec, word: str) -> SpokeLocation:
     low, high = _junction_rays(
         ctx.p_over_q, ctx.lower_parent, ctx.hinge, ctx.convention, (index, index + 1)
     )
+    word = broken_line_word(spec)
     # theta = k/full against each ray n/d, by cross-multiplication
     k, full = int(word, 2), (1 << len(word)) - 1
     (low_n, low_d), (high_n, high_d) = _ray_terms(low), _ray_terms(high)

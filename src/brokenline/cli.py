@@ -21,13 +21,13 @@ from .atlas import (
     CENSUS_LIMIT,
     SpokeLocation,
     _TURNS,
-    _locate,
     enumerate_specs,
+    locate,
     sturmian_census,
     tune,
 )
 from .conjugate import _check_chain, _primed_word, lavaurs_partner
-from .errors import BrokenLineError, PreconditionUnmet
+from .errors import BrokenLineError, InvariantViolated, PreconditionUnmet
 from .farey import BrokenLineSpec, validate_spec
 from .kneading import (
     KneadingSequence,
@@ -38,7 +38,7 @@ from .kneading import (
 )
 from .mechanical import (
     BlockDecomposition,
-    _block_decomposition,
+    block_decomposition,
     broken_line_word,
     characteristic_pair,
     cutting_sequence,
@@ -118,7 +118,9 @@ def cmd_line(args: argparse.Namespace) -> dict:
     }
     if args.check:
         if word != mechanical_word(slope, args.convention):
-            raise PreconditionUnmet("pipelines disagree on the mechanical word")
+            raise InvariantViolated(
+                "cutting_to_mechanical", "pipelines disagree on the mechanical word"
+            )
         payload["check"] = "ok"
     return payload
 
@@ -135,7 +137,7 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
     }
     if args.check:
         if not low < high:
-            raise PreconditionUnmet("characteristic pair out of order")
+            raise InvariantViolated("characteristic_pair", "pair out of order")
         payload["check"] = "ok"
     return payload
 
@@ -153,7 +155,7 @@ class _Stages:
 
     @functools.cached_property
     def decomposition(self) -> BlockDecomposition:
-        return _block_decomposition(self.spec, self.word)
+        return block_decomposition(self.spec)
 
     @functools.cached_property
     def cword(self) -> str:
@@ -165,7 +167,7 @@ class _Stages:
 
     @functools.cached_property
     def spot(self) -> SpokeLocation:
-        return _locate(self.spec, self.word)
+        return locate(self.spec)
 
     @functools.cached_property
     def up(self) -> bytes:
@@ -174,7 +176,9 @@ class _Stages:
     def check_kneading(self) -> None:
         # the structural kneading against the one read off the orbit
         if self.kneading != _kneading_of_word(self.word, self.up):
-            raise PreconditionUnmet("structural and direct kneading disagree")
+            raise InvariantViolated(
+                "kneading_of_spec", "structural and direct kneading disagree", self.spec
+            )
 
     def check_chain(self) -> None:
         _check_chain(self.word, self.cword, self.up, self.spec)
@@ -182,7 +186,9 @@ class _Stages:
 
 def _check_spec(stages: _Stages) -> None:
     if not is_sturmian(stages.word):
-        raise PreconditionUnmet("period word fails the balance test")
+        raise InvariantViolated(
+            "broken_line_word", "period word fails the balance test", stages.spec
+        )
     stages.check_kneading()
     stages.check_chain()
     stages.spot  # locate raises when no spoke brackets the angle
@@ -241,7 +247,9 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
         if spec.period <= LAVAURS_VERIFY_LIMIT:
             partner = lavaurs_partner(angle)
             if partner != conjugate:
-                raise PreconditionUnmet("pairing oracle disagrees")
+                raise InvariantViolated(
+                    "conjugate_word", "pairing oracle disagrees", spec
+                )
             payload["lavaurs"] = "ok"
         else:
             payload["lavaurs"] = f"skipped (period > {LAVAURS_VERIFY_LIMIT})"
@@ -270,7 +278,9 @@ def cmd_kneading_of_angle(args: argparse.Namespace) -> dict:
         if ks.period <= 12:
             partner = lavaurs_partner(theta)
             if kneading_of_angle(partner) != ks:
-                raise PreconditionUnmet("conjugate angles disagree on kneading")
+                raise InvariantViolated(
+                    "kneading_of_angle", "conjugate angles disagree on kneading"
+                )
             payload["check"] = "ok"
         else:
             payload["check"] = "skipped (period > 12)"
@@ -356,7 +366,7 @@ def cmd_tune(args: argparse.Namespace) -> dict:
     }
     if args.check:
         if PeriodicAngle.parse(str(tuned)) != tuned:
-            raise PreconditionUnmet("tuned expansion does not round-trip")
+            raise InvariantViolated("tune", "tuned expansion does not round-trip")
         payload["check"] = "ok"
     return payload
 

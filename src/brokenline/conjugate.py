@@ -8,14 +8,15 @@ with theta by slice comparisons of those two words and by the rotation
 signs of the period word, which the direct kneading reads too: a period
 word of exact period b >= 2 mixes 0s and 1s, so no expansion ends in 0^inf
 or 1^inf and comparing two expansions compares their values.  The check
-(_check_chain) only raises; the command line runs it alone.  The public
-conjugate_chain runs it and then one more pass that builds an
-UnlinkCertificate per step.  The Lavaurs pairing is a test-only oracle: the
-chords of the lower periods cut the disc into regions, and inside each
-region the angles of one exact period are joined in consecutive pairs, by
-one sweep over the sorted chord endpoints.  There an angle is an integer
-numerator over the lcm of all 2^p - 1 with p <= 20.  A ``Fraction`` is
-built only where a public function returns one.
+(_check_chain) only raises; the command line runs it alone, and
+conjugate_chain runs it and then builds an UnlinkCertificate per step.  The
+Lavaurs pairing is the other verifier, which ``conjugate --verify``,
+``kneading-of-angle --check`` and sturmian_census read: the chords of the
+lower periods cut the disc into regions, and inside each region the angles
+of one exact period are joined in consecutive pairs, by one sweep over the
+sorted chord endpoints.  There an angle is an integer numerator over the
+lcm of all 2^p - 1 with p <= 20.  A ``Fraction`` is built only where a
+public function returns one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cache
 from itertools import compress
 from operator import xor
 
-from .angles import PeriodicAngle
+from .angles import PeriodicAngle, minimal_period
 from .errors import InvariantViolated, UnlinkViolation
 from .farey import BrokenLineSpec
 from .mechanical import BlockDecomposition, block_decomposition, broken_line_word
@@ -129,7 +130,7 @@ def _check_chain(
     b = len(word)
     # exact period b: rotation i of the word differs from it for 0 < i < b,
     # so no O_k or P_k with k >= 2 lies on a partition point
-    if b < 2 or (word + word).find(word, 1) != b:
+    if b < 2 or minimal_period(word) != b:
         raise InvariantViolated(
             "conjugate_chain", f"period word has no exact period {b}", spec
         )
@@ -156,22 +157,6 @@ def _check_chain(
         raise UnlinkViolation(next(k for k, x, y in pairs if x != y))
 
 
-def _chain_certificates(
-    word: str, cword: str, zero_one: bool, spec: BrokenLineSpec | None = None
-) -> tuple[UnlinkCertificate, ...]:
-    """_check_chain, then the unlinking certificates of its steps."""
-    up = _rotation_signs(word)
-    _check_chain(word, cword, up, spec)
-    # O_k against x2 = last theta: by the first digit, then by the rotation;
-    # a lazy pass, so that only the returned tuple holds b pointers
-    last = word[-1]
-    cases = (
-        (d > last if d != last else o_up) == zero_one
-        for d, o_up in zip(word[-2::-1], reversed(up))
-    )
-    return tuple(map(UnlinkCertificate, range(2, len(word) + 1), cases))
-
-
 def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
     """Pull the broken-line angle back along the primed-block conjugate and
     certify every step.
@@ -184,11 +169,20 @@ def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
     """
     word = broken_line_word(spec)
     cword = conjugate_word(spec)
+    up = _rotation_signs(word)
+    _check_chain(word, cword, up, spec)
+    # O_k against x2 = last theta: by the first digit, then by the rotation;
+    # a lazy pass, so that only the returned tuple holds b pointers
     zero_one = spec.convention is Convention.ZERO_ONE
+    last = word[-1]
+    cases = (
+        (d > last if d != last else o_up) == zero_one
+        for d, o_up in zip(word[-2::-1], reversed(up))
+    )
     return ConjugateChain(
         PeriodicAngle(period=word),
         PeriodicAngle(period=cword),
-        _chain_certificates(word, cword, zero_one, spec),
+        tuple(map(UnlinkCertificate, range(2, len(word) + 1), cases)),
     )
 
 

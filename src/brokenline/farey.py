@@ -83,22 +83,7 @@ def bound_fraction(p_over_q: Fraction, hinge: int, convention: Convention) -> Fr
     bound under the 01 convention, a lower bound under 10."""
     if not 0 < p_over_q < 1:
         raise ValueError("limb fraction must lie strictly between 0 and 1")
-    return _bound(p_over_q, farey_parents(p_over_q), hinge, convention)
-
-
-def _bound(
-    p_over_q: Fraction,
-    parents: tuple[Fraction, Fraction],
-    hinge: int,
-    convention: Convention,
-) -> Fraction:
-    if hinge < 1:
-        raise ValueError("hinge must be a positive integer")
-    lower, upper = parents
-    parent = upper if convention is Convention.ZERO_ONE else lower
-    p, q = p_over_q.numerator, p_over_q.denominator
-    c, d = _bound_terms(p, q, (parent.numerator, parent.denominator), hinge)
-    return Fraction(c, d)
+    return FareyContext.build(p_over_q, hinge, convention).bound
 
 
 def _bound_terms(
@@ -136,9 +121,13 @@ class FareyContext:
     @classmethod
     def build(cls, p_over_q: Fraction, hinge: int, convention: Convention) -> "FareyContext":
         """Solve for the Farey parents once and derive the bound from them."""
-        parents = farey_parents(p_over_q)
-        bound = _bound(p_over_q, parents, hinge, convention)
-        return cls(p_over_q, *parents, hinge, convention, bound)
+        lower, upper = farey_parents(p_over_q)
+        if hinge < 1:
+            raise ValueError("hinge must be a positive integer")
+        parent = upper if convention is Convention.ZERO_ONE else lower
+        p, q = p_over_q.numerator, p_over_q.denominator
+        c, d = _bound_terms(p, q, (parent.numerator, parent.denominator), hinge)
+        return cls(p_over_q, lower, upper, hinge, convention, Fraction(c, d))
 
 
 def single_block_slope(context: FareyContext, m: int) -> Fraction:
@@ -198,20 +187,10 @@ def validate_spec(
         raise HypothesisViolated(f"0 < a/b < 1 fails for {slope}")
     if hinge < 1:
         raise HypothesisViolated(f"hinge must be >= 1, got {hinge}")
-    return _checked_spec(FareyContext.build(limb, hinge, convention), slope)
-
-
-def _checked_spec(context: FareyContext, slope: Fraction) -> BrokenLineSpec:
-    limb, bound = context.p_over_q, context.bound
-    _check_hinge(
-        limb.numerator,
-        limb.denominator,
-        slope.numerator,
-        slope.denominator,
-        bound.numerator,
-        bound.denominator,
-        context.convention is Convention.ZERO_ONE,
-    )
+    context = FareyContext.build(limb, hinge, convention)
+    bound = context.bound
+    zero_one = convention is Convention.ZERO_ONE
+    _check_hinge(p, q, a, b, bound.numerator, bound.denominator, zero_one)
     return BrokenLineSpec(context, slope)
 
 

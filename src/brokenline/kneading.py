@@ -14,7 +14,7 @@ from .errors import (
     NotBrokenLineKneading,
     NotPeriodic,
 )
-from .farey import BrokenLineSpec, validate_spec
+from .farey import BrokenLineSpec, farey_parents, validate_spec
 from .mechanical import (
     _block_pattern,
     _parent,
@@ -104,7 +104,7 @@ def _kneading_of_word(word: str, up: bytes) -> KneadingSequence:
     point: the star.
     """
     b = len(word)
-    if b < 2 or (word + word).find(word, 1) != b:
+    if b < 2 or minimal_period(word) != b:
         raise InvariantViolated("kneading_of_word", f"word has no exact period {b}")
     # slot i-1 is 1 exactly when digit i-1 and the sign of rotation i differ:
     # the code of "0" or "1" xor 0 or 1 is the slot's own character
@@ -183,13 +183,13 @@ def invert_kneading(
         if length % q != t:
             raise NotBrokenLineKneading(f"block of length {length} fits no word")
 
-    if convention is Convention.ZERO_ONE:
-        p = (-pow(t, -1, q)) % q
-        parent = Fraction(1 + t * p, q * t)  # s/t with s = (1 + t*p)/q
-    else:
-        p = pow(t, -1, q)
-        parent = Fraction(p * t - 1, q * t)  # a/b with a = (p*t - 1)/q
+    # the limb p/q whose parent under the convention has denominator t: the
+    # upper parent under 01, the lower one under 10
+    zero_one = convention is Convention.ZERO_ONE
+    p = (-pow(t, -1, q)) % q if zero_one else pow(t, -1, q)
     limb = Fraction(p, q)
+    lower, upper = farey_parents(limb)
+    parent = upper if zero_one else lower
 
     limb_word = mechanical_word(limb, convention)
     parent_word = mechanical_word(parent, convention)

@@ -257,18 +257,13 @@ def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     these blocks.  Re-concatenation of the result is checked to reproduce
     the period word.
     """
-    return _block_decomposition(spec, broken_line_word(spec))
-
-
-def _block_decomposition(spec: BrokenLineSpec, word: str) -> BlockDecomposition:
-    # block_decomposition of a spec whose period word is already built
     ctx = spec.context
     m, pattern = _block_pattern(spec)
     exponents = tuple(map({"0": m, "1": m + 1}.__getitem__, pattern))
     indices = (m,) if pattern == "0" else (m, m + 1)
     block_words = {e: block_word(ctx, e) for e in indices}
     decomposition = BlockDecomposition(spec, m, exponents, block_words)
-    if decomposition.word != word:
+    if decomposition.word != broken_line_word(spec):
         raise InvariantViolated(
             "block_decomposition", "block re-concatenation mismatch", spec
         )

@@ -422,16 +422,27 @@ def test_command_line_catches_a_wrong_structural_kneading(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "kneading_of_spec", wrong)
     base = ("2/5", "7/17", "--hinge", "2", "--convention", "01")
-    assert _error_kind(capsys, "broken", *base, "--check") == "PreconditionUnmet"
-    assert _error_kind(capsys, "kneading", *base, "--check") == "PreconditionUnmet"
-    assert _error_kind(capsys, "enumerate", "--period", "9", "--check") == "PreconditionUnmet"
+    assert _error_kind(capsys, "broken", *base, "--check") == "InvariantViolated"
+    assert _error_kind(capsys, "kneading", *base, "--check") == "InvariantViolated"
+    assert _error_kind(capsys, "enumerate", "--period", "9", "--check") == "InvariantViolated"
+
+
+def test_command_line_catches_a_wrong_pairing_partner(capsys, monkeypatch):
+    # the conjugate word disagrees with the pairing oracle: an internal
+    # check failed, not the input
+    monkeypatch.setattr(cli, "lavaurs_partner", lambda theta: theta)
+    base = ("1/2", "7/11", "--hinge", "1", "--convention", "01")
+    assert _error_kind(capsys, "conjugate", *base, "--verify") == "InvariantViolated"
+    code, out, _ = run(capsys, "conjugate", *base, "--verify", "--json")
+    assert code == 1
+    assert json.loads(out)["message"].startswith("conjugate_word: ")
 
 
 def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
     # every namespace of the package that holds a counted function gets a
     # counting wrapper; each stage of one command runs once
     counts = dict.fromkeys(
-        ("broken_line_word", "_block_decomposition", "_locate", "_rotation_signs"), 0
+        ("broken_line_word", "block_decomposition", "locate", "_rotation_signs"), 0
     )
     modules = [
         module for name, module in sys.modules.items()
@@ -441,8 +452,8 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
         name: getattr(sys.modules["brokenline." + home], name)
         for name, home in (
             ("broken_line_word", "mechanical"),
-            ("_block_decomposition", "mechanical"),
-            ("_locate", "atlas"),
+            ("block_decomposition", "mechanical"),
+            ("locate", "atlas"),
             ("_rotation_signs", "words"),
         )
     }
@@ -467,12 +478,12 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
     )
     assert code == 0
     assert as_dict(out)["check"] == "ok"
-    # the period word is built once, by the command, and handed to the
-    # block decomposition's re-concatenation check and to the location
+    # the period word is built by the command, and once more inside each
+    # of the block decomposition's re-concatenation check and the location
     assert counts == {
-        "broken_line_word": 1,
-        "_block_decomposition": 1,
-        "_locate": 1,
+        "broken_line_word": 3,
+        "block_decomposition": 1,
+        "locate": 1,
         "_rotation_signs": 1,
     }
 

@@ -24,7 +24,6 @@ from brokenline import conjugate
 from brokenline.conjugate import (
     _CLOSE,
     _OPEN,
-    _chain_certificates,
     _check_chain,
     _pair_regions,
     _partners_at,
@@ -123,11 +122,11 @@ def test_word_chain_rejects_wrong_conjugates():
     # chain still rejects is pinned here
     for spec in all_specs(3, 22):
         word, cword = broken_line_word(spec), conjugate_word(spec)
-        zero_one = spec.convention is Convention.ZERO_ONE
+        up = _rotation_signs(word)
         for wrong in _wrong_conjugates(word, cword):
             assert wrong != cword and len(wrong) == len(cword)
             with pytest.raises(UnlinkViolation):
-                _chain_certificates(word, wrong, zero_one)
+                _check_chain(word, wrong, up)
 
 
 def test_word_chain_rejects_malformed_words():
@@ -136,37 +135,10 @@ def test_word_chain_rejects_malformed_words():
     for word in ("011011", "0101", "111", "0"):
         cword = word[:-1] + ("1" if word[-1] == "0" else "0")
         with pytest.raises(InvariantViolated, match="no exact period"):
-            _chain_certificates(word, cword, True)
+            _check_chain(word, cword, _rotation_signs(word))
     for cword in ("10", "0110", ""):
         with pytest.raises(InvariantViolated, match="conjugate word has length"):
-            _chain_certificates("011", cword, False)
-
-
-def _outcome(run):
-    try:
-        run()
-    except (InvariantViolated, UnlinkViolation) as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def test_chain_check_raises_what_the_certificate_pass_raises():
-    # the command line runs the check alone: on every true conjugate it
-    # passes, and on every wrong conjugate and every malformed word it raises
-    # what the certificate pass raises
-    cases = []
-    for spec in all_specs(3, 14):
-        word, cword = broken_line_word(spec), conjugate_word(spec)
-        cases.append((word, cword, True))
-        cases += [(word, wrong, False) for wrong in _wrong_conjugates(word, cword)]
-    for word in ("011011", "0101", "111", "0"):
-        cases.append((word, word[:-1] + ("1" if word[-1] == "0" else "0"), False))
-    cases += [("011", "10", False), ("011", "", False)]
-    for word, cword, good in cases:
-        checked = _outcome(lambda: _check_chain(word, cword, _rotation_signs(word)))
-        certified = _outcome(lambda: _chain_certificates(word, cword, True))
-        assert checked == certified, (word, cword)
-        assert (checked is None) == good, (word, cword)
+            _check_chain("011", cword, _rotation_signs("011"))
 
 
 def test_chain_cases_match_kneading_digits():

@@ -57,6 +57,27 @@ def test_bound_fraction_monotone_in_hinge():
             assert lower_now < lower_next < x
 
 
+def test_bound_and_context_reject_bad_limbs_and_hinges():
+    # a limb outside (0, 1), hinge 0, and both at once: the limb is checked
+    # first, by bound_fraction's own range check or by the Farey parents
+    limb_message = "limb fraction must lie strictly between 0 and 1"
+    parents_message = "parents exist for fractions strictly between 0 and 1"
+    hinge_message = "hinge must be a positive integer"
+    cases = [
+        (Fraction(3, 2), 1, limb_message, parents_message),
+        (Fraction(1, 2), 0, hinge_message, hinge_message),
+        (Fraction(0), 0, limb_message, parents_message),
+    ]
+    for limb, hinge, bound_text, context_text in cases:
+        for convention in CONVENTIONS:
+            with pytest.raises(ValueError) as bound_error:
+                bound_fraction(limb, hinge, convention)
+            assert str(bound_error.value) == bound_text
+            with pytest.raises(ValueError) as context_error:
+                FareyContext.build(limb, hinge, convention)
+            assert str(context_error.value) == context_text
+
+
 def test_single_block_slope_golden():
     ctx = FareyContext.build(Fraction(1, 2), 1, Convention.ZERO_ONE)
     assert single_block_slope(ctx, 0) == Fraction(1, 2)

@@ -5,8 +5,12 @@ scan and the preimage chain, and the word-level chain against the chain
 that stores every element and the chain on integers; of the word-level
 kneading on primitive words of period up to 2000, against the doubling
 orbit of their value; and of PeriodicAngle on random words of period up to
-2000, against the long division of its exact value."""
+2000, against the long division of its exact value.  Last, the command
+line on random argv: every run exits 0, 1 or 2 with no traceback."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -28,6 +32,7 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
+from brokenline.cli import main
 from brokenline.kneading import _kneading_of_word
 from brokenline.words import _rotation_signs
 from helpers import (
@@ -46,11 +51,11 @@ PROPERTY = settings(
 
 
 @st.composite
-def specs(draw):
-    """A slope a/b with b <= MAX_PERIOD, then one of its admissible limbs
+def specs(draw, max_period=MAX_PERIOD):
+    """A slope a/b with b <= max_period, then one of its admissible limbs
     (an ancestor in the Stern-Brocot tree), convention and hinge, chosen the
     way enumerate_specs_per_spec lists them."""
-    b = draw(st.integers(3, MAX_PERIOD), label="b")
+    b = draw(st.integers(3, max_period), label="b")
     slope = Fraction(draw(st.integers(1, b - 1), label="a"), b)
     assume(slope.denominator >= 3)
     path = stern_brocot_path(slope)
@@ -173,3 +178,112 @@ def test_periodic_angle_is_the_expansion_of_its_value(expansion):
     assert (angle.preperiod, angle.period) == expansion_by_long_division(x)
     assert angle == fraction_to_expansion(x)
     assert angle.value == x
+
+
+# desk-scale command lines: every denominator is at most SMALL and every
+# period at most 12, so each command answers in milliseconds; run time is
+# not what is tested here
+SMALL = 64
+JUNK = st.sampled_from(["", "x", "1/0", "1/2/3", "-1/2", "2.5", "0.(", "0.1(2)"])
+
+
+def sometimes(values, other):
+    # values nine times in ten, other the tenth
+    return st.integers(0, 9).flatmap(lambda i: other if i == 0 else values)
+
+
+def ratio_texts():
+    q = st.integers(1, SMALL)
+    pairs = q.flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q)))
+    return sometimes(pairs.map(lambda pq: f"{pq[0]}/{pq[1]}"), JUNK)
+
+
+def angle_texts():
+    # "0.(w)" or "0.[u](w)"
+    u, w = st.text("01", max_size=6), st.text("01", min_size=1, max_size=6)
+    expansion = st.tuples(u, w).map(
+        lambda uw: f"0.[{uw[0]}]({uw[1]})" if uw[0] else f"0.({uw[1]})"
+    )
+    return st.one_of(ratio_texts(), expansion)
+
+
+def kneading_texts():
+    symbols = st.text("01", max_size=12).map(lambda body: body + "*")
+    return sometimes(symbols, st.text("01*x", max_size=12))
+
+
+def option(name, values):
+    # a valued option, left out one time in ten
+    return sometimes(values.map(lambda value: [name, str(value)]), st.just([]))
+
+
+CONVENTION = option("--convention", sometimes(st.sampled_from(["01", "10"]), JUNK))
+HINGE = option("--hinge", sometimes(st.integers(1, 4), st.integers(-1, 0) | JUNK))
+PERIOD = option("--period", sometimes(st.integers(3, 12), st.integers(-1, 2) | JUNK))
+
+
+@st.composite
+def spec_arguments(draw):
+    """The limb, the slope, --convention and --hinge of a valid spec half
+    the time, and of a random choice the other half."""
+    if draw(st.booleans(), label="valid"):
+        spec = draw(specs(SMALL))
+        convention, hinge = spec.convention.value, str(spec.hinge)
+        return [str(spec.p_over_q), str(spec.slope)], [
+            ["--convention", convention],
+            ["--hinge", hinge],
+        ]
+    return [draw(ratio_texts()), draw(ratio_texts())], [draw(CONVENTION), draw(HINGE)]
+
+
+def fixed(positionals, options):
+    # the positional arguments and the valued options, each drawn on its own
+    return st.tuples(st.tuples(*positionals), st.tuples(*options)).map(
+        lambda drawn: (list(drawn[0]), list(drawn[1]))
+    )
+
+
+# each subcommand: a strategy for its positional arguments and valued
+# options, and the flags it takes besides --json
+COMMANDS = {
+    "line": (fixed([ratio_texts()], [CONVENTION]), ["--check"]),
+    "bulb": (fixed([ratio_texts()], []), ["--check"]),
+    "broken": (spec_arguments(), ["--check", "--all"]),
+    "conjugate": (spec_arguments(), ["--check", "--verify"]),
+    "kneading": (spec_arguments(), ["--check"]),
+    "kneading-of-angle": (fixed([angle_texts()], []), ["--check"]),
+    "invert-kneading": (fixed([kneading_texts()], [CONVENTION]), ["--check"]),
+    "enumerate": (fixed([], [PERIOD]), ["--check", "--census"]),
+    "tune": (fixed([angle_texts(), ratio_texts()], []), ["--check"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """The subcommand, its positional arguments in order (one dropped one
+    time in ten), then its options and flags in any order."""
+    command = draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    arguments, flags = COMMANDS[command]
+    argv, groups = draw(arguments, label="arguments")
+    if argv and draw(st.integers(0, 9), label="drop one if 0") == 0:
+        del argv[draw(st.integers(0, len(argv) - 1), label="dropped")]
+    chosen = st.lists(st.sampled_from([*flags, "--json"]), unique=True)
+    groups += [[flag] for flag in draw(chosen, label="flags")]
+    for group in draw(st.permutations(groups), label="order"):
+        argv += group
+    return [command, *argv]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(command_lines())
+def test_command_line_exits_cleanly_on_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and "--json" in argv:
+        assert json.loads(out.getvalue())["error_kind"]
