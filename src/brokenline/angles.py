@@ -78,8 +78,8 @@ def _expand(x: Fraction) -> tuple[str, str]:
     if odd == 1:
         return pre, "0"
     n = multiplicative_order(2, odd)
-    per = format(rem * (2**n - 1) // odd, f"0{n}b")
-    return pre, per[: minimal_period(per)]
+    # rem/odd is reduced, so its period is the whole order n
+    return pre, format(rem * (2**n - 1) // odd, f"0{n}b")
 
 
 def fraction_to_expansion(x: Fraction) -> "PeriodicAngle":

@@ -13,13 +13,7 @@ from operator import itemgetter
 from .angles import PeriodicAngle, minimal_period
 from .conjugate import _GRID, _partners_at
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
-from .farey import (
-    BrokenLineSpec,
-    FareyContext,
-    _bound_terms,
-    _check_hinge,
-    farey_parents,
-)
+from .farey import BrokenLineSpec, FareyContext, _bound_terms, _check_hinge
 from .mechanical import _digits, broken_line_word, mechanical_word
 from .words import Convention, is_sturmian, prime_minus, prime_plus, rotate_left
 
@@ -76,19 +70,15 @@ def junction_rays(
     """
     if hinge < 1:
         raise ValueError("hinge must be a positive integer")
-    lower, _ = farey_parents(p_over_q)
-    indices = range(1, p_over_q.denominator + 1)
-    return _junction_rays(p_over_q, lower, hinge, convention, indices)
+    context = FareyContext.build(p_over_q, hinge, convention)
+    return _junction_rays(context, range(1, p_over_q.denominator + 1))
 
 
-def _junction_rays(
-    p_over_q: Fraction, lower: Fraction, hinge: int, convention: Convention, indices
-):
-    """The rays of junction_rays with the given 1-based indices, in order;
-    ``lower`` is the lower Farey parent of P/Q."""
-    word = mechanical_word(p_over_q, convention)
-    cutoff = len(word) - p_over_q.numerator
-    if convention is Convention.ZERO_ONE:
+def _junction_rays(context: FareyContext, indices):
+    """The rays of junction_rays with the given 1-based indices, in order."""
+    word, hinge = context.limb_word, context.hinge
+    cutoff = len(word) - context.p_over_q.numerator
+    if context.convention is Convention.ZERO_ONE:
         primed = prime_plus(word)
         early, late, tail_base = word, primed, primed
     else:
@@ -96,7 +86,7 @@ def _junction_rays(
     return [
         PeriodicAngle(
             word * (hinge - 1) + (early if k <= cutoff else late),
-            rotate_left(tail_base, (k - 1) * lower.denominator),
+            rotate_left(tail_base, (k - 1) * context.lower_parent.denominator),
         )
         for k in indices
     ]
@@ -127,9 +117,7 @@ def locate(spec: BrokenLineSpec) -> SpokeLocation:
         index, internal = 1, Fraction(1, ctx.hinge + 1)
     else:
         index, internal = q - 1, Fraction(ctx.hinge, ctx.hinge + 1)
-    low, high = _junction_rays(
-        ctx.p_over_q, ctx.lower_parent, ctx.hinge, ctx.convention, (index, index + 1)
-    )
+    low, high = _junction_rays(ctx, (index, index + 1))
     word = broken_line_word(spec)
     # theta = k/full against each ray n/d, by cross-multiplication
     k, full = int(word, 2), (1 << len(word)) - 1

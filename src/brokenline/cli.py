@@ -150,10 +150,6 @@ class _Stages:
         self.spec = spec
 
     @functools.cached_property
-    def word(self) -> str:
-        return broken_line_word(self.spec)
-
-    @functools.cached_property
     def decomposition(self) -> BlockDecomposition:
         return block_decomposition(self.spec)
 
@@ -171,21 +167,21 @@ class _Stages:
 
     @functools.cached_property
     def up(self) -> bytes:
-        return _rotation_signs(self.word)
+        return _rotation_signs(broken_line_word(self.spec))
 
     def check_kneading(self) -> None:
         # the structural kneading against the one read off the orbit
-        if self.kneading != _kneading_of_word(self.word, self.up):
+        if self.kneading != _kneading_of_word(broken_line_word(self.spec), self.up):
             raise InvariantViolated(
                 "kneading_of_spec", "structural and direct kneading disagree", self.spec
             )
 
     def check_chain(self) -> None:
-        _check_chain(self.word, self.cword, self.up, self.spec)
+        _check_chain(broken_line_word(self.spec), self.cword, self.up, self.spec)
 
 
 def _check_spec(stages: _Stages) -> None:
-    if not is_sturmian(stages.word):
+    if not is_sturmian(broken_line_word(stages.spec)):
         raise InvariantViolated(
             "broken_line_word", "period word fails the balance test", stages.spec
         )
@@ -196,7 +192,7 @@ def _check_spec(stages: _Stages) -> None:
 
 def cmd_broken(args: argparse.Namespace) -> dict:
     stages = _Stages(_spec_of(args))
-    spec, word = stages.spec, stages.word
+    spec, word = stages.spec, broken_line_word(stages.spec)
     payload = _spec_fields(spec)
     payload.update(
         {
@@ -230,7 +226,7 @@ def cmd_broken(args: argparse.Namespace) -> dict:
 def cmd_conjugate(args: argparse.Namespace) -> dict:
     stages = _Stages(_spec_of(args))
     spec, cword = stages.spec, stages.cword
-    angle = word_to_fraction(stages.word)
+    angle = word_to_fraction(broken_line_word(spec))
     conjugate = word_to_fraction(cword)
     payload = _spec_fields(spec)
     payload.update(
@@ -391,6 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     hinge = argparse.ArgumentParser(add_help=False)
     hinge.add_argument("--hinge", type=int, required=True, metavar="N")
+    spec = argparse.ArgumentParser(add_help=False, parents=[common, convention, hinge])
+    spec.add_argument("limb", type=_ratio, metavar="P/Q")
+    spec.add_argument("slope", type=_ratio, metavar="a/b")
 
     parser = argparse.ArgumentParser(
         prog="brokenline",
@@ -406,29 +405,17 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("slope", type=_ratio, metavar="p/q")
     s.set_defaults(handler=cmd_bulb)
 
-    s = sub.add_parser(
-        "broken", parents=[common, convention, hinge], help="broken-line angle"
-    )
-    s.add_argument("limb", type=_ratio, metavar="P/Q")
-    s.add_argument("slope", type=_ratio, metavar="a/b")
+    s = sub.add_parser("broken", parents=[spec], help="broken-line angle")
     s.add_argument("--all", action="store_true", help="also derived data")
     s.set_defaults(handler=cmd_broken)
 
-    s = sub.add_parser(
-        "conjugate", parents=[common, convention, hinge], help="conjugate angle"
-    )
-    s.add_argument("limb", type=_ratio, metavar="P/Q")
-    s.add_argument("slope", type=_ratio, metavar="a/b")
+    s = sub.add_parser("conjugate", parents=[spec], help="conjugate angle")
     s.add_argument(
         "--verify", action="store_true", help="run the chain and pairing oracles"
     )
     s.set_defaults(handler=cmd_conjugate)
 
-    s = sub.add_parser(
-        "kneading", parents=[common, convention, hinge], help="kneading of a broken line"
-    )
-    s.add_argument("limb", type=_ratio, metavar="P/Q")
-    s.add_argument("slope", type=_ratio, metavar="a/b")
+    s = sub.add_parser("kneading", parents=[spec], help="kneading of a broken line")
     s.set_defaults(handler=cmd_kneading)
 
     s = sub.add_parser(

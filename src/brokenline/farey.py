@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import HypothesisViolated, NotCoprime
-from .words import Convention
+from .errors import HypothesisViolated, InvariantViolated, NotCoprime
+from .words import Convention, mechanical_word
 
 __all__ = [
     "BrokenLineSpec",
@@ -109,7 +110,8 @@ def bezout_minimal(q: int, t: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class FareyContext:
     """A limb fraction P/Q with its Farey parents, the hinge count, and the
-    slope bound those induce."""
+    slope bound those induce; the mechanical words of P/Q and of ``parent``
+    are built on first read and kept."""
 
     p_over_q: Fraction
     lower_parent: Fraction
@@ -129,6 +131,21 @@ class FareyContext:
         c, d = _bound_terms(p, q, (parent.numerator, parent.denominator), hinge)
         return cls(p_over_q, lower, upper, hinge, convention, Fraction(c, d))
 
+    @property
+    def parent(self) -> Fraction:
+        """The upper Farey parent under 01, the lower one under 10."""
+        if self.convention is Convention.ZERO_ONE:
+            return self.upper_parent
+        return self.lower_parent
+
+    @functools.cached_property
+    def limb_word(self) -> str:
+        return mechanical_word(self.p_over_q, self.convention)
+
+    @functools.cached_property
+    def parent_word(self) -> str:
+        return mechanical_word(self.parent, self.convention)
+
 
 def single_block_slope(context: FareyContext, m: int) -> Fraction:
     """The m-th slope whose broken line is a single repeated block; m = 0
@@ -145,7 +162,8 @@ def single_block_slope(context: FareyContext, m: int) -> Fraction:
 @dataclass(frozen=True)
 class BrokenLineSpec:
     """Validated parameters of a broken line: the limb context plus the slope
-    taken after the hinge point."""
+    taken after the hinge point; broken_line_word builds the period word on
+    first request and the spec keeps it."""
 
     context: FareyContext
     slope: Fraction
@@ -165,6 +183,18 @@ class BrokenLineSpec:
     @property
     def period(self) -> int:
         return self.slope.denominator
+
+    @functools.cached_property
+    def _word(self) -> str:
+        # the slope word with its trailing hinge prefix rotated to the front
+        ctx = self.context
+        head = ctx.limb_word * ctx.hinge
+        slope_word = mechanical_word(self.slope, ctx.convention)
+        if not slope_word.endswith(head):
+            raise InvariantViolated(
+                "broken_line_word", "slope word does not end in the hinge prefix", self
+            )
+        return head + slope_word[: len(slope_word) - len(head)]
 
 
 def validate_spec(

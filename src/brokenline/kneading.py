@@ -14,14 +14,8 @@ from .errors import (
     NotBrokenLineKneading,
     NotPeriodic,
 )
-from .farey import BrokenLineSpec, farey_parents, validate_spec
-from .mechanical import (
-    _block_pattern,
-    _parent,
-    _spell,
-    broken_line_word,
-    mechanical_word,
-)
+from .farey import BrokenLineSpec, FareyContext, mediant, validate_spec
+from .mechanical import _block_pattern, _spell, broken_line_word
 from .words import Convention
 
 __all__ = [
@@ -125,7 +119,7 @@ def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:
     pattern, this gives the kneading one slot early, led by the star's.
     """
     ctx = spec.context
-    n, q, t = ctx.hinge, ctx.p_over_q.denominator, _parent(ctx).denominator
+    n, q, t = ctx.hinge, ctx.p_over_q.denominator, ctx.parent.denominator
     window = ("0" + "1" * (q - 1)) * (n - 1) + "0" + "1" * (t - 1)
     limb = "1" * q
     shifted = _spell(*_block_pattern(spec), lambda e: limb + window * e)
@@ -188,11 +182,8 @@ def invert_kneading(
     zero_one = convention is Convention.ZERO_ONE
     p = (-pow(t, -1, q)) % q if zero_one else pow(t, -1, q)
     limb = Fraction(p, q)
-    lower, upper = farey_parents(limb)
-    parent = upper if zero_one else lower
-
-    limb_word = mechanical_word(limb, convention)
-    parent_word = mechanical_word(parent, convention)
+    ctx = FareyContext.build(limb, n, convention)
+    limb_word, parent_word = ctx.limb_word, ctx.parent_word
     pieces = {"1" * (q - 1): limb_word}
     for length in lengths[1:]:
         pieces["1" * (length - 1)] = parent_word + limb_word * ((length - t) // q)
@@ -216,10 +207,7 @@ def kneading_concatenates(
     spliced with a 1 (upper part first under 01, lower part first under 10)."""
     if lower.context != upper.context or lower.context != combined.context:
         raise ValueError("all three parameter sets must share one context")
-    med = Fraction(
-        lower.slope.numerator + upper.slope.numerator,
-        lower.slope.denominator + upper.slope.denominator,
-    )
+    med = mediant(lower.slope, upper.slope)
     if not lower.slope < upper.slope or combined.slope != med:
         raise ValueError("combined slope must be the mediant of the other two")
     k_lower = kneading_of_spec(lower).symbols

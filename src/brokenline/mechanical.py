@@ -1,18 +1,18 @@
-"""Cutting sequences, mechanical words, broken-line periods, block structure.
+"""Cutting sequences, broken-line periods, block structure.
 
-Mechanical words come from the standard-word recursion over the continued
-fraction of the slope: a few string operations per partial quotient, none per
-letter.  The period's blocks follow one closed-form block pattern: with the
-slope's word made of `limbs` limb words and `bounds` bound words, and m, r =
-divmod(bounds, limbs), the blocks of index m and m + 1 read as 0 and 1 form
-the upper Christoffel word of r/limbs.  The block decomposition and the
-conjugate read their exponents off that pattern, and the tags and the
-structural kneading spell it with ``str.replace``, each block written as its
-tags or its kneading slots.  The geometric pipeline (grid crossings, then
-contraction) computes the same words independently; the test suite holds
-both against the digit rule of the Christoffel word and against mediant
-concatenation over the Stern-Brocot tree, and the block pattern against a
-greedy parse of the descent tags.
+Mechanical words are built in ``words``, re-exported here, and kept by the
+objects they belong to: the limb and parent words by the ``FareyContext``, the
+period word by the ``BrokenLineSpec``.  The period's blocks follow one
+closed-form block pattern: with the slope's word made of `limbs` limb words
+and `bounds` bound words, and m, r = divmod(bounds, limbs), the blocks of
+index m and m + 1 read as 0 and 1 form the upper Christoffel word of r/limbs.
+The block decomposition and the conjugate read their exponents off that
+pattern, and the tags and the structural kneading spell it with
+``str.replace``, each block written as its tags or its kneading slots.  The
+geometric pipeline (grid crossings, then contraction) computes the same words
+independently; the test suite holds both against the digit rule of the
+Christoffel word and against mediant concatenation over the Stern-Brocot tree,
+and the block pattern against a greedy parse of the descent tags.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import partial
 from .angles import PeriodicAngle, word_to_fraction
 from .errors import InvariantViolated, MalformedCuttingSequence
 from .farey import BrokenLineSpec, FareyContext
-from .words import Convention
+from .words import Convention, _digits, mechanical_word
 
 __all__ = [
     "BlockDecomposition",
@@ -70,39 +70,6 @@ def cutting_to_mechanical(kappa: str) -> str:
     return kappa.replace("01", "1")
 
 
-def _digits(p: int, q: int) -> str:
-    # inner digits 1..q-2 of the p/q Christoffel word, which the standard word
-    # of p/q = [0; a1, ..., an] spells before its two closing letters; the
-    # standard words are s_k = s_(k-1)^(a_k) s_(k-2) from s_(-1) = 1, s_0 = 0,
-    # with a1 - 1 in place of a1 (Lothaire, Algebraic Combinatorics on Words,
-    # ch. 2)
-    prev, word = "1", "0"
-    q -= p
-    while p:
-        a, r = divmod(q, p)
-        prev, word = word, word * a + prev
-        q, p = p, r
-    return word[:-2]
-
-
-def mechanical_word(p_over_q: Fraction, convention: Convention) -> str:
-    """The length-q word whose repetition is the angle of the line of slope
-    p/q under the given convention.
-
-    The first q - 2 digits are the standard word of p/q without its last two
-    letters, and the convention supplies those two.  The boundary slopes 1
-    ("01") and 0 ("10") carry the one-letter words "1" and "0".
-    """
-    p, q = p_over_q.numerator, p_over_q.denominator
-    if 0 < p < q:
-        return _digits(p, q) + convention.value
-    if convention is Convention.ZERO_ONE and p == q:
-        return "1"
-    if convention is Convention.ONE_ZERO and p == 0:
-        return "0"
-    raise ValueError(f"no {convention} word for {p_over_q}")
-
-
 def characteristic_pair(p_over_q: Fraction) -> tuple[Fraction, Fraction]:
     """Both mechanical angles of the slope, the smaller ("01") first."""
     return (
@@ -132,13 +99,6 @@ def mediant_tags(
     if convention is Convention.ZERO_ONE:
         return [hi] + middle + [lo]
     return [lo] + middle + [hi]
-
-
-def _parent(context: FareyContext) -> Fraction:
-    # the Farey parent whose word the bound's word opens with
-    if context.convention is Convention.ZERO_ONE:
-        return context.upper_parent
-    return context.lower_parent
 
 
 def _word_counts(spec: BrokenLineSpec) -> tuple[int, int]:
@@ -188,22 +148,16 @@ def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
     parent under 01 and the lower one under 10.
     """
     ctx = spec.context
-    value = {"L": ctx.p_over_q, "P": _parent(ctx)}
+    value = {"L": ctx.p_over_q, "P": ctx.parent}
     labels = _spell(*_block_pattern(spec), partial(_block_labels, ctx.hinge))
     return list(map(value.__getitem__, labels))
 
 
 def broken_line_word(spec: BrokenLineSpec) -> str:
     """Period word (length b) of the broken-line angle: the slope word with
-    its trailing hinge prefix rotated to the front."""
-    ctx = spec.context
-    head = mechanical_word(ctx.p_over_q, ctx.convention) * ctx.hinge
-    slope_word = mechanical_word(spec.slope, ctx.convention)
-    if not slope_word.endswith(head):
-        raise InvariantViolated(
-            "broken_line_word", "slope word does not end in the hinge prefix", spec
-        )
-    return head + slope_word[: len(slope_word) - len(head)]
+    its trailing hinge prefix rotated to the front.  The spec builds it on
+    the first call and returns the same string after."""
+    return spec._word
 
 
 def broken_line_angle(spec: BrokenLineSpec) -> PeriodicAngle:
@@ -216,11 +170,9 @@ def block_word(context: FareyContext, m: int) -> str:
     word, m >= 1 interleaves m parent words into hinge-sized limb runs."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    wp = mechanical_word(context.p_over_q, context.convention)
     if m == 0:
-        return wp
-    wx = mechanical_word(_parent(context), context.convention)
-    n = context.hinge
+        return context.limb_word
+    wp, wx, n = context.limb_word, context.parent_word, context.hinge
     return wp * n + (wx + wp * (n - 1)) * (m - 1) + wx
 
 

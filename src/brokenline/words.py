@@ -1,4 +1,6 @@
-"""Operations on finite binary words: primed words, balance, cyclic order."""
+"""Operations on finite binary words: mechanical words (by the standard-word
+recursion over the slope's continued fraction), primed words, balance,
+cyclic order."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ __all__ = [
     "Convention",
     "first_difference",
     "is_sturmian",
+    "mechanical_word",
     "prime_minus",
     "prime_plus",
     "rotate_left",
@@ -29,6 +32,39 @@ class Convention(Enum):
         return self.value
 
 
+def _digits(p: int, q: int) -> str:
+    # inner digits 1..q-2 of the p/q Christoffel word, which the standard word
+    # of p/q = [0; a1, ..., an] spells before its two closing letters; the
+    # standard words are s_k = s_(k-1)^(a_k) s_(k-2) from s_(-1) = 1, s_0 = 0,
+    # with a1 - 1 in place of a1 (Lothaire, Algebraic Combinatorics on Words,
+    # ch. 2)
+    prev, word = "1", "0"
+    q -= p
+    while p:
+        a, r = divmod(q, p)
+        prev, word = word, word * a + prev
+        q, p = p, r
+    return word[:-2]
+
+
+def mechanical_word(p_over_q: Fraction, convention: Convention) -> str:
+    """The length-q word whose repetition is the angle of the line of slope
+    p/q under the given convention.
+
+    The first q - 2 digits are the standard word of p/q without its last two
+    letters, and the convention supplies those two.  The boundary slopes 1
+    ("01") and 0 ("10") carry the one-letter words "1" and "0".
+    """
+    p, q = p_over_q.numerator, p_over_q.denominator
+    if 0 < p < q:
+        return _digits(p, q) + convention.value
+    if convention is Convention.ZERO_ONE and p == q:
+        return "1"
+    if convention is Convention.ONE_ZERO and p == 0:
+        return "0"
+    raise ValueError(f"no {convention} word for {p_over_q}")
+
+
 def prime_plus(word: str) -> str:
     """Add one in fixed-width binary; the carry out of the top bit is dropped,
     so the all-ones word wraps to all zeros."""
@@ -43,6 +79,8 @@ def prime_minus(word: str) -> str:
 
 
 def rotate_left(word: str, k: int) -> str:
+    if not word:
+        return word  # the only rotation of the empty word
     k %= len(word)
     return word[k:] + word[:k]
 
@@ -86,7 +124,10 @@ def first_difference(lower_word: str, upper_word: str) -> int:
     For mechanical words of Farey neighbors the disagreement arrives by
     position len(lower_word) under the 01 convention and len(upper_word)
     under 10, with the lower stream reading 0 there and the upper stream 1.
+    An empty word has no stream: ValueError.
     """
+    if not lower_word or not upper_word:
+        raise ValueError("the empty word has no periodic stream")
     b, d = len(lower_word), len(upper_word)
     for r in range(1, max(b, d) + 1):
         x = lower_word[(r - 1) % b]

@@ -187,9 +187,9 @@ def test_locate_rejects_the_neighbouring_spoke(monkeypatch):
     real = atlas._junction_rays
     step = {Convention.ZERO_ONE: 1, Convention.ONE_ZERO: -1}
 
-    def inward(p_over_q, lower, hinge, convention, indices):
-        indices = tuple(k + step[convention] for k in indices)
-        return real(p_over_q, lower, hinge, convention, indices)
+    def inward(context, indices):
+        indices = tuple(k + step[context.convention] for k in indices)
+        return real(context, indices)
 
     monkeypatch.setattr(atlas, "_junction_rays", inward)
     for spec, message in expected.items():

@@ -440,22 +440,17 @@ def test_command_line_catches_a_wrong_pairing_partner(capsys, monkeypatch):
 
 def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
     # every namespace of the package that holds a counted function gets a
-    # counting wrapper; each stage of one command runs once
-    counts = dict.fromkeys(
-        ("broken_line_word", "block_decomposition", "locate", "_rotation_signs"), 0
-    )
+    # counting wrapper; each stage of one command runs once, and each word
+    # the command needs (limb, parent, slope) is built once
+    names = ("mechanical_word", "block_decomposition", "locate", "_rotation_signs")
+    counts = dict.fromkeys(names, 0)
     modules = [
         module for name, module in sys.modules.items()
         if name == "brokenline" or name.startswith("brokenline.")
     ]
     originals = {
         name: getattr(sys.modules["brokenline." + home], name)
-        for name, home in (
-            ("broken_line_word", "mechanical"),
-            ("block_decomposition", "mechanical"),
-            ("locate", "atlas"),
-            ("_rotation_signs", "words"),
-        )
+        for name, home in zip(names, ("words", "mechanical", "atlas", "words"))
     }
 
     def counting(name, fn):
@@ -471,21 +466,19 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapper)
-    code, out, _ = run(
-        capsys,
-        "broken", "55/144", "377/987", "--hinge", "1", "--convention", "01",
-        "--all", "--check",
-    )
-    assert code == 0
-    assert as_dict(out)["check"] == "ok"
-    # the period word is built by the command, and once more inside each
-    # of the block decomposition's re-concatenation check and the location
-    assert counts == {
-        "broken_line_word": 3,
-        "block_decomposition": 1,
-        "locate": 1,
-        "_rotation_signs": 1,
+    spec = ("55/144", "377/987", "--hinge", "1", "--convention", "01")
+    # calls per command, in the order of names: the limb and slope words
+    # make the period word, the parent word only the blocks
+    expected = {
+        ("broken", "--all", "--check"): (3, 1, 1, 1),
+        ("conjugate", "--verify"): (3, 1, 0, 1),
+        ("kneading", "--check"): (2, 0, 0, 1),
     }
+    for (command, *flags), row in expected.items():
+        counts.update(dict.fromkeys(names, 0))
+        code, out, _ = run(capsys, command, *spec, *flags)
+        assert code == 0 and "ok" in as_dict(out).values()
+        assert counts == dict(zip(names, row)), command
 
 
 def _assert_enumerate_prints(capsys, payload, *argv):

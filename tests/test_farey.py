@@ -9,12 +9,19 @@ from brokenline import (
     NotCoprime,
     bezout_minimal,
     bound_fraction,
+    broken_line_word,
     farey_parents,
     mediant,
     single_block_slope,
     validate_spec,
 )
-from helpers import CONVENTIONS, reduced_fractions
+from helpers import (
+    CONVENTIONS,
+    all_specs,
+    broken_word_by_digit_rule,
+    reduced_fractions,
+    rotation_digit_word,
+)
 
 
 def test_mediant():
@@ -76,6 +83,38 @@ def test_bound_and_context_reject_bad_limbs_and_hinges():
             with pytest.raises(ValueError) as context_error:
                 FareyContext.build(limb, hinge, convention)
             assert str(context_error.value) == context_text
+
+
+def test_context_and_spec_keep_their_words():
+    # the context's words against the digit rule, except at the boundary
+    # parents 0/1 and 1/1, which carry mechanical_word's one-letter words
+    # where the digit rule would spell "10" and "01"
+    boundary = {Fraction(0): "0", Fraction(1): "1"}
+    seen = set()
+    for limb in reduced_fractions(30):
+        lower, upper = farey_parents(limb)
+        for hinge in (1, 2, 3):
+            for convention in CONVENTIONS:
+                ctx = FareyContext.build(limb, hinge, convention)
+                zero_one = convention is Convention.ZERO_ONE
+                assert ctx.parent == (upper if zero_one else lower)
+                assert ctx.limb_word == rotation_digit_word(limb, convention)
+                if ctx.parent in boundary:
+                    seen.add((limb, convention))
+                    assert ctx.parent_word == boundary[ctx.parent]
+                else:
+                    assert ctx.parent_word == rotation_digit_word(
+                        ctx.parent, convention
+                    )
+    assert seen == {
+        (Fraction(p, q), convention)
+        for q in range(2, 31)
+        for p, convention in [(1, Convention.ONE_ZERO), (q - 1, Convention.ZERO_ONE)]
+    }
+    for spec in all_specs(3, 24):
+        word = broken_line_word(spec)
+        assert word == broken_word_by_digit_rule(spec)
+        assert broken_line_word(spec) is word
 
 
 def test_single_block_slope_golden():

@@ -126,6 +126,15 @@ def test_first_difference_no_difference():
         first_difference("01", "0101")
 
 
+def test_empty_words():
+    # the only rotation of the empty word is itself; an empty word has no
+    # periodic stream to compare, as it has no period
+    assert rotate_left("", 3) == ""
+    for pair in [("", "1"), ("0", ""), ("", "")]:
+        with pytest.raises(ValueError, match="empty word"):
+            first_difference(*pair)
+
+
 def _neighbor_pairs(max_den):
     fractions = list(reduced_fractions(max_den)) + [Fraction(0), Fraction(1)]
     for x in fractions:
