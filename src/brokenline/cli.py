@@ -367,9 +367,79 @@ def cmd_tune(args: argparse.Namespace) -> dict:
     return payload
 
 
-# Building the 13 parsers costs 1.5-2 ms, more than a small command's own
-# work, and batch callers run many commands in one process; parse_args leaves
-# the parser unchanged, so one per process serves every call.
+# The command lines main reads without argparse, per subcommand: its
+# handler, its positional arguments in order as (dest, type), its valued
+# options, all required, and its flags besides --json and --check.  The
+# types are the ones _build_parser gives the same arguments.
+_OPTIONS = {
+    "--convention": ("convention", _convention),
+    "--hinge": ("hinge", int),
+    "--period": ("period", int),
+}
+_SPEC = (("limb", _ratio), ("slope", _ratio)), ("--convention", "--hinge")
+_COMMANDS = {
+    "line": (cmd_line, (("slope", _ratio),), ("--convention",), ()),
+    "bulb": (cmd_bulb, (("slope", _ratio),), (), ()),
+    "broken": (cmd_broken, *_SPEC, ("--all",)),
+    "conjugate": (cmd_conjugate, *_SPEC, ("--verify",)),
+    "kneading": (cmd_kneading, *_SPEC, ()),
+    "kneading-of-angle": (cmd_kneading_of_angle, (("angle", _angle),), (), ()),
+    "invert-kneading": (
+        cmd_invert_kneading, (("kneading", str),), ("--convention",), ()
+    ),
+    "enumerate": (cmd_enumerate, (), ("--period",), ("--census",)),
+    "tune": (cmd_tune, (("angle", _angle), ("bulb", _ratio)), (), ()),
+}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace _build_parser().parse_args(argv) returns, for a command
+    line of exact option names, each given once, and every argument present
+    and converted; None for anything else, which is left to argparse with its
+    help, its usage errors and their messages."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    handler, positionals, options, flags = entry
+    flags = ("--json", "--check", *flags)
+    given: dict[str, str | bool] = {}
+    free = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            free.append(token)
+        elif token in given:
+            return None
+        elif token in flags:
+            given[token] = True
+        elif token in options:
+            value = next(tokens, "-")  # a missing value reads as "-"
+            if value.startswith("-"):
+                return None
+            given[token] = value
+        else:
+            return None
+    if len(free) != len(positionals) or not all(name in given for name in options):
+        return None
+    values = {"command": argv[0], "handler": handler}
+    values.update((flag[2:], flag in given) for flag in flags)
+    try:
+        for (dest, kind), text in zip(positionals, free):
+            values[dest] = kind(text)
+        for name in options:
+            dest, kind = _OPTIONS[name]
+            values[dest] = kind(given[name])
+    except Exception:
+        # argparse converts the arguments again, and reports or raises what
+        # it meets
+        return None
+    return argparse.Namespace(**values)
+
+
+# The parser reads only what _parse leaves to it: --help, the usage errors
+# and the command lines argparse accepts in other shapes.  Building its 13
+# parsers costs 1.5-2 ms; parse_args leaves the parser unchanged, so one per
+# process serves every call.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -469,8 +539,11 @@ def _print_text(payload: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     # a period-b angle has about 0.3*b decimal digits; the interpreter's cap
     # on int-to-str conversion is lifted while the command computes its
     # answer and restored after, so argument parsing keeps the cap

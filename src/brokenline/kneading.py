@@ -14,7 +14,7 @@ from .errors import (
     NotBrokenLineKneading,
     NotPeriodic,
 )
-from .farey import BrokenLineSpec, FareyContext, mediant, validate_spec
+from .farey import BrokenLineSpec, FareyContext, _check_hinge, mediant
 from .mechanical import _block_pattern, _spell, broken_line_word
 from .words import Convention
 
@@ -191,10 +191,14 @@ def invert_kneading(
     a, b = word.count("1"), len(word)
     if math.gcd(a, b) != 1:
         raise NotBrokenLineKneading("transcribed word has a reducible 1-count")
+    # 0 < p/q < 1 and 0 < a/b < 1 hold by construction; the spec is built on
+    # ctx, so the limb and parent words above serve its period word too
+    bound = ctx.bound
     try:
-        spec = validate_spec(limb, Fraction(a, b), n, convention)
+        _check_hinge(p, q, a, b, bound.numerator, bound.denominator, zero_one)
     except HypothesisViolated as exc:
         raise NotBrokenLineKneading(str(exc)) from exc
+    spec = BrokenLineSpec(ctx, Fraction(a, b))
     if broken_line_word(spec) != word or kneading_of_spec(spec).symbols != symbols:
         raise NotBrokenLineKneading("reconstruction does not round-trip")
     return spec, PeriodicAngle(period=word)

@@ -34,17 +34,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_fresh(*argv):
-    """Run the command line in a new interpreter."""
+def python_fresh(*args):
+    """Run the interpreter with args in a new process."""
     # the child imports the package under test, installed or not
     root = str(Path(brokenline.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "brokenline", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_fresh(*argv):
+    """Run the command line in a new interpreter."""
+    return python_fresh("-m", "brokenline", *argv)
 
 
 def as_dict(text):
@@ -346,6 +351,42 @@ def test_parser_is_built_once_per_process():
     assert cli._build_parser() is cli._build_parser()
 
 
+ONLY_THE_FALLBACK_BUILDS_THE_PARSER = """
+import contextlib, io
+from brokenline import cli
+
+well_formed = [
+    ["line", "--convention", "01", "2/5", "--check"],
+    ["bulb", "--json", "2/5"],
+    ["broken", "--hinge", "2", "2/5", "--convention", "01", "7/17", "--all"],
+    ["conjugate", "1/2", "3/4", "--hinge", "1", "--convention", "01", "--verify"],
+    ["kneading", "2/5", "7/17", "--hinge", "2", "--convention", "01", "--check"],
+    ["kneading-of-angle", "0.(0111)", "--check"],
+    ["invert-kneading", "--convention", "01", "1111011110111101*"],
+    ["enumerate", "--census", "--period", "5", "--check"],
+    ["tune", "1/3", "--json", "1/2"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in well_formed]
+print(*codes)
+print(cli._build_parser.cache_info().currsize)
+try:
+    cli.main(["broken", "1/2", "--hinge", "1"])
+except SystemExit as exc:
+    info = cli._build_parser.cache_info()
+    print(exc.code, info.misses, info.currsize)
+"""
+
+
+def test_only_the_fallback_builds_the_parser():
+    # a fresh process that runs well-formed command lines never builds the
+    # argparse parser; the first command line left to argparse builds it once
+    done = python_fresh("-c", ONLY_THE_FALLBACK_BUILDS_THE_PARSER)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0 0 0 0 0 0 0 0 0", "0", "2 1 1"]
+    assert "the following arguments are required: --convention" in done.stderr
+
+
 def test_reused_parser_prints_what_a_fresh_process_prints(capsys):
     good = ("broken", "2/5", "7/17", "--hinge", "3", "--convention", "01", "--all")
     with pytest.raises(SystemExit) as usage:
@@ -468,17 +509,21 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
                     monkeypatch.setattr(module, attr, wrapper)
     spec = ("55/144", "377/987", "--hinge", "1", "--convention", "01")
     # calls per command, in the order of names: the limb and slope words
-    # make the period word, the parent word only the blocks
+    # make the period word, the parent word only the blocks; invert-kneading
+    # transcribes with the limb and parent words and checks the round trip
+    # with the slope word
     expected = {
-        ("broken", "--all", "--check"): (3, 1, 1, 1),
-        ("conjugate", "--verify"): (3, 1, 0, 1),
-        ("kneading", "--check"): (2, 0, 0, 1),
+        ("broken", *spec, "--all", "--check"): (3, 1, 1, 1),
+        ("conjugate", *spec, "--verify"): (3, 1, 0, 1),
+        ("kneading", *spec, "--check"): (2, 0, 0, 1),
+        ("invert-kneading", "1111011110111101*", "--convention", "01"): (3, 0, 0, 0),
     }
-    for (command, *flags), row in expected.items():
+    for argv, row in expected.items():
         counts.update(dict.fromkeys(names, 0))
-        code, out, _ = run(capsys, command, *spec, *flags)
-        assert code == 0 and "ok" in as_dict(out).values()
-        assert counts == dict(zip(names, row)), command
+        code, out, _ = run(capsys, *argv)
+        checked = "--check" in argv or "--verify" in argv
+        assert code == 0 and ("ok" in as_dict(out).values()) == checked
+        assert counts == dict(zip(names, row)), argv[0]
 
 
 def _assert_enumerate_prints(capsys, payload, *argv):

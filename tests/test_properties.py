@@ -6,14 +6,17 @@ that stores every element and the chain on integers; of the word-level
 kneading on primitive words of period up to 2000, against the doubling
 orbit of their value; and of PeriodicAngle on random words of period up to
 2000, against the long division of its exact value.  Last, the command
-line on random argv: every run exits 0, 1 or 2 with no traceback."""
+line on random argv: every run exits 0, 1 or 2 with no traceback and within
+a time limit, and the table parse reads what argparse reads or leaves the
+command line to it."""
 
 import contextlib
 import io
 import json
+import signal
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brokenline import (
@@ -32,6 +35,7 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
+from brokenline import cli
 from brokenline.cli import main
 from brokenline.kneading import _kneading_of_word
 from brokenline.words import _rotation_signs
@@ -217,9 +221,18 @@ def option(name, values):
     return sometimes(values.map(lambda value: [name, str(value)]), st.just([]))
 
 
+# int() reads "-1_0" as -10, while argparse takes it for an option name,
+# since it does not look like a negative number
+INT_JUNK = st.sampled_from(["-1_0", "1_0"]) | JUNK
 CONVENTION = option("--convention", sometimes(st.sampled_from(["01", "10"]), JUNK))
-HINGE = option("--hinge", sometimes(st.integers(1, 4), st.integers(-1, 0) | JUNK))
-PERIOD = option("--period", sometimes(st.integers(3, 12), st.integers(-1, 2) | JUNK))
+HINGE = option("--hinge", sometimes(st.integers(1, 4), st.integers(-1, 0) | INT_JUNK))
+PERIOD = option(
+    "--period", sometimes(st.integers(3, 12), st.integers(-1, 2) | INT_JUNK)
+)
+VALUED = {"--convention": CONVENTION, "--hinge": HINGE, "--period": PERIOD}
+# shapes that argparse reads and the table parse leaves to it: a value after
+# "=", an abbreviated name, the end of the options, and help
+ARGPARSE_ONLY = st.sampled_from([["--hinge=2"], ["--conv", "01"], ["--"], ["-h"]])
 
 
 @st.composite
@@ -261,24 +274,65 @@ COMMANDS = {
 @st.composite
 def command_lines(draw):
     """The subcommand, its positional arguments in order (one dropped one
-    time in ten), then its options and flags in any order."""
+    time in ten), and its options and flags in any order, each placed
+    before, between or after the positional arguments; one time in ten, one
+    more token group that only argparse reads: one of ARGPARSE_ONLY or one
+    of the drawn valued options again, with a value of its own."""
     command = draw(st.sampled_from(sorted(COMMANDS)), label="command")
     arguments, flags = COMMANDS[command]
-    argv, groups = draw(arguments, label="arguments")
-    if argv and draw(st.integers(0, 9), label="drop one if 0") == 0:
-        del argv[draw(st.integers(0, len(argv) - 1), label="dropped")]
+    positionals, groups = draw(arguments, label="arguments")
+    if positionals and draw(st.integers(0, 9), label="drop one if 0") == 0:
+        del positionals[draw(st.integers(0, len(positionals) - 1), label="dropped")]
+    if draw(st.integers(0, 9), label="argparse only if 0") == 0:
+        again = [VALUED[group[0]] for group in groups if group]
+        groups.append(draw(st.one_of(ARGPARSE_ONLY, *again), label="argparse only"))
     chosen = st.lists(st.sampled_from([*flags, "--json"]), unique=True)
     groups += [[flag] for flag in draw(chosen, label="flags")]
-    for group in draw(st.permutations(groups), label="order"):
-        argv += group
-    return [command, *argv]
+    order = draw(st.permutations(groups), label="order")
+    # with places sorted, the i-th group goes right before the positional
+    # argument numbered places[i], or after them all
+    places = st.lists(
+        st.integers(0, len(positionals)), min_size=len(order), max_size=len(order)
+    )
+    argv, done = [command], 0
+    for place, group in zip(sorted(draw(places, label="places")), order):
+        argv += positionals[done:place] + group
+        done = place
+    return argv + positionals[done:]
+
+
+class CaseTimedOut(BaseException):
+    """A case ran past its time limit.  Not an Exception, so that neither the
+    command line nor its parsing reads it as an error of the input."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds, what):
+    def time_out(signum, frame):
+        raise CaseTimedOut(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# each case answers in milliseconds; the limit turns a hang into a failure
+CASE_SECONDS = 5
 
 
 @settings(PROPERTY, max_examples=300)
 @given(command_lines())
 def test_command_line_exits_cleanly_on_any_argv(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        time_limit(CASE_SECONDS, argv),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
@@ -287,3 +341,30 @@ def test_command_line_exits_cleanly_on_any_argv(argv):
     assert "Traceback" not in err.getvalue()
     if code == 1 and "--json" in argv:
         assert json.loads(out.getvalue())["error_kind"]
+
+
+def argparse_reading(argv):
+    """vars() of the Namespace argparse returns for argv, or None where it
+    exits: on help and on every usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(PROPERTY, max_examples=500)
+@given(command_lines())
+# values that int() reads and argparse takes for option names, on command
+# lines that are otherwise well formed
+@example(["enumerate", "--period", "-1_0"])
+@example(["broken", "1/2", "3/4", "--convention", "01", "--hinge", "-1_0"])
+def test_table_parse_reads_what_argparse_reads(argv):
+    fast = cli._parse(argv)
+    reading = argparse_reading(argv)
+    if reading is None:
+        assert fast is None, argv
+    elif fast is not None:
+        assert vars(fast) == reading, argv
