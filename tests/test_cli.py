@@ -1,3 +1,4 @@
+import argparse
 import collections
 import json
 import os
@@ -14,6 +15,7 @@ from brokenline import (
     Convention,
     FareyContext,
     KneadingSequence,
+    PeriodicAngle,
     atlas,
     conjugate,
     conjugate_word,
@@ -224,6 +226,29 @@ def test_invert_kneading(capsys):
     assert fields["hinge"] == "3"
 
 
+def test_invert_kneading_check(capsys, monkeypatch):
+    # the recovered word's orbit kneading is the input, read independently of
+    # the structural round trip
+    argv = ("invert-kneading", "1111011110111101*", "--convention", "01", "--check")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert as_dict(out)["check"] == "ok"
+
+    real = cli.invert_kneading
+
+    def rotated(kneading, convention):
+        spec, angle = real(kneading, convention)
+        word = angle.period
+        return spec, PeriodicAngle(period=word[1:] + word[0])
+
+    monkeypatch.setattr(cli, "invert_kneading", rotated)
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["error_kind"] == "InvariantViolated"
+    assert doc["message"].startswith("invert_kneading: ")
+
+
 def test_enumerate_with_census(capsys):
     code, out, _ = run(capsys, "enumerate", "--period", "4", "--census")
     assert code == 0
@@ -404,6 +429,79 @@ def test_reused_parser_prints_what_a_fresh_process_prints(capsys):
     assert out == fresh.stdout
 
 
+def test_parser_declares_the_grammar():
+    # the fallback parser's actions, written out here apart from the table
+    # that both parsers are built from; argparse keeps the string as given
+    # when the type is None, as str does
+    def action_row(action):
+        kind = None if action.type in (None, str) else action.type.__name__
+        return (
+            tuple(action.option_strings), action.dest, action.metavar, kind,
+            action.required, action.help,
+        )
+
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        ("line", "straight-line pipeline"),
+        ("bulb", "characteristic pair of a bulb"),
+        ("broken", "broken-line angle"),
+        ("conjugate", "conjugate angle"),
+        ("kneading", "kneading of a broken line"),
+        ("kneading-of-angle", "kneading of a periodic angle"),
+        ("invert-kneading", "parameters from kneading"),
+        ("enumerate", "all broken-line angles of one period"),
+        ("tune", "tune an angle by a bulb"),
+    ]
+    common = [
+        (
+            ("-h", "--help"), "help", None, None, False,
+            "show this help message and exit",
+        ),
+        (("--json",), "json", None, None, False, "emit one JSON document"),
+        (
+            ("--check",), "check", None, None, False,
+            "re-run internal oracles on the output",
+        ),
+    ]
+    convention = (("--convention",), "convention", "{01,10}", "_convention", True, None)
+    spec = [
+        *common,
+        convention,
+        (("--hinge",), "hinge", "N", "int", True, None),
+        ((), "limb", "P/Q", "_ratio", True, None),
+        ((), "slope", "a/b", "_ratio", True, None),
+    ]
+    slope = ((), "slope", "p/q", "_ratio", True, None)
+    angle = ((), "angle", "ANGLE", "_angle", True, None)
+    expected = {
+        "line": [*common, convention, slope],
+        "bulb": [*common, slope],
+        "broken": [*spec, (("--all",), "all", None, None, False, "also derived data")],
+        "conjugate": [
+            *spec,
+            (
+                ("--verify",), "verify", None, None, False,
+                "run the chain and pairing oracles",
+            ),
+        ],
+        "kneading": spec,
+        "kneading-of-angle": [*common, angle],
+        "invert-kneading": [
+            *common, convention, ((), "kneading", "SYMBOLS", None, True, None),
+        ],
+        "enumerate": [
+            *common,
+            (("--period",), "period", "B", "int", True, None),
+            (("--census",), "census", None, None, False, "three-way census table"),
+        ],
+        "tune": [*common, angle, ((), "bulb", "p/q", "_ratio", True, None)],
+    }
+    assert list(sub.choices) == list(expected)
+    for name, rows in expected.items():
+        assert list(map(action_row, sub.choices[name]._actions)) == rows, name
+
+
 def test_invariant_failure_is_a_typed_error(capsys, monkeypatch):
     real = mechanical.block_word
 
@@ -517,6 +615,9 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
         ("conjugate", *spec, "--verify"): (3, 1, 0, 1),
         ("kneading", *spec, "--check"): (2, 0, 0, 1),
         ("invert-kneading", "1111011110111101*", "--convention", "01"): (3, 0, 0, 0),
+        ("invert-kneading", "1111011110111101*", "--convention", "01", "--check"): (
+            3, 0, 0, 1
+        ),
     }
     for argv, row in expected.items():
         counts.update(dict.fromkeys(names, 0))

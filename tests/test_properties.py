@@ -324,7 +324,9 @@ def time_limit(seconds, what):
 CASE_SECONDS = 5
 
 
-@settings(PROPERTY, max_examples=300)
+# report_multiple_bugs=False in both argv properties: a command line broken
+# broadly fails in many distinct ways, and shrinking each of them took minutes
+@settings(PROPERTY, max_examples=300, report_multiple_bugs=False)
 @given(command_lines())
 def test_command_line_exits_cleanly_on_any_argv(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -355,7 +357,7 @@ def argparse_reading(argv):
             return None
 
 
-@settings(PROPERTY, max_examples=500)
+@settings(PROPERTY, max_examples=500, report_multiple_bugs=False)
 @given(command_lines())
 # values that int() reads and argparse takes for option names, on command
 # lines that are otherwise well formed
