@@ -27,14 +27,16 @@ _EXPANSION_RE = re.compile(r"0\.(?:\[([01]+)\])?\(([01]+)\)")
 
 
 def _check_word(word: str) -> None:
-    if not word or set(word) - {"0", "1"}:
+    # a word over "0" and "1" alone: its two counts add up to its length
+    if not word or word.count("0") + word.count("1") != len(word):
         raise ValueError(f"not a binary word: {word!r}")
 
 
 def word_to_fraction(word: str) -> Fraction:
     """Value of the purely periodic expansion 0.(word)^inf, reduced, in [0, 1)."""
     _check_word(word)
-    return Fraction(int(word, 2), 2 ** len(word) - 1) % 1
+    full = 2 ** len(word) - 1
+    return Fraction(int(word, 2) % full, full)
 
 
 def double_angle(x: Fraction) -> Fraction:
@@ -129,10 +131,10 @@ class PeriodicAngle:
 
     @property
     def value(self) -> Fraction:
-        scale = 2 ** len(self.preperiod)
-        head = int(self.preperiod, 2) if self.preperiod else 0
         tail = Fraction(int(self.period, 2), 2 ** len(self.period) - 1)
-        return (head + tail) / scale
+        if not self.preperiod:
+            return tail
+        return (int(self.preperiod, 2) + tail) / 2 ** len(self.preperiod)
 
     def __str__(self) -> str:
         if self.preperiod:

@@ -8,6 +8,7 @@ or a bit string, never a float.  Exit codes: 0 ok, 1 domain error, 2 usage.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
@@ -93,14 +94,56 @@ def _convention(text: str) -> Convention:
     return Convention(text)
 
 
+# CPython 3.11 writes an int in decimal in time quadratic in its length;
+# from about this many bits on, splitting it in binary and joining the
+# halves in ``decimal``, whose products are sub-quadratic, is faster
+_DECIMAL_BITS = 6000
+
+
+def _text(x: Fraction) -> str:
+    """str(x), for every Fraction the command line prints.
+
+    Above _DECIMAL_BITS bits, an integer n = hi * 2^k + lo is written as the
+    ``decimal`` value of hi times 2^k plus that of lo, recursively, exactly:
+    the context's precision is the maximum and an inexact result traps.
+    The numerator and the denominator share the powers of 2.
+    """
+    num, den = x.numerator, x.denominator
+    if max(abs(num), den).bit_length() <= _DECIMAL_BITS:
+        return str(x)
+
+    @functools.cache
+    def power(k: int) -> decimal.Decimal:  # 2^k
+        if k <= 1024:
+            return decimal.Decimal(2) ** k
+        return power(k >> 1) * power(k - (k >> 1))
+
+    def join(m: int, bits: int) -> decimal.Decimal:
+        if bits <= 1024:
+            return decimal.Decimal(m)
+        half = bits >> 1
+        hi = m >> half
+        return join(hi, bits - half) * power(half) + join(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(join(abs(num), abs(num).bit_length()))
+        if num < 0:
+            digits = "-" + digits
+        if den == 1:
+            return digits
+        return f"{digits}/{join(den, den.bit_length())}"
+
+
 def _spec_of(args: argparse.Namespace) -> BrokenLineSpec:
     return validate_spec(args.limb, args.slope, args.hinge, args.convention)
 
 
 def _spec_fields(spec: BrokenLineSpec) -> dict:
     return {
-        "limb": str(spec.p_over_q),
-        "slope": str(spec.slope),
+        "limb": _text(spec.p_over_q),
+        "slope": _text(spec.slope),
         "hinge": spec.hinge,
         "convention": str(spec.convention),
     }
@@ -111,11 +154,11 @@ def cmd_line(args: argparse.Namespace) -> dict:
     kappa = cutting_sequence(slope, args.convention)
     word = cutting_to_mechanical(kappa)
     payload = {
-        "slope": str(slope),
+        "slope": _text(slope),
         "convention": str(args.convention),
         "cutting": kappa,
         "word": word,
-        "angle": str(word_to_fraction(word)),
+        "angle": _text(word_to_fraction(word)),
     }
     if args.check:
         if word != mechanical_word(slope, args.convention):
@@ -130,11 +173,11 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
     slope = _strict(args.slope, "p/q")
     low, high = characteristic_pair(slope)
     payload = {
-        "slope": str(slope),
+        "slope": _text(slope),
         "word-01": mechanical_word(slope, Convention.ZERO_ONE),
         "word-10": mechanical_word(slope, Convention.ONE_ZERO),
-        "theta-01": str(low),
-        "theta-10": str(high),
+        "theta-01": _text(low),
+        "theta-10": _text(high),
     }
     if args.check:
         if not low < high:
@@ -198,7 +241,7 @@ def cmd_broken(args: argparse.Namespace) -> dict:
     payload.update(
         {
             "period": spec.period,
-            "angle": str(word_to_fraction(word)),
+            "angle": _text(word_to_fraction(word)),
             "expansion": f"0.({word})",
         }
     )
@@ -206,7 +249,7 @@ def cmd_broken(args: argparse.Namespace) -> dict:
         cword, decomposition, spot = stages.cword, stages.decomposition, stages.spot
         payload.update(
             {
-                "conjugate": str(word_to_fraction(cword)),
+                "conjugate": _text(word_to_fraction(cword)),
                 "conjugate-expansion": f"0.({cword})",
                 "kneading": str(stages.kneading),
                 "block-exponents": list(decomposition.exponents),
@@ -214,8 +257,8 @@ def cmd_broken(args: argparse.Namespace) -> dict:
                     map(decomposition.block_words.__getitem__, decomposition.exponents)
                 ),
                 "spoke": spot.spoke_index,
-                "spoke-lower": str(spot.bracketing_rays[0].value),
-                "spoke-upper": str(spot.bracketing_rays[1].value),
+                "spoke-lower": _text(spot.bracketing_rays[0].value),
+                "spoke-upper": _text(spot.bracketing_rays[1].value),
             }
         )
     if args.check:
@@ -232,8 +275,8 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
     payload = _spec_fields(spec)
     payload.update(
         {
-            "angle": str(angle),
-            "conjugate": str(conjugate),
+            "angle": _text(angle),
+            "conjugate": _text(conjugate),
             "conjugate-expansion": f"0.({cword})",
         }
     )
@@ -267,7 +310,7 @@ def cmd_kneading_of_angle(args: argparse.Namespace) -> dict:
     theta = args.angle.value
     ks = kneading_of_angle(theta)
     payload = {
-        "angle": str(theta),
+        "angle": _text(theta),
         "kneading": str(ks),
         "period": ks.period,
     }
@@ -292,7 +335,7 @@ def cmd_invert_kneading(args: argparse.Namespace) -> dict:
         {
             "word": sequence.period,
             "expansion": str(sequence),
-            "angle": str(sequence.value),
+            "angle": _text(sequence.value),
         }
     )
     if args.check:
@@ -365,9 +408,9 @@ def cmd_tune(args: argparse.Namespace) -> dict:
     tuned = tune(args.angle, bulb)
     payload = {
         "angle": str(args.angle),
-        "bulb": str(bulb),
+        "bulb": _text(bulb),
         "tuned": str(tuned),
-        "tuned-angle": str(tuned.value),
+        "tuned-angle": _text(tuned.value),
     }
     if args.check:
         if PeriodicAngle.parse(str(tuned)) != tuned:
@@ -514,7 +557,7 @@ def _print_text(payload: dict) -> None:
                     f"{row['constructed']} {row['brute']}"
                 )
         elif isinstance(value, list):
-            print(f"{key}: {' '.join(str(v) for v in value)}")
+            print(f"{key}: {' '.join(map(str, value))}")
         else:
             print(f"{key}: {value}")
 

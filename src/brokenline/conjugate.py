@@ -4,11 +4,13 @@ The production path primes every block of the decomposition.  The chain
 verifier pulls the angle back one doubling step at a time and checks the
 circle intervals stay unlinked.  Every point along the chain is a suffix of
 the period word or of the conjugate word followed by theta, so it compares
-with theta by slice comparisons of those two words and by the rotation
-signs of the period word, which the direct kneading reads too: a period
-word of exact period b >= 2 mixes 0s and 1s, so no expansion ends in 0^inf
-or 1^inf and comparing two expansions compares their values.  The check
-(_check_chain) only raises; the command line runs it alone, and
+with theta by the preimage signs, which order the conjugate word's tails
+followed by one period against the period word twice, and by the rotation
+signs of the period word, which the direct kneading reads too; both come
+from words._factor_order (windows, then a Z-array past a budget of ties).
+A period word of exact period b >= 2 mixes 0s and 1s, so no expansion ends
+in 0^inf or 1^inf and comparing two expansions compares their values.
+The check (_check_chain) only raises; the command line runs it alone, and
 conjugate_chain runs it and then builds an UnlinkCertificate per step.  The
 Lavaurs pairing is the other verifier, which ``conjugate --verify``,
 ``kneading-of-angle --check`` and sturmian_census read: the chords of the
@@ -32,7 +34,7 @@ from .angles import PeriodicAngle, minimal_period
 from .errors import InvariantViolated, UnlinkViolation
 from .farey import BrokenLineSpec
 from .mechanical import BlockDecomposition, block_decomposition, broken_line_word
-from .words import Convention, _rotation_signs, prime_minus, prime_plus
+from .words import Convention, _factor_order, _rotation_signs, prime_minus, prime_plus
 
 __all__ = [
     "ConjugateChain",
@@ -113,6 +115,20 @@ class ConjugateChain:
         return tuple(PeriodicAngle(cword[b - k :], word) for k in range(1, b + 1))
 
 
+def _preimage_signs(word: str, cword: str) -> bytes:
+    """Byte j - 1, for j = 1..b-1, is 1 when P_j = cword[b-j:] theta lies
+    above theta = word^inf, for a word of exact period b.
+
+    P_j compares with theta as its first b + j digits, cword[b-j:] word,
+    compare with word word[:j], which they cannot equal: rotation j of the
+    word would equal the word.  With ww = word + word, that is the factor of
+    cword + ww at b - j against ww; points of period b compare as their
+    b-digit words.
+    """
+    ww = word + word
+    return _factor_order(cword + ww, ww, len(word))[:0:-1]
+
+
 def _check_chain(
     word: str, cword: str, up: bytes, spec: BrokenLineSpec | None = None
 ) -> None:
@@ -140,18 +156,13 @@ def _check_chain(
         )
     if cword[-1] == word[-1]:
         raise UnlinkViolation(2, "the partition points coincide")
-    # by k = 2..b: O_k = d (rotation b-k+1)^inf and P_k = e P_(k-1), where
-    # P_j = cword[b-j:] theta ties with theta = word[:j] (rotation j)^inf on
-    # its first j digits exactly when word starts with them; points of
-    # period b compare as their b-digit words
-    preimage_up = bytes(
-        (tail := cword[b - j :]) > word or (not up[j] and word.startswith(tail))
-        for j in range(1, b)
-    )
-    # d.z lies between the partition points when the digit d and the sign of
-    # z differ: the code of "0" or "1" xor 0 or 1 names the side
+    # by k = 2..b: O_k = d (rotation b-k+1)^inf and P_k = e P_(k-1); d.z
+    # lies between the partition points when the digit d and the sign of z
+    # differ: the code of "0" or "1" xor 0 or 1 names the side
     orbit_sides = bytes(map(xor, word[-2::-1].encode(), up[:0:-1]))
-    preimage_sides = bytes(map(xor, cword[-2::-1].encode(), preimage_up))
+    preimage_sides = bytes(
+        map(xor, cword[-2::-1].encode(), _preimage_signs(word, cword))
+    )
     if orbit_sides != preimage_sides:
         pairs = zip(range(2, b + 1), orbit_sides, preimage_sides)
         raise UnlinkViolation(next(k for k, x, y in pairs if x != y))

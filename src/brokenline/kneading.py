@@ -36,11 +36,12 @@ class KneadingSequence:
     symbols: str
 
     def __post_init__(self) -> None:
+        # a body over "0" and "1" alone: its two counts add up to its length
         body = self.symbols[:-1]
         if (
             len(self.symbols) < 2
             or self.symbols[-1] != "*"
-            or set(body) - {"0", "1"}
+            or body.count("0") + body.count("1") != len(body)
         ):
             raise ValueError(f"malformed kneading sequence: {self.symbols!r}")
 

@@ -21,6 +21,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
+from operator import and_
 
 from .angles import PeriodicAngle, word_to_fraction
 from .errors import InvariantViolated, MalformedCuttingSequence
@@ -41,6 +43,10 @@ __all__ = [
     "mediant_tags",
 ]
 
+# the parity of a crossing, as a byte, to its symbol
+_SYMBOLS = bytes.maketrans(b"\0\1", b"01")
+
+
 def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
     """Grid-crossing word of the line y = (p/q)x over one period.
 
@@ -56,7 +62,8 @@ def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
     # since gcd(p, q) == 1
     end = 2 * p * q
     events = sorted([*range(2 * p, end, 2 * p), *range(2 * q + 1, end, 2 * q)])
-    return "".join(["01"[e & 1] for e in events]) + convention.value
+    parities = bytes(map(and_, events, repeat(1)))
+    return parities.translate(_SYMBOLS).decode() + convention.value
 
 
 def cutting_to_mechanical(kappa: str) -> str:

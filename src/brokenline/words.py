@@ -1,6 +1,7 @@
 """Operations on finite binary words: mechanical words (by the standard-word
 recursion over the slope's continued fraction), primed words, balance,
-cyclic order."""
+cyclic order, and the order of a text's factors against a word, which the
+word oracles read (windows, then a Z-array, in linear time)."""
 
 from __future__ import annotations
 
@@ -85,13 +86,93 @@ def rotate_left(word: str, k: int) -> str:
     return word[k:] + word[:k]
 
 
+_WINDOW = 4096  # digits of each factor compared before a tie is settled
+_TIE_BUDGET = 64  # characters the ties may cost, per digit of the word
+
+
+def _z_array(s: str, stop: int) -> list[int]:
+    """z[i], for i < stop, is the length of the longest common prefix of s
+    and s[i:]; z[0] is len(s).  Linear in len(s): every character compared
+    equal moves the right end of the rightmost match found so far."""
+    n = len(s)
+    z = [n] * stop
+    left = right = 0  # s[left:right] == s[:right - left]
+    for i in range(1, stop):
+        k = 0
+        if i < right:
+            k = z[i - left]
+            if i + k < right:
+                z[i] = k
+                continue
+            k = right - i
+        while i + k < n and s[k] == s[i + k]:
+            k += 1
+        z[i] = k
+        left, right = i, i + k
+    return z
+
+
+def _factor_order_by_z(text: str, word: str, count: int) -> bytes:
+    # _factor_order from the longest common prefix of each factor with the
+    # word, read off the Z-array of word + text, or of the text alone when
+    # it starts with the word
+    b = len(word)
+    base = 0 if text.startswith(word) else b
+    z = _z_array(word[:base] + text, base + count)
+    return bytes(
+        (k := z[base + s]) < b and text[s + k] > word[k] for s in range(count)
+    )
+
+
+def _factor_order(text: str, word: str, count: int) -> bytes:
+    """Byte s, for s < count, is ``text[s:s + b] > word``, b = len(word);
+    the text holds all count factors in full.
+
+    Each factor is compared on a window of its first _WINDOW digits.  The
+    ties there, found by str.find, are settled by comparing the rest in
+    chunks that double from the window's size, so each reads about as far
+    as its first difference.  Every tie costs its window and the digits it
+    reads; once the ties cost more than _TIE_BUDGET characters per digit of
+    the word (b/64 windows), the order is read off a Z-array instead, so no
+    text is quadratic.
+    """
+    b = len(word)
+    w = _WINDOW if b > _WINDOW else b
+    head = word[:w]
+    ties = []
+    if w < b:  # else every factor is compared in full
+        budget = _TIE_BUDGET * b
+        s = text.find(head, 0, count + w - 1)
+        while s != -1:
+            budget -= w
+            if budget < 0:
+                return _factor_order_by_z(text, word, count)
+            ties.append(s)
+            s = text.find(head, s + 1, count + w - 1)
+    order = bytes(text[s : s + w] > head for s in range(count))
+    if not ties:
+        return order
+    order = bytearray(order)
+    for s in ties:
+        k = step = w
+        while k < b:
+            stop = min(k + step, b)
+            budget -= stop - k
+            part, other = text[s + k : s + stop], word[k:stop]
+            if part != other:
+                order[s] = part > other
+                break
+            k, step = stop, 2 * step
+        if budget < 0:
+            return _factor_order_by_z(text, word, count)
+    return bytes(order)
+
+
 def _rotation_signs(word: str) -> bytes:
     """One byte per rotation of the word: byte i is 1 when rotation i lies
     above the word, ``ww[i:i+b] > word`` with ``ww = word + word``.  Both
     word oracles, the preimage chain and the direct kneading, read it."""
-    b = len(word)
-    ww = word + word
-    return bytes(ww[i : i + b] > word for i in range(b))
+    return _factor_order(word + word, word, len(word))
 
 
 def is_sturmian(word: str) -> bool:

@@ -30,16 +30,23 @@ closest non-crossing neighbours first with a crossing test per chord
 keeps every orbit point and preimage and checks each list in a pass of its
 own, and the integer chain streams them as integer numerators over
 2^b (2^b - 1), with its halving and closed-form checks (production compares
-the period word and the conjugate word, slice against slice).  The object
-payload writes `enumerate --period B` from the Fractions and specs of the
-enumeration's entries (production writes it from the integer rows).
+the period word and the conjugate word by windows, then a Z-array).  The
+slice signs compare every rotation of the period word and every preimage
+with theta by one full slice each, the comparisons the chain made before
+the windows (production compares a window, settles ties in doubling chunks
+and falls back to a Z-array).  The object payload writes `enumerate
+--period B` from the Fractions and specs of the enumeration's entries
+(production writes it from the integer rows).
 """
 
+import contextlib
 import heapq
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+
+import pytest
 
 from brokenline import (
     ConjugateChain,
@@ -67,6 +74,7 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
+from brokenline import words
 from brokenline.cli import _check_spec, _Stages
 
 CONVENTIONS = (Convention.ZERO_ONE, Convention.ONE_ZERO)
@@ -674,3 +682,41 @@ def chain_by_integers(spec):
     return ConjugateChain(
         PeriodicAngle(period=word), PeriodicAngle(period=cword), tuple(certificates)
     )
+
+
+def rotation_signs_by_slices(word):
+    """Byte i is 1 when rotation i of the word lies above it, one full slice
+    of the doubled word per rotation."""
+    b = len(word)
+    ww = word + word
+    return bytes(ww[i : i + b] > word for i in range(b))
+
+
+def preimage_signs_by_slices(word, cword):
+    """Byte j - 1, for j = 1..b-1, is 1 when cword[b-j:] theta lies above
+    theta = word^inf: the tail against the word, and on a tie, where the
+    preimage lies above theta exactly when theta lies above rotation j."""
+    b = len(word)
+    up = rotation_signs_by_slices(word)
+    return bytes(
+        (tail := cword[b - j :]) > word or (not up[j] and word.startswith(tail))
+        for j in range(1, b)
+    )
+
+
+# Ways to the signs of words._factor_order: windows of 1, 3 and 5 digits
+# whose ties are settled in chunks, whatever they cost; the Z-array at once
+# (a budget of 0, so the first tie spends it); and the production window
+# and budget, past which the Z-array takes over.
+SIGN_PATHS = ((1, 1 << 60), (3, 1 << 60), (5, 1 << 60), (2, 0), (None, None))
+
+
+@contextlib.contextmanager
+def sign_path(window, budget):
+    """words._factor_order with the given window and tie budget (None keeps
+    the production value)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if window is not None:
+            patch.setattr(words, "_WINDOW", window)
+            patch.setattr(words, "_TIE_BUDGET", budget)
+        yield

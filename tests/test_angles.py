@@ -29,8 +29,24 @@ def test_word_to_fraction_golden():
 
 
 def test_all_ones_word_normalizes_to_zero():
-    assert word_to_fraction("1") == 0
-    assert word_to_fraction("1111") == 0
+    for n in range(1, 9):
+        assert word_to_fraction("1" * n) == 0
+
+
+# what a set of the word's characters rejected: the empty word, other
+# digits, spaces, a newline, fullwidth and Arabic-Indic digits, a star
+NOT_BINARY = ("", "2", "0 1", "01\n", "\uff10\uff11", "\u0660\u0661", "01*0", "*")
+
+
+def test_binary_words_are_checked_by_their_counts():
+    for bad in NOT_BINARY:
+        assert not bad or set(bad) - {"0", "1"}
+        with pytest.raises(ValueError, match="not a binary word"):
+            word_to_fraction(bad)
+        with pytest.raises(ValueError):
+            PeriodicAngle("", bad)
+    for good in ("0", "1", "10", "0110"):
+        word_to_fraction(good)
 
 
 def test_fraction_to_expansion_golden():

@@ -2,6 +2,7 @@ import argparse
 import collections
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -171,6 +172,46 @@ def test_broken_past_the_int_to_str_digit_limit(capsys):
     word = broken_word_by_digit_rule(spec)
     assert len(den) > limit
     assert angle == Fraction(int(word, 2), (1 << len(word)) - 1)
+
+
+@pytest.fixture
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_fractions_print_what_str_prints(no_digit_limit):
+    rng = random.Random(18)
+    edge = cli._DECIMAL_BITS
+    numbers = [0, 1, 2, 10, 255]
+    # random ints of 10^3..10^6 bits, and of one bit either side of the edge
+    for bits in (1000, 5000, edge - 1, edge, edge + 1, 10_000, 100_000, 1_000_000):
+        numbers.append(rng.getrandbits(bits) | 1 << (bits - 1))
+    for k in (edge - 1, edge, edge + 1, 20_000, 100_001):
+        numbers += [1 << k, (1 << k) - 1]
+    for k in (1806, 1807, 5000, 30_103):
+        numbers += [10**k - 1, 10**k + 1]
+    assert any(n.bit_length() == edge + 1 for n in numbers)
+    # whole numbers print without a denominator
+    for n in numbers:
+        assert cli._text(Fraction(n)) == str(n)
+        if n.bit_length() < 100_000:
+            assert cli._text(Fraction(-n)) == str(-n)
+    # either part past the edge, or both
+    small, big = 3**1000, (1 << 10_000) - 1
+    for x in (Fraction(small, big), Fraction(big, small), Fraction(big, big + 2)):
+        assert cli._text(x) == cli._text(-x)[1:] == str(x)
+
+
+def test_bulb_past_the_decimal_edge(capsys, no_digit_limit):
+    code, out, _ = run(capsys, "bulb", "4000/8001", "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    low, high = mechanical.characteristic_pair(Fraction(4000, 8001))
+    assert low.denominator.bit_length() > cli._DECIMAL_BITS
+    assert (payload["theta-01"], payload["theta-10"]) == (str(low), str(high))
 
 
 def test_digit_limit_kept_for_arguments_and_restored_after_errors(capsys):

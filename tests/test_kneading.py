@@ -77,6 +77,21 @@ def test_kneading_sequence_form():
     assert KneadingSequence("10*").period == 3
 
 
+def test_kneading_body_is_checked_by_its_counts():
+    # what a set of the body's characters rejected: an empty body, other
+    # digits, spaces, a newline, fullwidth and Arabic-Indic digits, a star
+    # inside the body
+    bad_bodies = ("", "2", "0 1", "01\n", "\uff10\uff11", "\u0660\u0661", "1*0")
+    for body in bad_bodies:
+        assert len(body) == 0 or set(body) - {"0", "1"}
+        with pytest.raises(ValueError, match="malformed kneading sequence"):
+            KneadingSequence(body + "*")
+        with pytest.raises(NotBrokenLineKneading):
+            invert_kneading(body + "*", Convention.ZERO_ONE)
+    for body in ("0", "1", "10", "1111011110111101"):
+        assert KneadingSequence(body + "*").symbols == body + "*"
+
+
 def test_kneading_of_spec_golden():
     assert kneading_of_spec(_spec((2, 5), (7, 17), 2, "01")).symbols == (
         "1111011110111111*"

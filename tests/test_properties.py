@@ -30,6 +30,7 @@ from brokenline import (
     invert_kneading,
     kneading_of_angle,
     kneading_of_spec,
+    locate,
     minimal_period,
     stern_brocot_path,
     validate_spec,
@@ -37,15 +38,20 @@ from brokenline import (
 )
 from brokenline import cli
 from brokenline.cli import main
+from brokenline.conjugate import _preimage_signs
 from brokenline.kneading import _kneading_of_word
 from brokenline.words import _rotation_signs
 from helpers import (
+    SIGN_PATHS,
     base_index_by_scan,
     broken_word_by_digit_rule,
     chain_by_integers,
     chain_by_stored_lists,
     expansion_by_long_division,
     expansion_value,
+    preimage_signs_by_slices,
+    rotation_signs_by_slices,
+    sign_path,
 )
 
 MAX_PERIOD = 2000
@@ -139,6 +145,40 @@ def near_powers(draw):
 def binary_words(draw):
     d = draw(st.integers(2, MAX_PERIOD), label="length")
     return format(draw(st.integers(0, (1 << d) - 1), label="word"), f"0{d}b")
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    st.one_of(
+        specs().map(lambda spec: (broken_word_by_digit_rule(spec), conjugate_word(spec))),
+        st.tuples(near_powers(), near_powers()),
+        st.tuples(binary_words(), binary_words()),
+    ),
+    st.sampled_from(SIGN_PATHS[:-1] + ((16, 1 << 60), (64, 1 << 60), (16, 8))),
+)
+def test_windowed_signs_equal_the_slices(words, path):
+    # small windows with ties settled in chunks, the Z-array at once, and a
+    # budget small enough to run out on near-powers; the production window
+    # covers every word up to MAX_PERIOD, so the slices run there
+    word, cword = words
+    cword = (cword * len(word))[: len(word)]
+    with sign_path(*path):
+        assert _rotation_signs(word) == rotation_signs_by_slices(word)
+        if minimal_period(word) == len(word):
+            expected = preimage_signs_by_slices(word, cword)
+            assert _preimage_signs(word, cword) == expected
+
+
+@PROPERTY
+@given(specs())
+def test_locate_brackets_the_angle(spec):
+    # Fractions against the cross-multiplied integers of locate
+    spot = locate(spec)
+    low, high = spot.bracketing_rays
+    assert low.value < word_to_fraction(broken_word_by_digit_rule(spec)) < high.value
+    q = spec.p_over_q.denominator
+    zero_one = spec.convention is Convention.ZERO_ONE
+    assert spot.spoke_index == (1 if zero_one else q - 1)
 
 
 @PROPERTY

@@ -19,13 +19,19 @@ from brokenline import (
     rotation_diagnostics,
     validate_spec,
 )
+from brokenline import words
+from brokenline.conjugate import _preimage_signs
 from brokenline.words import _rotation_signs
 from helpers import (
     CONVENTIONS,
+    SIGN_PATHS,
     all_words,
     balanced_by_factor_counts,
     mediant_word,
+    preimage_signs_by_slices,
     reduced_fractions,
+    rotation_signs_by_slices,
+    sign_path,
 )
 
 
@@ -199,8 +205,96 @@ def test_mediant_word_identities():
 
 
 def test_rotation_signs_match_the_rotations():
-    # every word of length 2..12, proper powers included
-    for length in range(2, 13):
+    # every word of length 2..14, proper powers included, on every path
+    expected = {
+        word: bytes(rotate_left(word, i) > word for i in range(length))
+        for length in range(2, 15)
+        for word in all_words(length)
+    }
+    for window, budget in SIGN_PATHS:
+        with sign_path(window, budget):
+            for word, signs in expected.items():
+                assert _rotation_signs(word) == signs, (word, window, budget)
+
+
+def test_preimage_signs_match_the_slices():
+    # every pair of words of length 2..6, the first of exact period, and
+    # every word of exact period of length 7..14 against its rotation by one
+    # and against itself with the last digit flipped, on every path
+    pairs = [
+        (word, cword)
+        for length in range(2, 7)
+        for word in all_words(length)
+        if minimal_period(word) == length
+        for cword in all_words(length)
+    ]
+    for length in range(7, 15):
         for word in all_words(length):
-            expected = bytes(rotate_left(word, i) > word for i in range(length))
-            assert _rotation_signs(word) == expected, word
+            if minimal_period(word) == length:
+                flipped = word[:-1] + ("1" if word[-1] == "0" else "0")
+                pairs += [(word, word[1:] + word[0]), (word, flipped)]
+    expected = [preimage_signs_by_slices(word, cword) for word, cword in pairs]
+    for window, budget in SIGN_PATHS:
+        with sign_path(window, budget):
+            for (word, cword), signs in zip(pairs, expected):
+                assert _preimage_signs(word, cword) == signs, (word, cword, window)
+
+
+def fibonacci_word(length):
+    prev, word = "1", "0"
+    while len(word) < length:
+        prev, word = word, word + prev
+    return word
+
+
+def long_tie_words(b):
+    """Words of length b whose rotations agree with them for long stretches:
+    0^(b-1) 1, a power of a Fibonacci word with one digit flipped (first,
+    middle or last), and the period word of the half-limb broken line."""
+    root = fibonacci_word(377)[:377]
+    power = (root * (b // 377 + 1))[:b]
+    flips = [
+        power[:i] + ("1" if power[i] == "0" else "0") + power[i + 1 :]
+        for i in (0, b // 2, b - 1)
+    ]
+    half = validate_spec(Fraction(1, 2), Fraction(b // 2 + 1, b), 1, Convention.ZERO_ONE)
+    return ["0" * (b - 1) + "1", *flips, broken_line_word(half)]
+
+
+@pytest.mark.parametrize("b", [101, 2 * words._WINDOW + 1])
+def test_signs_of_words_with_long_ties(b):
+    # past the production window: every path meets ties there
+    for word in long_tie_words(b):
+        assert minimal_period(word) == b
+        cword = word[:-1] + ("1" if word[-1] == "0" else "0")
+        up, above = rotation_signs_by_slices(word), preimage_signs_by_slices(word, cword)
+        for window, budget in ((64, 1 << 60), (64, 0), (None, None)):
+            with sign_path(window, budget):
+                assert _rotation_signs(word) == up
+                assert _preimage_signs(word, cword) == above
+
+
+def test_the_z_array_runs_once_the_ties_pass_the_budget(monkeypatch):
+    # the half-limb word ties with itself only at rotation 0 and a Fibonacci
+    # slope's word at a few rotations, within the budget; 0^(b-1) 1 ties at
+    # almost every rotation and past the budget, so the Z-array takes over
+    calls = []
+    by_z = words._factor_order_by_z
+
+    def counted(text, word, count):
+        calls.append(count)
+        return by_z(text, word, count)
+
+    monkeypatch.setattr(words, "_factor_order_by_z", counted)
+    b = 2 * words._WINDOW + 1
+    half = long_tie_words(b)[-1]
+    fibonacci = mechanical_word(Fraction(4181, 10946), Convention.ZERO_ONE)
+    for word in (half, fibonacci):
+        cword = word[:-1] + ("1" if word[-1] == "0" else "0")
+        assert _rotation_signs(word) == rotation_signs_by_slices(word)
+        assert _preimage_signs(word, cword) == preimage_signs_by_slices(word, cword)
+    assert calls == []
+    zeros = "0" * (b - 1) + "1"
+    assert _rotation_signs(zeros) == rotation_signs_by_slices(zeros)
+    assert _preimage_signs(zeros, "0" * b) == preimage_signs_by_slices(zeros, "0" * b)
+    assert calls == [b, b]
