@@ -7,7 +7,7 @@ the period word or of the conjugate word followed by theta, so it compares
 with theta by the preimage signs, which order the conjugate word's tails
 followed by one period against the period word twice, and by the rotation
 signs of the period word, which the direct kneading reads too; both come
-from words._factor_order (windows, then a Z-array past a budget of ties).
+from words._factor_order (slices, or a Z-array for long words).
 A period word of exact period b >= 2 mixes 0s and 1s, so no expansion ends
 in 0^inf or 1^inf and comparing two expansions compares their values.
 The check (_check_chain) only raises; the command line runs it alone, and

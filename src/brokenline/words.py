@@ -1,7 +1,8 @@
 """Operations on finite binary words: mechanical words (by the standard-word
 recursion over the slope's continued fraction), primed words, balance,
 cyclic order, and the order of a text's factors against a word, which the
-word oracles read (windows, then a Z-array, in linear time)."""
+word oracles read (slices for short words, a Z-array in linear time for
+long ones)."""
 
 from __future__ import annotations
 
@@ -86,8 +87,9 @@ def rotate_left(word: str, k: int) -> str:
     return word[k:] + word[:k]
 
 
-_WINDOW = 4096  # digits of each factor compared before a tie is settled
-_TIE_BUDGET = 64  # characters the ties may cost, per digit of the word
+# longest word whose factors are compared as slices: below it memcmp beats
+# the interpreted Z-array, even on 0^(b-1) 1, where every slice ties
+_SLICES_UP_TO = 1 << 14
 
 
 def _z_array(s: str, stop: int) -> list[int]:
@@ -128,44 +130,13 @@ def _factor_order(text: str, word: str, count: int) -> bytes:
     """Byte s, for s < count, is ``text[s:s + b] > word``, b = len(word);
     the text holds all count factors in full.
 
-    Each factor is compared on a window of its first _WINDOW digits.  The
-    ties there, found by str.find, are settled by comparing the rest in
-    chunks that double from the window's size, so each reads about as far
-    as its first difference.  Every tie costs its window and the digits it
-    reads; once the ties cost more than _TIE_BUDGET characters per digit of
-    the word (b/64 windows), the order is read off a Z-array instead, so no
-    text is quadratic.
+    Words of up to _SLICES_UP_TO digits compare each factor as a slice;
+    longer ones read the order off a Z-array, so no text is quadratic.
     """
     b = len(word)
-    w = _WINDOW if b > _WINDOW else b
-    head = word[:w]
-    ties = []
-    if w < b:  # else every factor is compared in full
-        budget = _TIE_BUDGET * b
-        s = text.find(head, 0, count + w - 1)
-        while s != -1:
-            budget -= w
-            if budget < 0:
-                return _factor_order_by_z(text, word, count)
-            ties.append(s)
-            s = text.find(head, s + 1, count + w - 1)
-    order = bytes(text[s : s + w] > head for s in range(count))
-    if not ties:
-        return order
-    order = bytearray(order)
-    for s in ties:
-        k = step = w
-        while k < b:
-            stop = min(k + step, b)
-            budget -= stop - k
-            part, other = text[s + k : s + stop], word[k:stop]
-            if part != other:
-                order[s] = part > other
-                break
-            k, step = stop, 2 * step
-        if budget < 0:
-            return _factor_order_by_z(text, word, count)
-    return bytes(order)
+    if b > _SLICES_UP_TO:
+        return _factor_order_by_z(text, word, count)
+    return bytes(text[s : s + b] > word for s in range(count))
 
 
 def _rotation_signs(word: str) -> bytes:

@@ -704,19 +704,16 @@ def preimage_signs_by_slices(word, cword):
     )
 
 
-# Ways to the signs of words._factor_order: windows of 1, 3 and 5 digits
-# whose ties are settled in chunks, whatever they cost; the Z-array at once
-# (a budget of 0, so the first tie spends it); and the production window
-# and budget, past which the Z-array takes over.
-SIGN_PATHS = ((1, 1 << 60), (3, 1 << 60), (5, 1 << 60), (2, 0), (None, None))
+# Ways to the signs of words._factor_order: the Z-array on every word (a
+# slice limit of 1), and the production limit, under which the slices run.
+SIGN_PATHS = (1, None)
 
 
 @contextlib.contextmanager
-def sign_path(window, budget):
-    """words._factor_order with the given window and tie budget (None keeps
-    the production value)."""
+def sign_path(limit):
+    """words._factor_order with the given slice limit (None keeps the
+    production value)."""
     with pytest.MonkeyPatch.context() as patch:
-        if window is not None:
-            patch.setattr(words, "_WINDOW", window)
-            patch.setattr(words, "_TIE_BUDGET", budget)
+        if limit is not None:
+            patch.setattr(words, "_SLICES_UP_TO", limit)
         yield

@@ -42,7 +42,6 @@ from brokenline.conjugate import _preimage_signs
 from brokenline.kneading import _kneading_of_word
 from brokenline.words import _rotation_signs
 from helpers import (
-    SIGN_PATHS,
     base_index_by_scan,
     broken_word_by_digit_rule,
     chain_by_integers,
@@ -154,15 +153,13 @@ def binary_words(draw):
         st.tuples(near_powers(), near_powers()),
         st.tuples(binary_words(), binary_words()),
     ),
-    st.sampled_from(SIGN_PATHS[:-1] + ((16, 1 << 60), (64, 1 << 60), (16, 8))),
 )
-def test_windowed_signs_equal_the_slices(words, path):
-    # small windows with ties settled in chunks, the Z-array at once, and a
-    # budget small enough to run out on near-powers; the production window
-    # covers every word up to MAX_PERIOD, so the slices run there
+def test_z_array_signs_equal_the_slices(words):
+    # the production slice limit covers every word up to MAX_PERIOD, so a
+    # limit of 1 sends every word here to the Z-array
     word, cword = words
     cword = (cword * len(word))[: len(word)]
-    with sign_path(*path):
+    with sign_path(1):
         assert _rotation_signs(word) == rotation_signs_by_slices(word)
         if minimal_period(word) == len(word):
             expected = preimage_signs_by_slices(word, cword)

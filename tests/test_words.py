@@ -211,10 +211,10 @@ def test_rotation_signs_match_the_rotations():
         for length in range(2, 15)
         for word in all_words(length)
     }
-    for window, budget in SIGN_PATHS:
-        with sign_path(window, budget):
+    for limit in SIGN_PATHS:
+        with sign_path(limit):
             for word, signs in expected.items():
-                assert _rotation_signs(word) == signs, (word, window, budget)
+                assert _rotation_signs(word) == signs, (word, limit)
 
 
 def test_preimage_signs_match_the_slices():
@@ -234,10 +234,10 @@ def test_preimage_signs_match_the_slices():
                 flipped = word[:-1] + ("1" if word[-1] == "0" else "0")
                 pairs += [(word, word[1:] + word[0]), (word, flipped)]
     expected = [preimage_signs_by_slices(word, cword) for word, cword in pairs]
-    for window, budget in SIGN_PATHS:
-        with sign_path(window, budget):
+    for limit in SIGN_PATHS:
+        with sign_path(limit):
             for (word, cword), signs in zip(pairs, expected):
-                assert _preimage_signs(word, cword) == signs, (word, cword, window)
+                assert _preimage_signs(word, cword) == signs, (word, cword, limit)
 
 
 def fibonacci_word(length):
@@ -261,40 +261,15 @@ def long_tie_words(b):
     return ["0" * (b - 1) + "1", *flips, broken_line_word(half)]
 
 
-@pytest.mark.parametrize("b", [101, 2 * words._WINDOW + 1])
+@pytest.mark.parametrize("b", [101, words._SLICES_UP_TO + 1])
 def test_signs_of_words_with_long_ties(b):
-    # past the production window: every path meets ties there
+    # the Z-array and the slices at b = 101; past the slice limit the
+    # production path is the Z-array, checked against the slices
     for word in long_tie_words(b):
         assert minimal_period(word) == b
         cword = word[:-1] + ("1" if word[-1] == "0" else "0")
         up, above = rotation_signs_by_slices(word), preimage_signs_by_slices(word, cword)
-        for window, budget in ((64, 1 << 60), (64, 0), (None, None)):
-            with sign_path(window, budget):
+        for limit in SIGN_PATHS:
+            with sign_path(limit):
                 assert _rotation_signs(word) == up
                 assert _preimage_signs(word, cword) == above
-
-
-def test_the_z_array_runs_once_the_ties_pass_the_budget(monkeypatch):
-    # the half-limb word ties with itself only at rotation 0 and a Fibonacci
-    # slope's word at a few rotations, within the budget; 0^(b-1) 1 ties at
-    # almost every rotation and past the budget, so the Z-array takes over
-    calls = []
-    by_z = words._factor_order_by_z
-
-    def counted(text, word, count):
-        calls.append(count)
-        return by_z(text, word, count)
-
-    monkeypatch.setattr(words, "_factor_order_by_z", counted)
-    b = 2 * words._WINDOW + 1
-    half = long_tie_words(b)[-1]
-    fibonacci = mechanical_word(Fraction(4181, 10946), Convention.ZERO_ONE)
-    for word in (half, fibonacci):
-        cword = word[:-1] + ("1" if word[-1] == "0" else "0")
-        assert _rotation_signs(word) == rotation_signs_by_slices(word)
-        assert _preimage_signs(word, cword) == preimage_signs_by_slices(word, cword)
-    assert calls == []
-    zeros = "0" * (b - 1) + "1"
-    assert _rotation_signs(zeros) == rotation_signs_by_slices(zeros)
-    assert _preimage_signs(zeros, "0" * b) == preimage_signs_by_slices(zeros, "0" * b)
-    assert calls == [b, b]
