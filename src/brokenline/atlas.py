@@ -8,9 +8,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, ne
 
-from .angles import PeriodicAngle, minimal_period
+from .angles import PeriodicAngle
 from .conjugate import _GRID, _partners_at
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
 from .farey import BrokenLineSpec, FareyContext, _bound_terms, _check_hinge
@@ -161,7 +161,9 @@ class SpecEnumeration:
     rows: tuple[tuple[int, int, int, int, str, int], ...]
 
     def __len__(self) -> int:
-        return len({row[0] for row in self.rows})
+        # the rows are sorted by key: count the places where the key changes
+        keys = [row[0] for row in self.rows]
+        return len(keys) and 1 + sum(map(ne, keys, keys[1:]))
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[Fraction, tuple[BrokenLineSpec, ...]], ...]:
@@ -301,11 +303,14 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
     Returns (constructed, formula, brute): the enumeration size, the closed
     form (b-2)*phi(b), and a sweep of all angles of exact period b keeping
     those with balanced words whose pairing partner lies on a different
-    doubling orbit.  formula == brute always holds: both count the rotations
-    of each a/b word minus the characteristic pair of the a/b bulb.  The
-    construction is sound but not complete, so constructed <= brute, with
-    equality through b = 6 only; from b = 7 on (first missing angle 55/127)
-    the enumeration reaches a strict subset.
+    doubling orbit.  The sweep walks each orbit once, by doubling its least
+    numerator modulo 2^b - 1, so the orbit's length is its exact period and
+    the balance of its least member's word decides the whole orbit; it
+    builds no rotated word.  formula == brute always holds: both count the
+    rotations of each a/b word minus the characteristic pair of the a/b
+    bulb.  The construction is sound but not complete, so constructed <=
+    brute, with equality through b = 6 only; from b = 7 on (first missing
+    angle 55/127) the enumeration reaches a strict subset.
     """
     if not 3 <= period <= CENSUS_LIMIT:
         raise ValueError(f"census is desk-scale: 3 <= period <= {CENSUS_LIMIT}")
@@ -317,20 +322,22 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
     full = (1 << period) - 1
     scale = _GRID // full
     partner = _partners_at(period)
-    # exact period and balance are properties of the whole doubling orbit,
-    # which rotates the word: test them once per orbit, at its first member
+    # doubling k -> 2k mod 2^b - 1 rotates the word, and exact period and
+    # balance are properties of the whole orbit: test them once per orbit
     width = f"0{period}b"
     seen = bytearray(full)
     brute = 0
     for k in range(1, full):
         if seen[k]:
             continue
-        word = format(k, width)
-        n = minimal_period(word)
-        orbit = {int(rotate_left(word, i), 2) for i in range(n)}
+        orbit = [k]
+        j = (k << 1) % full
+        while j != k:
+            orbit.append(j)
+            j = (j << 1) % full
         for j in orbit:
             seen[j] = 1
-        if n != period or not is_sturmian(word):
+        if len(orbit) != period or not is_sturmian(format(k, width)):
             continue
         brute += sum(partner[j * scale] // scale not in orbit for j in orbit)
     return constructed, formula, brute

@@ -353,29 +353,42 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
     if args.census and args.period > CENSUS_LIMIT:
         sturmian_census(args.period)  # raises the cap error before any work
     enumeration = enumerate_specs(args.period)
-    payload: dict = {"period": args.period, "count": len(enumeration)}
     # each angle's first spec, written from its row as _spec_fields would
     # write it: the limb and the slope are reduced, the angle is reduced by
-    # g, and each lies strictly between 0 and 1, so its Fraction prints p/q
+    # g, and each lies strictly between 0 and 1, so its Fraction prints p/q.
+    # Every key of one slope a and one turn is the slope word's value V
+    # rotated, 2^(B - cut) * V mod 2^B - 1, and doubling is invertible modulo
+    # 2^B - 1, so all of them share one gcd g with it: g, the reduced
+    # denominator, the slope and the convention are written once per orbit
     full = (1 << args.period) - 1
+    orbits: dict[tuple[int, str], tuple[int, str, str, str]] = {}
     entries = []
     collisions = 0
     for key, group in groupby(enumeration.rows, itemgetter(0)):
         _, p, q, hinge, turn, a = next(group)
-        g = math.gcd(key, full)
+        orbit = orbits.get((a, turn))
+        if orbit is None:
+            g = math.gcd(key, full)
+            orbit = orbits[a, turn] = (
+                g,
+                f"/{full // g}",
+                f"{a}/{args.period}",
+                _TURNS[turn].value,
+            )
+        g, denominator, slope, convention = orbit
         head = {
             "limb": f"{p}/{q}",
-            "slope": f"{a}/{args.period}",
+            "slope": slope,
             "hinge": hinge,
-            "convention": _TURNS[turn].value,
-            "angle": f"{key // g}/{full // g}",
+            "convention": convention,
+            "angle": f"{key // g}{denominator}",
         }
         more = sum(1 for _ in group)
         if more:
             head["collisions"] = more + 1
             collisions += 1
         entries.append(head)
-    payload["entries"] = entries
+    payload: dict = {"period": args.period, "count": len(entries), "entries": entries}
     if collisions:
         payload["collisions"] = collisions
     if args.census:
@@ -399,7 +412,7 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
     if args.check:
         for _, specs in enumeration.entries:
             _check_spec(_Stages(specs[0]))
-        payload["check"] = f"ok ({len(enumeration)} angles)"
+        payload["check"] = f"ok ({len(entries)} angles)"
     return payload
 
 

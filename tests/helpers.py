@@ -19,10 +19,12 @@ The enumeration by validation walks stern_brocot_path and calls validate_spec
 once per candidate (production walks integer pairs and builds one context per
 node, hinge and convention), the word census tests every word on its own over
 the Fraction pairs of lavaurs_pairs (production tests one word per doubling
-orbit over integer chords), and the long division reads an angle's expansion
-digit by digit (production canonicalizes PeriodicAngle on its words).  The
-cutting word sorts one (abscissa, symbol) tuple per crossing (production
-sorts integers whose parity is the symbol), the contraction scan rewrites
+orbit over integer chords), the rotation census rebuilds each orbit from
+string rotations and minimal_period (production doubles integers), and the
+long division reads an angle's expansion digit by digit (production
+canonicalizes PeriodicAngle on its words).  The cutting word sorts one
+(abscissa, symbol) tuple per crossing (production sorts integers whose
+parity is the symbol), the contraction scan rewrites
 the cutting word letter by letter (production tests it once and rewrites
 with str.replace), the heap pairing joins the
 closest non-crossing neighbours first with a crossing test per chord
@@ -61,6 +63,7 @@ from brokenline import (
     broken_line_word,
     conjugate_word,
     enumerate_specs,
+    euler_phi,
     is_sturmian,
     lavaurs_pairs,
     mechanical_word,
@@ -76,6 +79,7 @@ from brokenline import (
 )
 from brokenline import words
 from brokenline.cli import _check_spec, _Stages
+from brokenline.conjugate import _GRID, _partners_at
 
 CONVENTIONS = (Convention.ZERO_ONE, Convention.ONE_ZERO)
 
@@ -404,6 +408,32 @@ def census_by_word(period):
         orbit = {word_to_fraction(rotate_left(word, i)) for i in range(period)}
         if partner[word_to_fraction(word)] not in orbit:
             brute += 1
+    return constructed, formula, brute
+
+
+def census_by_rotations(period):
+    """(constructed, formula, brute) of sturmian_census, its orbits rebuilt
+    from string rotations: the sweep as it was before it doubled integers,
+    each orbit's exact period taken from minimal_period of its first word."""
+    constructed = len(enumerate_specs(period))
+    formula = (period - 2) * euler_phi(period)
+    full = (1 << period) - 1
+    scale = _GRID // full
+    partner = _partners_at(period)
+    width = f"0{period}b"
+    seen = bytearray(full)
+    brute = 0
+    for k in range(1, full):
+        if seen[k]:
+            continue
+        word = format(k, width)
+        n = minimal_period(word)
+        orbit = {int(rotate_left(word, i), 2) for i in range(n)}
+        for j in orbit:
+            seen[j] = 1
+        if n != period or not is_sturmian(word):
+            continue
+        brute += sum(partner[j * scale] // scale not in orbit for j in orbit)
     return constructed, formula, brute
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -33,6 +34,7 @@ from helpers import (
     CONVENTIONS,
     all_specs,
     balanced_by_factor_counts,
+    census_by_rotations,
     census_by_word,
     enumerate_by_validation,
     enumerate_specs_per_spec,
@@ -209,6 +211,7 @@ def test_enumerate_golden():
         Fraction(11, 15),
     ]
     assert len(enum4) == (4 - 2) * euler_phi(4)
+    assert len(atlas.SpecEnumeration(3, ())) == 0
 
 
 def test_enumerate_has_no_collisions():
@@ -227,6 +230,18 @@ def test_enumerate_matches_the_per_spec_loop():
         assert enumeration.entries == enumerate_by_validation(b)
         angles = enumeration.angles
         assert all(x < y for x, y in zip(angles, angles[1:]))
+
+
+def test_enumerate_keys_of_one_orbit_share_one_gcd():
+    # every key of one slope and turn is a rotation of one slope word, so
+    # all of them share one gcd with 2^b - 1: the command reduces each
+    # orbit once
+    for b in [*range(3, 61), 127, 229]:
+        full = (1 << b) - 1
+        gcds = {}
+        for key, *_, turn, a in enumerate_specs(b).rows:
+            gcds.setdefault((a, turn), set()).add(gcd(key, full))
+        assert gcds and all(len(found) == 1 for found in gcds.values()), b
 
 
 def test_enumerate_checks_the_hinge_prefix(monkeypatch):
@@ -296,6 +311,13 @@ def test_census_by_orbit_matches_the_census_by_word():
     # chords give the counts of testing every word over the Fraction pairs
     for b in range(3, 13):
         assert sturmian_census(b) == census_by_word(b)
+
+
+def test_census_sweep_matches_the_rotation_sweep():
+    # orbits walked by integer doubling count what orbits rebuilt from
+    # string rotations counted
+    for b in range(3, 15):
+        assert sturmian_census(b) == census_by_rotations(b)
 
 
 def test_census_constructed_angles_are_counted_by_the_sweep():

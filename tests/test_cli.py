@@ -697,15 +697,18 @@ def test_enumerate_prints_collisions_and_reducible_keys(capsys, monkeypatch):
     def injected(period):
         # a second choice for the first angle met, two more for the last, and
         # a key sharing the factor 7 with 2^9 - 1 = 7 * 73, which no real
-        # angle of these periods has but a Fraction would reduce
+        # angle of these periods has but a Fraction would reduce.  The command
+        # reduces once per slope and turn, so the reducible key goes to slope
+        # 1/9 under turn R, which no real row has: its path turns left only
         rows = real(period)
+        assert all(row[4:] != ("R", 1) for row in rows)
         last = rows[-1][0]
         return [
             *rows,
             rows[0],
             (last, *rows[1][1:]),
             (last, *rows[2][1:]),
-            (21, *rows[3][1:]),
+            (21, *rows[3][1:4], "R", 1),
         ]
 
     monkeypatch.setattr(atlas, "_spec_rows", injected)

@@ -4,17 +4,19 @@ checks: the digit-rule word, the doubling-orbit kneading, the single-block
 scan and the preimage chain, and the word-level chain against the chain
 that stores every element and the chain on integers; of the word-level
 kneading on primitive words of period up to 2000, against the doubling
-orbit of their value; and of PeriodicAngle on random words of period up to
-2000, against the long division of its exact value.  Last, the command
-line on random argv: every run exits 0, 1 or 2 with no traceback and within
-a time limit, and the table parse reads what argparse reads or leaves the
-command line to it."""
+orbit of their value; of PeriodicAngle on random words of period up to
+2000, against the long division of its exact value; and of rotations of
+words of up to 300 digits, which keep their gcd with 2^b - 1.  Last, the
+command line on random argv: every run exits 0, 1 or 2 with no traceback
+and within a time limit, and the table parse reads what argparse reads or
+leaves the command line to it."""
 
 import contextlib
 import io
 import json
 import signal
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -190,6 +192,22 @@ def test_word_kneading_equals_the_orbit_itinerary(word):
     assume(minimal_period(word) == len(word))
     direct = _kneading_of_word(word, _rotation_signs(word))
     assert direct == kneading_of_angle(word_to_fraction(word))
+
+
+@PROPERTY
+@given(st.data())
+def test_rotations_share_one_gcd_with_the_period_modulus(data):
+    # a rotation of a b-digit word other than all ones is its value times a
+    # power of 2 modulo 2^b - 1, a unit there, so the gcd with 2^b - 1 stays:
+    # the command reduces the angles of one slope word's orbit once.  Small
+    # factors of Mersenne numbers times the value make shared factors common
+    b = data.draw(st.integers(1, 300), label="length")
+    full = (1 << b) - 1
+    factor = data.draw(st.sampled_from([1, 3, 7, 9, 21, 31, 73, 127]), label="factor")
+    value = data.draw(st.integers(0, full - 1), label="value") * factor % full
+    word = format(value, f"0{b}b")
+    i = data.draw(st.integers(0, b - 1), label="shift")
+    assert gcd(int(word[i:] + word[:i], 2), full) == gcd(value, full)
 
 
 @st.composite
