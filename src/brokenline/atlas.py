@@ -71,11 +71,13 @@ def junction_rays(
     if hinge < 1:
         raise ValueError("hinge must be a positive integer")
     context = FareyContext.build(p_over_q, hinge, convention)
-    return _junction_rays(context, range(1, p_over_q.denominator + 1))
+    rays = _junction_rays(context, range(1, p_over_q.denominator + 1))
+    return [PeriodicAngle(u, v) for u, v in rays]
 
 
-def _junction_rays(context: FareyContext, indices):
-    """The rays of junction_rays with the given 1-based indices, in order."""
+def _junction_rays(context: FareyContext, indices) -> list[tuple[str, str]]:
+    """The rays of junction_rays with the given 1-based indices, in order, as
+    raw (preperiod, period) word pairs."""
     word, hinge = context.limb_word, context.hinge
     cutoff = len(word) - context.p_over_q.numerator
     if context.convention is Convention.ZERO_ONE:
@@ -84,7 +86,7 @@ def _junction_rays(context: FareyContext, indices):
     else:
         early, late, tail_base = prime_minus(word), word, word
     return [
-        PeriodicAngle(
+        (
             word * (hinge - 1) + (early if k <= cutoff else late),
             rotate_left(tail_base, (k - 1) * context.lower_parent.denominator),
         )
@@ -104,36 +106,58 @@ class SpokeLocation:
     junction_preperiod: int
 
 
-def locate(spec: BrokenLineSpec) -> SpokeLocation:
+# a spoke index and the raw (preperiod, period) pairs of its two rays
+_Bracket = tuple[int, tuple[str, str], tuple[str, str]]
+
+
+def locate(spec: BrokenLineSpec, bracket: _Bracket | None = None) -> SpokeLocation:
     """Bracket the broken-line angle between consecutive junction rays.
 
     The angle lies in the first spoke under the 01 convention and in the
     (Q-1)-th under 10; only the two rays bounding it are built.  Failure to
-    bracket signals a bug, not bad input.
+    bracket signals a bug, not bad input.  A caller that has already
+    bracketed the angle passes what _bracket returned.
     """
     ctx = spec.context
-    q = ctx.p_over_q.denominator
+    index, low, high = _bracket(spec) if bracket is None else bracket
     if ctx.convention is Convention.ZERO_ONE:
-        index, internal = 1, Fraction(1, ctx.hinge + 1)
+        internal = Fraction(1, ctx.hinge + 1)
     else:
-        index, internal = q - 1, Fraction(ctx.hinge, ctx.hinge + 1)
+        internal = Fraction(ctx.hinge, ctx.hinge + 1)
+    return SpokeLocation(
+        ctx.p_over_q,
+        internal,
+        index,
+        (PeriodicAngle(*low), PeriodicAngle(*high)),
+        ctx.hinge * ctx.p_over_q.denominator,
+    )
+
+
+def _bracket(spec: BrokenLineSpec) -> _Bracket:
+    # the spoke of the angle and its two rays, raw; the angle must lie
+    # strictly between them
+    ctx = spec.context
+    if ctx.convention is Convention.ZERO_ONE:
+        index = 1
+    else:
+        index = ctx.p_over_q.denominator - 1
     low, high = _junction_rays(ctx, (index, index + 1))
     word = broken_line_word(spec)
     # theta = k/full against each ray n/d, by cross-multiplication
     k, full = int(word, 2), (1 << len(word)) - 1
-    (low_n, low_d), (high_n, high_d) = _ray_terms(low), _ray_terms(high)
+    (low_n, low_d), (high_n, high_d) = _ray_terms(*low), _ray_terms(*high)
     if not (low_n * full < k * low_d and k * high_d < high_n * full):
-        theta = Fraction(k, full)
-        raise BracketingFailed(f"{theta} is outside ({low.value}, {high.value})")
-    return SpokeLocation(
-        ctx.p_over_q, internal, index, (low, high), ctx.hinge * q
-    )
+        raise BracketingFailed(
+            f"{Fraction(k, full)} is outside "
+            f"({Fraction(low_n, low_d)}, {Fraction(high_n, high_d)})"
+        )
+    return index, low, high
 
 
-def _ray_terms(ray: PeriodicAngle) -> tuple[int, int]:
+def _ray_terms(u: str, v: str) -> tuple[int, int]:
     # the value of 0.u(v) as n/d, unreduced: n = int(u)*(2^|v| - 1) + int(v)
-    # and d = 2^|u| * (2^|v| - 1)
-    u, v = ray.preperiod, ray.period
+    # and d = 2^|u| * (2^|v| - 1); it does not depend on how the ray is
+    # written, so the raw words serve
     cycle = (1 << len(v)) - 1
     return (int(u, 2) if u else 0) * cycle + int(v, 2), cycle << len(u)
 

@@ -14,14 +14,14 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
 from .angles import PeriodicAngle, fraction_to_expansion, word_to_fraction
 from .atlas import (
     CENSUS_LIMIT,
     SpokeLocation,
     _TURNS,
+    _Bracket,
+    _bracket,
     enumerate_specs,
     locate,
     sturmian_census,
@@ -206,8 +206,12 @@ class _Stages:
         return kneading_of_spec(self.spec)
 
     @functools.cached_property
+    def bracket(self) -> _Bracket:
+        return _bracket(self.spec)
+
+    @functools.cached_property
     def spot(self) -> SpokeLocation:
-        return locate(self.spec)
+        return locate(self.spec, self.bracket)
 
     @functools.cached_property
     def up(self) -> bytes:
@@ -231,7 +235,7 @@ def _check_spec(stages: _Stages) -> None:
         )
     stages.check_kneading()
     stages.check_chain()
-    stages.spot  # locate raises when no spoke brackets the angle
+    stages.bracket  # raises when no spoke brackets the angle
 
 
 def cmd_broken(args: argparse.Namespace) -> dict:
@@ -359,13 +363,23 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
     # Every key of one slope a and one turn is the slope word's value V
     # rotated, 2^(B - cut) * V mod 2^B - 1, and doubling is invertible modulo
     # 2^B - 1, so all of them share one gcd g with it: g, the reduced
-    # denominator, the slope and the convention are written once per orbit
+    # denominator, the slope and the convention are written once per orbit.
+    # The rows are sorted by key, so a row with the key of the one before it
+    # is one more choice for the last entry's angle
     full = (1 << args.period) - 1
     orbits: dict[tuple[int, str], tuple[int, str, str, str]] = {}
     entries = []
     collisions = 0
-    for key, group in groupby(enumeration.rows, itemgetter(0)):
-        _, p, q, hinge, turn, a = next(group)
+    last = -1
+    for key, p, q, hinge, turn, a in enumeration.rows:
+        if key == last:
+            head = entries[-1]
+            if "collisions" not in head:
+                head["collisions"] = 1
+                collisions += 1
+            head["collisions"] += 1
+            continue
+        last = key
         orbit = orbits.get((a, turn))
         if orbit is None:
             g = math.gcd(key, full)
@@ -383,10 +397,6 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
             "convention": convention,
             "angle": f"{key // g}{denominator}",
         }
-        more = sum(1 for _ in group)
-        if more:
-            head["collisions"] = more + 1
-            collisions += 1
         entries.append(head)
     payload: dict = {"period": args.period, "count": len(entries), "entries": entries}
     if collisions:
@@ -410,8 +420,16 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
                 )
         payload["census"] = rows
     if args.check:
-        for _, specs in enumeration.entries:
-            _check_spec(_Stages(specs[0]))
+        # each angle's first spec against its pipeline, and the printed angle,
+        # its row key, against the value of that spec's period word
+        keys = dict.fromkeys(row[0] for row in enumeration.rows)
+        for key, (_, specs) in zip(keys, enumeration.entries):
+            spec = specs[0]
+            if int(broken_line_word(spec), 2) != key:
+                raise InvariantViolated(
+                    "enumerate_specs", "row key is not the period word's value", spec
+                )
+            _check_spec(_Stages(spec))
         payload["check"] = f"ok ({len(entries)} angles)"
     return payload
 

@@ -32,11 +32,11 @@ closest non-crossing neighbours first with a crossing test per chord
 keeps every orbit point and preimage and checks each list in a pass of its
 own, and the integer chain streams them as integer numerators over
 2^b (2^b - 1), with its halving and closed-form checks (production compares
-the period word and the conjugate word by windows, then a Z-array).  The
-slice signs compare every rotation of the period word and every preimage
-with theta by one full slice each, the comparisons the chain made before
-the windows (production compares a window, settles ties in doubling chunks
-and falls back to a Z-array).  The object payload writes `enumerate
+the period word and the conjugate word as slices up to 2^14 digits and by a
+Z-array above).  The slice signs compare every rotation of the period word
+and every preimage with theta by one full slice each, at every length
+(production, in words._factor_order, compares slices up to 2^14 digits and
+reads the order off a Z-array above).  The object payload writes `enumerate
 --period B` from the Fractions and specs of the enumeration's entries
 (production writes it from the integer rows).
 """

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -30,6 +31,7 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
+from brokenline.cli import main
 from helpers import (
     CONVENTIONS,
     all_specs,
@@ -171,10 +173,11 @@ def test_locate_never_fails_on_valid_specs():
         assert lo.value < theta < hi.value
 
 
-def test_locate_rejects_the_neighbouring_spoke(monkeypatch):
+def test_locate_rejects_the_neighbouring_spoke(capsys, monkeypatch):
     # handed the rays of the next spoke inward, locate must find the angle
     # below the lower ray (01, spoke 2) or above the upper one (10, spoke
-    # Q-2) and say so in Fractions
+    # Q-2) and say so in Fractions; the command line's checks, which bracket
+    # without building a SpokeLocation, must fail the same way
     expected = {}
     for spec in all_specs(3, 16):
         ctx = spec.context
@@ -199,6 +202,14 @@ def test_locate_rejects_the_neighbouring_spoke(monkeypatch):
             locate(spec)
         assert str(failure.value) == message
     assert len(expected) > 100
+    for argv in (
+        ("enumerate", "--period", "9", "--check"),
+        ("broken", "2/5", "7/17", "--hinge", "2", "--convention", "01", "--check"),
+    ):
+        assert main([*argv, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error_kind"] == "BracketingFailed"
+        assert " is outside (" in doc["message"]
 
 
 def test_enumerate_golden():

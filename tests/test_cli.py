@@ -721,8 +721,8 @@ def test_enumerate_prints_collisions_and_reducible_keys(capsys, monkeypatch):
     _assert_enumerate_prints(capsys, payload, "9")
 
 
-def test_plain_enumerate_builds_no_specs(capsys, monkeypatch):
-    # len() and the command without --check read the integer rows only
+def _count_inits(monkeypatch, *classes):
+    # a Counter of the instances of each class built from here on, by name
     built = collections.Counter()
 
     def counting(cls):
@@ -734,8 +734,14 @@ def test_plain_enumerate_builds_no_specs(capsys, monkeypatch):
 
         return counted
 
-    for cls in (BrokenLineSpec, FareyContext):
+    for cls in classes:
         monkeypatch.setattr(cls, "__init__", counting(cls))
+    return built
+
+
+def test_plain_enumerate_builds_no_specs(capsys, monkeypatch):
+    # len() and the command without --check read the integer rows only
+    built = _count_inits(monkeypatch, BrokenLineSpec, FareyContext)
     assert len(enumerate_specs(229)) > 0
     assert run(capsys, "enumerate", "--period", "229")[0] == 0
     assert run(capsys, "enumerate", "--period", "229", "--json")[0] == 0
@@ -744,3 +750,40 @@ def test_plain_enumerate_builds_no_specs(capsys, monkeypatch):
     specs = enumerate_specs(7).specs()
     assert built["BrokenLineSpec"] == len(specs) > 0
     assert 0 < built["FareyContext"] <= len(specs)
+
+
+def test_enumerate_check_builds_no_rays(capsys, monkeypatch):
+    # the spoke check compares integers: only broken --all prints the rays
+    built = _count_inits(monkeypatch, PeriodicAngle, atlas.SpokeLocation)
+    code, out, _ = run(capsys, "enumerate", "--period", "24", "--check")
+    assert code == 0 and as_dict(out)["check"].startswith("ok (")
+    assert built == {}
+    base = ("2/5", "7/17", "--hinge", "2", "--convention", "01")
+    assert run(capsys, "broken", *base, "--check")[0] == 0
+    assert built == {}
+    assert run(capsys, "broken", *base, "--all", "--check")[0] == 0
+    assert built == {"PeriodicAngle": 2, "SpokeLocation": 1}
+
+
+def test_enumerate_check_compares_the_printed_angle(capsys, monkeypatch):
+    # the command prints each angle from its row key; a row whose key is not
+    # the value of its period word prints a wrong angle, which --check must
+    # catch although the spec's own pipeline is sound
+    real = atlas._spec_rows
+
+    def wrong_key(period):
+        rows = real(period)
+        keys = {row[0] for row in rows}
+        key = rows[0][0] + 1
+        while key in keys:
+            key += 1
+        assert key < (1 << period) - 1
+        return [(key, *rows[0][1:]), *rows[1:]]
+
+    monkeypatch.setattr(atlas, "_spec_rows", wrong_key)
+    assert run(capsys, "enumerate", "--period", "9")[0] == 0
+    code, out, _ = run(capsys, "enumerate", "--period", "9", "--check", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error_kind"] == "InvariantViolated"
+    assert doc["message"].startswith("enumerate_specs: ")
