@@ -42,6 +42,7 @@ from .conjugate import (
 from .errors import (
     BracketingFailed,
     BrokenLineError,
+    BudgetExceeded,
     HypothesisViolated,
     InvariantViolated,
     MalformedCuttingSequence,

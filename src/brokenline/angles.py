@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .errors import BudgetExceeded
+
 __all__ = [
     "ClassOrder",
     "PeriodicAngle",
@@ -52,26 +54,36 @@ def minimal_period(word: str) -> int:
     return (word + word).find(word, 1)
 
 
-def multiplicative_order(base: int, modulus: int) -> int:
-    """Least k >= 1 with base**k == 1 modulo ``modulus``."""
+def multiplicative_order(base: int, modulus: int, limit: int | None = None) -> int:
+    """Least k >= 1 with base**k == 1 modulo ``modulus``.
+
+    With a ``limit``, the search stops once k passes it and raises
+    BudgetExceeded, so it takes at most ``limit`` steps.
+    """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if modulus == 1:
         return 1
+    cap = modulus if limit is None else min(limit, modulus)
     t = base % modulus
     k = 1
     while t != 1:
         t = t * base % modulus
         k += 1
-        if k > modulus:
+        if k > cap:
+            if cap < modulus:
+                raise BudgetExceeded(
+                    f"the order of {base} modulo {modulus} exceeds {limit}"
+                )
             raise ValueError(f"{base} is not invertible modulo {modulus}")
     return k
 
 
-def _expand(x: Fraction) -> tuple[str, str]:
+def _expand(x: Fraction, max_period: int | None) -> tuple[str, str]:
     """Canonical (preperiod, period) of x in [0, 1), from its denominator: the
     preperiod has one digit per factor 2, the period one per step of the
-    multiplicative order of 2 modulo the odd part."""
+    multiplicative order of 2 modulo the odd part, found in at most
+    ``max_period`` steps when that is given."""
     num, den = x.numerator, x.denominator
     e = (den & -den).bit_length() - 1
     odd = den >> e
@@ -79,15 +91,18 @@ def _expand(x: Fraction) -> tuple[str, str]:
     pre = format(head, f"0{e}b") if e else ""
     if odd == 1:
         return pre, "0"
-    n = multiplicative_order(2, odd)
+    n = multiplicative_order(2, odd, max_period)
     # rem/odd is reduced, so its period is the whole order n
     return pre, format(rem * (2**n - 1) // odd, f"0{n}b")
 
 
-def fraction_to_expansion(x: Fraction) -> "PeriodicAngle":
+def fraction_to_expansion(
+    x: Fraction, max_period: int | None = None
+) -> "PeriodicAngle":
     """Canonical binary expansion of the angle x; purely periodic iff the
-    denominator is odd."""
-    return PeriodicAngle(*_expand(x % 1))
+    denominator is odd.  A period longer than ``max_period``, when that is
+    given, raises BudgetExceeded before any digit is built."""
+    return PeriodicAngle(*_expand(x % 1, max_period))
 
 
 @dataclass(frozen=True)

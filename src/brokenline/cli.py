@@ -13,11 +13,16 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 
 from .angles import PeriodicAngle, fraction_to_expansion, word_to_fraction
 from .atlas import (
     CENSUS_LIMIT,
+    SpecEnumeration,
     SpokeLocation,
     _TURNS,
     _Bracket,
@@ -50,6 +55,9 @@ from .words import Convention, _rotation_signs, is_sturmian
 
 LAVAURS_VERIFY_LIMIT = 16
 KNEADING_CHECK_LIMIT = 12
+# the longest period a "p/q" angle argument may expand to; the largest
+# period any documented command reaches is b = 10^6 + 1
+MAX_PERIOD = 2**20
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -67,8 +75,12 @@ def _ratio(text: str) -> tuple[int, int]:
     return num, den
 
 
-def _angle(text: str) -> PeriodicAngle:
-    """Angle argument: either "p/q" or the expansion form "0.[u](w)"."""
+def _angle(text: str) -> PeriodicAngle | Fraction:
+    """Angle argument: either "p/q" or the expansion form "0.[u](w)".
+
+    Only the syntax is read here; a "p/q" is expanded by _expansion, in the
+    handler, where a period past MAX_PERIOD is a domain error.
+    """
     if text.startswith("0."):
         try:
             return PeriodicAngle.parse(text)
@@ -77,7 +89,16 @@ def _angle(text: str) -> PeriodicAngle:
     num, den = _ratio(text)
     if num >= den:
         raise argparse.ArgumentTypeError("angles must lie in [0, 1)")
-    return fraction_to_expansion(Fraction(num, den))
+    return Fraction(num, den)
+
+
+def _expansion(angle: PeriodicAngle | Fraction) -> PeriodicAngle:
+    # the period of p/q is the order of 2 modulo the odd part of q, which
+    # can pass any budget however short p/q is written: the order search
+    # stops past MAX_PERIOD digits
+    if isinstance(angle, PeriodicAngle):
+        return angle
+    return fraction_to_expansion(angle, MAX_PERIOD)
 
 
 def _strict(pair: tuple[int, int], name: str) -> Fraction:
@@ -311,7 +332,7 @@ def cmd_kneading(args: argparse.Namespace) -> dict:
 
 
 def cmd_kneading_of_angle(args: argparse.Namespace) -> dict:
-    theta = args.angle.value
+    theta = _expansion(args.angle).value
     ks = kneading_of_angle(theta)
     payload = {
         "angle": _text(theta),
@@ -357,50 +378,11 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
     if args.census and args.period > CENSUS_LIMIT:
         sturmian_census(args.period)  # raises the cap error before any work
     enumeration = enumerate_specs(args.period)
-    # each angle's first spec, written from its row as _spec_fields would
-    # write it: the limb and the slope are reduced, the angle is reduced by
-    # g, and each lies strictly between 0 and 1, so its Fraction prints p/q.
-    # Every key of one slope a and one turn is the slope word's value V
-    # rotated, 2^(B - cut) * V mod 2^B - 1, and doubling is invertible modulo
-    # 2^B - 1, so all of them share one gcd g with it: g, the reduced
-    # denominator, the slope and the convention are written once per orbit.
-    # The rows are sorted by key, so a row with the key of the one before it
-    # is one more choice for the last entry's angle
-    full = (1 << args.period) - 1
-    orbits: dict[tuple[int, str], tuple[int, str, str, str]] = {}
-    entries = []
-    collisions = 0
-    last = -1
-    for key, p, q, hinge, turn, a in enumeration.rows:
-        if key == last:
-            head = entries[-1]
-            if "collisions" not in head:
-                head["collisions"] = 1
-                collisions += 1
-            head["collisions"] += 1
-            continue
-        last = key
-        orbit = orbits.get((a, turn))
-        if orbit is None:
-            g = math.gcd(key, full)
-            orbit = orbits[a, turn] = (
-                g,
-                f"/{full // g}",
-                f"{a}/{args.period}",
-                _TURNS[turn].value,
-            )
-        g, denominator, slope, convention = orbit
-        head = {
-            "limb": f"{p}/{q}",
-            "slope": slope,
-            "hinge": hinge,
-            "convention": convention,
-            "angle": f"{key // g}{denominator}",
-        }
-        entries.append(head)
-    payload: dict = {"period": args.period, "count": len(entries), "entries": entries}
-    if collisions:
-        payload["collisions"] = collisions
+    entries = _Entries(enumeration)
+    count = len(enumeration)
+    payload: dict = {"period": args.period, "count": count, "entries": entries}
+    if entries.sizes:
+        payload["collisions"] = len(entries.sizes)
     if args.census:
         rows = []
         for b in range(3, args.period + 1):
@@ -430,15 +412,91 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
                     "enumerate_specs", "row key is not the period word's value", spec
                 )
             _check_spec(_Stages(spec))
-        payload["check"] = f"ok ({len(entries)} angles)"
+        payload["check"] = f"ok ({count} angles)"
     return payload
+
+
+# entries of an enumeration per write to stdout
+_CHUNK = 4096
+
+
+class _Entries:
+    """The entries of `enumerate`, written to stdout from the enumeration's
+    rows by main, after every check has passed: nothing but integers is
+    formatted on the way, and no entry is built as an object.
+
+    Each angle is written from its first row as _spec_fields would write its
+    first spec: the limb and the slope are reduced, the angle is reduced by
+    g, and each lies strictly between 0 and 1, so its Fraction prints p/q.
+    Every key of one slope a and one turn is the slope word's value V
+    rotated, 2^(B - cut) * V mod 2^B - 1, and doubling is invertible modulo
+    2^B - 1, so all of them share one gcd g with it: g, the reduced
+    denominator, the slope and the convention are written once per orbit.
+    The rows are sorted by key, so the rows of one angle are adjacent.
+    """
+
+    def __init__(self, enumeration: SpecEnumeration) -> None:
+        self.enumeration = enumeration
+        keys = list(map(itemgetter(0), enumeration.rows))
+        repeats = Counter([k for k, n in zip(keys, keys[1:]) if k == n])
+        # the number of rows of each angle that has more than one
+        self.sizes = {key: 1 + n for key, n in repeats.items()}
+
+    def write(self, as_json: bool) -> None:
+        """Write the entries as the items of a JSON list or as text lines,
+        a chunk of _CHUNK entries at a time."""
+        out = sys.stdout  # read per call: callers may redirect it
+        texts = self._texts(as_json)
+        sep = ", " if as_json else ""
+        lead = ""
+        while chunk := list(islice(texts, _CHUNK)):
+            out.write(lead)
+            out.write(sep.join(chunk))
+            lead = sep
+
+    def _texts(self, as_json: bool) -> Iterator[str]:
+        period, sizes = self.enumeration.period, self.sizes
+        full = (1 << period) - 1
+        orbits: dict[tuple[int, str], tuple[int, str, str, str]] = {}
+        last = -1
+        i = 0
+        for key, p, q, hinge, turn, a in self.enumeration.rows:
+            if key == last:
+                continue
+            last = key
+            orbit = orbits.get((a, turn))
+            if orbit is None:
+                g = math.gcd(key, full)
+                orbit = orbits[a, turn] = (
+                    g,
+                    f"/{full // g}",
+                    f"{a}/{period}",
+                    _TURNS[turn].value,
+                )
+            g, denominator, slope, convention = orbit
+            n = sizes.get(key, 1) if sizes else 1
+            if as_json:
+                extra = f', "collisions": {n}' if n > 1 else ""
+                yield (
+                    f'{{"limb": "{p}/{q}", "slope": "{slope}", "hinge": {hinge}, '
+                    f'"convention": "{convention}", '
+                    f'"angle": "{key // g}{denominator}"{extra}}}'
+                )
+            else:
+                i += 1
+                extra = f" collisions={n}" if n > 1 else ""
+                yield (
+                    f"theta-{i}: {key // g}{denominator} limb={p}/{q} "
+                    f"slope={slope} hinge={hinge} convention={convention}{extra}\n"
+                )
 
 
 def cmd_tune(args: argparse.Namespace) -> dict:
     bulb = _strict(args.bulb, "bulb")
-    tuned = tune(args.angle, bulb)
+    angle = _expansion(args.angle)
+    tuned = tune(angle, bulb)
     payload = {
-        "angle": str(args.angle),
+        "angle": str(angle),
         "bulb": _text(bulb),
         "tuned": str(tuned),
         "tuned-angle": _text(tuned.value),
@@ -572,15 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_text(payload: dict) -> None:
     for key, value in payload.items():
         if key == "entries":
-            for i, entry in enumerate(value, 1):
-                extra = (
-                    f" collisions={entry['collisions']}" if "collisions" in entry else ""
-                )
-                print(
-                    f"theta-{i}: {entry['angle']} limb={entry['limb']} "
-                    f"slope={entry['slope']} hinge={entry['hinge']} "
-                    f"convention={entry['convention']}{extra}"
-                )
+            value.write(as_json=False)
         elif key == "census":
             for row in value:
                 print(
@@ -593,6 +643,24 @@ def _print_text(payload: dict) -> None:
             print(f"{key}: {value}")
 
 
+def _write_json(payload: dict) -> None:
+    # print(json.dumps({"status": "ok", "payload": payload})), with the
+    # entries of an enumeration written as they go
+    out = sys.stdout
+    out.write('{"status": "ok", "payload": {')
+    lead = ""
+    for key, value in payload.items():
+        out.write(f"{lead}{json.dumps(key)}: ")
+        if key == "entries":
+            out.write("[")
+            value.write(as_json=True)
+            out.write("]")
+        else:
+            out.write(json.dumps(value))
+        lead = ", "
+    out.write("}}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -600,29 +668,33 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     # a period-b angle has about 0.3*b decimal digits; the interpreter's cap
-    # on int-to-str conversion is lifted while the command computes its
-    # answer and restored after, so argument parsing keeps the cap
+    # on int-to-str conversion is lifted while the command computes and
+    # writes its answer, whose entries are written in decimal as they go,
+    # and restored after, so argument parsing keeps the cap
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        payload = args.handler(args)
-    except (BrokenLineError, ValueError) as exc:
-        kind = type(exc).__name__
-        if args.json:
-            print(
-                json.dumps(
-                    {"status": "error", "error_kind": kind, "message": str(exc)}
+        try:
+            payload = args.handler(args)
+        except (BrokenLineError, ValueError) as exc:
+            kind = type(exc).__name__
+            if args.json:
+                print(
+                    json.dumps(
+                        {"status": "error", "error_kind": kind, "message": str(exc)}
+                    )
                 )
-            )
+            else:
+                print(f"error: {kind}: {exc}", file=sys.stderr)
+            return 1
+        if not args.json:
+            _print_text(payload)
+        elif "entries" in payload:
+            _write_json(payload)
         else:
-            print(f"error: {kind}: {exc}", file=sys.stderr)
-        return 1
+            print(json.dumps({"status": "ok", "payload": payload}))
     finally:
         sys.set_int_max_str_digits(limit)
-    if args.json:
-        print(json.dumps({"status": "ok", "payload": payload}))
-    else:
-        _print_text(payload)
     return 0
 
 

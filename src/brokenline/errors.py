@@ -49,6 +49,11 @@ class PreconditionUnmet(BrokenLineError):
     """An input does not satisfy a documented precondition."""
 
 
+class BudgetExceeded(BrokenLineError):
+    """An answer would take more work than the caller allows, such as an
+    angle whose period passes the command line's cap."""
+
+
 class InvariantViolated(BrokenLineError):
     """An internal consistency check failed: a bug, not bad input.
 

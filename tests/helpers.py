@@ -391,6 +391,34 @@ def enumerate_payload_by_objects(period, census=False, check=False):
     return payload
 
 
+def enumerate_text_by_objects(payload):
+    """The text stdout of `enumerate` for a payload of
+    enumerate_payload_by_objects, written line by line with literal formats:
+    one theta line per entry, one census line per census row, "key: value"
+    for every other field."""
+    lines = []
+    for key, value in payload.items():
+        if key == "entries":
+            for i, entry in enumerate(value, 1):
+                line = (
+                    f"theta-{i}: {entry['angle']} limb={entry['limb']} "
+                    f"slope={entry['slope']} hinge={entry['hinge']} "
+                    f"convention={entry['convention']}"
+                )
+                if "collisions" in entry:
+                    line += f" collisions={entry['collisions']}"
+                lines.append(line)
+        elif key == "census":
+            for row in value:
+                lines.append(
+                    f"census-{row['period']}: {row['formula']} "
+                    f"{row['constructed']} {row['brute']}"
+                )
+        else:
+            lines.append(f"{key}: {value}")
+    return "".join(line + "\n" for line in lines)
+
+
 def census_by_word(period):
     """(constructed, formula, brute) of sturmian_census, one word at a time:
     every word of exact period b with a balanced repetition counts when the

@@ -216,6 +216,26 @@ def test_multiplicative_order():
         multiplicative_order(2, 12)  # rho-shaped power cycle, never 1
 
 
+def test_order_and_expansion_stop_at_their_limit():
+    from brokenline import BudgetExceeded, multiplicative_order
+
+    # a limit at or past the order changes nothing; one below it stops the
+    # search; one past the modulus leaves the invertibility test as it is
+    assert multiplicative_order(2, 127, limit=7) == 7
+    assert multiplicative_order(2, 127, limit=10**9) == 7
+    with pytest.raises(BudgetExceeded, match="exceeds 6"):
+        multiplicative_order(2, 127, limit=6)
+    with pytest.raises(ValueError, match="not invertible"):
+        multiplicative_order(2, 12, limit=100)
+    # the order of 2 modulo 10^9 + 7 is 500000003: the search stops at 1000
+    with pytest.raises(BudgetExceeded):
+        multiplicative_order(2, 10**9 + 7, limit=1000)
+    assert fraction_to_expansion(Fraction(5, 12), 2) == PeriodicAngle("01", "10")
+    assert fraction_to_expansion(Fraction(1, 2), 1) == PeriodicAngle("1", "0")
+    with pytest.raises(BudgetExceeded):
+        fraction_to_expansion(Fraction(3, 508), 6)  # 508 = 4 * 127
+
+
 def test_periodic_angle_parse_rejects_junk():
     for bad in ["0.[01]((10))", "0.(01)(10)", "0.[](01)", "0.01", "(01)", "0.(2)"]:
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 import argparse
 import collections
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +31,11 @@ from brokenline import (
 )
 from brokenline import cli
 from brokenline.cli import main
-from helpers import broken_word_by_digit_rule, enumerate_payload_by_objects
+from helpers import (
+    broken_word_by_digit_rule,
+    enumerate_payload_by_objects,
+    enumerate_text_by_objects,
+)
 
 
 def run(capsys, *argv):
@@ -672,8 +679,7 @@ def _assert_enumerate_prints(capsys, payload, *argv):
     # text and --json stdout of `enumerate --period ...` against the payload
     code, out, err = run(capsys, "enumerate", "--period", *argv)
     assert code == 0 and err == ""
-    cli._print_text(payload)
-    assert out == capsys.readouterr().out
+    assert out == enumerate_text_by_objects(payload)
     code, out, _ = run(capsys, "enumerate", "--period", *argv, "--json")
     assert code == 0
     assert out == json.dumps({"status": "ok", "payload": payload}) + "\n"
@@ -787,3 +793,116 @@ def test_enumerate_check_compares_the_printed_angle(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["error_kind"] == "InvariantViolated"
     assert doc["message"].startswith("enumerate_specs: ")
+
+
+def test_enumerate_prints_collisions_across_a_chunk_boundary(capsys, monkeypatch):
+    # the command writes its entries in chunks of cli._CHUNK: a second choice
+    # for the last angle of the first chunk and two more for the first angle
+    # of the second must print where the object payload prints them
+    real = atlas._spec_rows
+
+    def injected(period):
+        rows = real(period)
+        keys = sorted({row[0] for row in rows})
+        assert len(keys) > cli._CHUNK
+        end, start = keys[cli._CHUNK - 1], keys[cli._CHUNK]
+        return [
+            *rows,
+            (end, *rows[1][1:]),
+            (start, *rows[2][1:]),
+            (start, *rows[3][1:]),
+        ]
+
+    monkeypatch.setattr(atlas, "_spec_rows", injected)
+    payload = enumerate_payload_by_objects(229)
+    entries = payload["entries"]
+    assert payload["collisions"] == 2
+    assert entries[cli._CHUNK - 1]["collisions"] == 2
+    assert entries[cli._CHUNK]["collisions"] == 3
+    _assert_enumerate_prints(capsys, payload, "229")
+
+
+def test_enumerate_prints_nothing_before_its_checks_pass(capsys, monkeypatch):
+    # the row key of the first angle past the first chunk is not its period
+    # word's value: --check finds it after a whole chunk of sound entries,
+    # and no entry may have been written by then
+    real = atlas._spec_rows
+
+    def wrong_key(period):
+        rows = real(period)
+        keys = sorted({row[0] for row in rows})
+        key = keys[cli._CHUNK]
+        assert key + 1 < keys[cli._CHUNK + 1]
+        return [(key + 1, *row[1:]) if row[0] == key else row for row in rows]
+
+    monkeypatch.setattr(atlas, "_spec_rows", wrong_key)
+    code, out, err = run(capsys, "enumerate", "--period", "229", "--check")
+    assert code == 1 and out == ""
+    assert err.startswith("error: InvariantViolated: enumerate_specs: ")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, "enumerate", "--period", "229", "--check", "--json")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert out == json.dumps(doc) + "\n"
+    assert doc["status"] == "error" and doc["error_kind"] == "InvariantViolated"
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_enumerate_holds_little_beyond_its_rows(monkeypatch):
+    # the entries go out as they are written: the command's peak stays near
+    # that of its rows, the peak when enumerate_specs returns, where a whole
+    # document would add about four times their size
+    rows = []
+
+    def measured(period):
+        enumeration = enumerate_specs(period)
+        rows.append(tracemalloc.get_traced_memory()[1])
+        return enumeration
+
+    monkeypatch.setattr(cli, "enumerate_specs", measured)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(["enumerate", "--period", "1009", "--json"]) == 0
+        command = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert command < 1.5 * rows[0]
+
+
+def test_angle_past_the_period_budget_is_refused(capsys):
+    # the order of 2 modulo 1000000007 is 500000003: the search stops past
+    # MAX_PERIOD steps and the command exits 1 with a typed error
+    for argv in (["tune", "1/1000000007", "1/2"], ["kneading-of-angle", "1/1000000007"]):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["error_kind"] == "BudgetExceeded"
+        assert str(cli.MAX_PERIOD) in doc["message"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: BudgetExceeded: ")
+    # the argument's syntax is still read at parse time: a usage error
+    with pytest.raises(SystemExit) as usage:
+        main(["tune", "1000000007/1000000007", "1/2"])
+    assert usage.value.code == 2
+
+
+def test_angle_commands_print_what_they_printed():
+    # golden output of the two commands whose "p/q" angle is expanded under
+    # the period budget
+    assert run_fresh("tune", "0.(01)", "1/3", "--check").stdout == (
+        "angle: 0.(01)\nbulb: 1/3\ntuned: 0.(001010)\ntuned-angle: 10/63\n"
+        "check: ok\n"
+    )
+    assert run_fresh("kneading-of-angle", "9/31", "--check").stdout == (
+        "angle: 9/31\nkneading: 1111*\nperiod: 5\ncheck: ok\n"
+    )
+    assert run_fresh("tune", "1/3", "1/2", "--json").stdout == (
+        '{"status": "ok", "payload": {"angle": "0.(01)", "bulb": "1/2", '
+        '"tuned": "0.(0110)", "tuned-angle": "2/5"}}\n'
+    )
