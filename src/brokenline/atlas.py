@@ -106,20 +106,15 @@ class SpokeLocation:
     junction_preperiod: int
 
 
-# a spoke index and the raw (preperiod, period) pairs of its two rays
-_Bracket = tuple[int, tuple[str, str], tuple[str, str]]
-
-
-def locate(spec: BrokenLineSpec, bracket: _Bracket | None = None) -> SpokeLocation:
+def locate(spec: BrokenLineSpec) -> SpokeLocation:
     """Bracket the broken-line angle between consecutive junction rays.
 
     The angle lies in the first spoke under the 01 convention and in the
     (Q-1)-th under 10; only the two rays bounding it are built.  Failure to
-    bracket signals a bug, not bad input.  A caller that has already
-    bracketed the angle passes what _bracket returned.
+    bracket signals a bug, not bad input.
     """
     ctx = spec.context
-    index, low, high = _bracket(spec) if bracket is None else bracket
+    index, low, high = _bracket(spec)
     if ctx.convention is Convention.ZERO_ONE:
         internal = Fraction(1, ctx.hinge + 1)
     else:
@@ -133,9 +128,9 @@ def locate(spec: BrokenLineSpec, bracket: _Bracket | None = None) -> SpokeLocati
     )
 
 
-def _bracket(spec: BrokenLineSpec) -> _Bracket:
-    # the spoke of the angle and its two rays, raw; the angle must lie
-    # strictly between them
+def _bracket(spec: BrokenLineSpec) -> tuple[int, tuple[str, str], tuple[str, str]]:
+    # the spoke of the angle and the raw (preperiod, period) pairs of its two
+    # rays; the angle must lie strictly between them
     ctx = spec.context
     if ctx.convention is Convention.ZERO_ONE:
         index = 1

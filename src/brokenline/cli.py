@@ -23,17 +23,20 @@ from .angles import PeriodicAngle, fraction_to_expansion, word_to_fraction
 from .atlas import (
     CENSUS_LIMIT,
     SpecEnumeration,
-    SpokeLocation,
     _TURNS,
-    _Bracket,
     _bracket,
     enumerate_specs,
     locate,
     sturmian_census,
     tune,
 )
-from .conjugate import _check_chain, _primed_word, lavaurs_partner
-from .errors import BrokenLineError, InvariantViolated, PreconditionUnmet
+from .conjugate import _check_chain, _primed_word, conjugate_word, lavaurs_partner
+from .errors import (
+    BrokenLineError,
+    BudgetExceeded,
+    InvariantViolated,
+    PreconditionUnmet,
+)
 from .farey import BrokenLineSpec, validate_spec
 from .kneading import (
     KneadingSequence,
@@ -43,7 +46,6 @@ from .kneading import (
     kneading_of_spec,
 )
 from .mechanical import (
-    BlockDecomposition,
     block_decomposition,
     broken_line_word,
     characteristic_pair,
@@ -55,8 +57,9 @@ from .words import Convention, _rotation_signs, is_sturmian
 
 LAVAURS_VERIFY_LIMIT = 16
 KNEADING_CHECK_LIMIT = 12
-# the longest period a "p/q" angle argument may expand to; the largest
-# period any documented command reaches is b = 10^6 + 1
+# the longest word a command may build: the period of a "p/q" angle
+# argument, the denominator of a slope or a bulb, the word tune returns; the
+# largest period any documented command reaches is b = 10^6 + 1
 MAX_PERIOD = 2**20
 
 
@@ -99,6 +102,14 @@ def _expansion(angle: PeriodicAngle | Fraction) -> PeriodicAngle:
     if isinstance(angle, PeriodicAngle):
         return angle
     return fraction_to_expansion(angle, MAX_PERIOD)
+
+
+def _budget(digits: int, name: str) -> None:
+    # checked before the word is built, which takes a byte per digit
+    if digits > MAX_PERIOD:
+        raise BudgetExceeded(
+            f"{name}: a word of {digits} digits exceeds the budget of {MAX_PERIOD}"
+        )
 
 
 def _strict(pair: tuple[int, int], name: str) -> Fraction:
@@ -158,7 +169,9 @@ def _text(x: Fraction) -> str:
 
 
 def _spec_of(args: argparse.Namespace) -> BrokenLineSpec:
-    return validate_spec(args.limb, args.slope, args.hinge, args.convention)
+    spec = validate_spec(args.limb, args.slope, args.hinge, args.convention)
+    _budget(spec.period, "a/b")
+    return spec
 
 
 def _spec_fields(spec: BrokenLineSpec) -> dict:
@@ -172,6 +185,7 @@ def _spec_fields(spec: BrokenLineSpec) -> dict:
 
 def cmd_line(args: argparse.Namespace) -> dict:
     slope = _strict(args.slope, "p/q")
+    _budget(slope.denominator, "p/q")
     kappa = cutting_sequence(slope, args.convention)
     word = cutting_to_mechanical(kappa)
     payload = {
@@ -192,6 +206,7 @@ def cmd_line(args: argparse.Namespace) -> dict:
 
 def cmd_bulb(args: argparse.Namespace) -> dict:
     slope = _strict(args.slope, "p/q")
+    _budget(slope.denominator, "p/q")
     low, high = characteristic_pair(slope)
     payload = {
         "slope": _text(slope),
@@ -207,61 +222,33 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
     return payload
 
 
-class _Stages:
-    """The pipeline stages of one spec, each computed on first read and kept
-    for the rest of the command."""
-
-    def __init__(self, spec: BrokenLineSpec) -> None:
-        self.spec = spec
-
-    @functools.cached_property
-    def decomposition(self) -> BlockDecomposition:
-        return block_decomposition(self.spec)
-
-    @functools.cached_property
-    def cword(self) -> str:
-        return _primed_word(self.decomposition)
-
-    @functools.cached_property
-    def kneading(self) -> KneadingSequence:
-        return kneading_of_spec(self.spec)
-
-    @functools.cached_property
-    def bracket(self) -> _Bracket:
-        return _bracket(self.spec)
-
-    @functools.cached_property
-    def spot(self) -> SpokeLocation:
-        return locate(self.spec, self.bracket)
-
-    @functools.cached_property
-    def up(self) -> bytes:
-        return _rotation_signs(broken_line_word(self.spec))
-
-    def check_kneading(self) -> None:
-        # the structural kneading against the one read off the orbit
-        if self.kneading != _kneading_of_word(broken_line_word(self.spec), self.up):
-            raise InvariantViolated(
-                "kneading_of_spec", "structural and direct kneading disagree", self.spec
-            )
-
-    def check_chain(self) -> None:
-        _check_chain(broken_line_word(self.spec), self.cword, self.up, self.spec)
-
-
-def _check_spec(stages: _Stages) -> None:
-    if not is_sturmian(broken_line_word(stages.spec)):
+def _check_kneading(
+    spec: BrokenLineSpec, word: str, kneading: KneadingSequence, up: bytes
+) -> None:
+    # the structural kneading against the one read off the orbit
+    if kneading != _kneading_of_word(word, up):
         raise InvariantViolated(
-            "broken_line_word", "period word fails the balance test", stages.spec
+            "kneading_of_spec", "structural and direct kneading disagree", spec
         )
-    stages.check_kneading()
-    stages.check_chain()
-    stages.bracket  # raises when no spoke brackets the angle
+
+
+def _check_spec(
+    spec: BrokenLineSpec, word: str, cword: str, kneading: KneadingSequence
+) -> None:
+    # the balance of the period word, then both word oracles, which read its
+    # rotation signs; the spoke bracket is left to the caller
+    if not is_sturmian(word):
+        raise InvariantViolated(
+            "broken_line_word", "period word fails the balance test", spec
+        )
+    up = _rotation_signs(word)
+    _check_kneading(spec, word, kneading, up)
+    _check_chain(word, cword, up, spec)
 
 
 def cmd_broken(args: argparse.Namespace) -> dict:
-    stages = _Stages(_spec_of(args))
-    spec, word = stages.spec, broken_line_word(stages.spec)
+    spec = _spec_of(args)
+    word = broken_line_word(spec)
     payload = _spec_fields(spec)
     payload.update(
         {
@@ -270,13 +257,17 @@ def cmd_broken(args: argparse.Namespace) -> dict:
             "expansion": f"0.({word})",
         }
     )
+    if args.all or args.check:
+        decomposition = block_decomposition(spec)
+        cword = _primed_word(decomposition)
+        kneading = kneading_of_spec(spec)
     if args.all:
-        cword, decomposition, spot = stages.cword, stages.decomposition, stages.spot
+        spot = locate(spec)
         payload.update(
             {
                 "conjugate": _text(word_to_fraction(cword)),
                 "conjugate-expansion": f"0.({cword})",
-                "kneading": str(stages.kneading),
+                "kneading": str(kneading),
                 "block-exponents": list(decomposition.exponents),
                 "blocks": list(
                     map(decomposition.block_words.__getitem__, decomposition.exponents)
@@ -287,15 +278,17 @@ def cmd_broken(args: argparse.Namespace) -> dict:
             }
         )
     if args.check:
-        _check_spec(stages)
+        _check_spec(spec, word, cword, kneading)
+        if not args.all:
+            _bracket(spec)  # raises when no spoke brackets the angle
         payload["check"] = "ok"
     return payload
 
 
 def cmd_conjugate(args: argparse.Namespace) -> dict:
-    stages = _Stages(_spec_of(args))
-    spec, cword = stages.spec, stages.cword
-    angle = word_to_fraction(broken_line_word(spec))
+    spec = _spec_of(args)
+    cword, word = conjugate_word(spec), broken_line_word(spec)
+    angle = word_to_fraction(word)
     conjugate = word_to_fraction(cword)
     payload = _spec_fields(spec)
     payload.update(
@@ -306,7 +299,7 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
         }
     )
     if args.verify or args.check:
-        stages.check_chain()
+        _check_chain(word, cword, _rotation_signs(word), spec)
         payload["chain"] = "ok"
     if args.verify:
         if spec.period <= LAVAURS_VERIFY_LIMIT:
@@ -322,11 +315,13 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
 
 
 def cmd_kneading(args: argparse.Namespace) -> dict:
-    stages = _Stages(_spec_of(args))
-    payload = _spec_fields(stages.spec)
-    payload["kneading"] = str(stages.kneading)
+    spec = _spec_of(args)
+    kneading = kneading_of_spec(spec)
+    payload = _spec_fields(spec)
+    payload["kneading"] = str(kneading)
     if args.check:
-        stages.check_kneading()
+        word = broken_line_word(spec)
+        _check_kneading(spec, word, kneading, _rotation_signs(word))
         payload["check"] = "ok"
     return payload
 
@@ -407,11 +402,13 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
         keys = dict.fromkeys(row[0] for row in enumeration.rows)
         for key, (_, specs) in zip(keys, enumeration.entries):
             spec = specs[0]
-            if int(broken_line_word(spec), 2) != key:
+            word = broken_line_word(spec)
+            if int(word, 2) != key:
                 raise InvariantViolated(
                     "enumerate_specs", "row key is not the period word's value", spec
                 )
-            _check_spec(_Stages(spec))
+            _check_spec(spec, word, conjugate_word(spec), kneading_of_spec(spec))
+            _bracket(spec)  # raises when no spoke brackets the angle
         payload["check"] = f"ok ({count} angles)"
     return payload
 
@@ -493,7 +490,10 @@ class _Entries:
 
 def cmd_tune(args: argparse.Namespace) -> dict:
     bulb = _strict(args.bulb, "bulb")
+    _budget(bulb.denominator, "bulb")
     angle = _expansion(args.angle)
+    # each digit of the angle becomes a word of the bulb's length
+    _budget((len(angle.preperiod) + len(angle.period)) * bulb.denominator, "tuned")
     tuned = tune(angle, bulb)
     payload = {
         "angle": str(angle),

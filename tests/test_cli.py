@@ -614,6 +614,20 @@ def test_command_line_catches_a_wrong_structural_kneading(capsys, monkeypatch):
     assert _error_kind(capsys, "enumerate", "--period", "9", "--check") == "InvariantViolated"
 
 
+def test_command_line_catches_an_unbalanced_period_word(capsys, monkeypatch):
+    # the balance test runs before the word oracles and names its own stage;
+    # "11" and "00" are factors of 1100...0, whose 1-counts differ by two
+    unbalanced = lambda spec: "11".ljust(spec.period, "0")
+    monkeypatch.setattr(cli, "broken_line_word", unbalanced)
+    base = ("2/5", "7/17", "--hinge", "2", "--convention", "01")
+    for flags in (("--check",), ("--all", "--check")):
+        code, out, _ = run(capsys, "broken", *base, *flags, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error_kind"] == "InvariantViolated"
+        assert doc["message"] == "broken_line_word: period word fails the balance test"
+
+
 def test_command_line_catches_a_wrong_pairing_partner(capsys, monkeypatch):
     # the conjugate word disagrees with the pairing oracle: an internal
     # check failed, not the input
@@ -625,20 +639,15 @@ def test_command_line_catches_a_wrong_pairing_partner(capsys, monkeypatch):
     assert json.loads(out)["message"].startswith("conjugate_word: ")
 
 
-def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
-    # every namespace of the package that holds a counted function gets a
-    # counting wrapper; each stage of one command runs once, and each word
-    # the command needs (limb, parent, slope) is built once
-    names = ("mechanical_word", "block_decomposition", "locate", "_rotation_signs")
-    counts = dict.fromkeys(names, 0)
+def _count_calls(monkeypatch, homes):
+    # a dict of the calls of each function named in homes, by name, from
+    # here on: every namespace of the package that holds the function gets
+    # a counting wrapper
+    counts = dict.fromkeys(homes, 0)
     modules = [
         module for name, module in sys.modules.items()
         if name == "brokenline" or name.startswith("brokenline.")
     ]
-    originals = {
-        name: getattr(sys.modules["brokenline." + home], name)
-        for name, home in zip(names, ("words", "mechanical", "atlas", "words"))
-    }
 
     def counting(name, fn):
         def counted(*args):
@@ -647,42 +656,100 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
 
         return counted
 
-    for name, fn in originals.items():
+    for name, home in homes.items():
+        fn = getattr(sys.modules["brokenline." + home], name)
         wrapper = counting(name, fn)
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
+    # each stage of one command runs once, and each word the command needs
+    # (limb, parent, slope) is built once
+    homes = {
+        "mechanical_word": "words",
+        "block_decomposition": "mechanical",
+        "locate": "atlas",
+        "_rotation_signs": "words",
+        "_bracket": "atlas",
+        "kneading_of_spec": "kneading",
+    }
+    counts = _count_calls(monkeypatch, homes)
     spec = ("55/144", "377/987", "--hinge", "1", "--convention", "01")
-    # calls per command, in the order of names: the limb and slope words
-    # make the period word, the parent word only the blocks; invert-kneading
+    # calls per command, in the order of homes: the limb and slope words
+    # make the period word, the parent word only the blocks; locate brackets
+    # the angle, so --all --check brackets it once; invert-kneading
     # transcribes with the limb and parent words and checks the round trip
-    # with the slope word
+    # with the slope word and the structural kneading
     expected = {
-        ("broken", *spec, "--all", "--check"): (3, 1, 1, 1),
-        ("conjugate", *spec, "--verify"): (3, 1, 0, 1),
-        ("kneading", *spec, "--check"): (2, 0, 0, 1),
-        ("invert-kneading", "1111011110111101*", "--convention", "01"): (3, 0, 0, 0),
+        ("broken", *spec, "--all", "--check"): (3, 1, 1, 1, 1, 1),
+        ("broken", *spec, "--check"): (3, 1, 0, 1, 1, 1),
+        ("broken", *spec, "--all"): (3, 1, 1, 0, 1, 1),
+        ("broken", *spec): (2, 0, 0, 0, 0, 0),
+        ("conjugate", *spec, "--verify"): (3, 1, 0, 1, 0, 0),
+        ("kneading", *spec, "--check"): (2, 0, 0, 1, 0, 1),
+        ("invert-kneading", "1111011110111101*", "--convention", "01"): (
+            3, 0, 0, 0, 0, 1
+        ),
         ("invert-kneading", "1111011110111101*", "--convention", "01", "--check"): (
-            3, 0, 0, 1
+            3, 0, 0, 1, 0, 1
         ),
     }
     for argv, row in expected.items():
-        counts.update(dict.fromkeys(names, 0))
+        counts.update(dict.fromkeys(homes, 0))
         code, out, _ = run(capsys, *argv)
         checked = "--check" in argv or "--verify" in argv
         assert code == 0 and ("ok" in as_dict(out).values()) == checked
-        assert counts == dict(zip(names, row)), argv[0]
+        assert counts == dict(zip(homes, row)), argv
+
+
+def test_enumerate_check_computes_each_stage_once_per_angle(capsys, monkeypatch):
+    # --check runs the pipeline of each angle's first spec: its blocks, its
+    # kneading, the rotation signs both word oracles read, and the bracket
+    homes = {
+        "block_decomposition": "mechanical",
+        "kneading_of_spec": "kneading",
+        "_rotation_signs": "words",
+        "_bracket": "atlas",
+        "locate": "atlas",
+    }
+    counts = _count_calls(monkeypatch, homes)
+    code, out, _ = run(capsys, "enumerate", "--period", "24", "--check")
+    assert code == 0
+    angles = len(enumerate_specs(24))
+    assert as_dict(out)["check"] == f"ok ({angles} angles)"
+    assert counts == {**dict.fromkeys(homes, angles), "locate": 0}
+
+
+def _assert_same_text(out, expected):
+    # a mismatch names its line and a few dozen characters around its first
+    # differing place: pytest's own diff of two outputs of megabytes (a JSON
+    # document is one line) runs for minutes
+    if out != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(out, expected)) if a != b),
+            min(len(out), len(expected)),
+        )
+        window = slice(max(at - 40, 0), at + 40)
+        pytest.fail(
+            f"lengths {len(out)} and {len(expected)}; first difference on line "
+            f"{expected.count(chr(10), 0, at) + 1}: {out[window]!r} against "
+            f"{expected[window]!r}",
+            pytrace=False,
+        )
 
 
 def _assert_enumerate_prints(capsys, payload, *argv):
     # text and --json stdout of `enumerate --period ...` against the payload
     code, out, err = run(capsys, "enumerate", "--period", *argv)
     assert code == 0 and err == ""
-    assert out == enumerate_text_by_objects(payload)
+    _assert_same_text(out, enumerate_text_by_objects(payload))
     code, out, _ = run(capsys, "enumerate", "--period", *argv, "--json")
     assert code == 0
-    assert out == json.dumps({"status": "ok", "payload": payload}) + "\n"
+    _assert_same_text(out, json.dumps({"status": "ok", "payload": payload}) + "\n")
 
 
 def test_enumerate_prints_what_the_object_path_prints(capsys):
@@ -890,6 +957,40 @@ def test_angle_past_the_period_budget_is_refused(capsys):
     with pytest.raises(SystemExit) as usage:
         main(["tune", "1000000007/1000000007", "1/2"])
     assert usage.value.code == 2
+
+
+def test_word_past_the_period_budget_is_refused(capsys):
+    # a slope, a bulb or a tuned word of more than MAX_PERIOD digits is
+    # refused before it is built: each would take a byte per digit
+    over = f"1/{10**12}"
+    deep = (f"{10**12 // 2 + 1}/{10**12 + 1}", "--hinge", "1", "--convention", "01")
+    refused = (
+        ["bulb", over],
+        ["tune", "0.(01)", over],
+        ["line", over, "--convention", "01"],
+        ["broken", "1/2", *deep],
+        ["conjugate", "1/2", *deep, "--verify"],
+        ["kneading", "1/2", *deep],
+        ["bulb", f"1/{cli.MAX_PERIOD + 1}"],
+        # the bulb is within the budget, the three-digit angle tuned by it not
+        ["tune", "0.(011)", f"1/{cli.MAX_PERIOD // 3 + 1}"],
+    )
+    for argv in refused:
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and err == "", argv
+        doc = json.loads(out)
+        assert doc["error_kind"] == "BudgetExceeded"
+        assert str(cli.MAX_PERIOD) in doc["message"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: BudgetExceeded: ")
+    # a word of MAX_PERIOD digits is still answered
+    code, out, _ = run(capsys, "bulb", f"1/{cli.MAX_PERIOD}", "--json")
+    assert code == 0
+    assert len(json.loads(out)["payload"]["word-01"]) == cli.MAX_PERIOD
+    # a spec the hinge inequalities reject is reported as before
+    code, out, _ = run(capsys, "broken", "1/2", f"1/{10**12 + 1}", *deep[1:], "--json")
+    assert code == 1 and json.loads(out)["error_kind"] == "HypothesisViolated"
 
 
 def test_angle_commands_print_what_they_printed():
