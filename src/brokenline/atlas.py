@@ -11,10 +11,10 @@ from itertools import groupby
 from operator import itemgetter, ne
 
 from .angles import PeriodicAngle
-from .conjugate import _GRID, _partners_at
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
 from .farey import BrokenLineSpec, FareyContext, _bound_terms, _check_hinge
 from .mechanical import _digits, broken_line_word, mechanical_word
+from .oracles import _partners_at
 from .words import Convention, is_sturmian, prime_minus, prime_plus, rotate_left
 
 __all__ = [
@@ -336,10 +336,8 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
     constructed = len(enumerate_specs(period))
     formula = (period - 2) * euler_phi(period)
 
-    # the sweep keys every angle by its numerator over 2^b - 1, the pairing
-    # by its numerator over _GRID
+    # the sweep and the pairing key every angle by its numerator over 2^b - 1
     full = (1 << period) - 1
-    scale = _GRID // full
     partner = _partners_at(period)
     # doubling k -> 2k mod 2^b - 1 rotates the word, and exact period and
     # balance are properties of the whole orbit: test them once per orbit
@@ -358,5 +356,5 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
             seen[j] = 1
         if len(orbit) != period or not is_sturmian(format(k, width)):
             continue
-        brute += sum(partner[j * scale] // scale not in orbit for j in orbit)
+        brute += sum(partner[j] not in orbit for j in orbit)
     return constructed, formula, brute

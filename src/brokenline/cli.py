@@ -12,6 +12,7 @@ import decimal
 import functools
 import json
 import math
+import os
 import sys
 from collections import Counter
 from collections.abc import Iterator
@@ -30,7 +31,7 @@ from .atlas import (
     sturmian_census,
     tune,
 )
-from .conjugate import _check_chain, _primed_word, conjugate_word, lavaurs_partner
+from .conjugate import _primed_word, conjugate_word
 from .errors import (
     BrokenLineError,
     BudgetExceeded,
@@ -38,13 +39,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .farey import BrokenLineSpec, validate_spec
-from .kneading import (
-    KneadingSequence,
-    _kneading_of_word,
-    invert_kneading,
-    kneading_of_angle,
-    kneading_of_spec,
-)
+from .kneading import invert_kneading, kneading_of_angle, kneading_of_spec
 from .mechanical import (
     block_decomposition,
     broken_line_word,
@@ -53,7 +48,15 @@ from .mechanical import (
     cutting_to_mechanical,
     mechanical_word,
 )
-from .words import Convention, _rotation_signs, is_sturmian
+from .oracles import (
+    _check_chain,
+    _check_kneading,
+    _check_spec,
+    _kneading_of_word,
+    _rotation_signs,
+    lavaurs_partner,
+)
+from .words import Convention
 
 LAVAURS_VERIFY_LIMIT = 16
 KNEADING_CHECK_LIMIT = 12
@@ -61,6 +64,9 @@ KNEADING_CHECK_LIMIT = 12
 # argument, the denominator of a slope or a bulb, the word tune returns; the
 # largest period any documented command reaches is b = 10^6 + 1
 MAX_PERIOD = 2**20
+# the largest B of `enumerate --period B`: its rows and its time grow as
+# B^2, and B = 2039 takes about 1.2 s and 120 MB
+MAX_ENUMERATE_PERIOD = 2**11
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -119,6 +125,7 @@ def _strict(pair: tuple[int, int], name: str) -> Fraction:
     value = Fraction(num, den)
     if not 0 < value < 1:
         raise PreconditionUnmet(f"{name} must lie strictly between 0 and 1")
+    _budget(den, name)
     return value
 
 
@@ -185,7 +192,6 @@ def _spec_fields(spec: BrokenLineSpec) -> dict:
 
 def cmd_line(args: argparse.Namespace) -> dict:
     slope = _strict(args.slope, "p/q")
-    _budget(slope.denominator, "p/q")
     kappa = cutting_sequence(slope, args.convention)
     word = cutting_to_mechanical(kappa)
     payload = {
@@ -206,7 +212,6 @@ def cmd_line(args: argparse.Namespace) -> dict:
 
 def cmd_bulb(args: argparse.Namespace) -> dict:
     slope = _strict(args.slope, "p/q")
-    _budget(slope.denominator, "p/q")
     low, high = characteristic_pair(slope)
     payload = {
         "slope": _text(slope),
@@ -220,30 +225,6 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
             raise InvariantViolated("characteristic_pair", "pair out of order")
         payload["check"] = "ok"
     return payload
-
-
-def _check_kneading(
-    spec: BrokenLineSpec, word: str, kneading: KneadingSequence, up: bytes
-) -> None:
-    # the structural kneading against the one read off the orbit
-    if kneading != _kneading_of_word(word, up):
-        raise InvariantViolated(
-            "kneading_of_spec", "structural and direct kneading disagree", spec
-        )
-
-
-def _check_spec(
-    spec: BrokenLineSpec, word: str, cword: str, kneading: KneadingSequence
-) -> None:
-    # the balance of the period word, then both word oracles, which read its
-    # rotation signs; the spoke bracket is left to the caller
-    if not is_sturmian(word):
-        raise InvariantViolated(
-            "broken_line_word", "period word fails the balance test", spec
-        )
-    up = _rotation_signs(word)
-    _check_kneading(spec, word, kneading, up)
-    _check_chain(word, cword, up, spec)
 
 
 def cmd_broken(args: argparse.Namespace) -> dict:
@@ -372,6 +353,10 @@ def cmd_invert_kneading(args: argparse.Namespace) -> dict:
 def cmd_enumerate(args: argparse.Namespace) -> dict:
     if args.census and args.period > CENSUS_LIMIT:
         sturmian_census(args.period)  # raises the cap error before any work
+    if args.period > MAX_ENUMERATE_PERIOD:
+        raise BudgetExceeded(
+            f"B: period {args.period} exceeds the budget of {MAX_ENUMERATE_PERIOD}"
+        )
     enumeration = enumerate_specs(args.period)
     entries = _Entries(enumeration)
     count = len(enumeration)
@@ -490,7 +475,6 @@ class _Entries:
 
 def cmd_tune(args: argparse.Namespace) -> dict:
     bulb = _strict(args.bulb, "bulb")
-    _budget(bulb.denominator, "bulb")
     angle = _expansion(args.angle)
     # each digit of the angle becomes a word of the bulb's length
     _budget((len(angle.preperiod) + len(angle.period)) * bulb.denominator, "tuned")
@@ -693,6 +677,15 @@ def main(argv: list[str] | None = None) -> int:
             _write_json(payload)
         else:
             print(json.dumps({"status": "ok", "payload": payload}))
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout: what is left is written to the null
+        # device, so the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     finally:
         sys.set_int_max_str_digits(limit)
     return 0

@@ -1,19 +1,17 @@
-"""Kneading sequences of periodic angles: direct, structural, and inverse."""
+"""Kneading sequences of periodic angles: the itinerary of an angle's
+doubling orbit, the closed-form kneading of a broken line, read off its
+block pattern, and the inverse from a kneading back to its broken line.
+The kneading read off a period word's rotations is an oracle, in the
+oracles module."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import xor
 
 from .angles import PeriodicAngle, minimal_period
-from .errors import (
-    HypothesisViolated,
-    InvariantViolated,
-    NotBrokenLineKneading,
-    NotPeriodic,
-)
+from .errors import HypothesisViolated, NotBrokenLineKneading, NotPeriodic
 from .farey import BrokenLineSpec, FareyContext, _check_hinge, mediant
 from .mechanical import _block_pattern, _spell, broken_line_word
 from .words import Convention
@@ -85,26 +83,6 @@ def kneading_of_angle(theta: Fraction) -> KneadingSequence:
         # 0 <= twice < 2 den, so doubling mod den is one subtraction
         x = twice - den if twice >= den else twice
     return KneadingSequence("".join(symbols))
-
-
-def _kneading_of_word(word: str, up: bytes) -> KneadingSequence:
-    """kneading_of_angle of theta = word^inf, read from the word and its
-    rotation signs ``up = _rotation_signs(word)``.
-
-    Orbit point i is d.z with d = word[i] and z = rotation i+1 of the word,
-    repeated; it lies strictly between theta/2 and (theta+1)/2 when d = 0 and
-    z > theta or d = 1 and z < theta, and on one of them when z = theta.
-    Points of period b compare as their b-digit words.  With exact period b
-    only the last orbit point, whose z is theta itself, lies on a partition
-    point: the star.
-    """
-    b = len(word)
-    if b < 2 or minimal_period(word) != b:
-        raise InvariantViolated("kneading_of_word", f"word has no exact period {b}")
-    # slot i-1 is 1 exactly when digit i-1 and the sign of rotation i differ:
-    # the code of "0" or "1" xor 0 or 1 is the slot's own character
-    body = bytes(map(xor, word[:-1].encode(), up[1:])).decode()
-    return KneadingSequence(body + "*")
 
 
 def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:

@@ -1,0 +1,292 @@
+"""The independent verifiers of the construction, apart from the paths they
+check: the word oracles, the checks the command line runs, and the Lavaurs
+pairing.
+
+The word oracles read a period word by the order of its factors,
+_factor_order (slices for short words, a Z-array in linear time for long
+ones).  The rotation signs of the word serve both: the direct kneading reads
+the orbit's itinerary off them, and the preimage chain pulls the angle back
+along a candidate conjugate word one doubling step at a time, checking that
+the circle intervals stay unlinked.  Every point along the chain is a suffix
+of the period word or of the conjugate word followed by theta, so it
+compares with theta by the preimage signs, which order the conjugate word's
+tails followed by one period against the period word twice, and by the
+rotation signs.  A period word of exact period b >= 2 mixes 0s and 1s, so
+no expansion ends in 0^inf or 1^inf and comparing two expansions compares
+their values.
+
+The Lavaurs pairing is the other verifier, which ``conjugate --verify``,
+``kneading-of-angle --check`` and sturmian_census read: the chords of the
+lower periods cut the disc into regions, and inside each region the angles
+of one exact period are joined in consecutive pairs, by one sweep over the
+sorted chord endpoints.  Its angles are integer numerators over 2^p - 1, as
+in the enumeration and the census; the sweep alone puts every period over
+their common multiple.  A ``Fraction`` is built only where a public
+function returns one.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import cache
+from itertools import compress
+from operator import xor
+
+from .angles import minimal_period
+from .errors import InvariantViolated, UnlinkViolation
+from .farey import BrokenLineSpec
+from .kneading import KneadingSequence
+from .words import is_sturmian
+
+# longest word whose factors are compared as slices: below it memcmp beats
+# the interpreted Z-array, even on 0^(b-1) 1, where every slice ties
+_SLICES_UP_TO = 1 << 14
+
+
+def _z_array(s: str, stop: int) -> list[int]:
+    """z[i], for i < stop, is the length of the longest common prefix of s
+    and s[i:]; z[0] is len(s).  Linear in len(s): every character compared
+    equal moves the right end of the rightmost match found so far."""
+    n = len(s)
+    z = [n] * stop
+    left = right = 0  # s[left:right] == s[:right - left]
+    for i in range(1, stop):
+        k = 0
+        if i < right:
+            k = z[i - left]
+            if i + k < right:
+                z[i] = k
+                continue
+            k = right - i
+        while i + k < n and s[k] == s[i + k]:
+            k += 1
+        z[i] = k
+        left, right = i, i + k
+    return z
+
+
+def _factor_order_by_z(text: str, word: str, count: int) -> bytes:
+    # _factor_order from the longest common prefix of each factor with the
+    # word, read off the Z-array of word + text, or of the text alone when
+    # it starts with the word
+    b = len(word)
+    base = 0 if text.startswith(word) else b
+    z = _z_array(word[:base] + text, base + count)
+    return bytes(
+        (k := z[base + s]) < b and text[s + k] > word[k] for s in range(count)
+    )
+
+
+def _factor_order(text: str, word: str, count: int) -> bytes:
+    """Byte s, for s < count, is ``text[s:s + b] > word``, b = len(word);
+    the text holds all count factors in full.
+
+    Words of up to _SLICES_UP_TO digits compare each factor as a slice;
+    longer ones read the order off a Z-array, so no text is quadratic.
+    """
+    b = len(word)
+    if b > _SLICES_UP_TO:
+        return _factor_order_by_z(text, word, count)
+    return bytes(text[s : s + b] > word for s in range(count))
+
+
+def _rotation_signs(word: str) -> bytes:
+    """One byte per rotation of the word: byte i is 1 when rotation i lies
+    above the word, ``ww[i:i+b] > word`` with ``ww = word + word``.  Both
+    word oracles, the preimage chain and the direct kneading, read it."""
+    return _factor_order(word + word, word, len(word))
+
+
+def _preimage_signs(word: str, cword: str) -> bytes:
+    """Byte j - 1, for j = 1..b-1, is 1 when P_j = cword[b-j:] theta lies
+    above theta = word^inf, for a word of exact period b.
+
+    P_j compares with theta as its first b + j digits, cword[b-j:] word,
+    compare with word word[:j], which they cannot equal: rotation j of the
+    word would equal the word.  With ww = word + word, that is the factor of
+    cword + ww at b - j against ww; points of period b compare as their
+    b-digit words.
+    """
+    ww = word + word
+    return _factor_order(cword + ww, ww, len(word))[:0:-1]
+
+
+def _check_chain(
+    word: str, cword: str, up: bytes, spec: BrokenLineSpec | None = None
+) -> None:
+    """Check the preimage chain of theta = word^inf towards the candidate
+    conjugate cword^inf, read from the two words and the rotation signs
+    ``up = _rotation_signs(word)``.
+
+    The k-th orbit point is O_k = word[b-k:] theta and the k-th preimage
+    P_k = cword[b-k:] theta; the partition points are x1 = P_1 and x2 = O_1,
+    that is theta/2 and (theta+1)/2.  A point d.z lies strictly between them
+    when d = 0 and z > theta or d = 1 and z < theta, and on one of them when
+    z = theta.  Raises unless x1 != x2 and, at every k >= 2, O_k and P_k lie
+    on the same side of the partition.
+    """
+    b = len(word)
+    # exact period b: rotation i of the word differs from it for 0 < i < b,
+    # so no O_k or P_k with k >= 2 lies on a partition point
+    if b < 2 or minimal_period(word) != b:
+        raise InvariantViolated(
+            "conjugate_chain", f"period word has no exact period {b}", spec
+        )
+    if len(cword) != b:
+        raise InvariantViolated(
+            "conjugate_chain", f"conjugate word has length {len(cword)}, not {b}", spec
+        )
+    if cword[-1] == word[-1]:
+        raise UnlinkViolation(2, "the partition points coincide")
+    # by k = 2..b: O_k = d (rotation b-k+1)^inf and P_k = e P_(k-1); d.z
+    # lies between the partition points when the digit d and the sign of z
+    # differ: the code of "0" or "1" xor 0 or 1 names the side
+    orbit_sides = bytes(map(xor, word[-2::-1].encode(), up[:0:-1]))
+    preimage_sides = bytes(
+        map(xor, cword[-2::-1].encode(), _preimage_signs(word, cword))
+    )
+    if orbit_sides != preimage_sides:
+        pairs = zip(range(2, b + 1), orbit_sides, preimage_sides)
+        raise UnlinkViolation(next(k for k, x, y in pairs if x != y))
+
+
+def _kneading_of_word(word: str, up: bytes) -> KneadingSequence:
+    """kneading_of_angle of theta = word^inf, read from the word and its
+    rotation signs ``up = _rotation_signs(word)``.
+
+    Orbit point i is d.z with d = word[i] and z = rotation i+1 of the word,
+    repeated; it lies strictly between theta/2 and (theta+1)/2 when d = 0 and
+    z > theta or d = 1 and z < theta, and on one of them when z = theta.
+    Points of period b compare as their b-digit words.  With exact period b
+    only the last orbit point, whose z is theta itself, lies on a partition
+    point: the star.
+    """
+    b = len(word)
+    if b < 2 or minimal_period(word) != b:
+        raise InvariantViolated("kneading_of_word", f"word has no exact period {b}")
+    # slot i-1 is 1 exactly when digit i-1 and the sign of rotation i differ:
+    # the code of "0" or "1" xor 0 or 1 is the slot's own character
+    body = bytes(map(xor, word[:-1].encode(), up[1:])).decode()
+    return KneadingSequence(body + "*")
+
+
+def _check_kneading(
+    spec: BrokenLineSpec, word: str, kneading: KneadingSequence, up: bytes
+) -> None:
+    # the structural kneading against the one read off the orbit
+    if kneading != _kneading_of_word(word, up):
+        raise InvariantViolated(
+            "kneading_of_spec", "structural and direct kneading disagree", spec
+        )
+
+
+def _check_spec(
+    spec: BrokenLineSpec, word: str, cword: str, kneading: KneadingSequence
+) -> None:
+    # the balance of the period word, then both word oracles, which read its
+    # rotation signs; the spoke bracket is left to the caller
+    if not is_sturmian(word):
+        raise InvariantViolated(
+            "broken_line_word", "period word fails the balance test", spec
+        )
+    up = _rotation_signs(word)
+    _check_kneading(spec, word, kneading, up)
+    _check_chain(word, cword, up, spec)
+
+
+LAVAURS_LIMIT = 20
+# every angle of period <= LAVAURS_LIMIT is an integer over this (132 bits)
+_GRID = math.lcm(*((1 << p) - 1 for p in range(1, LAVAURS_LIMIT + 1)))
+
+# event kinds of the pairing sweep, encoded as 4 * numerator + kind
+_ANGLE, _OPEN, _CLOSE = 0, 1, 2
+
+
+def _pair_regions(events: list[int], period: int) -> dict[int, int]:
+    """Partner map of one period's angles, each chord entered from both ends.
+
+    ``events`` are sorted codes ``4 * numerator + kind``: the new angles, and
+    the ends of every lower chord, the smaller opening a region and the
+    larger closing it.  The stack holds, per open region, its angle still
+    waiting for a partner.
+    """
+    partner: dict[int, int] = {}
+    waiting: list[int | None] = [None]
+    for event in events:
+        kind = event & 3
+        if kind == _ANGLE:
+            x, y = event >> 2, waiting[-1]
+            if y is None:
+                waiting[-1] = x
+            else:
+                partner[x], partner[y] = y, x
+                waiting[-1] = None
+        elif kind == _OPEN:
+            waiting.append(None)
+        elif waiting.pop() is not None or not waiting:
+            break
+    else:
+        if waiting == [None]:
+            return partner
+    raise InvariantViolated("lavaurs_pairs", f"odd region at period {period}")
+
+
+@cache
+def _partners_at(period: int) -> dict[int, int]:
+    """Lavaurs partner of every angle of one exact period, as numerators over
+    2^period - 1, each chord entered from both ends."""
+    if not 2 <= period <= LAVAURS_LIMIT:
+        raise ValueError(f"period must be between 2 and {LAVAURS_LIMIT}")
+    full = (1 << period) - 1
+    # sieve out the numerators k/full of every period d | p, d < p: the
+    # multiples of full / (2^d - 1)
+    exact = bytearray(b"\x01") * full
+    for d in range(1, period):
+        if period % d == 0:
+            exact[:: full // ((1 << d) - 1)] = bytes((1 << d) - 1)
+    # the sweep puts the angles of every period over _GRID
+    scale = _GRID // full
+    events = [4 * k * scale for k in compress(range(full), exact)]
+    for lower in range(2, period):
+        step = _GRID // ((1 << lower) - 1)
+        events += [
+            4 * x * step + (_OPEN if x < y else _CLOSE)
+            for x, y in _partners_at(lower).items()
+        ]
+    events.sort()
+    return {x // scale: y // scale for x, y in _pair_regions(events, period).items()}
+
+
+def lavaurs_pairs(period: int) -> set[tuple[Fraction, Fraction]]:
+    """Partition the angles of one exact doubling period into conjugate pairs.
+
+    Periods are processed in increasing order.  The chords of the lower
+    periods cut the disc into regions; inside each region the angles of this
+    period are joined in consecutive pairs, counted up from 0.  The tests
+    hold this equal to Lavaurs' greedy rule, closest non-crossing neighbours
+    first.  Capped at period 20: a desk-scale oracle, not a production path.
+    """
+    partners = _partners_at(period)
+    full = (1 << period) - 1
+    return {
+        (Fraction(x, full), Fraction(y, full)) for x, y in partners.items() if x < y
+    }
+
+
+def lavaurs_partner(theta: Fraction) -> Fraction:
+    """Partner of a periodic angle in the pairing of its exact period."""
+    theta %= 1
+    den = theta.denominator
+    if den == 1 or den % 2 == 0:
+        raise ValueError("angle is not periodic of period >= 2 under doubling")
+    for period in range(2, LAVAURS_LIMIT + 1):
+        full = (1 << period) - 1
+        if full % den == 0:
+            break
+    else:
+        raise ValueError(f"period must be between 2 and {LAVAURS_LIMIT}")
+    partner = _partners_at(period).get(theta.numerator * (full // den))
+    if partner is None:
+        raise ValueError(f"{theta} missing from the period-{period} pairing")
+    return Fraction(partner, full)

@@ -1,8 +1,9 @@
 """Operations on finite binary words: mechanical words (by the standard-word
-recursion over the slope's continued fraction), primed words, balance,
-cyclic order, and the order of a text's factors against a word, which the
-word oracles read (slices for short words, a Z-array in linear time for
-long ones)."""
+recursion over the slope's continued fraction), primed words, rotations,
+balance, the rotation number of a word's doubling orbit, and the first
+difference of two periodic streams.  The order of a text's
+factors against a word, which the word oracles read, is in the oracles
+module."""
 
 from __future__ import annotations
 
@@ -85,65 +86,6 @@ def rotate_left(word: str, k: int) -> str:
         return word  # the only rotation of the empty word
     k %= len(word)
     return word[k:] + word[:k]
-
-
-# longest word whose factors are compared as slices: below it memcmp beats
-# the interpreted Z-array, even on 0^(b-1) 1, where every slice ties
-_SLICES_UP_TO = 1 << 14
-
-
-def _z_array(s: str, stop: int) -> list[int]:
-    """z[i], for i < stop, is the length of the longest common prefix of s
-    and s[i:]; z[0] is len(s).  Linear in len(s): every character compared
-    equal moves the right end of the rightmost match found so far."""
-    n = len(s)
-    z = [n] * stop
-    left = right = 0  # s[left:right] == s[:right - left]
-    for i in range(1, stop):
-        k = 0
-        if i < right:
-            k = z[i - left]
-            if i + k < right:
-                z[i] = k
-                continue
-            k = right - i
-        while i + k < n and s[k] == s[i + k]:
-            k += 1
-        z[i] = k
-        left, right = i, i + k
-    return z
-
-
-def _factor_order_by_z(text: str, word: str, count: int) -> bytes:
-    # _factor_order from the longest common prefix of each factor with the
-    # word, read off the Z-array of word + text, or of the text alone when
-    # it starts with the word
-    b = len(word)
-    base = 0 if text.startswith(word) else b
-    z = _z_array(word[:base] + text, base + count)
-    return bytes(
-        (k := z[base + s]) < b and text[s + k] > word[k] for s in range(count)
-    )
-
-
-def _factor_order(text: str, word: str, count: int) -> bytes:
-    """Byte s, for s < count, is ``text[s:s + b] > word``, b = len(word);
-    the text holds all count factors in full.
-
-    Words of up to _SLICES_UP_TO digits compare each factor as a slice;
-    longer ones read the order off a Z-array, so no text is quadratic.
-    """
-    b = len(word)
-    if b > _SLICES_UP_TO:
-        return _factor_order_by_z(text, word, count)
-    return bytes(text[s : s + b] > word for s in range(count))
-
-
-def _rotation_signs(word: str) -> bytes:
-    """One byte per rotation of the word: byte i is 1 when rotation i lies
-    above the word, ``ww[i:i+b] > word`` with ``ww = word + word``.  Both
-    word oracles, the preimage chain and the direct kneading, read it."""
-    return _factor_order(word + word, word, len(word))
 
 
 def is_sturmian(word: str) -> bool:

@@ -35,7 +35,7 @@ own, and the integer chain streams them as integer numerators over
 the period word and the conjugate word as slices up to 2^14 digits and by a
 Z-array above).  The slice signs compare every rotation of the period word
 and every preimage with theta by one full slice each, at every length
-(production, in words._factor_order, compares slices up to 2^14 digits and
+(production, in oracles._factor_order, compares slices up to 2^14 digits and
 reads the order off a Z-array above).  The object payload writes `enumerate
 --period B` from the Fractions and specs of the enumeration's entries
 (production writes it from the integer rows).
@@ -77,8 +77,8 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
-from brokenline import words
-from brokenline.conjugate import _GRID, _partners_at
+from brokenline import oracles
+from brokenline.oracles import _partners_at
 
 CONVENTIONS = (Convention.ZERO_ONE, Convention.ONE_ZERO)
 
@@ -445,7 +445,6 @@ def census_by_rotations(period):
     constructed = len(enumerate_specs(period))
     formula = (period - 2) * euler_phi(period)
     full = (1 << period) - 1
-    scale = _GRID // full
     partner = _partners_at(period)
     width = f"0{period}b"
     seen = bytearray(full)
@@ -460,7 +459,7 @@ def census_by_rotations(period):
             seen[j] = 1
         if n != period or not is_sturmian(word):
             continue
-        brute += sum(partner[j * scale] // scale not in orbit for j in orbit)
+        brute += sum(partner[j] not in orbit for j in orbit)
     return constructed, formula, brute
 
 
@@ -761,16 +760,16 @@ def preimage_signs_by_slices(word, cword):
     )
 
 
-# Ways to the signs of words._factor_order: the Z-array on every word (a
+# Ways to the signs of oracles._factor_order: the Z-array on every word (a
 # slice limit of 1), and the production limit, under which the slices run.
 SIGN_PATHS = (1, None)
 
 
 @contextlib.contextmanager
 def sign_path(limit):
-    """words._factor_order with the given slice limit (None keeps the
+    """oracles._factor_order with the given slice limit (None keeps the
     production value)."""
     with pytest.MonkeyPatch.context() as patch:
         if limit is not None:
-            patch.setattr(words, "_SLICES_UP_TO", limit)
+            patch.setattr(oracles, "_SLICES_UP_TO", limit)
         yield

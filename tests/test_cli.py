@@ -20,6 +20,7 @@ from brokenline import (
     FareyContext,
     KneadingSequence,
     PeriodicAngle,
+    SpecEnumeration,
     atlas,
     conjugate,
     conjugate_word,
@@ -44,16 +45,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def python_fresh(*args):
-    """Run the interpreter with args in a new process."""
+def _fresh_env():
     # the child imports the package under test, installed or not
     root = str(Path(brokenline.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def python_fresh(*args):
+    """Run the interpreter with args in a new process."""
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args], capture_output=True, text=True, env=_fresh_env()
     )
 
 
@@ -327,6 +329,79 @@ def test_enumerate_census_cap_checked_before_any_work(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["error_kind"] == "ValueError"
     assert doc["message"] == "census is desk-scale: 3 <= period <= 14"
+
+
+def test_enumerate_past_the_period_budget_is_refused(capsys, monkeypatch):
+    # B above MAX_ENUMERATE_PERIOD is refused before any row is built, after
+    # the census cap; B = MAX_ENUMERATE_PERIOD itself is enumerated
+    enumerated = []
+
+    def no_work(period):
+        enumerated.append(period)
+        return SpecEnumeration(period, ())
+
+    monkeypatch.setattr(cli, "enumerate_specs", no_work)
+    over = str(cli.MAX_ENUMERATE_PERIOD + 1)
+    for flags in ((), ("--check",)):
+        code, out, err = run(capsys, "enumerate", "--period", over, *flags, "--json")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["error_kind"] == "BudgetExceeded"
+        assert doc["message"] == (
+            f"B: period {over} exceeds the budget of {cli.MAX_ENUMERATE_PERIOD}"
+        )
+        code, out, err = run(capsys, "enumerate", "--period", over, *flags)
+        assert code == 1 and out == ""
+        assert err == f"error: BudgetExceeded: {doc['message']}\n"
+    code, out, _ = run(capsys, "enumerate", "--period", over, "--census", "--json")
+    assert code == 1 and json.loads(out)["error_kind"] == "ValueError"
+    assert enumerated == []
+    code, out, _ = run(capsys, "enumerate", "--period", str(cli.MAX_ENUMERATE_PERIOD))
+    assert code == 0 and as_dict(out)["count"] == "0"
+    assert enumerated == [cli.MAX_ENUMERATE_PERIOD]
+
+
+def _assert_broken_pipe(code, err):
+    # exit 1 and one error line: no traceback, and no second error from the
+    # flush at interpreter exit
+    assert code == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err.startswith("error: BrokenPipeError: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_is_a_typed_error():
+    command = [sys.executable, "-m", "brokenline"]
+    # stdout block-buffered, as on a pipe by default: a short answer is
+    # written when main flushes it
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    for mode in ((), ("--json",)):
+        # the reader stops after 100 bytes of a 0.7 MB answer
+        child = subprocess.Popen(
+            [*command, "enumerate", "--period", "229", *mode],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        _assert_broken_pipe(child.wait(), err)
+        # the reader is gone before a short answer is written at all
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [*command, "bulb", "2/5", *mode],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write)
+        _assert_broken_pipe(done.returncode, done.stderr)
 
 
 def test_tune(capsys):
@@ -673,7 +748,7 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
         "mechanical_word": "words",
         "block_decomposition": "mechanical",
         "locate": "atlas",
-        "_rotation_signs": "words",
+        "_rotation_signs": "oracles",
         "_bracket": "atlas",
         "kneading_of_spec": "kneading",
     }
@@ -712,7 +787,7 @@ def test_enumerate_check_computes_each_stage_once_per_angle(capsys, monkeypatch)
     homes = {
         "block_decomposition": "mechanical",
         "kneading_of_spec": "kneading",
-        "_rotation_signs": "words",
+        "_rotation_signs": "oracles",
         "_bracket": "atlas",
         "locate": "atlas",
     }

@@ -21,15 +21,16 @@ from brokenline import (
     word_to_fraction,
 )
 from brokenline import conjugate
-from brokenline.conjugate import (
+from brokenline.oracles import (
     _CLOSE,
     _OPEN,
     _check_chain,
     _pair_regions,
     _partners_at,
+    _rotation_signs,
 )
-from brokenline.words import _rotation_signs
 from helpers import (
+    LAVAURS_GRID,
     all_specs,
     chain_by_integers,
     chain_by_stored_lists,
@@ -218,7 +219,10 @@ def test_partners_match_the_heap_pairing():
     for period in range(2, 15):
         partners = _partners_at(period)
         pairs = sorted((x, y) for x, y in partners.items() if x < y)
-        assert pairs == list(lavaurs_pairs_by_heap(period)), period
+        # the heap pairs numerators over LAVAURS_GRID, the sweep over 2^p - 1
+        scale = LAVAURS_GRID // ((1 << period) - 1)
+        over_grid = [(x * scale, y * scale) for x, y in pairs]
+        assert over_grid == list(lavaurs_pairs_by_heap(period)), period
         assert all(partners[y] == x for x, y in pairs)
         assert len(partners) == 2 * len(pairs)
 

@@ -22,8 +22,7 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
-from brokenline.kneading import _kneading_of_word
-from brokenline.words import _rotation_signs
+from brokenline.oracles import _kneading_of_word, _rotation_signs
 from helpers import all_specs, all_words, doubling_orbit, kneading_by_tag_runs
 
 

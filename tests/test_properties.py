@@ -40,9 +40,7 @@ from brokenline import (
 )
 from brokenline import cli
 from brokenline.cli import main
-from brokenline.conjugate import _preimage_signs
-from brokenline.kneading import _kneading_of_word
-from brokenline.words import _rotation_signs
+from brokenline.oracles import _kneading_of_word, _preimage_signs, _rotation_signs
 from helpers import (
     base_index_by_scan,
     broken_word_by_digit_rule,

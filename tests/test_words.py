@@ -19,9 +19,8 @@ from brokenline import (
     rotation_diagnostics,
     validate_spec,
 )
-from brokenline import words
-from brokenline.conjugate import _preimage_signs
-from brokenline.words import _rotation_signs
+from brokenline import oracles
+from brokenline.oracles import _preimage_signs, _rotation_signs
 from helpers import (
     CONVENTIONS,
     SIGN_PATHS,
@@ -261,7 +260,7 @@ def long_tie_words(b):
     return ["0" * (b - 1) + "1", *flips, broken_line_word(half)]
 
 
-@pytest.mark.parametrize("b", [101, words._SLICES_UP_TO + 1])
+@pytest.mark.parametrize("b", [101, oracles._SLICES_UP_TO + 1])
 def test_signs_of_words_with_long_ties(b):
     # the Z-array and the slices at b = 101; past the slice limit the
     # production path is the Z-array, checked against the slices
