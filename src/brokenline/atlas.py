@@ -325,7 +325,8 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
     doubling orbit.  The sweep walks each orbit once, by doubling its least
     numerator modulo 2^b - 1, so the orbit's length is its exact period and
     the balance of its least member's word decides the whole orbit; it
-    builds no rotated word.  formula == brute always holds: both count the
+    builds no rotated word, and jumps from one orbit to the least numerator
+    none has reached.  formula == brute always holds: both count the
     rotations of each a/b word minus the characteristic pair of the a/b
     bulb.  The construction is sound but not complete, so constructed <=
     brute, with equality through b = 6 only; from b = 7 on (first missing
@@ -344,9 +345,8 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
     width = f"0{period}b"
     seen = bytearray(full)
     brute = 0
-    for k in range(1, full):
-        if seen[k]:
-            continue
+    k = 1
+    while k > 0:
         orbit = [k]
         j = (k << 1) % full
         while j != k:
@@ -354,7 +354,7 @@ def sturmian_census(period: int) -> tuple[int, int, int]:
             j = (j << 1) % full
         for j in orbit:
             seen[j] = 1
-        if len(orbit) != period or not is_sturmian(format(k, width)):
-            continue
-        brute += sum(partner[j] not in orbit for j in orbit)
+        if len(orbit) == period and is_sturmian(format(k, width)):
+            brute += sum(partner[j] not in orbit for j in orbit)
+        k = seen.find(0, k + 1)
     return constructed, formula, brute

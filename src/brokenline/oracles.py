@@ -20,14 +20,13 @@ The Lavaurs pairing is the other verifier, which ``conjugate --verify``,
 lower periods cut the disc into regions, and inside each region the angles
 of one exact period are joined in consecutive pairs, by one sweep over the
 sorted chord endpoints.  Its angles are integer numerators over 2^p - 1, as
-in the enumeration and the census; the sweep alone puts every period over
-their common multiple.  A ``Fraction`` is built only where a public
-function returns one.
+in the enumeration and the census; the sweep places each lower chord end in
+the gap between two such numerators, so it needs no common denominator.  A
+``Fraction`` is built only where a public function returns one.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
 from itertools import compress
@@ -196,17 +195,17 @@ def _check_spec(
 
 
 LAVAURS_LIMIT = 20
-# every angle of period <= LAVAURS_LIMIT is an integer over this (132 bits)
-_GRID = math.lcm(*((1 << p) - 1 for p in range(1, LAVAURS_LIMIT + 1)))
 
-# event kinds of the pairing sweep, encoded as 4 * numerator + kind
-_ANGLE, _OPEN, _CLOSE = 0, 1, 2
+# event kinds of the pairing sweep, encoded as 4 * position + kind; in one
+# gap between angles the closes come first: a chord opened in the gap and
+# closed past a chord that closes in it would cross that chord
+_ANGLE, _CLOSE, _OPEN = 0, 1, 2
 
 
 def _pair_regions(events: list[int], period: int) -> dict[int, int]:
     """Partner map of one period's angles, each chord entered from both ends.
 
-    ``events`` are sorted codes ``4 * numerator + kind``: the new angles, and
+    ``events`` are sorted codes ``4 * position + kind``: the new angles, and
     the ends of every lower chord, the smaller opening a region and the
     larger closing it.  The stack holds, per open region, its angle still
     waiting for a partner.
@@ -235,7 +234,9 @@ def _pair_regions(events: list[int], period: int) -> dict[int, int]:
 @cache
 def _partners_at(period: int) -> dict[int, int]:
     """Lavaurs partner of every angle of one exact period, as numerators over
-    2^period - 1, each chord entered from both ends."""
+    2^period - 1, each chord entered from both ends.  The sweep places each
+    lower chord end by the gap between consecutive numerators it falls in,
+    so the periods share no common grid."""
     if not 2 <= period <= LAVAURS_LIMIT:
         raise ValueError(f"period must be between 2 and {LAVAURS_LIMIT}")
     full = (1 << period) - 1
@@ -245,17 +246,17 @@ def _partners_at(period: int) -> dict[int, int]:
     for d in range(1, period):
         if period % d == 0:
             exact[:: full // ((1 << d) - 1)] = bytes((1 << d) - 1)
-    # the sweep puts the angles of every period over _GRID
-    scale = _GRID // full
-    events = [4 * k * scale for k in compress(range(full), exact)]
+    # the end x / (2^l - 1) falls in the gap after angle x * full // (2^l - 1),
+    # more than full / (2^l - 1) > 2 positions from its chord's other end
+    events = [4 * k for k in compress(range(full), exact)]
     for lower in range(2, period):
-        step = _GRID // ((1 << lower) - 1)
+        step = (1 << lower) - 1
         events += [
-            4 * x * step + (_OPEN if x < y else _CLOSE)
+            4 * (x * full // step) + (_OPEN if x < y else _CLOSE)
             for x, y in _partners_at(lower).items()
         ]
     events.sort()
-    return {x // scale: y // scale for x, y in _pair_regions(events, period).items()}
+    return _pair_regions(events, period)
 
 
 def lavaurs_pairs(period: int) -> set[tuple[Fraction, Fraction]]:

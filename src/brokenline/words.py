@@ -92,7 +92,12 @@ def is_sturmian(word: str) -> bool:
     """Balance test on the biinfinite repetition of the word: the 1-counts of
     equal-length cyclic factors never differ by more than one.  In linear time:
     that holds iff the word is a rotation of the Christoffel word of its density,
-    built below (Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
+    built below (Lothaire, Algebraic Combinatorics on Words, ch. 2).  A word
+    whose cyclic factors include both 00 and 11 fails at once: their
+    1-counts differ by two."""
+    cyclic = word + word[:1]
+    if "00" in cyclic and "11" in cyclic:
+        return False
     n, m = len(word), word.count("1")
     christoffel = "".join("01"[(j + 1) * m // n - j * m // n] for j in range(n))
     return word in christoffel + christoffel

@@ -216,7 +216,8 @@ def test_lavaurs_pairs_share_kneading():
 
 
 def test_partners_match_the_heap_pairing():
-    for period in range(2, 15):
+    # through 16, the highest period conjugate --verify reads
+    for period in range(2, 17):
         partners = _partners_at(period)
         pairs = sorted((x, y) for x, y in partners.items() if x < y)
         # the heap pairs numerators over LAVAURS_GRID, the sweep over 2^p - 1
@@ -248,6 +249,30 @@ def test_pair_regions_pairs_inside_each_region():
         (45, 55),
         (80, 90),
     ]
+
+
+def test_pair_regions_closes_before_opens_in_one_gap():
+    # a close and an open coded at one gap position: (10, 20) closes before
+    # (20, 50) opens, so each encloses its own pair inside the outer region
+    angles = (5, 12, 18, 30, 40, 60)
+    partner = _pair_regions(_events(angles, [(10, 20), (20, 50)]), 4)
+    assert sorted((x, y) for x, y in partner.items() if x < y) == [
+        (5, 60),
+        (12, 18),
+        (30, 40),
+    ]
+    # the region that closes there is checked before the next one opens
+    with pytest.raises(InvariantViolated, match="odd region"):
+        _pair_regions(_events((5, 12, 30, 60), [(10, 20), (20, 50)]), 4)
+
+
+def test_pair_regions_skip_a_chord_that_encloses_no_angle():
+    # (21, 22) lies between the angles 20 and 30, and (50, 55) opens at the
+    # position where (10, 50) closes: no partner changes
+    angles = (5, 20, 30, 60)
+    plain = _pair_regions(_events(angles, [(10, 50)]), 4)
+    empty = [(10, 50), (21, 22), (50, 55)]
+    assert _pair_regions(_events(angles, empty), 4) == plain
 
 
 def test_pair_regions_rejects_an_odd_region():

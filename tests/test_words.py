@@ -57,6 +57,11 @@ def test_is_sturmian_golden():
     assert is_sturmian("0100")
     assert not is_sturmian("0011")
     assert is_sturmian("0")
+    # 00 or 11 only across the wrap still unbalances the repetition
+    assert not is_sturmian("0110")
+    assert not is_sturmian("1001")
+    # 00 without 11, or neither: the Christoffel test decides
+    assert is_sturmian("01")
 
 
 def _flip(word, position):
