@@ -7,7 +7,9 @@ _factor_order (slices for short words, a Z-array in linear time for long
 ones).  The rotation signs of the word serve both: the direct kneading reads
 the orbit's itinerary off them, and the preimage chain pulls the angle back
 along a candidate conjugate word one doubling step at a time, checking that
-the circle intervals stay unlinked.  Every point along the chain is a suffix
+the circle intervals stay unlinked.  The chain's side strings and the
+kneading's slot string each come from one integer XOR of the word's digit
+bytes with the sign bytes.  Every point along the chain is a suffix
 of the period word or of the conjugate word followed by theta, so it
 compares with theta by the preimage signs, which order the conjugate word's
 tails followed by one period against the period word twice, and by the
@@ -30,7 +32,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import compress
-from operator import xor
 
 from .angles import minimal_period
 from .errors import InvariantViolated, UnlinkViolation
@@ -111,6 +112,12 @@ def _preimage_signs(word: str, cword: str) -> bytes:
     return _factor_order(cword + ww, ww, len(word))[:0:-1]
 
 
+def _xor(x: bytes, y: bytes) -> bytes:
+    # bytewise x ^ y of two equal-length strings, as one integer XOR
+    xy = int.from_bytes(x, "big") ^ int.from_bytes(y, "big")
+    return xy.to_bytes(len(x), "big")
+
+
 def _check_chain(
     word: str, cword: str, up: bytes, spec: BrokenLineSpec | None = None
 ) -> None:
@@ -141,10 +148,8 @@ def _check_chain(
     # by k = 2..b: O_k = d (rotation b-k+1)^inf and P_k = e P_(k-1); d.z
     # lies between the partition points when the digit d and the sign of z
     # differ: the code of "0" or "1" xor 0 or 1 names the side
-    orbit_sides = bytes(map(xor, word[-2::-1].encode(), up[:0:-1]))
-    preimage_sides = bytes(
-        map(xor, cword[-2::-1].encode(), _preimage_signs(word, cword))
-    )
+    orbit_sides = _xor(word[-2::-1].encode(), up[:0:-1])
+    preimage_sides = _xor(cword[-2::-1].encode(), _preimage_signs(word, cword))
     if orbit_sides != preimage_sides:
         pairs = zip(range(2, b + 1), orbit_sides, preimage_sides)
         raise UnlinkViolation(next(k for k, x, y in pairs if x != y))
@@ -166,7 +171,7 @@ def _kneading_of_word(word: str, up: bytes) -> KneadingSequence:
         raise InvariantViolated("kneading_of_word", f"word has no exact period {b}")
     # slot i-1 is 1 exactly when digit i-1 and the sign of rotation i differ:
     # the code of "0" or "1" xor 0 or 1 is the slot's own character
-    body = bytes(map(xor, word[:-1].encode(), up[1:])).decode()
+    body = _xor(word[:-1].encode(), up[1:]).decode()
     return KneadingSequence(body + "*")
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, sub
 
 from .angles import minimal_period
 from .errors import NoDifference, NonMinimalPeriod
@@ -88,18 +90,26 @@ def rotate_left(word: str, k: int) -> str:
     return word[k:] + word[:k]
 
 
+# the bytes 0 and 1 as the digits "0" and "1"
+_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
 def is_sturmian(word: str) -> bool:
     """Balance test on the biinfinite repetition of the word: the 1-counts of
     equal-length cyclic factors never differ by more than one.  In linear time:
     that holds iff the word is a rotation of the Christoffel word of its density,
     built below (Lothaire, Algebraic Combinatorics on Words, ch. 2).  A word
     whose cyclic factors include both 00 and 11 fails at once: their
-    1-counts differ by two."""
+    1-counts differ by two.  The Christoffel word's floors of j m / n are
+    computed in C, apart from _digits, the word builder this test checks."""
     cyclic = word + word[:1]
     if "00" in cyclic and "11" in cyclic:
         return False
     n, m = len(word), word.count("1")
-    christoffel = "".join("01"[(j + 1) * m // n - j * m // n] for j in range(n))
+    if not m:
+        return True  # the all-zeros word, balanced
+    floors = list(map(floordiv, range(0, (n + 1) * m, m), repeat(n)))
+    christoffel = bytes(map(sub, floors[1:], floors)).translate(_DIGIT).decode()
     return word in christoffel + christoffel
 
 

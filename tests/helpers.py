@@ -691,14 +691,16 @@ def chain_by_stored_lists(spec):
     )
 
 
-def chain_by_integers(spec):
+def chain_by_integers(spec, cword=None):
     """conjugate_chain with every orbit point and preimage an integer over
     den = 2^b (2^b - 1), streamed two at a time: each preimage is checked to
     halve to the one before, the four points of each step to be distinct and
-    unlinked, and the last preimage to close the chain on the conjugate."""
+    unlinked, and the last preimage to close the chain on the conjugate.
+    A candidate conjugate word may stand in for the spec's own."""
     word = broken_line_word(spec)
     b = len(word)
-    cword = conjugate_word(spec)
+    if cword is None:
+        cword = conjugate_word(spec)
     full = (1 << b) - 1
     # the orbit point 2^i theta is (2^i t mod full) << b, walked backwards
     # from t by halving mod full

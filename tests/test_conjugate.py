@@ -20,7 +20,7 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
-from brokenline import conjugate
+from brokenline import conjugate, oracles
 from brokenline.oracles import (
     _CLOSE,
     _OPEN,
@@ -120,14 +120,21 @@ def _wrong_conjugates(word, cword):
 
 def test_word_chain_rejects_wrong_conjugates():
     # the halving and closed-form checks are identities on words; what the
-    # chain still rejects is pinned here
-    for spec in all_specs(3, 22):
+    # chain still rejects, and the step it reports, is pinned here against
+    # the integer chain; the last spec is past oracles._SLICES_UP_TO, so its
+    # signs come from the Z-array
+    long = _spec((1, 2), (8193, 16385), 1, "01")
+    assert long.period > oracles._SLICES_UP_TO
+    for spec in all_specs(3, 22) + (long,):
         word, cword = broken_line_word(spec), conjugate_word(spec)
         up = _rotation_signs(word)
         for wrong in _wrong_conjugates(word, cword):
             assert wrong != cword and len(wrong) == len(cword)
-            with pytest.raises(UnlinkViolation):
+            with pytest.raises(UnlinkViolation) as by_integers:
+                chain_by_integers(spec, wrong)
+            with pytest.raises(UnlinkViolation) as by_words:
                 _check_chain(word, wrong, up)
+            assert by_words.value.index == by_integers.value.index
 
 
 def test_word_chain_rejects_malformed_words():

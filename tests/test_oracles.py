@@ -93,6 +93,20 @@ def test_only_oracles_defines_the_verifiers():
             assert not VERIFIERS & _defined(tree), path.name
 
 
+def test_balance_test_builds_no_period_word():
+    # is_sturmian checks the words _digits builds, so it reads the floor
+    # formula of the Christoffel word and calls neither word builder
+    tree = _tree(SOURCES / "words.py")
+    (body,) = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "is_sturmian"
+    )
+    named = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    assert not {"_digits", "mechanical_word"} & named
+
+
 def test_every_traced_function_resolves():
     # the benchmark's layer trace wraps each function it lists by module and
     # name; a function moved out of its listed module would drop out of it
