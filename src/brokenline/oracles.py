@@ -3,8 +3,9 @@ check: the word oracles, the checks the command line runs, and the Lavaurs
 pairing.
 
 The word oracles read a period word by the order of its factors,
-_factor_order (slices for short words, a Z-array in linear time for long
-ones).  The rotation signs of the word serve both: the direct kneading reads
+_factor_order: slices below period 64; up to 2^14 digits, a bit-parallel
+prefix of 16 digits and a slice per factor still tied; a Z-array in linear time
+above.  The rotation signs of the word serve both: the direct kneading reads
 the orbit's itinerary off them, and the preimage chain pulls the angle back
 along a candidate conjugate word one doubling step at a time, checking that
 the circle intervals stay unlinked.  The chain's side strings and the
@@ -42,6 +43,14 @@ from .words import is_sturmian
 # longest word whose factors are compared as slices: below it memcmp beats
 # the interpreted Z-array, even on 0^(b-1) 1, where every slice ties
 _SLICES_UP_TO = 1 << 14
+# from _PREFIX_FROM factors on, every factor is first read on its leading
+# _PREFIX_DIGITS digits at once, by whole-integer operations (below, their
+# fixed cost loses to the slices); if more than _TIED_SHARE of the factors
+# still tie, a slice per factor beats a slice per tie found
+_PREFIX_FROM = 64
+_PREFIX_DIGITS = 16
+_TIED_SHARE = 0.5
+_BIT = bytes.maketrans(b"01", b"\0\1")  # digit characters to bytes 0 and 1
 
 
 def _z_array(s: str, stop: int) -> list[int]:
@@ -82,12 +91,37 @@ def _factor_order(text: str, word: str, count: int) -> bytes:
     """Byte s, for s < count, is ``text[s:s + b] > word``, b = len(word);
     the text holds all count factors in full.
 
-    Words of up to _SLICES_UP_TO digits compare each factor as a slice;
-    longer ones read the order off a Z-array, so no text is quadratic.
+    Fewer than _PREFIX_FROM factors are compared as slices, one each.  With
+    more, a word of more than _SLICES_UP_TO digits reads the order off a
+    Z-array, so no text is quadratic; a shorter one settles every factor on
+    its first _PREFIX_DIGITS digits at once, by a few integer operations per
+    digit, and compares only the factors still tied as slices.
     """
     b = len(word)
-    if b > _SLICES_UP_TO:
-        return _factor_order_by_z(text, word, count)
+    if count >= _PREFIX_FROM:
+        if b > _SLICES_UP_TO:
+            return _factor_order_by_z(text, word, count)
+        # bit s of ones >> k is text[s + k]; tied and above mask the factors
+        # equal to the word so far and those already above it
+        digits = min(_PREFIX_DIGITS, b)
+        ones = int(text[: count + digits - 1][::-1], 2)
+        tied, above = (1 << count) - 1, 0
+        for k in range(digits):
+            shifted = ones >> k
+            if word[k] == "0":
+                above |= tied & shifted
+                tied &= ~shifted
+            else:
+                tied &= shifted
+        if tied.bit_count() <= _TIED_SHARE * count:
+            ties = format(tied, f"0{count}b")[::-1]
+            signs = format(above, f"0{count}b")[::-1].encode()
+            signs = bytearray(signs.translate(_BIT))
+            s = ties.find("1")
+            while s >= 0:
+                signs[s] = text[s : s + b] > word
+                s = ties.find("1", s + 1)
+            return bytes(signs)
     return bytes(text[s : s + b] > word for s in range(count))
 
 

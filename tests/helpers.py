@@ -31,14 +31,15 @@ closest non-crossing neighbours first with a crossing test per chord
 (production sweeps the regions of the lower chords once).  The stored chain
 keeps every orbit point and preimage and checks each list in a pass of its
 own, and the integer chain streams them as integer numerators over
-2^b (2^b - 1), with its halving and closed-form checks (production compares
-the period word and the conjugate word as slices up to 2^14 digits and by a
-Z-array above).  The slice signs compare every rotation of the period word
+2^b (2^b - 1), with its halving and closed-form checks (production orders
+the factors of the period word and the conjugate word by
+oracles._factor_order).  The slice signs compare every rotation of the period word
 and every preimage with theta by one full slice each, at every length
-(production, in oracles._factor_order, compares slices up to 2^14 digits and
-reads the order off a Z-array above).  The object payload writes `enumerate
---period B` from the Fractions and specs of the enumeration's entries
-(production writes it from the integer rows).
+(production, in oracles._factor_order, compares slices below period 64,
+settles every factor on a bit-parallel prefix up to 2^14 digits with a slice
+for each factor still tied, and reads the order off a Z-array above).  The
+object payload writes `enumerate --period B` from the Fractions and specs of
+the enumeration's entries (production writes it from the integer rows).
 """
 
 import contextlib
@@ -46,7 +47,7 @@ import heapq
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 import pytest
 
@@ -762,16 +763,25 @@ def preimage_signs_by_slices(word, cword):
     )
 
 
-# Ways to the signs of oracles._factor_order: the Z-array on every word (a
-# slice limit of 1), and the production limit, under which the slices run.
-SIGN_PATHS = (1, None)
+# Ways to the signs of oracles._factor_order, each a patch of its constants:
+# the Z-array on every word (a prefix cutoff of 0 and a slice limit of 1);
+# plain slices on every word (a prefix cutoff above every factor count); the
+# bit-parallel prefix on every word, of 1 or 3 digits, with a slice for every
+# factor still tied however many tie, so that short words reach the slice
+# step too; and production.
+SIGN_PATHS = {
+    "z-array": {"_PREFIX_FROM": 0, "_SLICES_UP_TO": 1},
+    "slices": {"_PREFIX_FROM": inf},
+    "prefix-1": {"_PREFIX_FROM": 0, "_PREFIX_DIGITS": 1, "_TIED_SHARE": 1},
+    "prefix-3": {"_PREFIX_FROM": 0, "_PREFIX_DIGITS": 3, "_TIED_SHARE": 1},
+    "production": {},
+}
 
 
 @contextlib.contextmanager
-def sign_path(limit):
-    """oracles._factor_order with the given slice limit (None keeps the
-    production value)."""
+def sign_path(name):
+    """oracles._factor_order on the named path of SIGN_PATHS."""
     with pytest.MonkeyPatch.context() as patch:
-        if limit is not None:
-            patch.setattr(oracles, "_SLICES_UP_TO", limit)
+        for constant, value in SIGN_PATHS[name].items():
+            patch.setattr(oracles, constant, value)
         yield

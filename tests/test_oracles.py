@@ -14,6 +14,10 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # every verifier of the package, each defined in oracles.py and nowhere else
 VERIFIERS = {
     "_SLICES_UP_TO",
+    "_PREFIX_FROM",
+    "_PREFIX_DIGITS",
+    "_TIED_SHARE",
+    "_BIT",
     "_z_array",
     "_factor_order_by_z",
     "_factor_order",

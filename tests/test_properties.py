@@ -155,15 +155,20 @@ def binary_words(draw):
     ),
 )
 def test_z_array_signs_equal_the_slices(words):
-    # the production slice limit covers every word up to MAX_PERIOD, so a
-    # limit of 1 sends every word here to the Z-array
+    # the production slice limit covers every word up to MAX_PERIOD, so the
+    # z-array path (prefix cutoff 0, slice limit 1) sends every word here to
+    # the Z-array; the forced prefix paths take every word too, and send
+    # every tie to the slice step
     word, cword = words
     cword = (cword * len(word))[: len(word)]
-    with sign_path(1):
-        assert _rotation_signs(word) == rotation_signs_by_slices(word)
-        if minimal_period(word) == len(word):
-            expected = preimage_signs_by_slices(word, cword)
-            assert _preimage_signs(word, cword) == expected
+    up = rotation_signs_by_slices(word)
+    exact = minimal_period(word) == len(word)
+    above = preimage_signs_by_slices(word, cword) if exact else None
+    for path in ("z-array", "prefix-1", "prefix-3"):
+        with sign_path(path):
+            assert _rotation_signs(word) == up, path
+            if exact:
+                assert _preimage_signs(word, cword) == above, path
 
 
 @PROPERTY

@@ -215,10 +215,10 @@ def test_rotation_signs_match_the_rotations():
         for length in range(2, 15)
         for word in all_words(length)
     }
-    for limit in SIGN_PATHS:
-        with sign_path(limit):
+    for path in SIGN_PATHS:
+        with sign_path(path):
             for word, signs in expected.items():
-                assert _rotation_signs(word) == signs, (word, limit)
+                assert _rotation_signs(word) == signs, (word, path)
 
 
 def test_preimage_signs_match_the_slices():
@@ -238,10 +238,10 @@ def test_preimage_signs_match_the_slices():
                 flipped = word[:-1] + ("1" if word[-1] == "0" else "0")
                 pairs += [(word, word[1:] + word[0]), (word, flipped)]
     expected = [preimage_signs_by_slices(word, cword) for word, cword in pairs]
-    for limit in SIGN_PATHS:
-        with sign_path(limit):
+    for path in SIGN_PATHS:
+        with sign_path(path):
             for (word, cword), signs in zip(pairs, expected):
-                assert _preimage_signs(word, cword) == signs, (word, cword, limit)
+                assert _preimage_signs(word, cword) == signs, (word, cword, path)
 
 
 def fibonacci_word(length):
@@ -267,13 +267,15 @@ def long_tie_words(b):
 
 @pytest.mark.parametrize("b", [101, oracles._SLICES_UP_TO + 1])
 def test_signs_of_words_with_long_ties(b):
-    # the Z-array and the slices at b = 101; past the slice limit the
-    # production path is the Z-array, checked against the slices
+    # every path at b = 101, where production takes the prefix: most factors
+    # of 0^(b-1) 1 still tie after it, so they fall back to the slices, while
+    # the Fibonacci flips tie on few but long factors; past the slice limit
+    # every path but the plain slices is the Z-array
     for word in long_tie_words(b):
         assert minimal_period(word) == b
         cword = word[:-1] + ("1" if word[-1] == "0" else "0")
         up, above = rotation_signs_by_slices(word), preimage_signs_by_slices(word, cword)
-        for limit in SIGN_PATHS:
-            with sign_path(limit):
-                assert _rotation_signs(word) == up
-                assert _preimage_signs(word, cword) == above
+        for path in SIGN_PATHS:
+            with sign_path(path):
+                assert _rotation_signs(word) == up, path
+                assert _preimage_signs(word, cword) == above, path
