@@ -145,34 +145,45 @@ def _text(x: Fraction) -> str:
     Above _DECIMAL_BITS bits, an integer n = hi * 2^k + lo is written as the
     ``decimal`` value of hi times 2^k plus that of lo, recursively, exactly:
     the context's precision is the maximum and an inexact result traps.
-    The numerator and the denominator share the powers of 2.
+    Both parts are split at their common width w, so they share one table of
+    powers of 2, and a zero high half costs no product.  A denominator
+    2^w - 1, that of every unreduced angle over 2^b - 1, is written as 2^w
+    less one.
     """
     num, den = x.numerator, x.denominator
-    if max(abs(num), den).bit_length() <= _DECIMAL_BITS:
+    width = max(abs(num), den).bit_length()
+    if width <= _DECIMAL_BITS:
         return str(x)
+    powers: dict[int, decimal.Decimal] = {}
 
-    @functools.cache
     def power(k: int) -> decimal.Decimal:  # 2^k
-        if k <= 1024:
-            return decimal.Decimal(2) ** k
-        return power(k >> 1) * power(k - (k >> 1))
+        if k not in powers:
+            if k <= 1024:
+                powers[k] = decimal.Decimal(2) ** k
+            else:
+                powers[k] = power(k >> 1) * power(k - (k >> 1))
+        return powers[k]
 
-    def join(m: int, bits: int) -> decimal.Decimal:
+    def join(m: int, bits: int) -> decimal.Decimal:  # m < 2^bits
         if bits <= 1024:
             return decimal.Decimal(m)
         half = bits >> 1
         hi = m >> half
+        if not hi:
+            return join(m, half)
         return join(hi, bits - half) * power(half) + join(m - (hi << half), half)
 
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        digits = str(join(abs(num), abs(num).bit_length()))
+        digits = str(join(abs(num), width))
         if num < 0:
             digits = "-" + digits
         if den == 1:
             return digits
-        return f"{digits}/{join(den, den.bit_length())}"
+        if den == (1 << width) - 1:
+            return f"{digits}/{power(width) - 1}"
+        return f"{digits}/{join(den, width)}"
 
 
 def _spec_of(args: argparse.Namespace) -> BrokenLineSpec:

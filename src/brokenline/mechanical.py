@@ -10,9 +10,12 @@ The block decomposition and the conjugate read their exponents off that
 pattern, and the tags and the structural kneading spell it with
 ``str.replace``, each block written as its tags or its kneading slots.  The
 geometric pipeline (grid crossings, then contraction) computes the same words
-independently; the test suite holds both against the digit rule of the
-Christoffel word and against mediant concatenation over the Stern-Brocot tree,
-and the block pattern against a greedy parse of the descent tags.
+independently: it places the crossing of each horizontal grid line by the
+floor of its abscissa, writing one byte per crossing and sorting nothing, and
+contracts with ``str.replace``.  The test suite holds both pipelines against
+the digit rule of the Christoffel word and against mediant concatenation
+over the Stern-Brocot tree, and the block pattern against a greedy parse of
+the descent tags.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
-from operator import and_
 
 from .angles import PeriodicAngle, word_to_fraction
 from .errors import InvariantViolated, MalformedCuttingSequence
@@ -43,27 +44,25 @@ __all__ = [
     "mediant_tags",
 ]
 
-# the parity of a crossing, as a byte, to its symbol
-_SYMBOLS = bytes.maketrans(b"\0\1", b"01")
-
 
 def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
     """Grid-crossing word of the line y = (p/q)x over one period.
 
-    Crossings of vertical grid lines contribute 0, horizontal ones 1, ordered
-    along the line by exact rational comparison; the lattice point (q, p)
-    contributes the convention's two-symbol marker.  Length is p + q.
+    Crossings of vertical grid lines contribute 0, horizontal ones 1, in
+    their order along the line; the lattice point (q, p) contributes the
+    convention's two-symbol marker.  Length is p + q.  Horizontal line j,
+    0 < j < p, is crossed after the j - 1 horizontals below it and the
+    floor(jq/p) verticals left of it (jq/p is never whole, as gcd(p, q) = 1),
+    so its 1 sits at index j - 1 + floor(jq/p) and every other index is a 0.
     """
     if not 0 < p_over_q < 1:
         raise ValueError("slope must lie strictly between 0 and 1")
     p, q = p_over_q.numerator, p_over_q.denominator
-    # scale every crossing abscissa by 2p: vertical i sits at 2*i*p, horizontal
-    # j at 2*j*q + 1, so the parity is the symbol; coincidences are impossible
-    # since gcd(p, q) == 1
-    end = 2 * p * q
-    events = sorted([*range(2 * p, end, 2 * p), *range(2 * q + 1, end, 2 * q)])
-    parities = bytes(map(and_, events, repeat(1)))
-    return parities.translate(_SYMBOLS).decode() + convention.value
+    cut = bytearray(b"0") * (p + q - 2)
+    # x = j(p + q) - p for j = 1..p - 1, so x // p = j - 1 + floor(jq/p)
+    for x in range(q, (p - 1) * (p + q), p + q):
+        cut[x // p] = 49  # "1"
+    return cut.decode() + convention.value
 
 
 def cutting_to_mechanical(kappa: str) -> str:

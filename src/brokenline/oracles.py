@@ -3,10 +3,11 @@ check: the word oracles, the checks the command line runs, and the Lavaurs
 pairing.
 
 The word oracles read a period word by the order of its factors,
-_factor_order: slices below period 64; up to 2^14 digits, a bit-parallel
-prefix of 16 digits and a slice per factor still tied; a Z-array in linear time
-above.  The rotation signs of the word serve both: the direct kneading reads
-the orbit's itinerary off them, and the preimage chain pulls the angle back
+_factor_order: slices below period 64; up to period 2^14, a bit-parallel
+prefix of 16 digits and a slice per factor still tied, for the rotation and
+the preimage signs alike; a Z-array in linear time above.  The rotation
+signs of the word serve both: the direct kneading reads the orbit's
+itinerary off them, and the preimage chain pulls the angle back
 along a candidate conjugate word one doubling step at a time, checking that
 the circle intervals stay unlinked.  The chain's side strings and the
 kneading's slot string each come from one integer XOR of the word's digit
@@ -40,8 +41,9 @@ from .farey import BrokenLineSpec
 from .kneading import KneadingSequence
 from .words import is_sturmian
 
-# longest word whose factors are compared as slices: below it memcmp beats
-# the interpreted Z-array, even on 0^(b-1) 1, where every slice ties
+# most factors compared as slices: up to it memcmp beats the interpreted
+# Z-array, even on 0^(b-1) 1, where every slice ties, for words of one or
+# two periods
 _SLICES_UP_TO = 1 << 14
 # from _PREFIX_FROM factors on, every factor is first read on its leading
 # _PREFIX_DIGITS digits at once, by whole-integer operations (below, their
@@ -91,15 +93,18 @@ def _factor_order(text: str, word: str, count: int) -> bytes:
     """Byte s, for s < count, is ``text[s:s + b] > word``, b = len(word);
     the text holds all count factors in full.
 
-    Fewer than _PREFIX_FROM factors are compared as slices, one each.  With
-    more, a word of more than _SLICES_UP_TO digits reads the order off a
-    Z-array, so no text is quadratic; a shorter one settles every factor on
-    its first _PREFIX_DIGITS digits at once, by a few integer operations per
-    digit, and compares only the factors still tied as slices.
+    Fewer than _PREFIX_FROM factors are compared as slices, one each.  More
+    than _SLICES_UP_TO factors read the order off a Z-array, so no text is
+    quadratic.  Any count between settles every factor on its first
+    _PREFIX_DIGITS digits at once, by a few integer operations per digit,
+    and compares only the factors still tied as slices.  The gate is the
+    count, not the word: the preimage signs of period b compare b factors
+    with a word of 2b digits, and on the prefix they cost what the rotation
+    signs of the same period cost.
     """
     b = len(word)
     if count >= _PREFIX_FROM:
-        if b > _SLICES_UP_TO:
+        if count > _SLICES_UP_TO:
             return _factor_order_by_z(text, word, count)
         # bit s of ones >> k is text[s + k]; tied and above mask the factors
         # equal to the word so far and those already above it

@@ -212,6 +212,26 @@ def test_fractions_print_what_str_prints(no_digit_limit):
     small, big = 3**1000, (1 << 10_000) - 1
     for x in (Fraction(small, big), Fraction(big, small), Fraction(big, big + 2)):
         assert cli._text(x) == cli._text(-x)[1:] == str(x)
+    # an angle of period k is n/(2^k - 1): unreduced, its denominator is
+    # written as a power of 2 less one; reduced by a divisor 2^d - 1 of
+    # 2^k - 1, d | k, it is not all ones and is split like the numerator
+    for k in (edge - 1, edge, edge + 1, 14_285, 16_383, 100_003):
+        full = (1 << k) - 1
+        fractions = [Fraction(1, full), Fraction(full - 1, full)]
+        fractions += [Fraction(rng.randrange(1, full), full) for _ in range(3)]
+        # numerators far shorter than the denominator, and one bit shorter
+        fractions += [Fraction(2**64 + 1, full), Fraction(full >> 1, full)]
+        for d in (3, 5, 7, 43, 127, 2857):
+            if k % d == 0:
+                multiple = ((1 << d) - 1) * rng.randrange(1, full >> d)
+                fractions.append(Fraction(multiple, full))
+                assert fractions[-1].denominator < full
+        # a numerator past the denominator's width, and 2^k - 1 over a
+        # shorter Mersenne number
+        fractions += [Fraction(full + 2, (1 << (k - 1)) - 1), Fraction(full, 7)]
+        for x in fractions:
+            assert cli._text(x) == str(x), (k, x.denominator == full)
+            assert cli._text(-x) == "-" + str(x)
 
 
 def test_bulb_past_the_decimal_edge(capsys, no_digit_limit):

@@ -407,3 +407,19 @@ def test_cutting_sequence_matches_the_tuple_sort():
             assert cutting_sequence(slope, convention) == cutting_sequence_by_tuples(
                 slope, convention
             )
+
+
+def test_cutting_sequence_matches_the_tuple_sort_on_deep_slopes():
+    # 1/q, where no horizontal line is crossed, (q - 1)/q, where one 0 parts
+    # every two 1s, and the two deep-path families, (q//2 + 1)/q and 1/q, of
+    # the benchmark's periods 2^10..2^14
+    slopes = []
+    for q in (2, 3, 4, 5, 1023, 1025, 2047, 4097, 8191, 14285, 16383):
+        slopes += [Fraction(1, q), Fraction(q - 1, q)]
+        if q % 2:
+            slopes.append(Fraction(q // 2 + 1, q))
+    for slope in slopes:
+        for convention in CONVENTIONS:
+            kappa = cutting_sequence(slope, convention)
+            assert kappa == cutting_sequence_by_tuples(slope, convention), slope
+            assert len(kappa) == slope.numerator + slope.denominator

@@ -1,5 +1,7 @@
 """The boundary of the oracles module, read from the source: the verifiers
-live there alone, and none of them can reach the paths it checks."""
+live there alone, and none of them can reach the paths it checks; nor can
+the balance test and the grid crossings reach the digit rule they are held
+against."""
 
 import ast
 import importlib
@@ -97,18 +99,30 @@ def test_only_oracles_defines_the_verifiers():
             assert not VERIFIERS & _defined(tree), path.name
 
 
-def test_balance_test_builds_no_period_word():
-    # is_sturmian checks the words _digits builds, so it reads the floor
-    # formula of the Christoffel word and calls neither word builder
-    tree = _tree(SOURCES / "words.py")
+def _names_in(module, function):
+    # every name and attribute the body of a module-level function reads
+    tree = _tree(SOURCES / module)
     (body,) = (
         node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "is_sturmian"
+        if isinstance(node, ast.FunctionDef) and node.name == function
     )
     named = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
-    named |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    assert not {"_digits", "mechanical_word"} & named
+    return named | {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+
+
+def test_balance_test_builds_no_period_word():
+    # is_sturmian checks the words _digits builds, so it reads the floor
+    # formula of the Christoffel word and calls neither word builder
+    assert not {"_digits", "mechanical_word"} & _names_in("words.py", "is_sturmian")
+
+
+def test_grid_crossings_build_no_period_word():
+    # `line --check` holds the contracted cutting word against
+    # mechanical_word, so cutting_sequence places its crossings by a floor
+    # rule of its own and reads no word builder and no balance test
+    named = _names_in("mechanical.py", "cutting_sequence")
+    assert not {"_digits", "mechanical_word", "is_sturmian"} & named
 
 
 def test_every_traced_function_resolves():

@@ -5,11 +5,12 @@ scan and the preimage chain, and the word-level chain against the chain
 that stores every element and the chain on integers; of the word-level
 kneading on primitive words of period up to 2000, against the doubling
 orbit of their value; of PeriodicAngle on random words of period up to
-2000, against the long division of its exact value; and of rotations of
-words of up to 300 digits, which keep their gcd with 2^b - 1.  Last, the
-command line on random argv: every run exits 0, 1 or 2 with no traceback
-and within a time limit, and the table parse reads what argparse reads or
-leaves the command line to it."""
+2000, against the long division of its exact value; of the cutting
+sequence of random slopes of denominator up to 2000, against one sort of
+every grid crossing; and of rotations of words of up to 300 digits, which
+keep their gcd with 2^b - 1.  Last, the command line on random argv: every
+run exits 0, 1 or 2 with no traceback and within a time limit, and the table
+parse reads what argparse reads or leaves the command line to it."""
 
 import contextlib
 import io
@@ -28,6 +29,7 @@ from brokenline import (
     block_word,
     conjugate_chain,
     conjugate_word,
+    cutting_sequence,
     fraction_to_expansion,
     invert_kneading,
     kneading_of_angle,
@@ -46,6 +48,7 @@ from helpers import (
     broken_word_by_digit_rule,
     chain_by_integers,
     chain_by_stored_lists,
+    cutting_sequence_by_tuples,
     expansion_by_long_division,
     expansion_value,
     preimage_signs_by_slices,
@@ -169,6 +172,26 @@ def test_z_array_signs_equal_the_slices(words):
             assert _rotation_signs(word) == up, path
             if exact:
                 assert _preimage_signs(word, cword) == above, path
+
+
+@st.composite
+def slopes(draw, max_den=MAX_PERIOD):
+    """A reduced slope p/q with 2 <= q <= max_den."""
+    q = draw(st.integers(2, max_den), label="q")
+    p = draw(st.integers(1, q - 1), label="p")
+    assume(gcd(p, q) == 1)
+    return Fraction(p, q)
+
+
+@PROPERTY
+@given(slopes())
+def test_cutting_sequence_is_the_sorted_crossings(slope):
+    # the floor positions of the horizontal crossings against one sort of
+    # every crossing
+    for convention in (Convention.ZERO_ONE, Convention.ONE_ZERO):
+        assert cutting_sequence(slope, convention) == cutting_sequence_by_tuples(
+            slope, convention
+        )
 
 
 @PROPERTY

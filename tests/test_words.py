@@ -265,12 +265,16 @@ def long_tie_words(b):
     return ["0" * (b - 1) + "1", *flips, broken_line_word(half)]
 
 
-@pytest.mark.parametrize("b", [101, oracles._SLICES_UP_TO + 1])
+@pytest.mark.parametrize(
+    "b", [101, oracles._SLICES_UP_TO - 1, oracles._SLICES_UP_TO + 1]
+)
 def test_signs_of_words_with_long_ties(b):
     # every path at b = 101, where production takes the prefix: most factors
     # of 0^(b-1) 1 still tie after it, so they fall back to the slices, while
-    # the Fibonacci flips tie on few but long factors; past the slice limit
-    # every path but the plain slices is the Z-array
+    # the Fibonacci flips tie on few but long factors; just below the slice
+    # limit production takes the prefix for the b factors of the preimage
+    # signs too, whose word has 2b digits; past it every path but the plain
+    # slices is the Z-array
     for word in long_tie_words(b):
         assert minimal_period(word) == b
         cword = word[:-1] + ("1" if word[-1] == "0" else "0")
