@@ -41,6 +41,13 @@ def word_to_fraction(word: str) -> Fraction:
     return Fraction(int(word, 2) % full, full)
 
 
+def _terms(u: str, v: str) -> tuple[int, int]:
+    # the value of 0.u(v) as n/d, unreduced: n = int(u)*(2^|v| - 1) + int(v)
+    # and d = 2^|u| * (2^|v| - 1); the words need not be canonical
+    cycle = (1 << len(v)) - 1
+    return (int(u, 2) if u else 0) * cycle + int(v, 2), cycle << len(u)
+
+
 def double_angle(x: Fraction) -> Fraction:
     """One step of the angle doubling map, 2x mod 1."""
     return 2 * x % 1
@@ -146,10 +153,7 @@ class PeriodicAngle:
 
     @property
     def value(self) -> Fraction:
-        tail = Fraction(int(self.period, 2), 2 ** len(self.period) - 1)
-        if not self.preperiod:
-            return tail
-        return (int(self.preperiod, 2) + tail) / 2 ** len(self.preperiod)
+        return Fraction(*_terms(self.preperiod, self.period))
 
     def __str__(self) -> str:
         if self.preperiod:

@@ -10,10 +10,10 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter, ne
 
-from .angles import PeriodicAngle
+from .angles import PeriodicAngle, _terms
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
 from .farey import BrokenLineSpec, FareyContext, _bound_terms, _check_hinge
-from .mechanical import _digits, broken_line_word, mechanical_word
+from .mechanical import _digits, _substitute, broken_line_word, mechanical_word
 from .oracles import _partners_at
 from .words import Convention, is_sturmian, prime_minus, prime_plus, rotate_left
 
@@ -39,8 +39,9 @@ def tune(phi: PeriodicAngle, bulb: Fraction) -> PeriodicAngle:
         raise ValueError("bulb fraction must lie strictly between 0 and 1")
     low = mechanical_word(bulb, Convention.ZERO_ONE)
     high = mechanical_word(bulb, Convention.ONE_ZERO)
-    substitute = lambda digits: "".join(low if d == "0" else high for d in digits)
-    return PeriodicAngle(substitute(phi.preperiod), substitute(phi.period))
+    return PeriodicAngle(
+        _substitute(phi.preperiod, low, high), _substitute(phi.period, low, high)
+    )
 
 
 def tuned_is_nonsturmian(phi: PeriodicAngle, bulb: Fraction) -> bool:
@@ -140,21 +141,13 @@ def _bracket(spec: BrokenLineSpec) -> tuple[int, tuple[str, str], tuple[str, str
     word = broken_line_word(spec)
     # theta = k/full against each ray n/d, by cross-multiplication
     k, full = int(word, 2), (1 << len(word)) - 1
-    (low_n, low_d), (high_n, high_d) = _ray_terms(*low), _ray_terms(*high)
+    (low_n, low_d), (high_n, high_d) = _terms(*low), _terms(*high)
     if not (low_n * full < k * low_d and k * high_d < high_n * full):
         raise BracketingFailed(
             f"{Fraction(k, full)} is outside "
             f"({Fraction(low_n, low_d)}, {Fraction(high_n, high_d)})"
         )
     return index, low, high
-
-
-def _ray_terms(u: str, v: str) -> tuple[int, int]:
-    # the value of 0.u(v) as n/d, unreduced: n = int(u)*(2^|v| - 1) + int(v)
-    # and d = 2^|u| * (2^|v| - 1); it does not depend on how the ray is
-    # written, so the raw words serve
-    cycle = (1 << len(v)) - 1
-    return (int(u, 2) if u else 0) * cycle + int(v, 2), cycle << len(u)
 
 
 # the convention of the broken lines hinged at a Stern-Brocot node, by the

@@ -43,7 +43,6 @@ from .kneading import invert_kneading, kneading_of_angle, kneading_of_spec
 from .mechanical import (
     block_decomposition,
     broken_line_word,
-    characteristic_pair,
     cutting_sequence,
     cutting_to_mechanical,
     mechanical_word,
@@ -223,15 +222,17 @@ def cmd_line(args: argparse.Namespace) -> dict:
 
 def cmd_bulb(args: argparse.Namespace) -> dict:
     slope = _strict(args.slope, "p/q")
-    low, high = characteristic_pair(slope)
+    low = mechanical_word(slope, Convention.ZERO_ONE)
+    high = mechanical_word(slope, Convention.ONE_ZERO)
     payload = {
         "slope": _text(slope),
-        "word-01": mechanical_word(slope, Convention.ZERO_ONE),
-        "word-10": mechanical_word(slope, Convention.ONE_ZERO),
-        "theta-01": _text(low),
-        "theta-10": _text(high),
+        "word-01": low,
+        "word-10": high,
+        "theta-01": _text(word_to_fraction(low)),
+        "theta-10": _text(word_to_fraction(high)),
     }
     if args.check:
+        # words of one length, neither all 1s: they order as their angles
         if not low < high:
             raise InvariantViolated("characteristic_pair", "pair out of order")
         payload["check"] = "ok"

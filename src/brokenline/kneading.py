@@ -13,7 +13,7 @@ from fractions import Fraction
 from .angles import PeriodicAngle, minimal_period
 from .errors import HypothesisViolated, NotBrokenLineKneading, NotPeriodic
 from .farey import BrokenLineSpec, FareyContext, _check_hinge, mediant
-from .mechanical import _block_pattern, _spell, broken_line_word
+from .mechanical import _spell, broken_line_word
 from .words import Convention
 
 __all__ = [
@@ -91,17 +91,17 @@ def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:
 
     A slot is 0 exactly when the next position opens a cyclic run of fewer
     than n limb words followed by a parent word; everything else is 1, and
-    the final slot is the star.  Block e is L (L^(n-1) P)^e in limb (L) and
-    parent (P) tags, and the slots before the n tags of each window
-    L^(n-1) P are its 0s, so block e spells 1^Q window^e when every tag
-    stands for the slot before it.  Spelled over the closed-form block
-    pattern, this gives the kneading one slot early, led by the star's.
+    the final slot is the star.  Block e is head·unit^e, L (L^(n-1) P)^e in
+    limb (L) and parent (P) tags, with Q + e·d slots for c/d the hinge
+    bound.  The slots before the n tags of each window L^(n-1) P are its
+    0s, so block e spells 1^Q window^e when every tag stands for the slot
+    before it.  Spelled over the closed-form block pattern, this gives the
+    kneading one slot early, led by the star's.
     """
     ctx = spec.context
     n, q, t = ctx.hinge, ctx.p_over_q.denominator, ctx.parent.denominator
     window = ("0" + "1" * (q - 1)) * (n - 1) + "0" + "1" * (t - 1)
-    limb = "1" * q
-    shifted = _spell(*_block_pattern(spec), lambda e: limb + window * e)
+    shifted = _spell(spec, "1" * q, window)
     return KneadingSequence(shifted[1:] + "*")
 
 

@@ -2,28 +2,28 @@
 
 Mechanical words are built in ``words``, re-exported here, and kept by the
 objects they belong to: the limb and parent words by the ``FareyContext``, the
-period word by the ``BrokenLineSpec``.  The period's blocks follow one
+period word by the ``BrokenLineSpec``.  Block e is head·unit^e, one limb word
+followed by e copies of (limb^(n-1) parent), so with c/d the hinge bound it
+has Q + e·d digits and P + e·c ones.  The period's blocks follow one
 closed-form block pattern: with the slope's word made of `limbs` limb words
 and `bounds` bound words, and m, r = divmod(bounds, limbs), the blocks of
 index m and m + 1 read as 0 and 1 form the upper Christoffel word of r/limbs.
 The block decomposition and the conjugate read their exponents off that
-pattern, and the tags and the structural kneading spell it with
-``str.replace``, each block written as its tags or its kneading slots.  The
-geometric pipeline (grid crossings, then contraction) computes the same words
-independently: it places the crossing of each horizontal grid line by the
-floor of its abscissa, writing one byte per crossing and sorting nothing, and
-contracts with ``str.replace``.  The test suite holds both pipelines against
-the digit rule of the Christoffel word and against mediant concatenation
-over the Stern-Brocot tree, and the block pattern against a greedy parse of
-the descent tags.
+pattern, and the tags and the structural kneading spell it with one two-word
+substitution, each block written as head·unit^e in its tags or its kneading
+slots.  The geometric pipeline (grid crossings, then contraction) computes
+the same words independently: it places the crossing of each horizontal grid
+line by the floor of its abscissa, writing one byte per crossing and sorting
+nothing, and contracts with ``str.replace``.  The test suite holds both
+pipelines against the digit rule of the Christoffel word and against mediant
+concatenation over the Stern-Brocot tree, and the block pattern against a
+greedy parse of the descent tags.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .angles import PeriodicAngle, word_to_fraction
 from .errors import InvariantViolated, MalformedCuttingSequence
@@ -101,10 +101,9 @@ def mediant_tags(
         raise ValueError("lo and hi must be Farey neighbors")
     j = x.numerator * lo.denominator - x.denominator * lo.numerator
     i = x.denominator * hi.numerator - x.numerator * hi.denominator
-    middle = [hi if d == "1" else lo for d in _digits(j, i + j)]
-    if convention is Convention.ZERO_ONE:
-        return [hi] + middle + [lo]
-    return [lo] + middle + [hi]
+    first, last = ("1", "0") if convention is Convention.ZERO_ONE else ("0", "1")
+    labels = first + _digits(j, i + j) + last
+    return list(map({"0": lo, "1": hi}.__getitem__, labels))
 
 
 def _word_counts(spec: BrokenLineSpec) -> tuple[int, int]:
@@ -133,17 +132,17 @@ def _block_pattern(spec: BrokenLineSpec) -> tuple[int, str]:
     return m, "1" + _digits(rest, limbs) + "0"
 
 
-def _spell(m: int, pattern: str, piece: Callable[[int], str]) -> str:
-    # the block pattern with block e written as piece(e); the 1s are set
-    # aside first, as piece(m) may contain 1s
-    return pattern.replace("1", "+").replace("0", piece(m)).replace("+", piece(m + 1))
+def _substitute(word: str, zero: str, one: str) -> str:
+    # the word with every 0 written as `zero` and every 1 as `one`; the 1s
+    # are set aside first, as `zero` may contain 1s
+    return word.replace("1", "+").replace("0", zero).replace("+", one)
 
 
-def _block_labels(n: int, m: int) -> str:
-    # block_word(context, m) spelled in limb (L) and parent (P) tags
-    if m == 0:
-        return "L"
-    return "L" * n + ("P" + "L" * (n - 1)) * (m - 1) + "P"
+def _spell(spec: BrokenLineSpec, head: str, unit: str) -> str:
+    # the block pattern with block e written as head + unit * e
+    m, pattern = _block_pattern(spec)
+    low = head + unit * m
+    return _substitute(pattern, low, low + unit)
 
 
 def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
@@ -155,7 +154,7 @@ def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
     """
     ctx = spec.context
     value = {"L": ctx.p_over_q, "P": ctx.parent}
-    labels = _spell(*_block_pattern(spec), partial(_block_labels, ctx.hinge))
+    labels = _spell(spec, "L", "L" * (ctx.hinge - 1) + "P")
     return list(map(value.__getitem__, labels))
 
 
@@ -172,14 +171,13 @@ def broken_line_angle(spec: BrokenLineSpec) -> PeriodicAngle:
 
 
 def block_word(context: FareyContext, m: int) -> str:
-    """Bit string of the m-th block of the context; m = 0 is the bare limb
-    word, m >= 1 interleaves m parent words into hinge-sized limb runs."""
+    """Bit string of block m of the context: the limb word followed by m
+    copies of (limb word^(hinge-1) parent word).  With P/Q the limb and c/d
+    the hinge bound it has Q + m·d digits and P + m·c ones."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return context.limb_word
     wp, wx, n = context.limb_word, context.parent_word, context.hinge
-    return wp * n + (wx + wp * (n - 1)) * (m - 1) + wx
+    return wp + (wp * (n - 1) + wx) * m
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,12 @@ down the Stern-Brocot tree, the base-index scan walks the single-block
 slopes one Fraction at a time (production divides once), the tag parse
 reads the block exponents off the descent tags, the longer block first, and
 the tag-run kneading marks slots tag by tag over Fraction tags (production
-spells both from one closed-form block pattern), the orbit test just iterates the doubling map, the
+spells both from one closed-form block pattern), the run blocks spell block m
+as m parent words set into hinge-sized limb runs, L^n (P L^(n-1))^(m-1) P,
+with block 0 a case of its own (production writes every block as
+L (L^(n-1) P)^m, one head and m units), the digit tuning joins one bulb
+word per digit (production substitutes both words with str.replace), the
+orbit test just iterates the doubling map, the
 balance test counts the 1s of every cyclic factor (production looks for the
 word among the rotations of a Christoffel word), the census set is built from
 digit-rule rotations alone, the parameter sweep tries every limb, hinge
@@ -471,6 +476,15 @@ def expansion_value(u, w):
     return (head + Fraction(int(w, 2), 2 ** len(w) - 1)) / 2 ** len(u) % 1
 
 
+def tune_by_digits(phi, bulb):
+    """tune one digit at a time: each 0 of the expansion becomes the bulb's
+    01 word and each 1 its 10 word."""
+    low = mechanical_word(bulb, Convention.ZERO_ONE)
+    high = mechanical_word(bulb, Convention.ONE_ZERO)
+    substitute = lambda digits: "".join(low if d == "0" else high for d in digits)
+    return PeriodicAngle(substitute(phi.preperiod), substitute(phi.period))
+
+
 def expansion_by_long_division(x):
     """(preperiod, period) of x in [0, 1) by long division in base 2: each
     digit doubles the remainder, and the period starts at the first
@@ -502,19 +516,32 @@ def base_index_by_scan(spec):
         m += 1
 
 
+def block_labels_by_runs(n, m):
+    """Block m in limb (L) and parent (P) tags as hinge-sized limb runs
+    around its m parent tags: one L for m = 0, else L^n (P L^(n-1))^(m-1) P."""
+    if m == 0:
+        return "L"
+    return "L" * n + ("P" + "L" * (n - 1)) * (m - 1) + "P"
+
+
+def block_word_by_runs(context, m):
+    """Block m of the context as bits, in the runs of block_labels_by_runs:
+    the bare limb word for m = 0, else wp^n (wx wp^(n-1))^(m-1) wx."""
+    if m == 0:
+        return context.limb_word
+    wp, wx, n = context.limb_word, context.parent_word, context.hinge
+    return wp * n + (wx + wp * (n - 1)) * (m - 1) + wx
+
+
 def exponents_by_tag_parse(spec):
     """Block exponents by a greedy parse of the descent tags, the longer block
-    first, with the base index from the single-block scan.  Block 0 is one
-    limb tag L and block e >= 1 is L^n (P L^(n-1))^(e-1) P, with P the parent
-    tag; block m is a prefix of block m + 1."""
+    first, with the base index from the single-block scan.  Blocks are spelled
+    in tags by block_labels_by_runs; block m is a prefix of block m + 1."""
     limb, n = spec.p_over_q, spec.hinge
     labels = "".join("L" if tag == limb else "P" for tag in tags_by_descent(spec))
     base, single = base_index_by_scan(spec)
     candidates = (base,) if single else (base + 1, base)
-    pieces = {
-        e: "L" if e == 0 else "L" * n + ("P" + "L" * (n - 1)) * (e - 1) + "P"
-        for e in candidates
-    }
+    pieces = {e: block_labels_by_runs(n, e) for e in candidates}
     exponents = []
     i = 0
     while i < len(labels):

@@ -14,6 +14,7 @@ from brokenline import (
     rotate_left,
     word_to_fraction,
 )
+from brokenline.angles import _terms
 from helpers import (
     all_words,
     expansion_by_long_division,
@@ -180,6 +181,20 @@ def test_periodic_angle_matches_the_expansion_of_its_value():
             assert angle == fraction_to_expansion(x)
             assert (angle.preperiod, angle.period) == expansion_by_long_division(x)
             assert angle.value == x
+
+
+def test_terms_are_the_unreduced_value_of_the_raw_words():
+    # the integer terms against Fraction arithmetic on every raw pair, the
+    # period "0" and all-ones periods included; the denominator keeps its
+    # factors 2^|u| and 2^|v| - 1
+    preperiods = ["", *(u for length in range(1, 5) for u in all_words(length))]
+    periods = [v for length in range(1, 7) for v in all_words(length)]
+    for u in preperiods:
+        for v in periods:
+            n, d = _terms(u, v)
+            assert d == (2 ** len(v) - 1) * 2 ** len(u)
+            assert 0 <= n <= d
+            assert Fraction(n, d) % 1 == expansion_value(u, v)
 
 
 def test_periodic_angle_carries_the_all_ones_period():

@@ -243,6 +243,19 @@ def test_bulb_past_the_decimal_edge(capsys, no_digit_limit):
     assert (payload["theta-01"], payload["theta-10"]) == (str(low), str(high))
 
 
+def test_bulb_check_orders_the_words(capsys, monkeypatch):
+    # the two conventions' words swapped: the pair is out of order
+    real = cli.mechanical_word
+    swapped = lambda slope, c: real(slope, Convention(c.value[::-1]))
+    monkeypatch.setattr(cli, "mechanical_word", swapped)
+    code, out, err = run(capsys, "bulb", "2/5", "--check", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error_kind"] == "InvariantViolated"
+    assert doc["message"].startswith("characteristic_pair: ")
+    assert "Traceback" not in err
+
+
 def test_digit_limit_kept_for_arguments_and_restored_after_errors(capsys):
     limit = sys.get_int_max_str_digits()
     code, _, err = run(

@@ -10,6 +10,7 @@ import pytest
 from brokenline import (
     ClassOrder,
     Convention,
+    FareyContext,
     MalformedCuttingSequence,
     block_decomposition,
     block_word,
@@ -24,6 +25,7 @@ from brokenline import (
     mechanical_word,
     mediant_tags,
     minimal_period,
+    single_block_slope,
     stern_brocot_path,
     validate_spec,
 )
@@ -34,6 +36,8 @@ from helpers import (
     all_specs,
     balanced_by_factor_counts,
     base_index_by_scan,
+    block_labels_by_runs,
+    block_word_by_runs,
     broken_word_by_digit_rule,
     contract_by_scan,
     cutting_sequence_by_tuples,
@@ -251,6 +255,25 @@ def test_block_words_and_lengths():
     assert len(block_word(ctx, 0)) == q
     for m in range(1, 5):
         assert len(block_word(ctx, m)) == n * q + (m - 1) * (t + (n - 1) * q) + t
+
+
+def test_blocks_match_the_limb_runs():
+    # every block as one head and e units, against the same block spelled
+    # as e parent words set into hinge-sized limb runs: as bits for every
+    # index, and as the tags of the single-block slope from index 1 on
+    for limb in reduced_fractions(12):
+        for hinge in range(1, 5):
+            for convention in CONVENTIONS:
+                ctx = FareyContext.build(limb, hinge, convention)
+                value = {"L": ctx.p_over_q, "P": ctx.parent}
+                for e in range(7):
+                    assert block_word(ctx, e) == block_word_by_runs(ctx, e)
+                    if e == 0:
+                        continue
+                    slope = single_block_slope(ctx, e)
+                    spec = validate_spec(limb, slope, hinge, convention)
+                    labels = block_labels_by_runs(hinge, e)
+                    assert broken_line_tags(spec) == [value[c] for c in labels]
 
 
 def test_block_decomposition_golden():

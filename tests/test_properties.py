@@ -5,7 +5,8 @@ scan and the preimage chain, and the word-level chain against the chain
 that stores every element and the chain on integers; of the word-level
 kneading on primitive words of period up to 2000, against the doubling
 orbit of their value; of PeriodicAngle on random words of period up to
-2000, against the long division of its exact value; of the cutting
+2000, against the long division of its exact value, and of its tuning by
+bulbs of denominator up to 40, against one bulb word per digit; of the cutting
 sequence of random slopes of denominator up to 2000, against one sort of
 every grid crossing; and of rotations of words of up to 300 digits, which
 keep their gcd with 2^b - 1.  Last, the command line on random argv: every
@@ -37,6 +38,7 @@ from brokenline import (
     locate,
     minimal_period,
     stern_brocot_path,
+    tune,
     validate_spec,
     word_to_fraction,
 )
@@ -54,6 +56,7 @@ from helpers import (
     preimage_signs_by_slices,
     rotation_signs_by_slices,
     sign_path,
+    tune_by_digits,
 )
 
 MAX_PERIOD = 2000
@@ -263,6 +266,14 @@ def test_periodic_angle_is_the_expansion_of_its_value(expansion):
     assert (angle.preperiod, angle.period) == expansion_by_long_division(x)
     assert angle == fraction_to_expansion(x)
     assert angle.value == x
+
+
+@settings(PROPERTY, max_examples=100)
+@given(expansions(), slopes(max_den=40))
+def test_tune_substitutes_one_bulb_word_per_digit(expansion, bulb):
+    # the two-word substitution against one joined bulb word per digit
+    phi = PeriodicAngle(*expansion)
+    assert tune(phi, bulb) == tune_by_digits(phi, bulb)
 
 
 # desk-scale command lines: every denominator is at most SMALL and every
