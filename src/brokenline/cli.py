@@ -41,6 +41,7 @@ from .errors import (
 from .farey import BrokenLineSpec, validate_spec
 from .kneading import invert_kneading, kneading_of_angle, kneading_of_spec
 from .mechanical import (
+    _substitute,
     block_decomposition,
     broken_line_word,
     cutting_sequence,
@@ -134,11 +135,13 @@ def _convention(text: str) -> Convention:
 
 # CPython 3.11 writes an int in decimal in time quadratic in its length;
 # from about this many bits on, splitting it in binary and joining the
-# halves in ``decimal``, whose products are sub-quadratic, is faster
-_DECIMAL_BITS = 6000
+# halves in ``decimal`` is faster.  libmpdec multiplies numbers of under
+# about 4,900 digits by its quadratic basecase too, so at the widths the
+# commands meet the gain is a constant factor, not a lower order
+_DECIMAL_BITS = 4000
 
 
-def _text(x: Fraction) -> str:
+def _text(x: Fraction, powers: dict[int, decimal.Decimal] | None = None) -> str:
     """str(x), for every Fraction the command line prints.
 
     Above _DECIMAL_BITS bits, an integer n = hi * 2^k + lo is written as the
@@ -147,13 +150,16 @@ def _text(x: Fraction) -> str:
     Both parts are split at their common width w, so they share one table of
     powers of 2, and a zero high half costs no product.  A denominator
     2^w - 1, that of every unreduced angle over 2^b - 1, is written as 2^w
-    less one.
+    less one.  A command that prints several fractions passes one dict as
+    ``powers``, so that fractions of one width, such as an angle and its
+    conjugate, share their powers too.
     """
     num, den = x.numerator, x.denominator
     width = max(abs(num), den).bit_length()
     if width <= _DECIMAL_BITS:
         return str(x)
-    powers: dict[int, decimal.Decimal] = {}
+    if powers is None:
+        powers = {}
 
     def power(k: int) -> decimal.Decimal:  # 2^k
         if k not in powers:
@@ -224,12 +230,13 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
     slope = _strict(args.slope, "p/q")
     low = mechanical_word(slope, Convention.ZERO_ONE)
     high = mechanical_word(slope, Convention.ONE_ZERO)
+    powers: dict[int, decimal.Decimal] = {}
     payload = {
         "slope": _text(slope),
         "word-01": low,
         "word-10": high,
-        "theta-01": _text(word_to_fraction(low)),
-        "theta-10": _text(word_to_fraction(high)),
+        "theta-01": _text(word_to_fraction(low), powers),
+        "theta-10": _text(word_to_fraction(high), powers),
     }
     if args.check:
         # words of one length, neither all 1s: they order as their angles
@@ -242,11 +249,12 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
 def cmd_broken(args: argparse.Namespace) -> dict:
     spec = _spec_of(args)
     word = broken_line_word(spec)
+    powers: dict[int, decimal.Decimal] = {}
     payload = _spec_fields(spec)
     payload.update(
         {
             "period": spec.period,
-            "angle": _text(word_to_fraction(word)),
+            "angle": _text(word_to_fraction(word), powers),
             "expansion": f"0.({word})",
         }
     )
@@ -256,15 +264,16 @@ def cmd_broken(args: argparse.Namespace) -> dict:
         kneading = kneading_of_spec(spec)
     if args.all:
         spot = locate(spec)
+        m, pattern = decomposition.base_m, decomposition.pattern
+        words = decomposition.block_words
         payload.update(
             {
-                "conjugate": _text(word_to_fraction(cword)),
+                "conjugate": _text(word_to_fraction(cword), powers),
                 "conjugate-expansion": f"0.({cword})",
                 "kneading": str(kneading),
-                "block-exponents": list(decomposition.exponents),
-                "blocks": list(
-                    map(decomposition.block_words.__getitem__, decomposition.exponents)
-                ),
+                "block-exponents": _PerBlock(pattern, m, m + 1),
+                # a single block has no block m + 1, and its pattern no 1
+                "blocks": _PerBlock(pattern, words[m], words.get(m + 1, "")),
                 "spoke": spot.spoke_index,
                 "spoke-lower": _text(spot.bracketing_rays[0].value),
                 "spoke-upper": _text(spot.bracketing_rays[1].value),
@@ -278,16 +287,44 @@ def cmd_broken(args: argparse.Namespace) -> dict:
     return payload
 
 
+class _PerBlock:
+    """A list with one item per block of the period: ``zero`` for each block
+    of index m and ``one`` for each of index m + 1, in the order of the block
+    pattern.  It is spelled by one substitution of the pattern, each item
+    with its separator as a unit and the last separator cut off, so no item
+    is built as an object.  str() gives the text form, items separated by
+    spaces; _write_json writes the JSON form in place, as it does the
+    entries of an enumeration."""
+
+    def __init__(self, pattern: str, zero: int | str, one: int | str) -> None:
+        self.pattern, self.zero, self.one = pattern, zero, one
+
+    def _items(self, sep: str, quote: str) -> str:
+        zero = f"{quote}{self.zero}{quote}{sep}"
+        one = f"{quote}{self.one}{quote}{sep}"
+        return _substitute(self.pattern, zero, one)[: -len(sep)]
+
+    def __str__(self) -> str:
+        return self._items(" ", "")
+
+    def write(self, as_json: bool) -> None:
+        """Write the items as those of a JSON list or as the text line's."""
+        # block words are bit strings, which JSON quotes without escapes
+        quote = '"' if as_json and isinstance(self.zero, str) else ""
+        sys.stdout.write(self._items(", " if as_json else " ", quote))
+
+
 def cmd_conjugate(args: argparse.Namespace) -> dict:
     spec = _spec_of(args)
     cword, word = conjugate_word(spec), broken_line_word(spec)
     angle = word_to_fraction(word)
     conjugate = word_to_fraction(cword)
+    powers: dict[int, decimal.Decimal] = {}
     payload = _spec_fields(spec)
     payload.update(
         {
-            "angle": _text(angle),
-            "conjugate": _text(conjugate),
+            "angle": _text(angle, powers),
+            "conjugate": _text(conjugate, powers),
             "conjugate-expansion": f"0.({cword})",
         }
     )
@@ -633,28 +670,40 @@ def _print_text(payload: dict) -> None:
                     f"census-{row['period']}: {row['formula']} "
                     f"{row['constructed']} {row['brute']}"
                 )
-        elif isinstance(value, list):
-            print(f"{key}: {' '.join(map(str, value))}")
         else:
             print(f"{key}: {value}")
 
 
+# the payload values that write themselves, as the items of a JSON list
+_WRITERS = {_Entries, _PerBlock}
+
+
 def _write_json(payload: dict) -> None:
-    # print(json.dumps({"status": "ok", "payload": payload})), with the
-    # entries of an enumeration written as they go
+    # print(json.dumps({"status": "ok", "payload": payload})), with each list
+    # that writes itself, the entries of an enumeration or a list per block,
+    # written in its place: one json.dumps per run of the other keys.  A
+    # payload with no such list is found by a scan that runs no Python code
+    # per key, and printed by that one json.dumps.  The keys are plain names,
+    # which JSON quotes without escapes.
+    if _WRITERS.isdisjoint(map(type, payload.values())):
+        print(json.dumps({"status": "ok", "payload": payload}))
+        return
     out = sys.stdout
-    out.write('{"status": "ok", "payload": {')
-    lead = ""
+    text = '{"status": "ok", "payload": {'
+    run: dict = {}
     for key, value in payload.items():
-        out.write(f"{lead}{json.dumps(key)}: ")
-        if key == "entries":
-            out.write("[")
-            value.write(as_json=True)
-            out.write("]")
-        else:
-            out.write(json.dumps(value))
-        lead = ", "
-    out.write("}}\n")
+        if type(value) not in _WRITERS:
+            run[key] = value
+            continue
+        if run:
+            text += json.dumps(run)[1:-1] + ", "
+            run = {}
+        out.write(f'{text}"{key}": [')
+        value.write(as_json=True)
+        text = "], "
+    if run:
+        text += json.dumps(run)[1:-1]
+    out.write(text.removesuffix(", ") + "}}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -683,12 +732,10 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(f"error: {kind}: {exc}", file=sys.stderr)
             return 1
-        if not args.json:
-            _print_text(payload)
-        elif "entries" in payload:
+        if args.json:
             _write_json(payload)
         else:
-            print(json.dumps({"status": "ok", "payload": payload}))
+            _print_text(payload)
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the reader closed stdout: what is left is written to the null

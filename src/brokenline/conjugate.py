@@ -1,7 +1,8 @@
 """Conjugate angles via primed blocks, and the certificate of their
 preimage chain.
 
-The production path primes every block of the decomposition.
+The production path primes the two blocks of the decomposition and spells
+the block pattern with them.
 conjugate_chain runs the chain check of the oracles module on the period
 word and its conjugate, then builds an UnlinkCertificate per step.  The
 Lavaurs pairing lives in the oracles module too; lavaurs_pairs and
@@ -15,7 +16,12 @@ from fractions import Fraction
 
 from .angles import PeriodicAngle
 from .farey import BrokenLineSpec
-from .mechanical import BlockDecomposition, block_decomposition, broken_line_word
+from .mechanical import (
+    BlockDecomposition,
+    _substitute,
+    block_decomposition,
+    broken_line_word,
+)
 from .oracles import _check_chain, _rotation_signs, lavaurs_pairs, lavaurs_partner
 from .words import Convention, prime_minus, prime_plus
 
@@ -32,12 +38,13 @@ __all__ = [
 
 
 def _primed_word(decomposition: BlockDecomposition) -> str:
-    # the blocks of the decomposition, each primed: +1 under the 01
-    # convention and -1 under 10
+    # the block pattern spelled with each block primed: +1 under the 01
+    # convention and -1 under 10; a single block's pattern has no 1
     zero_one = decomposition.spec.convention is Convention.ZERO_ONE
     prime = prime_plus if zero_one else prime_minus
     primed = {e: prime(w) for e, w in decomposition.block_words.items()}
-    return "".join(map(primed.__getitem__, decomposition.exponents))
+    m = decomposition.base_m
+    return _substitute(decomposition.pattern, primed[m], primed.get(m + 1, ""))
 
 
 def conjugate_word(spec: BrokenLineSpec) -> str:

@@ -8,16 +8,16 @@ has Q + e·d digits and P + e·c ones.  The period's blocks follow one
 closed-form block pattern: with the slope's word made of `limbs` limb words
 and `bounds` bound words, and m, r = divmod(bounds, limbs), the blocks of
 index m and m + 1 read as 0 and 1 form the upper Christoffel word of r/limbs.
-The block decomposition and the conjugate read their exponents off that
-pattern, and the tags and the structural kneading spell it with one two-word
-substitution, each block written as head·unit^e in its tags or its kneading
-slots.  The geometric pipeline (grid crossings, then contraction) computes
-the same words independently: it places the crossing of each horizontal grid
-line by the floor of its abscissa, writing one byte per crossing and sorting
-nothing, and contracts with ``str.replace``.  The test suite holds both
-pipelines against the digit rule of the Christoffel word and against mediant
-concatenation over the Stern-Brocot tree, and the block pattern against a
-greedy parse of the descent tags.
+The tags, the structural kneading, the re-concatenated decomposition and
+the conjugate spell that pattern with one two-word substitution, each block
+written as head·unit^e in its tags or its kneading slots, as its bits, or
+as its primed bits.  The geometric pipeline (grid crossings, then
+contraction) computes the same words independently: it places the crossing
+of each horizontal grid line by the floor of its abscissa, writing one byte
+per crossing and sorting nothing, and contracts with ``str.replace``.  The
+test suite holds both pipelines against the digit rule of the Christoffel
+word and against mediant concatenation over the Stern-Brocot tree, and the
+block pattern against a greedy parse of the descent tags.
 """
 
 from __future__ import annotations
@@ -184,19 +184,29 @@ def block_word(context: FareyContext, m: int) -> str:
 class BlockDecomposition:
     """Factorization of a broken-line period word into consecutive blocks.
 
-    ``exponents`` lists the block index at each slot; every entry is base_m
-    or base_m + 1.  A single block occurs exactly when the slope is one of
-    the single-block fractions (then base_m is that block's own index).
+    ``pattern`` spells the block order, 0 for block base_m and 1 for block
+    base_m + 1, and ``block_words`` holds the words of the indices that
+    occur.  ``exponents`` lists the block index at each slot; every entry is
+    base_m or base_m + 1.  A single block occurs exactly when the slope is one
+    of the single-block fractions (then the pattern is "0" and base_m is that
+    block's own index).
     """
 
     spec: BrokenLineSpec
     base_m: int
-    exponents: tuple[int, ...]
+    pattern: str
     block_words: dict[int, str]
 
     @property
+    def exponents(self) -> tuple[int, ...]:
+        m = self.base_m
+        return tuple(map({"0": m, "1": m + 1}.__getitem__, self.pattern))
+
+    @property
     def word(self) -> str:
-        return "".join(map(self.block_words.__getitem__, self.exponents))
+        # a single block has no block base_m + 1, and its pattern no 1
+        m, words = self.base_m, self.block_words
+        return _substitute(self.pattern, words[m], words.get(m + 1, ""))
 
 
 def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
@@ -210,15 +220,15 @@ def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     limbs)/limbs, w its central word, or the one block m when limbs = 1,
     which is when the slope is a single-block fraction.  The tags and the
     structural kneading spell the same pattern, and the conjugate primes
-    these blocks.  Re-concatenation of the result is checked to reproduce
-    the period word.
+    these blocks.  Re-concatenation of the result, one substitution of the
+    two block words into the pattern, is checked to reproduce the period
+    word, which the spec builds as the rotated slope word.
     """
     ctx = spec.context
     m, pattern = _block_pattern(spec)
-    exponents = tuple(map({"0": m, "1": m + 1}.__getitem__, pattern))
     indices = (m,) if pattern == "0" else (m, m + 1)
     block_words = {e: block_word(ctx, e) for e in indices}
-    decomposition = BlockDecomposition(spec, m, exponents, block_words)
+    decomposition = BlockDecomposition(spec, m, pattern, block_words)
     if decomposition.word != broken_line_word(spec):
         raise InvariantViolated(
             "block_decomposition", "block re-concatenation mismatch", spec

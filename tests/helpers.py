@@ -44,7 +44,9 @@ and every preimage with theta by one full slice each, at every length
 settles every factor on a bit-parallel prefix up to 2^14 digits with a slice
 for each factor still tied, and reads the order off a Z-array above).  The
 object payload writes `enumerate --period B` from the Fractions and specs of
-the enumeration's entries (production writes it from the integer rows).
+the enumeration's entries (production writes it from the integer rows), and
+the block lists of `broken --all` are built item by item from the exponents
+(production spells them from the block pattern with one substitution).
 """
 
 import contextlib
@@ -549,6 +551,13 @@ def exponents_by_tag_parse(spec):
         exponents.append(e)
         i += len(pieces[e])
     return tuple(exponents)
+
+
+def block_lists_by_exponents(decomposition):
+    """The block-exponents and blocks lists of `broken --all`, one item per
+    block, built from the decomposition's exponents and block words."""
+    exponents = list(decomposition.exponents)
+    return exponents, [decomposition.block_words[e] for e in exponents]
 
 
 def kneading_by_tag_runs(spec):

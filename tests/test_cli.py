@@ -1,4 +1,5 @@
 import argparse
+import ast
 import collections
 import contextlib
 import io
@@ -33,6 +34,8 @@ from brokenline import (
 from brokenline import cli
 from brokenline.cli import main
 from helpers import (
+    all_specs,
+    block_lists_by_exponents,
     broken_word_by_digit_rule,
     enumerate_payload_by_objects,
     enumerate_text_by_objects,
@@ -232,6 +235,48 @@ def test_fractions_print_what_str_prints(no_digit_limit):
         for x in fractions:
             assert cli._text(x) == str(x), (k, x.denominator == full)
             assert cli._text(-x) == "-" + str(x)
+    # pairs printed together from one table, as bulb, broken --all and
+    # conjugate print theirs: widths either side of the edge, equal and
+    # unequal, denominators 2^w - 1 and others, negative values, integers
+    pool = []
+    for k in (edge - 1, edge + 1, edge + 2, 9_999):
+        full = (1 << k) - 1
+        pool += [Fraction(rng.randrange(1, full) | 1, full) for _ in range(2)]
+        pool += [Fraction(rng.randrange(1, full), full - 1), Fraction(full)]
+    pool += [-x for x in pool[::3]]
+    pool += [Fraction(small, big), Fraction(-big, small)]
+    for x in pool:
+        for y in pool:
+            powers = {}
+            assert (cli._text(x, powers), cli._text(y, powers)) == (str(x), str(y))
+    # the second angle of one width past the edge adds no power to the table
+    full = (1 << (edge + 1)) - 1
+    x, y = Fraction(full - 2, full), Fraction((full - 1) // 3, full)
+    powers = {}
+    assert cli._text(x, powers) == str(x) and powers
+    size = len(powers)
+    assert cli._text(y, powers) == str(y) and len(powers) == size
+
+
+def test_power_tables_live_per_command():
+    # a table of powers of 2 is built by the command that prints, never kept
+    # by the module: no dict or cache at module level is filled at run time
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and value is not None:
+            empty = isinstance(value, ast.Dict) and not value.keys
+            built = isinstance(value, ast.Call) and "dict" in ast.unparse(value.func)
+            assert not (empty or built), ast.unparse(node)
+    cached = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any("cache" in ast.unparse(d) for d in node.decorator_list)
+    ]
+    assert cached == ["_build_parser"]
+    text = next(n for n in tree.body if getattr(n, "name", None) == "_text")
+    assert [ast.unparse(d) for d in text.args.defaults] == ["None"]
 
 
 def test_bulb_past_the_decimal_edge(capsys, no_digit_limit):
@@ -241,6 +286,44 @@ def test_bulb_past_the_decimal_edge(capsys, no_digit_limit):
     low, high = mechanical.characteristic_pair(Fraction(4000, 8001))
     assert low.denominator.bit_length() > cli._DECIMAL_BITS
     assert (payload["theta-01"], payload["theta-10"]) == (str(low), str(high))
+
+
+def test_block_lists_match_the_exponents(capsys):
+    # broken --all spells its two per-block lists from the block pattern:
+    # against the lists built item by item, in text and in JSON, with and
+    # without --check, for every spec with b <= 16 and a slope of 7,411
+    # blocks; the JSON document is the one json.dumps writes
+    specs = list(all_specs(3, 16))
+    specs.append(
+        validate_spec(Fraction(1, 2), Fraction(7412, 14823), 1, Convention.ZERO_ONE)
+    )
+    singles = 0
+    for spec in specs:
+        decomposition = mechanical.block_decomposition(spec)
+        singles += decomposition.pattern == "0"
+        exponents, blocks = block_lists_by_exponents(decomposition)
+        argv = [
+            "broken", str(spec.p_over_q), str(spec.slope), "--hinge",
+            str(spec.hinge), "--convention", str(spec.convention), "--all",
+        ]
+        for flags in ((), ("--check",)):
+            code, out, _ = run(capsys, *argv, *flags)
+            assert code == 0
+            lines = dict(line.split(": ", 1) for line in out.splitlines())
+            assert lines["block-exponents"] == " ".join(map(str, exponents))
+            assert lines["blocks"] == " ".join(blocks)
+            code, out, _ = run(capsys, *argv, *flags, "--json")
+            assert code == 0
+            doc = json.loads(out)
+            assert out == json.dumps(doc) + "\n"
+            payload = doc["payload"]
+            assert payload["block-exponents"] == exponents
+            assert payload["blocks"] == blocks
+            assert list(payload)[-1] == ("check" if flags else "spoke-upper")
+    assert 0 < singles < len(specs)
+    assert {spec.convention for spec in specs} == set(Convention)
+    _, out, _ = run(capsys, "broken", "1/2", "3/4", "--hinge", "1", "--convention", "01", "--all")
+    assert "block-exponents: 2\nblocks: 0111\n" in out
 
 
 def test_bulb_check_orders_the_words(capsys, monkeypatch):
