@@ -141,25 +141,31 @@ def _convention(text: str) -> Convention:
 _DECIMAL_BITS = 4000
 
 
-def _text(x: Fraction, powers: dict[int, decimal.Decimal] | None = None) -> str:
-    """str(x), for every Fraction the command line prints.
+def _text(x: Fraction) -> str:
+    """str(x), for every Fraction the command line prints alone: _texts of
+    x, with the width test of _texts first, as most fractions print by str."""
+    if max(abs(x.numerator), x.denominator).bit_length() <= _DECIMAL_BITS:
+        return str(x)
+    return _texts(x)[0]
+
+
+def _texts(*fractions: Fraction) -> list[str]:
+    """[str(x) for x in fractions], for the Fractions a command prints
+    together: an angle and its conjugate, or the two angles of a bulb.
 
     Above _DECIMAL_BITS bits, an integer n = hi * 2^k + lo is written as the
     ``decimal`` value of hi times 2^k plus that of lo, recursively, exactly:
     the context's precision is the maximum and an inexact result traps.
-    Both parts are split at their common width w, so they share one table of
-    powers of 2, and a zero high half costs no product.  A denominator
-    2^w - 1, that of every unreduced angle over 2^b - 1, is written as 2^w
-    less one.  A command that prints several fractions passes one dict as
-    ``powers``, so that fractions of one width, such as an angle and its
-    conjugate, share their powers too.
+    Both parts of a fraction are split at their common width w, so they
+    share one table of powers of 2, and a zero high half costs no product.
+    A denominator 2^w - 1, that of every unreduced angle over 2^b - 1, is
+    written as 2^w less one.  The table is built by the call and shared by
+    all its fractions, so fractions of one width pay for their powers once.
     """
-    num, den = x.numerator, x.denominator
-    width = max(abs(num), den).bit_length()
-    if width <= _DECIMAL_BITS:
-        return str(x)
-    if powers is None:
-        powers = {}
+    widths = [max(abs(x.numerator), x.denominator).bit_length() for x in fractions]
+    if max(widths) <= _DECIMAL_BITS:
+        return list(map(str, fractions))
+    powers: dict[int, decimal.Decimal] = {}
 
     def power(k: int) -> decimal.Decimal:  # 2^k
         if k not in powers:
@@ -178,9 +184,10 @@ def _text(x: Fraction, powers: dict[int, decimal.Decimal] | None = None) -> str:
             return join(m, half)
         return join(hi, bits - half) * power(half) + join(m - (hi << half), half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
+    def text(x: Fraction, width: int) -> str:
+        num, den = x.numerator, x.denominator
+        if width <= _DECIMAL_BITS:
+            return str(x)
         digits = str(join(abs(num), width))
         if num < 0:
             digits = "-" + digits
@@ -189,6 +196,11 @@ def _text(x: Fraction, powers: dict[int, decimal.Decimal] | None = None) -> str:
         if den == (1 << width) - 1:
             return f"{digits}/{power(width) - 1}"
         return f"{digits}/{join(den, width)}"
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return list(map(text, fractions, widths))
 
 
 def _spec_of(args: argparse.Namespace) -> BrokenLineSpec:
@@ -230,13 +242,13 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
     slope = _strict(args.slope, "p/q")
     low = mechanical_word(slope, Convention.ZERO_ONE)
     high = mechanical_word(slope, Convention.ONE_ZERO)
-    powers: dict[int, decimal.Decimal] = {}
+    theta01, theta10 = _texts(word_to_fraction(low), word_to_fraction(high))
     payload = {
         "slope": _text(slope),
         "word-01": low,
         "word-10": high,
-        "theta-01": _text(word_to_fraction(low), powers),
-        "theta-10": _text(word_to_fraction(high), powers),
+        "theta-01": theta01,
+        "theta-10": theta10,
     }
     if args.check:
         # words of one length, neither all 1s: they order as their angles
@@ -249,31 +261,32 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
 def cmd_broken(args: argparse.Namespace) -> dict:
     spec = _spec_of(args)
     word = broken_line_word(spec)
-    powers: dict[int, decimal.Decimal] = {}
-    payload = _spec_fields(spec)
-    payload.update(
-        {
-            "period": spec.period,
-            "angle": _text(word_to_fraction(word), powers),
-            "expansion": f"0.({word})",
-        }
-    )
     if args.all or args.check:
         decomposition = block_decomposition(spec)
         cword = _primed_word(decomposition)
         kneading = kneading_of_spec(spec)
     if args.all:
+        angle, conjugate = _texts(word_to_fraction(word), word_to_fraction(cword))
+    else:
+        angle = _text(word_to_fraction(word))
+    payload = _spec_fields(spec)
+    payload.update(
+        {
+            "period": spec.period,
+            "angle": angle,
+            "expansion": f"0.({word})",
+        }
+    )
+    if args.all:
         spot = locate(spec)
         m, pattern = decomposition.base_m, decomposition.pattern
-        words = decomposition.block_words
         payload.update(
             {
-                "conjugate": _text(word_to_fraction(cword), powers),
+                "conjugate": conjugate,
                 "conjugate-expansion": f"0.({cword})",
                 "kneading": str(kneading),
                 "block-exponents": _PerBlock(pattern, m, m + 1),
-                # a single block has no block m + 1, and its pattern no 1
-                "blocks": _PerBlock(pattern, words[m], words.get(m + 1, "")),
+                "blocks": _PerBlock(pattern, *decomposition.units),
                 "spoke": spot.spoke_index,
                 "spoke-lower": _text(spot.bracketing_rays[0].value),
                 "spoke-upper": _text(spot.bracketing_rays[1].value),
@@ -293,8 +306,8 @@ class _PerBlock:
     pattern.  It is spelled by one substitution of the pattern, each item
     with its separator as a unit and the last separator cut off, so no item
     is built as an object.  str() gives the text form, items separated by
-    spaces; _write_json writes the JSON form in place, as it does the
-    entries of an enumeration."""
+    spaces; write() gives the JSON form, which _write_json writes in place,
+    as it does the entries of an enumeration."""
 
     def __init__(self, pattern: str, zero: int | str, one: int | str) -> None:
         self.pattern, self.zero, self.one = pattern, zero, one
@@ -308,10 +321,11 @@ class _PerBlock:
         return self._items(" ", "")
 
     def write(self, as_json: bool) -> None:
-        """Write the items as those of a JSON list or as the text line's."""
+        """Write the items as those of a JSON list, as _write_json asks of
+        every list that writes itself; as_json is always true here."""
         # block words are bit strings, which JSON quotes without escapes
-        quote = '"' if as_json and isinstance(self.zero, str) else ""
-        sys.stdout.write(self._items(", " if as_json else " ", quote))
+        quote = '"' if isinstance(self.zero, str) else ""
+        sys.stdout.write(self._items(", ", quote))
 
 
 def cmd_conjugate(args: argparse.Namespace) -> dict:
@@ -319,12 +333,12 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
     cword, word = conjugate_word(spec), broken_line_word(spec)
     angle = word_to_fraction(word)
     conjugate = word_to_fraction(cword)
-    powers: dict[int, decimal.Decimal] = {}
+    angle_text, conjugate_text = _texts(angle, conjugate)
     payload = _spec_fields(spec)
     payload.update(
         {
-            "angle": _text(angle, powers),
-            "conjugate": _text(conjugate, powers),
+            "angle": angle_text,
+            "conjugate": conjugate_text,
             "conjugate-expansion": f"0.({cword})",
         }
     )
@@ -681,13 +695,9 @@ _WRITERS = {_Entries, _PerBlock}
 def _write_json(payload: dict) -> None:
     # print(json.dumps({"status": "ok", "payload": payload})), with each list
     # that writes itself, the entries of an enumeration or a list per block,
-    # written in its place: one json.dumps per run of the other keys.  A
-    # payload with no such list is found by a scan that runs no Python code
-    # per key, and printed by that one json.dumps.  The keys are plain names,
-    # which JSON quotes without escapes.
-    if _WRITERS.isdisjoint(map(type, payload.values())):
-        print(json.dumps({"status": "ok", "payload": payload}))
-        return
+    # written in its place: one json.dumps per run of the other keys, so a
+    # payload with no such list costs one json.dumps.  The keys are plain
+    # names, which JSON quotes without escapes.
     out = sys.stdout
     text = '{"status": "ok", "payload": {'
     run: dict = {}

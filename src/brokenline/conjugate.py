@@ -39,12 +39,11 @@ __all__ = [
 
 def _primed_word(decomposition: BlockDecomposition) -> str:
     # the block pattern spelled with each block primed: +1 under the 01
-    # convention and -1 under 10; a single block's pattern has no 1
+    # convention and -1 under 10; the empty unit of a single block stays empty
     zero_one = decomposition.spec.convention is Convention.ZERO_ONE
     prime = prime_plus if zero_one else prime_minus
-    primed = {e: prime(w) for e, w in decomposition.block_words.items()}
-    m = decomposition.base_m
-    return _substitute(decomposition.pattern, primed[m], primed.get(m + 1, ""))
+    low, high = decomposition.units
+    return _substitute(decomposition.pattern, prime(low), high and prime(high))
 
 
 def conjugate_word(spec: BrokenLineSpec) -> str:

@@ -184,18 +184,30 @@ def block_word(context: FareyContext, m: int) -> str:
 class BlockDecomposition:
     """Factorization of a broken-line period word into consecutive blocks.
 
+    ``block_words`` holds the words of the block indices that occur, and
     ``pattern`` spells the block order, 0 for block base_m and 1 for block
-    base_m + 1, and ``block_words`` holds the words of the indices that
-    occur.  ``exponents`` lists the block index at each slot; every entry is
-    base_m or base_m + 1.  A single block occurs exactly when the slope is one
-    of the single-block fractions (then the pattern is "0" and base_m is that
-    block's own index).
+    base_m + 1.  ``exponents`` lists the block index at each slot; every
+    entry is base_m or base_m + 1.  A single block occurs exactly when the
+    slope is one of the single-block fractions (then the pattern is "0" and
+    base_m is that block's own index).
     """
 
     spec: BrokenLineSpec
     base_m: int
-    pattern: str
     block_words: dict[int, str]
+    pattern: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.pattern, str):
+            raise TypeError("BlockDecomposition takes its block pattern, a str")
+
+    @property
+    def units(self) -> tuple[str, str]:
+        """The words of block base_m and block base_m + 1, which spell the
+        pattern's 0 and 1; a single block has no block base_m + 1, and its
+        pattern no 1, so that unit is empty."""
+        m, words = self.base_m, self.block_words
+        return words[m], words.get(m + 1, "")
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -204,9 +216,7 @@ class BlockDecomposition:
 
     @property
     def word(self) -> str:
-        # a single block has no block base_m + 1, and its pattern no 1
-        m, words = self.base_m, self.block_words
-        return _substitute(self.pattern, words[m], words.get(m + 1, ""))
+        return _substitute(self.pattern, *self.units)
 
 
 def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
@@ -228,7 +238,7 @@ def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     m, pattern = _block_pattern(spec)
     indices = (m,) if pattern == "0" else (m, m + 1)
     block_words = {e: block_word(ctx, e) for e in indices}
-    decomposition = BlockDecomposition(spec, m, pattern, block_words)
+    decomposition = BlockDecomposition(spec, m, block_words, pattern)
     if decomposition.word != broken_line_word(spec):
         raise InvariantViolated(
             "block_decomposition", "block re-concatenation mismatch", spec

@@ -247,36 +247,56 @@ def test_fractions_print_what_str_prints(no_digit_limit):
     pool += [Fraction(small, big), Fraction(-big, small)]
     for x in pool:
         for y in pool:
-            powers = {}
-            assert (cli._text(x, powers), cli._text(y, powers)) == (str(x), str(y))
-    # the second angle of one width past the edge adds no power to the table
+            assert cli._texts(x, y) == [str(x), str(y)]
+    # the second angle of one width past the edge pays for no power: its
+    # calls of power() all hit the table the first one filled
     full = (1 << (edge + 1)) - 1
     x, y = Fraction(full - 2, full), Fraction((full - 1) // 3, full)
-    powers = {}
-    assert cli._text(x, powers) == str(x) and powers
-    size = len(powers)
-    assert cli._text(y, powers) == str(y) and len(powers) == size
+    assert _power_calls(x, y) < _power_calls(x) + _power_calls(y)
 
 
-def test_power_tables_live_per_command():
-    # a table of powers of 2 is built by the command that prints, never kept
-    # by the module: no dict or cache at module level is filled at run time
+def _power_calls(*fractions):
+    # calls of the power() of one _texts call, hits on its table included
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "power"
+
+    sys.setprofile(profile)
+    try:
+        texts = cli._texts(*fractions)
+    finally:
+        sys.setprofile(None)
+    assert texts == list(map(str, fractions))
+    return calls
+
+
+def test_power_tables_live_per_call(no_digit_limit):
+    # a table of powers of 2 lives in one call of _texts: a second call on
+    # the same fraction builds its powers again, as many calls of power() as
+    # the first and more than half of those of one call that prints it
+    # twice, whose second print only hits the table.  Neither helper takes
+    # a table, _texts starts each call from an empty one, and no cached
+    # function computes in decimal
+    full = (1 << 9_999) - 1
+    x = Fraction(full >> 1, full)
+    assert _power_calls(x) == _power_calls(x) > _power_calls(x, x) / 2
     tree = ast.parse(Path(cli.__file__).read_text())
-    for node in tree.body:
-        value = getattr(node, "value", None)
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and value is not None:
-            empty = isinstance(value, ast.Dict) and not value.keys
-            built = isinstance(value, ast.Call) and "dict" in ast.unparse(value.func)
-            assert not (empty or built), ast.unparse(node)
-    cached = [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and any("cache" in ast.unparse(d) for d in node.decorator_list)
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert ast.unparse(defs["_text"].args) == "x: Fraction"
+    assert ast.unparse(defs["_texts"].args) == "*fractions: Fraction"
+    fresh = [
+        node
+        for node in defs["_texts"].body
+        if isinstance(node, ast.AnnAssign)
+        and ast.unparse(node.target) == "powers"
+        and ast.unparse(node.value) == "{}"
     ]
-    assert cached == ["_build_parser"]
-    text = next(n for n in tree.body if getattr(n, "name", None) == "_text")
-    assert [ast.unparse(d) for d in text.args.defaults] == ["None"]
+    assert len(fresh) == 1
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.decorator_list:
+            assert "decimal" not in ast.unparse(node), node.name
 
 
 def test_bulb_past_the_decimal_edge(capsys, no_digit_limit):

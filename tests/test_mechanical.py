@@ -283,6 +283,18 @@ def test_block_decomposition_golden():
     assert block_decomposition(_spec((1, 2), (1, 4), 1, "10")).exponents == (2,)
 
 
+def test_block_decomposition_rejects_exponents_for_its_pattern():
+    # the pattern is the last field; the old order (spec, base_m,
+    # exponents, block_words) puts a dict where the pattern goes
+    decomposition = block_decomposition(_spec((2, 5), (7, 17), 2, "01"))
+    m, words = decomposition.base_m, decomposition.block_words
+    assert decomposition.units == (words[m], words[m + 1])
+    rebuilt = type(decomposition)(decomposition.spec, m, words, decomposition.pattern)
+    assert rebuilt == decomposition
+    with pytest.raises(TypeError):
+        type(decomposition)(decomposition.spec, m, decomposition.exponents, words)
+
+
 def test_block_decomposition_reconcatenates():
     for spec in all_specs(3, 16):
         decomposition = block_decomposition(spec)
