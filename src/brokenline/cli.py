@@ -1,8 +1,10 @@
 """Batch command-line surface exposing every pipeline.
 
 Text output is one "key: value" line per field so runs diff cleanly; --json
-emits a single document instead.  Every numeric field is an exact fraction
-or a bit string, never a float.  Exit codes: 0 ok, 1 domain error, 2 usage.
+emits a single document instead, the bytes json.dumps writes, written key by
+key so that bit words and printed fractions are copied, not scanned for
+escapes.  Every numeric field is an exact fraction or a bit string, never a
+float.  Exit codes: 0 ok, 1 domain error, 2 usage.
 """
 
 from __future__ import annotations
@@ -156,14 +158,16 @@ def _texts(*fractions: Fraction) -> list[str]:
     Above _DECIMAL_BITS bits, an integer n = hi * 2^k + lo is written as the
     ``decimal`` value of hi times 2^k plus that of lo, recursively, exactly:
     the context's precision is the maximum and an inexact result traps.
-    Both parts of a fraction are split at their common width w, so they
-    share one table of powers of 2, and a zero high half costs no product.
-    A denominator 2^w - 1, that of every unreduced angle over 2^b - 1, is
-    written as 2^w less one.  The table is built by the call and shared by
-    all its fractions, so fractions of one width pay for their powers once.
+    Every part of every fraction is split at the widest width of the call,
+    so they all share one table of powers of 2, and a zero high half costs
+    no product: a reduced angle printed with its unreduced conjugate reuses
+    the conjugate's powers.  A denominator 2^w - 1, w the fraction's own
+    width, that of every unreduced angle over 2^b - 1, is written as 2^w
+    less one.  The table is built by the call and dropped after it.
     """
     widths = [max(abs(x.numerator), x.denominator).bit_length() for x in fractions]
-    if max(widths) <= _DECIMAL_BITS:
+    top = max(widths)
+    if top <= _DECIMAL_BITS:
         return list(map(str, fractions))
     powers: dict[int, decimal.Decimal] = {}
 
@@ -188,14 +192,14 @@ def _texts(*fractions: Fraction) -> list[str]:
         num, den = x.numerator, x.denominator
         if width <= _DECIMAL_BITS:
             return str(x)
-        digits = str(join(abs(num), width))
+        digits = str(join(abs(num), top))
         if num < 0:
             digits = "-" + digits
         if den == 1:
             return digits
         if den == (1 << width) - 1:
             return f"{digits}/{power(width) - 1}"
-        return f"{digits}/{join(den, width)}"
+        return f"{digits}/{join(den, top)}"
 
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
@@ -690,30 +694,44 @@ def _print_text(payload: dict) -> None:
 
 # the payload values that write themselves, as the items of a JSON list
 _WRITERS = {_Entries, _PerBlock}
+# the keys whose string values the commands spell from digits alone: bit
+# words, expansions, kneadings, cutting words and printed fractions, over
+# 0-9 . / ( ) [ ] * -, which JSON quotes without escapes
+_VERBATIM = frozenset(
+    {
+        "limb", "slope", "bulb", "angle", "conjugate", "expansion",
+        "conjugate-expansion", "kneading", "word", "cutting", "word-01",
+        "word-10", "theta-01", "theta-10", "tuned", "tuned-angle",
+        "spoke-lower", "spoke-upper",
+    }
+)
 
 
 def _write_json(payload: dict) -> None:
-    # print(json.dumps({"status": "ok", "payload": payload})), with each list
-    # that writes itself, the entries of an enumeration or a list per block,
-    # written in its place: one json.dumps per run of the other keys, so a
-    # payload with no such list costs one json.dumps.  The keys are plain
+    # print(json.dumps({"status": "ok", "payload": payload})), written key by
+    # key: an int as its decimal text; a string under a _VERBATIM key copied
+    # between quotes, unscanned, as it holds nothing JSON escapes; a list
+    # that writes itself (the entries of an enumeration, a list per block)
+    # in its place; every other value by json.dumps.  The keys are plain
     # names, which JSON quotes without escapes.
     out = sys.stdout
-    text = '{"status": "ok", "payload": {'
-    run: dict = {}
+    out.write('{"status": "ok", "payload": {')
+    sep = ""
     for key, value in payload.items():
-        if type(value) not in _WRITERS:
-            run[key] = value
-            continue
-        if run:
-            text += json.dumps(run)[1:-1] + ", "
-            run = {}
-        out.write(f'{text}"{key}": [')
-        value.write(as_json=True)
-        text = "], "
-    if run:
-        text += json.dumps(run)[1:-1]
-    out.write(text.removesuffix(", ") + "}}\n")
+        out.write(f'{sep}"{key}": ')
+        kind = type(value)
+        if kind is str and key in _VERBATIM:
+            out.write(f'"{value}"')
+        elif kind is int:
+            out.write(str(value))
+        elif kind in _WRITERS:
+            out.write("[")
+            value.write(as_json=True)
+            out.write("]")
+        else:
+            out.write(json.dumps(value))
+        sep = ", "
+    out.write("}}\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -253,15 +254,29 @@ def test_fractions_print_what_str_prints(no_digit_limit):
     full = (1 << (edge + 1)) - 1
     x, y = Fraction(full - 2, full), Fraction((full - 1) // 3, full)
     assert _power_calls(x, y) < _power_calls(x) + _power_calls(y)
+    # an angle reduced by 2^3 - 1, three bits narrower, printed with an
+    # unreduced angle of its period, as broken --all and conjugate may print
+    # an angle and its conjugate: both are split at the wider width, so the
+    # narrower one computes no power the wider one did not
+    full = (1 << 9_999) - 1
+    x = Fraction(7 * rng.randrange(1, full // 7), full)
+    y = Fraction(rng.randrange(1, full) | 1, full)
+    assert x.denominator.bit_length() < y.denominator.bit_length()
+    assert _power_calls(x, y) < _power_calls(x) + _power_calls(y)
+    assert _power_calls(x, y, new=True) == _power_calls(y, new=True)
+    assert _power_calls(y, x, new=True) == _power_calls(y, new=True)
 
 
-def _power_calls(*fractions):
-    # calls of the power() of one _texts call, hits on its table included
+def _power_calls(*fractions, new=False):
+    # calls of the power() of one _texts call, hits on its table included,
+    # or with new only those that compute a power the table does not hold
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        calls += event == "call" and frame.f_code.co_name == "power"
+        if event == "call" and frame.f_code.co_name == "power":
+            local = frame.f_locals
+            calls += not new or local["k"] not in local["powers"]
 
     sys.setprofile(profile)
     try:
@@ -312,7 +327,7 @@ def test_block_lists_match_the_exponents(capsys):
     # broken --all spells its two per-block lists from the block pattern:
     # against the lists built item by item, in text and in JSON, with and
     # without --check, for every spec with b <= 16 and a slope of 7,411
-    # blocks; the JSON document is the one json.dumps writes
+    # blocks; the JSON document is the one json.dumps writes (_document)
     specs = list(all_specs(3, 16))
     specs.append(
         validate_spec(Fraction(1, 2), Fraction(7412, 14823), 1, Convention.ZERO_ONE)
@@ -334,9 +349,7 @@ def test_block_lists_match_the_exponents(capsys):
             assert lines["blocks"] == " ".join(blocks)
             code, out, _ = run(capsys, *argv, *flags, "--json")
             assert code == 0
-            doc = json.loads(out)
-            assert out == json.dumps(doc) + "\n"
-            payload = doc["payload"]
+            payload = _document(out)["payload"]
             assert payload["block-exponents"] == exponents
             assert payload["blocks"] == blocks
             assert list(payload)[-1] == ("check" if flags else "spoke-upper")
@@ -344,6 +357,102 @@ def test_block_lists_match_the_exponents(capsys):
     assert {spec.convention for spec in specs} == set(Convention)
     _, out, _ = run(capsys, "broken", "1/2", "3/4", "--hinge", "1", "--convention", "01", "--all")
     assert "block-exponents: 2\nblocks: 0111\n" in out
+
+
+# what the JSON writer copies between quotes unscanned: digits, bits and the
+# punctuation of fractions, expansions and kneadings
+_VERBATIM_TEXT = re.compile(r"[0-9./()\[\]*-]*")
+
+
+def _document(out):
+    """The document out holds, after checking that it is the one json.dumps
+    writes and that every value the writer copies verbatim needs no escape."""
+    doc = json.loads(out)
+    assert out == json.dumps(doc) + "\n"
+    for key, value in doc.get("payload", {}).items():
+        if key in cli._VERBATIM and isinstance(value, str):
+            assert _VERBATIM_TEXT.fullmatch(value), (key, value[:80])
+    return doc
+
+
+def _written(capsys, payload):
+    cli._write_json(payload)
+    return capsys.readouterr().out
+
+
+def test_json_writer_writes_what_json_dumps_writes(capsys, no_digit_limit):
+    # the writer against json.dumps on payloads no command prints: strings
+    # that need escapes, JSON's constants, negative and long ints, a list of
+    # dicts, verbatim keys holding other types, and lists that write
+    # themselves first, last, alone and next to each other
+    numbers, words = cli._PerBlock("0110", 3, 4), cli._PerBlock("001", "01", "1")
+    spelled = {id(numbers): [3, 4, 4, 3], id(words): ["01", "01", "1"]}
+    escapes = 'a "quoted" \\ back\\slash, a tab\t, a bell\x07, é and ☃'
+    payloads = [
+        {},
+        {"check": escapes},
+        {"message": escapes, "ok": True, "skipped": False, "none": None},
+        {"period": -12, "count": 0, "big": -(10**5000) - 7, "ratio": 1.5},
+        {"census": [{"period": 3, "formula": 1}, {"period": 4, "brute": 2}]},
+        {"angle": "12/31", "word": "01100", "kneading": "110*", "tuned": "0.[1](01)"},
+        {"angle": 3, "slope": None, "kneading": ["1", "0*"], "word": True},
+        {"expansion": "0.(01)", "check": escapes, "conjugate-expansion": ""},
+        {"blocks": words},
+        {"blocks": words, "check": "ok"},
+        {"limb": "1/3", "block-exponents": numbers},
+        {"limb": "1/3", "block-exponents": numbers, "blocks": words, "spoke": 2},
+        {"block-exponents": numbers, "blocks": words},
+    ]
+    for payload in payloads:
+        plain = {k: spelled.get(id(v), v) for k, v in payload.items()}
+        expected = json.dumps({"status": "ok", "payload": plain}) + "\n"
+        assert _written(capsys, payload) == expected
+    # a string under a verbatim key is copied unscanned, so the commands put
+    # there only what needs no escape (the next test)
+    assert _written(capsys, {"angle": 'a"b'}).endswith('{"angle": "a"b"}}\n')
+
+
+def test_every_command_writes_the_document_json_dumps_writes(capsys, no_digit_limit):
+    # every subcommand with each of its flag combinations, on inputs whose
+    # fractions print by str and inputs whose fractions pass _DECIMAL_BITS
+    # and print through decimal: each document is the one json.dumps writes
+    # and every value copied verbatim needs no escape
+    edge = cli._DECIMAL_BITS
+    both = ((), ("--check",))
+    commands = []
+    for spec in (
+        ("2/5", "7/17", "--hinge", "2", "--convention", "01"),
+        ("1/3", "5/16", "--hinge", "1", "--convention", "10"),
+        ("1/2", f"{edge // 2 + 2}/{edge + 3}", "--hinge", "1", "--convention", "01"),
+        ("1/3", f"1/{edge + 3}", "--hinge", "1", "--convention", "10"),
+    ):
+        commands += [("broken", *spec, *a, *c) for a in ((), ("--all",)) for c in both]
+        commands += [("conjugate", *spec, *v, *c) for v in ((), ("--verify",)) for c in both]
+        commands += [("kneading", *spec, *c) for c in both]
+        kneading = as_dict(run(capsys, "kneading", *spec)[1])["kneading"]
+        commands += [("invert-kneading", kneading, *spec[-2:], *c) for c in both]
+    for slope in ("2/5", f"{edge // 2}/{edge + 1}", f"1/{edge + 7}"):
+        commands += [("line", slope, "--convention", k, *c) for k in ("01", "10") for c in both]
+        commands += [("bulb", slope, *c) for c in both]
+    for angle in ("9/31", "0.[1](01)", f"0.({'0' * edge}1)"):
+        commands += [("kneading-of-angle", angle, *c) for c in both]
+    for angle, bulb in (("0.(01)", "1/3"), ("0.[1](0)", "2/5"), ("1/3", f"{edge // 2}/{edge + 1}")):
+        commands += [("tune", angle, bulb, *c) for c in both]
+    commands += [("enumerate", "--period", "9", *c, *n) for c in both for n in ((), ("--census",))]
+    commands.append(("broken", "2/5", "1/2", "--hinge", "3", "--convention", "01"))
+    seen, wide = set(), 0
+    for argv in commands:
+        code, out, _ = run(capsys, *argv, "--json")
+        payload = _document(out).get("payload", {})
+        assert code == (0 if payload else 1), argv
+        seen.update(payload)
+        # a numerator or denominator of more than edge bits
+        fractions = (str(payload.get(key)) for key in ("angle", "theta-01", "tuned-angle"))
+        parts = [part for f in fractions for part in f.split("/") if part.isdigit()]
+        wide += any(int(part).bit_length() > edge for part in parts)
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    assert cli._VERBATIM <= seen
+    assert wide > len(commands) / 3
 
 
 def test_bulb_check_orders_the_words(capsys, monkeypatch):
