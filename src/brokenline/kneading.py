@@ -129,9 +129,9 @@ def invert_kneading(
     Steps: the length gives b; the first run-block gives Q; the count of
     leading Q-blocks gives n; the first block of another length is k*Q + T
     and gives the parent denominator; the minimal Bezout solution gives the
-    limb fraction; blocks then transcribe into limb and parent words, and the
-    1-count of the transcription gives a.  The reconstruction is validated by
-    a full round trip before returning.
+    limb fraction; a block of length L other than Q stands for one parent
+    word and (L - T)/Q limb words, and those counts give a.  The spec is
+    validated by the round trip of its kneading before returning.
     """
     if isinstance(kneading, str):
         try:
@@ -162,25 +162,23 @@ def invert_kneading(
     p = (-pow(t, -1, q)) % q if zero_one else pow(t, -1, q)
     limb = Fraction(p, q)
     ctx = FareyContext.build(limb, n, convention)
-    limb_word, parent_word = ctx.limb_word, ctx.parent_word
-    pieces = {"1" * (q - 1): limb_word}
-    for length in lengths[1:]:
-        pieces["1" * (length - 1)] = parent_word + limb_word * ((length - t) // q)
-    word = "".join(map(pieces.__getitem__, blocks))
-    a, b = word.count("1"), len(word)
+    # the inverse of mechanical._word_counts: the period is `parents` parent
+    # words and (b - t*parents)/q limb words
+    b = len(symbols)
+    parents = len(blocks) - blocks.count("1" * (q - 1))
+    a = p * ((b - t * parents) // q) + ctx.parent.numerator * parents
     if math.gcd(a, b) != 1:
         raise NotBrokenLineKneading("transcribed word has a reducible 1-count")
-    # 0 < p/q < 1 and 0 < a/b < 1 hold by construction; the spec is built on
-    # ctx, so the limb and parent words above serve its period word too
+    # 0 < p/q < 1 and 0 < a/b < 1 hold by construction
     bound = ctx.bound
     try:
         _check_hinge(p, q, a, b, bound.numerator, bound.denominator, zero_one)
     except HypothesisViolated as exc:
         raise NotBrokenLineKneading(str(exc)) from exc
     spec = BrokenLineSpec(ctx, Fraction(a, b))
-    if broken_line_word(spec) != word or kneading_of_spec(spec).symbols != symbols:
+    if kneading_of_spec(spec).symbols != symbols:
         raise NotBrokenLineKneading("reconstruction does not round-trip")
-    return spec, PeriodicAngle(period=word)
+    return spec, PeriodicAngle(period=broken_line_word(spec))
 
 
 def kneading_concatenates(

@@ -46,11 +46,15 @@ for each factor still tied, and reads the order off a Z-array above).  The
 object payload writes `enumerate --period B` from the Fractions and specs of
 the enumeration's entries (production writes it from the integer rows), and
 the block lists of `broken --all` are built item by item from the exponents
-(production spells them from the block pattern with one substitution).
+(production spells them from the block pattern with one substitution).  The
+transcription inversion writes every kneading block out as limb and parent
+words and counts the 1s of the word (production reads the slope off the
+block counts).
 """
 
 import contextlib
 import heapq
+import math
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cache
@@ -59,11 +63,15 @@ from math import gcd, inf, lcm
 import pytest
 
 from brokenline import (
+    BrokenLineSpec,
     ConjugateChain,
     Convention,
+    FareyContext,
     HypothesisViolated,
     InvariantViolated,
+    KneadingSequence,
     MalformedCuttingSequence,
+    NotBrokenLineKneading,
     PeriodicAngle,
     UnlinkCertificate,
     UnlinkViolation,
@@ -73,6 +81,7 @@ from brokenline import (
     enumerate_specs,
     euler_phi,
     is_sturmian,
+    kneading_of_spec,
     lavaurs_pairs,
     mechanical_word,
     mediant,
@@ -86,6 +95,7 @@ from brokenline import (
     word_to_fraction,
 )
 from brokenline import oracles
+from brokenline.farey import _check_hinge
 from brokenline.oracles import _partners_at
 
 CONVENTIONS = (Convention.ZERO_ONE, Convention.ONE_ZERO)
@@ -579,6 +589,61 @@ def kneading_by_tag_runs(spec):
         position += tag.denominator
     symbols[-1] = "*"
     return "".join(symbols)
+
+
+def invert_kneading_by_transcription(symbols, convention):
+    """invert_kneading by transcription: every kneading block is written out
+    as limb and parent words, the 1-count of that word gives a, and both the
+    word and the kneading must round-trip through the spec."""
+    kneading = symbols
+    if isinstance(kneading, str):
+        try:
+            kneading = KneadingSequence(kneading)
+        except ValueError as exc:
+            raise NotBrokenLineKneading(str(exc)) from exc
+    symbols = kneading.symbols
+    # a block is a run of 1s closed by a 0, the last one by the star; the
+    # distinct block lengths are listed once each, in order of appearance
+    blocks = symbols[:-1].split("0")
+    lengths = [len(block) + 1 for block in dict.fromkeys(blocks)]
+    q = lengths[0]
+    if q < 2:
+        raise NotBrokenLineKneading("leading block is too short to be a limb word")
+    if len(lengths) == 1:
+        raise NotBrokenLineKneading("every block has the limb length")
+    n = blocks.index("1" * (lengths[1] - 1))
+    t = lengths[1] % q
+    if t == 0 or math.gcd(q, t) != 1:
+        raise NotBrokenLineKneading("parent length is incompatible with the limb")
+    for length in lengths[1:]:
+        if length % q != t:
+            raise NotBrokenLineKneading(f"block of length {length} fits no word")
+
+    # the limb p/q whose parent under the convention has denominator t: the
+    # upper parent under 01, the lower one under 10
+    zero_one = convention is Convention.ZERO_ONE
+    p = (-pow(t, -1, q)) % q if zero_one else pow(t, -1, q)
+    limb = Fraction(p, q)
+    ctx = FareyContext.build(limb, n, convention)
+    limb_word, parent_word = ctx.limb_word, ctx.parent_word
+    pieces = {"1" * (q - 1): limb_word}
+    for length in lengths[1:]:
+        pieces["1" * (length - 1)] = parent_word + limb_word * ((length - t) // q)
+    word = "".join(map(pieces.__getitem__, blocks))
+    a, b = word.count("1"), len(word)
+    if math.gcd(a, b) != 1:
+        raise NotBrokenLineKneading("transcribed word has a reducible 1-count")
+    # 0 < p/q < 1 and 0 < a/b < 1 hold by construction; the spec is built on
+    # ctx, so the limb and parent words above serve its period word too
+    bound = ctx.bound
+    try:
+        _check_hinge(p, q, a, b, bound.numerator, bound.denominator, zero_one)
+    except HypothesisViolated as exc:
+        raise NotBrokenLineKneading(str(exc)) from exc
+    spec = BrokenLineSpec(ctx, Fraction(a, b))
+    if broken_line_word(spec) != word or kneading_of_spec(spec).symbols != symbols:
+        raise NotBrokenLineKneading("reconstruction does not round-trip")
+    return spec, PeriodicAngle(period=word)
 
 
 def cutting_sequence_by_tuples(p_over_q, convention):

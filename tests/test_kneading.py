@@ -23,7 +23,14 @@ from brokenline import (
     word_to_fraction,
 )
 from brokenline.oracles import _kneading_of_word, _rotation_signs
-from helpers import all_specs, all_words, doubling_orbit, kneading_by_tag_runs
+from helpers import (
+    CONVENTIONS,
+    all_specs,
+    all_words,
+    doubling_orbit,
+    invert_kneading_by_transcription,
+    kneading_by_tag_runs,
+)
 
 
 def _spec(limb, slope, hinge, convention):
@@ -146,13 +153,13 @@ def test_invert_kneading_golden():
 
 def test_invert_kneading_rejections():
     # leading block of length one would need a limb of denominator one
-    with pytest.raises(NotBrokenLineKneading):
+    with pytest.raises(NotBrokenLineKneading, match="leading block is too short"):
         invert_kneading("010*", Convention.ZERO_ONE)
     # every block has the limb length
-    with pytest.raises(NotBrokenLineKneading):
+    with pytest.raises(NotBrokenLineKneading, match="every block has the limb"):
         invert_kneading("11*", Convention.ZERO_ONE)
-    # transcription gives an unreduced 1-count
-    with pytest.raises(NotBrokenLineKneading):
+    # the block counts give an unreduced 1-count
+    with pytest.raises(NotBrokenLineKneading, match="reducible 1-count"):
         invert_kneading("10110*", Convention.ZERO_ONE)
 
 
@@ -180,12 +187,39 @@ def test_lower_kneading_period_golden():
 
 
 def test_invert_kneading_ten_convention_rejections():
-    with pytest.raises(NotBrokenLineKneading):
+    with pytest.raises(NotBrokenLineKneading, match="every block has the limb"):
         invert_kneading("11*", Convention.ONE_ZERO)
-    with pytest.raises(NotBrokenLineKneading):
+    with pytest.raises(NotBrokenLineKneading, match="reducible 1-count"):
         invert_kneading("10110*", Convention.ONE_ZERO)
-    with pytest.raises(NotBrokenLineKneading):
+    with pytest.raises(NotBrokenLineKneading, match="malformed kneading sequence"):
         invert_kneading("not a kneading", Convention.ONE_ZERO)
+
+
+def _inversion(invert, symbols, convention):
+    # the (spec, angle) of an inversion, or the type and message it raised
+    try:
+        return invert(symbols, convention)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_invert_kneading_matches_the_transcription():
+    # every body of length <= 12 (the empty one by hand, as all_words(0) is
+    # "0"), then every spec kneading of b = 3..30 with a 0-spliced doubling
+    # and its first slot dropped
+    inputs = ["*"] + [body + "*" for n in range(1, 13) for body in all_words(n)]
+    for spec in all_specs(3, 30):
+        k = kneading_of_spec(spec).symbols
+        inputs += [k, k[:-1] + "0" + k, k[1:]]
+    inverted = 0
+    for symbols in inputs:
+        for convention in CONVENTIONS:
+            outcome = _inversion(invert_kneading, symbols, convention)
+            assert outcome == _inversion(
+                invert_kneading_by_transcription, symbols, convention
+            ), (symbols, convention)
+            inverted += not isinstance(outcome[0], type)
+    assert inverted > len(all_specs(3, 30))
 
 
 def test_kneading_concatenates_preconditions():
