@@ -37,7 +37,7 @@ def _check_word(word: str) -> None:
 def word_to_fraction(word: str) -> Fraction:
     """Value of the purely periodic expansion 0.(word)^inf, reduced, in [0, 1)."""
     _check_word(word)
-    full = 2 ** len(word) - 1
+    full = (1 << len(word)) - 1
     return Fraction(int(word, 2) % full, full)
 
 
@@ -100,7 +100,7 @@ def _expand(x: Fraction, max_period: int | None) -> tuple[str, str]:
         return pre, "0"
     n = multiplicative_order(2, odd, max_period)
     # rem/odd is reduced, so its period is the whole order n
-    return pre, format(rem * (2**n - 1) // odd, f"0{n}b")
+    return pre, format(rem * ((1 << n) - 1) // odd, f"0{n}b")
 
 
 def fraction_to_expansion(

@@ -48,9 +48,11 @@ _SLICES_UP_TO = 1 << 14
 # from _PREFIX_FROM factors on, every factor is first read on its leading
 # _PREFIX_DIGITS digits at once, by whole-integer operations (below, their
 # fixed cost loses to the slices); if more than _TIED_SHARE of the factors
-# still tie, a slice per factor beats a slice per tie found
+# still tie, a slice per factor beats a slice per tie found.  A balanced word
+# has only L + 1 factors of length L, so about count / (L + 1) factors still
+# tie with the word after L digits
 _PREFIX_FROM = 64
-_PREFIX_DIGITS = 16
+_PREFIX_DIGITS = 24
 _TIED_SHARE = 0.5
 _BIT = bytes.maketrans(b"01", b"\0\1")  # digit characters to bytes 0 and 1
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
-from operator import floordiv, sub
 
 from .angles import minimal_period
 from .errors import NoDifference, NonMinimalPeriod
@@ -90,27 +88,46 @@ def rotate_left(word: str, k: int) -> str:
     return word[k:] + word[:k]
 
 
-# the bytes 0 and 1 as the digits "0" and "1"
-_DIGIT = bytes.maketrans(b"\0\1", b"01")
+# the marker of a long run, spelled as the derived word's 1
+_LONG = str.maketrans("2", "1")
 
 
 def is_sturmian(word: str) -> bool:
     """Balance test on the biinfinite repetition of the word: the 1-counts of
-    equal-length cyclic factors never differ by more than one.  In linear time:
-    that holds iff the word is a rotation of the Christoffel word of its density,
-    built below (Lothaire, Algebraic Combinatorics on Words, ch. 2).  A word
-    whose cyclic factors include both 00 and 11 fails at once: their
-    1-counts differ by two.  The Christoffel word's floors of j m / n are
-    computed in C, apart from _digits, the word builder this test checks."""
-    cyclic = word + word[:1]
-    if "00" in cyclic and "11" in cyclic:
-        return False
-    n, m = len(word), word.count("1")
-    if not m:
-        return True  # the all-zeros word, balanced
-    floors = list(map(floordiv, range(0, (n + 1) * m, m), repeat(n)))
-    christoffel = bytes(map(sub, floors[1:], floors)).translate(_DIGIT).decode()
-    return word in christoffel + christoffel
+    equal-length cyclic factors never differ by more than one.
+
+    By desubstitution (Lothaire, Algebraic Combinatorics on Words, ch. 2): a
+    balanced word that is not constant has a letter y that never repeats
+    cyclically, and y cuts it into runs of the other letter x of lengths a
+    and a + 1 only; the word is then balanced iff its derived word, 1 per
+    long run and 0 per short one in cyclic order, is.  A word in which both
+    letters repeat fails at once: its 00 and 11 differ by two 1s.  Each level
+    takes a few C-level string passes and leaves at most half the letters,
+    so the test is linear in the word's length.  It reads only the word and
+    builds no mechanical word, so it stays apart from the word builders it
+    checks; the test suite holds it against the Christoffel word of the
+    word's density."""
+    while True:
+        cyclic = word + word[:1]
+        if "11" not in cyclic:
+            y, x = "1", "0"
+        elif "00" not in cyclic:
+            y, x = "0", "1"
+        else:
+            return False
+        c = word.count(y)
+        if not c:
+            return True  # constant, or empty
+        a = (len(word) - c) // c
+        # rotated to start at a y, the word holds every x-run whole, after
+        # its y: a count of y x^a reaching c puts every run at a or more, and
+        # no x^(a+2) puts none past a + 1
+        i = word.index(y)
+        word = word[i:] + word[:i]
+        short = y + x * a
+        if word.count(short) < c or x * (a + 2) in word:
+            return False
+        word = word.replace(short + x, "2").replace(short, "0").translate(_LONG)
 
 
 def rotation_diagnostics(word: str) -> tuple[Fraction, bool]:

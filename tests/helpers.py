@@ -14,12 +14,14 @@ with block 0 a case of its own (production writes every block as
 L (L^(n-1) P)^m, one head and m units), the digit tuning joins one bulb
 word per digit (production substitutes both words with str.replace), the
 orbit test just iterates the doubling map, the
-balance test counts the 1s of every cyclic factor (production looks for the
-word among the rotations of a Christoffel word), the census set is built from
-digit-rule rotations alone, the parameter sweep tries every limb, hinge
-and slope instead of walking the Stern-Brocot tree, and the per-spec
-enumeration builds every period word through broken_line_word and keys it by
-its Fraction (production rotates one word per slope and keys by integers).
+balance tests count the 1s of every cyclic factor or look for the word among
+the rotations of the Christoffel word of its density, spelled from the
+floors of j m / n (production desubstitutes the word, run by run), the
+census set is built from digit-rule rotations alone, the parameter sweep
+tries every limb, hinge and slope instead of walking the Stern-Brocot tree,
+and the per-spec enumeration builds every period word through
+broken_line_word and keys it by its Fraction (production rotates one word
+per slope and keys by integers).
 The enumeration by validation walks stern_brocot_path and calls validate_spec
 once per candidate (production walks integer pairs and builds one context per
 node, hinge and convention), the word census tests every word on its own over
@@ -58,7 +60,9 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import gcd, inf, lcm
+from operator import floordiv, sub
 
 import pytest
 
@@ -144,6 +148,27 @@ def balanced_by_factor_counts(word):
         if max(counts) - min(counts) > 1:
             return False
     return True
+
+
+# the bytes 0 and 1 as the digits "0" and "1"
+_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
+def balanced_by_christoffel(word):
+    """Balance of the biinfinite repetition as a rotation of the Christoffel
+    word of the word's density, whose digit j is floor((j+1) m / n) -
+    floor(j m / n), m the word's 1-count (Lothaire, Algebraic Combinatorics
+    on Words, ch. 2).  A word whose cyclic factors include both 00 and 11
+    fails at once: their 1-counts differ by two."""
+    cyclic = word + word[:1]
+    if "00" in cyclic and "11" in cyclic:
+        return False
+    n, m = len(word), word.count("1")
+    if not m:
+        return True  # the all-zeros word, balanced
+    floors = list(map(floordiv, range(0, (n + 1) * m, m), repeat(n)))
+    christoffel = bytes(map(sub, floors[1:], floors)).translate(_DIGIT).decode()
+    return word in christoffel + christoffel
 
 
 def digit_rule(p, q):
@@ -246,7 +271,8 @@ def doubling_orbit(theta):
 
 
 def all_words(length):
-    return (format(k, f"0{length}b") for k in range(1 << length))
+    # the leading 1 of k + 2^length keeps the zeros, and length 0 the empty word
+    return (bin(k | 1 << length)[3:] for k in range(1 << length))
 
 
 def census_angles(b):

@@ -155,8 +155,7 @@ def test_periodic_angle_is_canonical_exhaustive():
     # the canonical form is the unique one with a primitive period that is
     # not all ones and a preperiod that does not end in the period's last digit
     for pre_length in range(4):
-        preperiods = all_words(pre_length) if pre_length else [""]
-        for u in preperiods:
+        for u in all_words(pre_length):
             head = int(u, 2) if u else 0
             for length in range(1, 11):
                 for w in all_words(length):
@@ -172,7 +171,7 @@ def test_periodic_angle_is_canonical_exhaustive():
 def test_periodic_angle_matches_the_expansion_of_its_value():
     # the word canonicalization against the expansion of the exact value,
     # read off the denominator and by long division
-    preperiods = ["", *(u for length in range(1, 7) for u in all_words(length))]
+    preperiods = [u for length in range(7) for u in all_words(length)]
     periods = [w for length in range(1, 9) for w in all_words(length)]
     for u in preperiods:
         for w in periods:
@@ -187,7 +186,7 @@ def test_terms_are_the_unreduced_value_of_the_raw_words():
     # the integer terms against Fraction arithmetic on every raw pair, the
     # period "0" and all-ones periods included; the denominator keeps its
     # factors 2^|u| and 2^|v| - 1
-    preperiods = ["", *(u for length in range(1, 5) for u in all_words(length))]
+    preperiods = [u for length in range(5) for u in all_words(length)]
     periods = [v for length in range(1, 7) for v in all_words(length)]
     for u in preperiods:
         for v in periods:

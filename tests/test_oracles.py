@@ -112,8 +112,8 @@ def _names_in(module, function):
 
 
 def test_balance_test_builds_no_period_word():
-    # is_sturmian checks the words _digits builds, so it reads the floor
-    # formula of the Christoffel word and calls neither word builder
+    # is_sturmian checks the words _digits builds, so it desubstitutes the
+    # word it is given, run by run, and calls neither word builder
     assert not {"_digits", "mechanical_word"} & _names_in("words.py", "is_sturmian")
 
 

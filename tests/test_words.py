@@ -25,6 +25,7 @@ from helpers import (
     CONVENTIONS,
     SIGN_PATHS,
     all_words,
+    balanced_by_christoffel,
     balanced_by_factor_counts,
     mediant_word,
     preimage_signs_by_slices,
@@ -60,8 +61,9 @@ def test_is_sturmian_golden():
     # 00 or 11 only across the wrap still unbalances the repetition
     assert not is_sturmian("0110")
     assert not is_sturmian("1001")
-    # 00 without 11, or neither: the Christoffel test decides
+    # 00 without 11, or neither: the runs of the other letter decide
     assert is_sturmian("01")
+    assert not is_sturmian("1010001000")
 
 
 def _flip(word, position):
@@ -89,6 +91,42 @@ def test_balance_of_long_words_under_rotations_and_flips():
         for position in range(0, n, n // 20)[:20]:
             flipped = _flip(word, position)
             assert is_sturmian(flipped) == balanced_by_factor_counts(flipped)
+
+
+def _variants(word, k):
+    # the word, rotated by k, with digit k flipped, reversed, squared and
+    # with digit k dropped
+    rotated, dropped = word[k:] + word[:k], word[:k] + word[k + 1 :]
+    return [word, rotated, _flip(word, k), word[::-1], word + word, dropped]
+
+
+def test_is_sturmian_matches_the_christoffel_reference():
+    # every word of length 0..16; mediant words of period up to 2^14 with
+    # their variants (the mediant walk takes a node per step down the
+    # Stern-Brocot tree, b of them for 1/b); and, at the scale of the period
+    # cap, the Fibonacci word of period 832,040, whose partial quotients are
+    # all 1, so that each level leaves the most letters (15 levels), with and
+    # without one digit flipped
+    for length in range(17):
+        for word in all_words(length):
+            assert is_sturmian(word) == balanced_by_christoffel(word), word
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def mediant_words(data):
+        b = data.draw(st.integers(2, 1 << 14), label="b")
+        slope = Fraction(data.draw(st.integers(1, b - 1), label="a"), b)
+        word = mediant_word(slope, data.draw(st.sampled_from(CONVENTIONS)))
+        k = data.draw(st.integers(0, len(word) - 1), label="k")
+        for variant in _variants(word, k):
+            assert is_sturmian(variant) == balanced_by_christoffel(variant), (slope, k)
+
+    mediant_words()
+    word = fibonacci_word(832_040)
+    assert len(word) == 832_040
+    assert is_sturmian(word) and balanced_by_christoffel(word)
+    flipped = _flip(word, 416_020)
+    assert not is_sturmian(flipped) and not balanced_by_christoffel(flipped)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
