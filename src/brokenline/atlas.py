@@ -12,7 +12,7 @@ from operator import itemgetter, ne
 
 from .angles import PeriodicAngle, _terms
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
-from .farey import BrokenLineSpec, FareyContext, _bound_terms, _check_hinge
+from .farey import BrokenLineSpec, FareyContext
 from .mechanical import _digits, _substitute, broken_line_word, mechanical_word
 from .oracles import _partners_at
 from .words import Convention, is_sturmian, prime_minus, prime_plus, rotate_left
@@ -216,16 +216,19 @@ def enumerate_specs(period: int) -> SpecEnumeration:
 
     Candidates are read off the Stern-Brocot path of each slope, walked with
     integer pairs: a right turn at a node opens 01-choices there, a left turn
-    10-choices, and the length of the straight run just after the turn caps
-    the hinge.  Each candidate passes the hinge inequalities of validate_spec
-    on integers, against the bound built from the node's Farey parents, which
-    are the two ends of the walk's interval there.  The slope word is built
-    once per slope and convention; a choice's period word is that word with
+    10-choices.  The turn is one hinge inequality of validate_spec; hinges
+    are taken while the other holds on integers, the hinge bound (the node's
+    Farey parent, an end of the walk's interval, plus hinge - 1 copies of
+    P/Q) leaving the slope strictly inside.  The limb word's value under
+    each convention is carried down the walk, a mediant's word being its
+    parents' words concatenated.  The slope word is built once per slope by
+    the standard-word recursion; a choice's period word is that word with
     its trailing hinge prefix, hinge*Q digits, rotated to the front (as in
-    broken_line_word), which must be hinge copies of the limb word.  The
-    rotation is taken on the word's integer value, which is the angle's
-    numerator over 2^period - 1.  The result holds one integer row per
-    choice and builds no Fraction, context or spec until they are read.
+    broken_line_word), and the prefix is checked on integers to be hinge
+    copies of the limb word.  The rotation is taken on the word's integer
+    value, which is the angle's numerator over 2^period - 1.  The result
+    holds one integer row per choice and builds no Fraction, context or spec
+    until they are read.
     """
     if period < 3:
         raise ValueError("enumeration starts at period 3")
@@ -235,41 +238,46 @@ def enumerate_specs(period: int) -> SpecEnumeration:
 
 def _spec_rows(period: int) -> list[tuple[int, int, int, int, str, int]]:
     # the rows of enumerate_specs, in the order the walk meets them
-    limb_words: dict[tuple[int, int, str], str] = {}
     rows = []
     for a in range(1, period):
         if math.gcd(a, period) != 1:
             continue
-        inner = _digits(a, period)
-        words = {turn: inner + c.value for turn, c in _TURNS.items()}
-        values = {turn: int(word, 2) for turn, word in words.items()}
-        # the strict ancestors of the slope, each with the turn the path takes
-        # there and the Farey parent its hinge bounds start from: the upper
-        # one after a right turn, the lower one after a left turn
-        nodes, sides = [], []
+        # the slope word's inner digits, by the standard word
+        inner = int(_digits(a, period), 2) << 2
+        # the walk's interval ends lo < hi, with their words' values under 01
+        # and 10: a node's word is hi.lo under 01 and lo.hi under 10 (as in
+        # mediant_tags), but 0/1 has no 01 word and 1/1 no 10 word, so the
+        # nodes 1/q and (q-1)/q next to them take their closed forms, 0^(q-2)
+        # and 1^(q-2) followed by the convention's two letters
         lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
+        lo01 = lo10 = hi01 = hi10 = 0
         while True:
             p, q = lo_p + hi_p, lo_q + hi_q
             if p == a and q == period:
                 break
-            if a * q < p * period:
-                nodes.append((p, q, (lo_p, lo_q)))
-                sides.append("L")
-                hi_p, hi_q = p, q
+            if not lo_p:
+                v01, v10 = 1, 2
+            elif hi_p == hi_q:
+                v01, v10 = (1 << q) - 3, (1 << q) - 2
             else:
-                nodes.append((p, q, (hi_p, hi_q)))
-                sides.append("R")
-                lo_p, lo_q = p, q
-        turns = "".join(sides)
-        for (p, q, parent), turn, cap in zip(nodes, turns, _hinge_caps(turns)):
-            word, value = words[turn], values[turn]
-            limb = limb_words.get((p, q, turn))
-            if limb is None:
-                limb = limb_words[p, q, turn] = _digits(p, q) + _TURNS[turn].value
-            for hinge in range(1, cap + 1):
-                c, d = _bound_terms(p, q, parent, hinge)
-                _check_hinge(p, q, a, period, c, d, turn == "R")
-                if not word.endswith(limb * hinge):
+                v01, v10 = hi01 << lo_q | lo01, lo10 << hi_q | hi10
+            # a right turn opens 01-choices bounded from the upper end, a left
+            # turn 10-choices bounded from the lower end; the turn is the
+            # inequality against P/Q, and hinges go on while the bound, the
+            # parent plus (hinge - 1) * P/Q, leaves the slope strictly inside
+            zero_one = a * q > p * period
+            if zero_one:
+                turn, limb, value, c, d = "R", v01, inner | 1, hi_p, hi_q
+                lo_p, lo_q, lo01, lo10 = p, q, v01, v10
+            else:
+                turn, limb, value, c, d = "L", v10, inner | 2, lo_p, lo_q
+                hi_p, hi_q, hi01, hi10 = p, q, v01, v10
+            hinge, prefix = 1, limb
+            while a * d < c * period if zero_one else c * period < a * d:
+                # the slope word must end in hinge copies of the limb word;
+                # the key is its value with that prefix rotated to the front
+                cut = hinge * q
+                if value & ((1 << cut) - 1) != prefix:
                     spec = BrokenLineSpec(
                         FareyContext.build(Fraction(p, q), hinge, _TURNS[turn]),
                         Fraction(a, period),
@@ -279,20 +287,10 @@ def _spec_rows(period: int) -> list[tuple[int, int, int, int, str, int]]:
                         "slope word does not end in the hinge prefix",
                         spec,
                     )
-                cut = hinge * q
-                key = (value & ((1 << cut) - 1)) << (period - cut) | value >> cut
+                key = prefix << (period - cut) | value >> cut
                 rows.append((key, p, q, hinge, turn, a))
+                hinge, c, d, prefix = hinge + 1, c + p, d + q, prefix << q | limb
     return rows
-
-
-def _hinge_caps(turns: str) -> list[int]:
-    # the largest hinge at each node of a Stern-Brocot path: one more than
-    # the number of nodes after it before the path turns to its side again
-    caps = []
-    for i, turn in enumerate(turns):
-        after = turns.find(turn, i + 1)
-        caps.append(len(turns) - i if after < 0 else after - i)
-    return caps
 
 
 def euler_phi(n: int) -> int:

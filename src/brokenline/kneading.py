@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import PeriodicAngle, minimal_period
+from .angles import PeriodicAngle, _is_binary, minimal_period
 from .errors import HypothesisViolated, NotBrokenLineKneading, NotPeriodic
 from .farey import BrokenLineSpec, FareyContext, _check_hinge, mediant
 from .mechanical import _spell, broken_line_word
@@ -34,12 +34,11 @@ class KneadingSequence:
     symbols: str
 
     def __post_init__(self) -> None:
-        # a body over "0" and "1" alone: its two counts add up to its length
-        body = self.symbols[:-1]
+        # a body over "0" and "1" alone, closed by the star
         if (
             len(self.symbols) < 2
             or self.symbols[-1] != "*"
-            or body.count("0") + body.count("1") != len(body)
+            or not _is_binary(self.symbols[:-1])
         ):
             raise ValueError(f"malformed kneading sequence: {self.symbols!r}")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import PeriodicAngle, word_to_fraction
+from .angles import PeriodicAngle, _is_binary, word_to_fraction
 from .errors import InvariantViolated, MalformedCuttingSequence
 from .farey import BrokenLineSpec, FareyContext
 from .words import Convention, _digits, mechanical_word
@@ -70,8 +70,7 @@ def cutting_to_mechanical(kappa: str) -> str:
     (the rewriting 01 -> 1).  Output length equals the number of 0s."""
     # a word over {0, 1} in which every 1 follows a 0 of its own: no leading
     # 1 and no 11, so the rewriting never overlaps itself
-    binary = kappa.count("0") + kappa.count("1") == len(kappa)
-    if not binary or kappa.startswith("1") or "11" in kappa:
+    if not _is_binary(kappa) or kappa.startswith("1") or "11" in kappa:
         raise MalformedCuttingSequence(kappa)
     return kappa.replace("01", "1")
 

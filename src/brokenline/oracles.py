@@ -4,7 +4,7 @@ pairing.
 
 The word oracles read a period word by the order of its factors,
 _factor_order: slices below period 64; up to period 2^14, a bit-parallel
-prefix of 16 digits and a slice per factor still tied, for the rotation and
+prefix of 24 digits and a slice per factor still tied, for the rotation and
 the preimage signs alike; a Z-array in linear time above.  The rotation
 signs of the word serve both: the direct kneading reads the orbit's
 itinerary off them, and the preimage chain pulls the angle back

@@ -24,7 +24,10 @@ broken_line_word and keys it by its Fraction (production rotates one word
 per slope and keys by integers).
 The enumeration by validation walks stern_brocot_path and calls validate_spec
 once per candidate (production walks integer pairs and builds one context per
-node, hinge and convention), the word census tests every word on its own over
+node, hinge and convention), the straight-run rows cap each node's hinges by
+the run of nodes after its turn and match limb strings against the slope
+word's end (production takes hinges while the bound inequality holds and
+carries the limb words' values down the walk), the word census tests every word on its own over
 the Fraction pairs of lavaurs_pairs (production tests one word per doubling
 orbit over integer chords), the rotation census rebuilds each orbit from
 string rotations and minimal_period (production doubles integers), and the
@@ -99,8 +102,10 @@ from brokenline import (
     word_to_fraction,
 )
 from brokenline import oracles
-from brokenline.farey import _check_hinge
+from brokenline.atlas import _TURNS
+from brokenline.farey import _bound_terms, _check_hinge
 from brokenline.oracles import _partners_at
+from brokenline.words import _digits
 
 CONVENTIONS = (Convention.ZERO_ONE, Convention.ONE_ZERO)
 
@@ -385,6 +390,75 @@ def enumerate_by_validation(period):
                 found.setdefault(key, []).append(spec)
     full = (1 << period) - 1
     return tuple((Fraction(key, full), tuple(found[key])) for key in sorted(found))
+
+
+def spec_rows_by_caps(period):
+    """The rows of atlas._spec_rows(period), in the order the walk meets
+    them, with every hinge capped by the straight-run rule: the largest
+    hinge at a node is one more than the number of nodes after it before the
+    path turns to its side again.  Each row passes validate_spec's hinge
+    inequalities on integers and the slope word's end is matched against
+    hinge copies of the limb word, built by the standard-word recursion, as
+    strings (production takes each hinge while the bound inequality holds
+    and carries the limb words' values down the walk)."""
+    limb_words: dict[tuple[int, int, str], str] = {}
+    rows = []
+    for a in range(1, period):
+        if math.gcd(a, period) != 1:
+            continue
+        inner = _digits(a, period)
+        words = {turn: inner + c.value for turn, c in _TURNS.items()}
+        values = {turn: int(word, 2) for turn, word in words.items()}
+        # the strict ancestors of the slope, each with the turn the path takes
+        # there and the Farey parent its hinge bounds start from: the upper
+        # one after a right turn, the lower one after a left turn
+        nodes, sides = [], []
+        lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
+        while True:
+            p, q = lo_p + hi_p, lo_q + hi_q
+            if p == a and q == period:
+                break
+            if a * q < p * period:
+                nodes.append((p, q, (lo_p, lo_q)))
+                sides.append("L")
+                hi_p, hi_q = p, q
+            else:
+                nodes.append((p, q, (hi_p, hi_q)))
+                sides.append("R")
+                lo_p, lo_q = p, q
+        turns = "".join(sides)
+        for (p, q, parent), turn, cap in zip(nodes, turns, _hinge_caps(turns)):
+            word, value = words[turn], values[turn]
+            limb = limb_words.get((p, q, turn))
+            if limb is None:
+                limb = limb_words[p, q, turn] = _digits(p, q) + _TURNS[turn].value
+            for hinge in range(1, cap + 1):
+                c, d = _bound_terms(p, q, parent, hinge)
+                _check_hinge(p, q, a, period, c, d, turn == "R")
+                if not word.endswith(limb * hinge):
+                    spec = BrokenLineSpec(
+                        FareyContext.build(Fraction(p, q), hinge, _TURNS[turn]),
+                        Fraction(a, period),
+                    )
+                    raise InvariantViolated(
+                        "enumerate_specs",
+                        "slope word does not end in the hinge prefix",
+                        spec,
+                    )
+                cut = hinge * q
+                key = (value & ((1 << cut) - 1)) << (period - cut) | value >> cut
+                rows.append((key, p, q, hinge, turn, a))
+    return rows
+
+
+def _hinge_caps(turns: str) -> list[int]:
+    # the largest hinge at each node of a Stern-Brocot path: one more than
+    # the number of nodes after it before the path turns to its side again
+    caps = []
+    for i, turn in enumerate(turns):
+        after = turns.find(turn, i + 1)
+        caps.append(len(turns) - i if after < 0 else after - i)
+    return caps
 
 
 def enumerate_payload_by_objects(period, census=False, check=False):

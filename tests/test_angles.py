@@ -35,17 +35,26 @@ def test_all_ones_word_normalizes_to_zero():
 
 
 # what a set of the word's characters rejected: the empty word, other
-# digits, spaces, a newline, fullwidth and Arabic-Indic digits, a star
-NOT_BINARY = ("", "2", "0 1", "01\n", "\uff10\uff11", "\u0660\u0661", "01*0", "*")
+# digits, spaces, a newline, fullwidth and Arabic-Indic digits, a star, a
+# non-ASCII letter, a lone surrogate (an undecodable byte of argv), a sign
+# and an underscore, which int(word, 2) would accept
+NOT_BINARY = (
+    "", "2", "0 1", "01\n", "\uff10\uff11", "\u0660\u0661", "01*0", "*",
+    "0\u00e9", "0\udcff", " 01", "0_1", "+01",
+)
 
 
 def test_binary_words_are_checked_by_their_counts():
+    # a word that fails to encode to ASCII is rejected by the word test, not
+    # by a UnicodeEncodeError, which is a ValueError of another message
     for bad in NOT_BINARY:
         assert not bad or set(bad) - {"0", "1"}
         with pytest.raises(ValueError, match="not a binary word"):
             word_to_fraction(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a binary word"):
             PeriodicAngle("", bad)
+        with pytest.raises(ValueError, match="not a binary word"):
+            PeriodicAngle(bad or "2", "01")
     for good in ("0", "1", "10", "0110"):
         word_to_fraction(good)
 

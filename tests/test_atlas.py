@@ -25,6 +25,7 @@ from brokenline import (
     minimal_period,
     prime_minus,
     prime_plus,
+    stern_brocot_path,
     sturmian_census,
     tune,
     tuned_is_nonsturmian,
@@ -41,6 +42,7 @@ from helpers import (
     enumerate_by_validation,
     enumerate_specs_per_spec,
     reduced_fractions,
+    spec_rows_by_caps,
 )
 
 
@@ -258,33 +260,49 @@ def test_enumerate_keys_of_one_orbit_share_one_gcd():
 def test_enumerate_checks_the_hinge_prefix(monkeypatch):
     real = atlas._digits
 
-    def wrong_limb_digits(p, q):
-        # the limb word of a node below 7 gets its first digit flipped: a
-        # word of the right length that is not the one the slope word ends in
+    def wrong_slope_digits(p, q):
+        # the slope word of period 7 gets its last inner digit flipped: the
+        # limb words carried down the walk no longer match its end
         digits = real(p, q)
-        if 2 < q < 7:
-            return ("1" if digits[0] == "0" else "0") + digits[1:]
+        if q == 7:
+            return digits[:-1] + ("1" if digits[-1] == "0" else "0")
         return digits
 
-    monkeypatch.setattr(atlas, "_digits", wrong_limb_digits)
+    monkeypatch.setattr(atlas, "_digits", wrong_slope_digits)
     with pytest.raises(InvariantViolated) as failure:
         enumerate_specs(7)
     assert failure.value.stage == "enumerate_specs"
     assert failure.value.spec.period == 7
 
 
-def test_enumerate_checks_the_hinge_inequalities(monkeypatch):
-    # one hinge past the straight run after a turn breaks the hinge bound;
-    # the walk must reject that choice with validate_spec's error before its
-    # hinge-prefix test or its key are reached
-    real = atlas._hinge_caps
-    monkeypatch.setattr(
-        atlas, "_hinge_caps", lambda turns: [cap + 1 for cap in real(turns)]
-    )
+def test_enumerate_checks_the_hinge_inequalities():
+    # every strict ancestor of a slope has the hinges 1..H for its turn's
+    # convention, and hinge H + 1 breaks the hinge bound: validate_spec
+    # rejects it with the error the walk's bound test stands for
     for b in (3, 7, 12):
-        with pytest.raises(HypothesisViolated) as failure:
-            enumerate_specs(b)
-        assert "hinge bound fails" in str(failure.value)
+        hinges = {}
+        for _, p, q, hinge, turn, a in enumerate_specs(b).rows:
+            hinges.setdefault((Fraction(p, q), turn, a), []).append(hinge)
+        for a in range(1, b):
+            if gcd(a, b) != 1:
+                continue
+            for node, turn in stern_brocot_path(Fraction(a, b)):
+                found = sorted(hinges.pop((node, turn, a)))
+                assert found == list(range(1, len(found) + 1))
+                convention = atlas._TURNS[turn]
+                with pytest.raises(HypothesisViolated) as failure:
+                    validate_spec(node, Fraction(a, b), len(found) + 1, convention)
+                assert "hinge bound fails" in str(failure.value)
+        assert not hinges
+
+
+def test_spec_rows_match_the_straight_run_rule():
+    # hinges taken while the bound inequality holds, with limb values carried
+    # down the walk, give the rows of capping each node's hinges by the
+    # straight run after its turn and matching limb strings: same tuples,
+    # same order
+    for b in [*range(3, 201), 509, 1009]:
+        assert atlas._spec_rows(b) == spec_rows_by_caps(b), b
 
 
 def test_enumerated_conjugates():

@@ -85,9 +85,13 @@ def test_kneading_sequence_form():
 
 def test_kneading_body_is_checked_by_its_counts():
     # what a set of the body's characters rejected: an empty body, other
-    # digits, spaces, a newline, fullwidth and Arabic-Indic digits, a star
-    # inside the body
-    bad_bodies = ("", "2", "0 1", "01\n", "\uff10\uff11", "\u0660\u0661", "1*0")
+    # digits, spaces, a newline, fullwidth and Arabic-Indic digits, stars
+    # inside the body, a non-ASCII letter, a lone surrogate (an undecodable
+    # byte of argv), a leading space, an underscore and a sign
+    bad_bodies = (
+        "", "2", "0 1", "01\n", "\uff10\uff11", "\u0660\u0661", "1*0", "01*",
+        "0\u00e9", "0\udcff", " 01", "0_1", "+01",
+    )
     for body in bad_bodies:
         assert len(body) == 0 or set(body) - {"0", "1"}
         with pytest.raises(ValueError, match="malformed kneading sequence"):

@@ -71,6 +71,14 @@ def test_cutting_to_mechanical_rejects_orphan_ones():
         cutting_to_mechanical("011")
 
 
+def test_cutting_to_mechanical_rejects_other_characters():
+    # a non-ASCII letter or a lone surrogate is malformed, not a
+    # UnicodeEncodeError
+    for kappa in ("0\u00e91", "00\udcff", "0\uff101", "0_01", " 01"):
+        with pytest.raises(MalformedCuttingSequence):
+            cutting_to_mechanical(kappa)
+
+
 def _contraction(contract, kappa):
     try:
         return contract(kappa)
