@@ -4,7 +4,9 @@ Text output is one "key: value" line per field so runs diff cleanly; --json
 emits a single document instead, the bytes json.dumps writes, written key by
 key so that bit words and printed fractions are copied, not scanned for
 escapes.  Every numeric field is an exact fraction or a bit string, never a
-float.  Exit codes: 0 ok, 1 domain error, 2 usage.
+float.  The angles a command prints are written by one _texts call; the
+limb, the slope and the bulb, whose denominators the period budget or a
+kneading's length bounds, by str.  Exit codes: 0 ok, 1 domain error, 2 usage.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice
 from operator import itemgetter
 
 from .angles import PeriodicAngle, fraction_to_expansion, word_to_fraction
@@ -67,7 +68,7 @@ KNEADING_CHECK_LIMIT = 12
 # largest period any documented command reaches is b = 10^6 + 1
 MAX_PERIOD = 2**20
 # the largest B of `enumerate --period B`: its rows and its time grow as
-# B^2, and B = 2039 takes about 1.2 s and 120 MB
+# B^2, and B = 2039 takes about 1.1 s and 80 MB
 MAX_ENUMERATE_PERIOD = 2**11
 
 
@@ -143,17 +144,10 @@ def _convention(text: str) -> Convention:
 _DECIMAL_BITS = 4000
 
 
-def _text(x: Fraction) -> str:
-    """str(x), for every Fraction the command line prints alone: _texts of
-    x, with the width test of _texts first, as most fractions print by str."""
-    if max(abs(x.numerator), x.denominator).bit_length() <= _DECIMAL_BITS:
-        return str(x)
-    return _texts(x)[0]
-
-
 def _texts(*fractions: Fraction) -> list[str]:
-    """[str(x) for x in fractions], for the Fractions a command prints
-    together: an angle and its conjugate, or the two angles of a bulb.
+    """[str(x) for x in fractions], for the angles a command prints, all in
+    one call: an angle alone, an angle and its conjugate, the two angles of a
+    bulb, or broken --all's angle, conjugate and two spoke rays.
 
     Above _DECIMAL_BITS bits, an integer n = hi * 2^k + lo is written as the
     ``decimal`` value of hi times 2^k plus that of lo, recursively, exactly:
@@ -215,8 +209,8 @@ def _spec_of(args: argparse.Namespace) -> BrokenLineSpec:
 
 def _spec_fields(spec: BrokenLineSpec) -> dict:
     return {
-        "limb": _text(spec.p_over_q),
-        "slope": _text(spec.slope),
+        "limb": str(spec.p_over_q),
+        "slope": str(spec.slope),
         "hinge": spec.hinge,
         "convention": str(spec.convention),
     }
@@ -227,11 +221,11 @@ def cmd_line(args: argparse.Namespace) -> dict:
     kappa = cutting_sequence(slope, args.convention)
     word = cutting_to_mechanical(kappa)
     payload = {
-        "slope": _text(slope),
+        "slope": str(slope),
         "convention": str(args.convention),
         "cutting": kappa,
         "word": word,
-        "angle": _text(word_to_fraction(word)),
+        "angle": _texts(word_to_fraction(word))[0],
     }
     if args.check:
         if word != mechanical_word(slope, args.convention):
@@ -248,7 +242,7 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
     high = mechanical_word(slope, Convention.ONE_ZERO)
     theta01, theta10 = _texts(word_to_fraction(low), word_to_fraction(high))
     payload = {
-        "slope": _text(slope),
+        "slope": str(slope),
         "word-01": low,
         "word-10": high,
         "theta-01": theta01,
@@ -270,9 +264,13 @@ def cmd_broken(args: argparse.Namespace) -> dict:
         cword = _primed_word(decomposition)
         kneading = kneading_of_spec(spec)
     if args.all:
-        angle, conjugate = _texts(word_to_fraction(word), word_to_fraction(cword))
+        spot = locate(spec)
+        lower, upper = spot.bracketing_rays
+        angle, conjugate, spoke_lower, spoke_upper = _texts(
+            word_to_fraction(word), word_to_fraction(cword), lower.value, upper.value
+        )
     else:
-        angle = _text(word_to_fraction(word))
+        angle = _texts(word_to_fraction(word))[0]
     payload = _spec_fields(spec)
     payload.update(
         {
@@ -282,7 +280,6 @@ def cmd_broken(args: argparse.Namespace) -> dict:
         }
     )
     if args.all:
-        spot = locate(spec)
         m, pattern = decomposition.base_m, decomposition.pattern
         payload.update(
             {
@@ -292,8 +289,8 @@ def cmd_broken(args: argparse.Namespace) -> dict:
                 "block-exponents": _PerBlock(pattern, m, m + 1),
                 "blocks": _PerBlock(pattern, *decomposition.units),
                 "spoke": spot.spoke_index,
-                "spoke-lower": _text(spot.bracketing_rays[0].value),
-                "spoke-upper": _text(spot.bracketing_rays[1].value),
+                "spoke-lower": spoke_lower,
+                "spoke-upper": spoke_upper,
             }
         )
     if args.check:
@@ -378,7 +375,7 @@ def cmd_kneading_of_angle(args: argparse.Namespace) -> dict:
     theta = _expansion(args.angle).value
     ks = kneading_of_angle(theta)
     payload = {
-        "angle": _text(theta),
+        "angle": _texts(theta)[0],
         "kneading": str(ks),
         "period": ks.period,
     }
@@ -403,7 +400,7 @@ def cmd_invert_kneading(args: argparse.Namespace) -> dict:
         {
             "word": sequence.period,
             "expansion": str(sequence),
-            "angle": _text(sequence.value),
+            "angle": _texts(sequence.value)[0],
         }
     )
     if args.check:
@@ -465,18 +462,14 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
     return payload
 
 
-# entries of an enumeration per write to stdout
-_CHUNK = 4096
-
-
 class _Entries:
     """The entries of `enumerate`, written to stdout from the enumeration's
     rows by main, after every check has passed: nothing but integers is
     formatted on the way, and no entry is built as an object.
 
-    Each angle is written from its first row as _spec_fields would write its
-    first spec: the limb and the slope are reduced, the angle is reduced by
-    g, and each lies strictly between 0 and 1, so its Fraction prints p/q.
+    Each angle is written from its first row as str writes the Fractions of
+    its first spec: the limb and the slope are reduced, the angle is reduced
+    by g, and each lies strictly between 0 and 1, so its Fraction prints p/q.
     Every key of one slope a and one turn is the slope word's value V
     rotated, 2^(B - cut) * V mod 2^B - 1, and doubling is invertible modulo
     2^B - 1, so all of them share one gcd g with it: g, the reduced
@@ -492,16 +485,10 @@ class _Entries:
         self.sizes = {key: 1 + n for key, n in repeats.items()}
 
     def write(self, as_json: bool) -> None:
-        """Write the entries as the items of a JSON list or as text lines,
-        a chunk of _CHUNK entries at a time."""
-        out = sys.stdout  # read per call: callers may redirect it
-        texts = self._texts(as_json)
-        sep = ", " if as_json else ""
-        lead = ""
-        while chunk := list(islice(texts, _CHUNK)):
-            out.write(lead)
-            out.write(sep.join(chunk))
-            lead = sep
+        """Write the entries as the items of a JSON list, each after the
+        first led by its separator, or as text lines: one write per entry,
+        batched by stdout's buffer as every other value is."""
+        sys.stdout.writelines(self._texts(as_json))
 
     def _texts(self, as_json: bool) -> Iterator[str]:
         period, sizes = self.enumeration.period, self.sizes
@@ -509,6 +496,7 @@ class _Entries:
         orbits: dict[tuple[int, str], tuple[int, str, str, str]] = {}
         last = -1
         i = 0
+        lead = ""  # the separator before each JSON item after the first
         for key, p, q, hinge, turn, a in self.enumeration.rows:
             if key == last:
                 continue
@@ -527,10 +515,11 @@ class _Entries:
             if as_json:
                 extra = f', "collisions": {n}' if n > 1 else ""
                 yield (
-                    f'{{"limb": "{p}/{q}", "slope": "{slope}", "hinge": {hinge}, '
+                    f'{lead}{{"limb": "{p}/{q}", "slope": "{slope}", "hinge": {hinge}, '
                     f'"convention": "{convention}", '
                     f'"angle": "{key // g}{denominator}"{extra}}}'
                 )
+                lead = ", "
             else:
                 i += 1
                 extra = f" collisions={n}" if n > 1 else ""
@@ -548,9 +537,9 @@ def cmd_tune(args: argparse.Namespace) -> dict:
     tuned = tune(angle, bulb)
     payload = {
         "angle": str(angle),
-        "bulb": _text(bulb),
+        "bulb": str(bulb),
         "tuned": str(tuned),
-        "tuned-angle": _text(tuned.value),
+        "tuned-angle": _texts(tuned.value)[0],
     }
     if args.check:
         if PeriodicAngle.parse(str(tuned)) != tuned:
@@ -678,7 +667,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_text(payload: dict) -> None:
+def _print_lines(payload: dict) -> None:
     for key, value in payload.items():
         if key == "entries":
             value.write(as_json=False)
@@ -763,7 +752,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             _write_json(payload)
         else:
-            _print_text(payload)
+            _print_lines(payload)
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the reader closed stdout: what is left is written to the null

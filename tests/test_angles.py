@@ -44,7 +44,7 @@ NOT_BINARY = (
 )
 
 
-def test_binary_words_are_checked_by_their_counts():
+def test_binary_words_are_checked_in_one_pass():
     # a word that fails to encode to ASCII is rejected by the word test, not
     # by a UnicodeEncodeError, which is a ValueError of another message
     for bad in NOT_BINARY:

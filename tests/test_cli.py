@@ -209,13 +209,13 @@ def test_fractions_print_what_str_prints(no_digit_limit):
     assert any(n.bit_length() == edge + 1 for n in numbers)
     # whole numbers print without a denominator
     for n in numbers:
-        assert cli._text(Fraction(n)) == str(n)
+        assert cli._texts(Fraction(n)) == [str(n)]
         if n.bit_length() < 100_000:
-            assert cli._text(Fraction(-n)) == str(-n)
+            assert cli._texts(Fraction(-n)) == [str(-n)]
     # either part past the edge, or both
     small, big = 3**1000, (1 << 10_000) - 1
     for x in (Fraction(small, big), Fraction(big, small), Fraction(big, big + 2)):
-        assert cli._text(x) == cli._text(-x)[1:] == str(x)
+        assert cli._texts(x) == [cli._texts(-x)[0][1:]] == [str(x)]
     # an angle of period k is n/(2^k - 1): unreduced, its denominator is
     # written as a power of 2 less one; reduced by a divisor 2^d - 1 of
     # 2^k - 1, d | k, it is not all ones and is split like the numerator
@@ -234,8 +234,8 @@ def test_fractions_print_what_str_prints(no_digit_limit):
         # shorter Mersenne number
         fractions += [Fraction(full + 2, (1 << (k - 1)) - 1), Fraction(full, 7)]
         for x in fractions:
-            assert cli._text(x) == str(x), (k, x.denominator == full)
-            assert cli._text(-x) == "-" + str(x)
+            assert cli._texts(x) == [str(x)], (k, x.denominator == full)
+            assert cli._texts(-x) == ["-" + str(x)]
     # pairs printed together from one table, as bulb, broken --all and
     # conjugate print theirs: widths either side of the edge, equal and
     # unequal, denominators 2^w - 1 and others, negative values, integers
@@ -291,15 +291,14 @@ def test_power_tables_live_per_call(no_digit_limit):
     # a table of powers of 2 lives in one call of _texts: a second call on
     # the same fraction builds its powers again, as many calls of power() as
     # the first and more than half of those of one call that prints it
-    # twice, whose second print only hits the table.  Neither helper takes
-    # a table, _texts starts each call from an empty one, and no cached
-    # function computes in decimal
+    # twice, whose second print only hits the table.  _texts takes no table
+    # and starts each call from an empty one, and no cached function
+    # computes in decimal
     full = (1 << 9_999) - 1
     x = Fraction(full >> 1, full)
     assert _power_calls(x) == _power_calls(x) > _power_calls(x, x) / 2
     tree = ast.parse(Path(cli.__file__).read_text())
     defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert ast.unparse(defs["_text"].args) == "x: Fraction"
     assert ast.unparse(defs["_texts"].args) == "*fractions: Fraction"
     fresh = [
         node
@@ -312,6 +311,37 @@ def test_power_tables_live_per_call(no_digit_limit):
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.decorator_list:
             assert "decimal" not in ast.unparse(node), node.name
+
+
+def test_broken_all_prints_its_angles_as_str(capsys, no_digit_limit):
+    # the angle, the conjugate and both spoke rays share one _texts call;
+    # each must print as str prints its Fraction, at periods either side of
+    # the decimal edge and with spoke rays past it (the last spec)
+    cases = [
+        ("1/2", "3/4", 1, "01"),
+        ("2/5", "7/17", 2, "01"),
+        ("1/2", "2502/5003", 1, "01"),
+        ("1/2", "7412/14823", 1, "01"),
+        ("1/3", "1/16383", 1, "10"),
+        ("1/2", "3001/6001", 3000, "01"),
+    ]
+    for limb, slope, hinge, convention in cases:
+        code, out, _ = run(
+            capsys, "broken", limb, slope, "--hinge", str(hinge),
+            "--convention", convention, "--all", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        spec = validate_spec(
+            Fraction(limb), Fraction(slope), hinge, Convention(convention)
+        )
+        lower, upper = atlas.locate(spec).bracketing_rays
+        word = mechanical.broken_line_word(spec)
+        assert payload["angle"] == str(word_to_fraction(word))
+        assert payload["conjugate"] == str(word_to_fraction(conjugate_word(spec)))
+        assert payload["spoke-lower"] == str(lower.value)
+        assert payload["spoke-upper"] == str(upper.value)
+    assert lower.value.denominator.bit_length() > cli._DECIMAL_BITS
 
 
 def test_bulb_past_the_decimal_edge(capsys, no_digit_limit):
@@ -1183,17 +1213,17 @@ def test_enumerate_check_compares_the_printed_angle(capsys, monkeypatch):
     assert doc["message"].startswith("enumerate_specs: ")
 
 
-def test_enumerate_prints_collisions_across_a_chunk_boundary(capsys, monkeypatch):
-    # the command writes its entries in chunks of cli._CHUNK: a second choice
-    # for the last angle of the first chunk and two more for the first angle
-    # of the second must print where the object payload prints them
+def test_enumerate_prints_collisions_far_into_the_list(capsys, monkeypatch):
+    # a second choice for the 4,096th angle and two more for the next, far
+    # into the list the command writes as it goes, must print where the
+    # object payload prints them
     real = atlas._spec_rows
 
     def injected(period):
         rows = real(period)
         keys = sorted({row[0] for row in rows})
-        assert len(keys) > cli._CHUNK
-        end, start = keys[cli._CHUNK - 1], keys[cli._CHUNK]
+        assert len(keys) > 4096
+        end, start = keys[4096 - 1], keys[4096]
         return [
             *rows,
             (end, *rows[1][1:]),
@@ -1205,22 +1235,22 @@ def test_enumerate_prints_collisions_across_a_chunk_boundary(capsys, monkeypatch
     payload = enumerate_payload_by_objects(229)
     entries = payload["entries"]
     assert payload["collisions"] == 2
-    assert entries[cli._CHUNK - 1]["collisions"] == 2
-    assert entries[cli._CHUNK]["collisions"] == 3
+    assert entries[4096 - 1]["collisions"] == 2
+    assert entries[4096]["collisions"] == 3
     _assert_enumerate_prints(capsys, payload, "229")
 
 
 def test_enumerate_prints_nothing_before_its_checks_pass(capsys, monkeypatch):
-    # the row key of the first angle past the first chunk is not its period
-    # word's value: --check finds it after a whole chunk of sound entries,
-    # and no entry may have been written by then
+    # the row key of the 4,097th angle is not its period word's value:
+    # --check finds it after 4,096 sound entries, and no entry may have been
+    # written by then
     real = atlas._spec_rows
 
     def wrong_key(period):
         rows = real(period)
         keys = sorted({row[0] for row in rows})
-        key = keys[cli._CHUNK]
-        assert key + 1 < keys[cli._CHUNK + 1]
+        key = keys[4096]
+        assert key + 1 < keys[4096 + 1]
         return [(key + 1, *row[1:]) if row[0] == key else row for row in rows]
 
     monkeypatch.setattr(atlas, "_spec_rows", wrong_key)

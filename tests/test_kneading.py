@@ -83,7 +83,7 @@ def test_kneading_sequence_form():
     assert KneadingSequence("10*").period == 3
 
 
-def test_kneading_body_is_checked_by_its_counts():
+def test_kneading_body_is_checked_in_one_pass():
     # what a set of the body's characters rejected: an empty body, other
     # digits, spaces, a newline, fullwidth and Arabic-Indic digits, stars
     # inside the body, a non-ASCII letter, a lone surrogate (an undecodable

@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import brokenline
 
 SOURCES = Path(brokenline.__file__).resolve().parent
@@ -127,7 +129,10 @@ def test_grid_crossings_build_no_period_word():
 
 def test_every_traced_function_resolves():
     # the benchmark's layer trace wraps each function it lists by module and
-    # name; a function moved out of its listed module would drop out of it
+    # name; a function moved out of its listed module would drop out of it.
+    # A copy of the package and its tests without the benchmark has no list
+    if not SPANS.is_file():
+        pytest.skip(f"no benchmark layer list at {SPANS}")
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
