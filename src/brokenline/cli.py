@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import types
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
@@ -41,11 +42,11 @@ from .errors import (
     InvariantViolated,
     PreconditionUnmet,
 )
-from .farey import BrokenLineSpec, validate_spec
+from .farey import BrokenLineSpec, FareyContext, validate_spec
 from .kneading import invert_kneading, kneading_of_angle, kneading_of_spec
 from .mechanical import (
+    _blocks,
     _substitute,
-    block_decomposition,
     broken_line_word,
     cutting_sequence,
     cutting_to_mechanical,
@@ -54,6 +55,7 @@ from .mechanical import (
 from .oracles import (
     _check_chain,
     _check_kneading,
+    _check_pairing,
     _check_spec,
     _kneading_of_word,
     _rotation_signs,
@@ -68,7 +70,8 @@ KNEADING_CHECK_LIMIT = 12
 # largest period any documented command reaches is b = 10^6 + 1
 MAX_PERIOD = 2**20
 # the largest B of `enumerate --period B`: its rows and its time grow as
-# B^2, and B = 2039 takes about 1.1 s and 80 MB
+# B^2, and B = 2039 takes about 1.0 s and 82 MB, and with --check, which
+# holds no more than the rows, about 36 s and 82 MB
 MAX_ENUMERATE_PERIOD = 2**11
 
 
@@ -260,8 +263,8 @@ def cmd_broken(args: argparse.Namespace) -> dict:
     spec = _spec_of(args)
     word = broken_line_word(spec)
     if args.all or args.check:
-        decomposition = block_decomposition(spec)
-        cword = _primed_word(decomposition)
+        m, pattern, low, high = _blocks(spec)
+        cword = _primed_word(spec.convention, pattern, low, high)
         kneading = kneading_of_spec(spec)
     if args.all:
         spot = locate(spec)
@@ -280,14 +283,13 @@ def cmd_broken(args: argparse.Namespace) -> dict:
         }
     )
     if args.all:
-        m, pattern = decomposition.base_m, decomposition.pattern
         payload.update(
             {
                 "conjugate": conjugate,
                 "conjugate-expansion": f"0.({cword})",
                 "kneading": str(kneading),
                 "block-exponents": _PerBlock(pattern, m, m + 1),
-                "blocks": _PerBlock(pattern, *decomposition.units),
+                "blocks": _PerBlock(pattern, low, high),
                 "spoke": spot.spoke_index,
                 "spoke-lower": spoke_lower,
                 "spoke-upper": spoke_upper,
@@ -332,9 +334,7 @@ class _PerBlock:
 def cmd_conjugate(args: argparse.Namespace) -> dict:
     spec = _spec_of(args)
     cword, word = conjugate_word(spec), broken_line_word(spec)
-    angle = word_to_fraction(word)
-    conjugate = word_to_fraction(cword)
-    angle_text, conjugate_text = _texts(angle, conjugate)
+    angle_text, conjugate_text = _texts(word_to_fraction(word), word_to_fraction(cword))
     payload = _spec_fields(spec)
     payload.update(
         {
@@ -348,11 +348,7 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
         payload["chain"] = "ok"
     if args.verify:
         if spec.period <= LAVAURS_VERIFY_LIMIT:
-            partner = lavaurs_partner(angle)
-            if partner != conjugate:
-                raise InvariantViolated(
-                    "conjugate_word", "pairing oracle disagrees", spec
-                )
+            _check_pairing(word, cword, spec)
             payload["lavaurs"] = "ok"
         else:
             payload["lavaurs"] = f"skipped (period > {LAVAURS_VERIFY_LIMIT})"
@@ -446,11 +442,19 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
                 )
         payload["census"] = rows
     if args.check:
-        # each angle's first spec against its pipeline, and the printed angle,
-        # its row key, against the value of that spec's period word
-        keys = dict.fromkeys(row[0] for row in enumeration.rows)
-        for key, (_, specs) in zip(keys, enumeration.entries):
-            spec = specs[0]
+        # each angle's first spec, built from its first row, against its
+        # pipeline, and the printed angle, its row key, against the value of
+        # that spec's period word; the spec, its context and its words are
+        # dropped after its checks, so the check holds no more than the rows
+        last = -1
+        for key, p, q, hinge, turn, a in enumeration.rows:
+            if key == last:
+                continue
+            last = key
+            spec = BrokenLineSpec(
+                FareyContext.build(Fraction(p, q), hinge, _TURNS[turn]),
+                Fraction(a, args.period),
+            )
             word = broken_line_word(spec)
             if int(word, 2) != key:
                 raise InvariantViolated(
@@ -596,11 +600,12 @@ _COMMANDS = {
 }
 
 
-def _parse(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace _build_parser().parse_args(argv) returns, for a command
-    line of exact option names, each given once, and every argument present
-    and converted; None for anything else, which is left to argparse with its
-    help, its usage errors and their messages."""
+def _parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """The attributes of the Namespace _build_parser().parse_args(argv)
+    returns, in a SimpleNamespace, for a command line of exact option names,
+    each given once, and every argument present and converted; None for
+    anything else, which is left to argparse with its help, its usage errors
+    and their messages."""
     entry = _COMMANDS.get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -636,7 +641,7 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
         # argparse converts the arguments again, and reports or raises what
         # it meets
         return None
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
 # The parser reads only what _parse leaves to it: --help, the usage errors

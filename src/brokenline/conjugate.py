@@ -1,7 +1,7 @@
 """Conjugate angles via primed blocks, and the certificate of their
 preimage chain.
 
-The production path primes the two blocks of the decomposition and spells
+The production path primes the two block words of the period and spells
 the block pattern with them.
 conjugate_chain runs the chain check of the oracles module on the period
 word and its conjugate, then builds an UnlinkCertificate per step.  The
@@ -16,12 +16,7 @@ from fractions import Fraction
 
 from .angles import PeriodicAngle
 from .farey import BrokenLineSpec
-from .mechanical import (
-    BlockDecomposition,
-    _substitute,
-    block_decomposition,
-    broken_line_word,
-)
+from .mechanical import _blocks, _substitute, broken_line_word
 from .oracles import _check_chain, _rotation_signs, lavaurs_pairs, lavaurs_partner
 from .words import Convention, prime_minus, prime_plus
 
@@ -37,19 +32,19 @@ __all__ = [
 ]
 
 
-def _primed_word(decomposition: BlockDecomposition) -> str:
-    # the block pattern spelled with each block primed: +1 under the 01
-    # convention and -1 under 10; the empty unit of a single block stays empty
-    zero_one = decomposition.spec.convention is Convention.ZERO_ONE
-    prime = prime_plus if zero_one else prime_minus
-    low, high = decomposition.units
-    return _substitute(decomposition.pattern, prime(low), high and prime(high))
+def _primed_word(convention: Convention, pattern: str, low: str, high: str) -> str:
+    # the block pattern spelled with each block word primed: +1 under the 01
+    # convention and -1 under 10; the empty word of a single block's missing
+    # block m + 1 stays empty
+    prime = prime_plus if convention is Convention.ZERO_ONE else prime_minus
+    return _substitute(pattern, prime(low), high and prime(high))
 
 
 def conjugate_word(spec: BrokenLineSpec) -> str:
     """Period word of the conjugate angle: every block primed, +1 under the
     01 convention and -1 under 10."""
-    return _primed_word(block_decomposition(spec))
+    _, pattern, low, high = _blocks(spec)
+    return _primed_word(spec.convention, pattern, low, high)
 
 
 def conjugate_angle(spec: BrokenLineSpec) -> PeriodicAngle:

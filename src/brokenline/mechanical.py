@@ -218,6 +218,22 @@ class BlockDecomposition:
         return _substitute(self.pattern, *self.units)
 
 
+def _blocks(spec: BrokenLineSpec) -> tuple[int, str, str, str]:
+    # (m, pattern, low, high): the block index m, the block pattern, and the
+    # words of blocks m and m + 1, which spell its 0s and 1s; a single block
+    # has no block m + 1, and its pattern no 1, so that word is empty.  The
+    # pattern spelled with the two words is checked to be the period word
+    ctx = spec.context
+    m, pattern = _block_pattern(spec)
+    low = block_word(ctx, m)
+    high = "" if pattern == "0" else block_word(ctx, m + 1)
+    if _substitute(pattern, low, high) != broken_line_word(spec):
+        raise InvariantViolated(
+            "block_decomposition", "block re-concatenation mismatch", spec
+        )
+    return m, pattern, low, high
+
+
 def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     """Factor the period word into blocks of two adjacent indices.
 
@@ -233,13 +249,6 @@ def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     two block words into the pattern, is checked to reproduce the period
     word, which the spec builds as the rotated slope word.
     """
-    ctx = spec.context
-    m, pattern = _block_pattern(spec)
-    indices = (m,) if pattern == "0" else (m, m + 1)
-    block_words = {e: block_word(ctx, e) for e in indices}
-    decomposition = BlockDecomposition(spec, m, block_words, pattern)
-    if decomposition.word != broken_line_word(spec):
-        raise InvariantViolated(
-            "block_decomposition", "block re-concatenation mismatch", spec
-        )
-    return decomposition
+    m, pattern, low, high = _blocks(spec)
+    block_words = {m: low} if pattern == "0" else {m: low, m + 1: high}
+    return BlockDecomposition(spec, m, block_words, pattern)

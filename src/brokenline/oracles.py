@@ -337,3 +337,19 @@ def lavaurs_partner(theta: Fraction) -> Fraction:
     if partner is None:
         raise ValueError(f"{theta} missing from the period-{period} pairing")
     return Fraction(partner, full)
+
+
+def _check_pairing(word: str, cword: str, spec: BrokenLineSpec) -> None:
+    """The pairing check of ``conjugate --verify``: raise InvariantViolated
+    unless the Lavaurs pairing of the period b pairs the period word ``word``
+    with ``cword``.  A period word's exact period is its length, so the
+    pairing is read by integer key, each word's value being its numerator
+    over 2^b - 1, and no Fraction is built.  A word missing from the pairing
+    raises the ValueError lavaurs_partner raises."""
+    period, key = len(word), int(word, 2)
+    partner = _partners_at(period).get(key)
+    if partner is None:
+        theta = Fraction(key, (1 << period) - 1)
+        raise ValueError(f"{theta} missing from the period-{period} pairing")
+    if partner != int(cword, 2):
+        raise InvariantViolated("conjugate_word", "pairing oracle disagrees", spec)

@@ -29,6 +29,7 @@ from brokenline import (
     enumerate_specs,
     kneading_of_angle,
     mechanical,
+    oracles,
     validate_spec,
     word_to_fraction,
 )
@@ -937,8 +938,8 @@ def test_command_line_chain_catches_a_wrong_conjugate(capsys, monkeypatch):
     # oracle runs and at one where it is skipped
     real = conjugate._primed_word
 
-    def flipped(decomposition):
-        word = real(decomposition)
+    def flipped(*blocks):
+        word = real(*blocks)
         middle = len(word) // 2
         return word[:middle] + ("1" if word[middle] == "0" else "0") + word[middle + 1 :]
 
@@ -979,9 +980,12 @@ def test_command_line_catches_an_unbalanced_period_word(capsys, monkeypatch):
 
 
 def test_command_line_catches_a_wrong_pairing_partner(capsys, monkeypatch):
-    # the conjugate word disagrees with the pairing oracle: an internal
-    # check failed, not the input
-    monkeypatch.setattr(cli, "lavaurs_partner", lambda theta: theta)
+    # the conjugate word disagrees with the pairing oracle, here one that
+    # pairs every angle with itself: an internal check failed, not the input
+    real = oracles._partners_at
+    real(11)  # the pairings of 7/11's period and below, cached before the patch
+    itself = lambda period: {x: x for x in real(period)}
+    monkeypatch.setattr(oracles, "_partners_at", itself)
     base = ("1/2", "7/11", "--hinge", "1", "--convention", "01")
     assert _error_kind(capsys, "conjugate", *base, "--verify") == "InvariantViolated"
     code, out, _ = run(capsys, "conjugate", *base, "--verify", "--json")
@@ -1021,7 +1025,7 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
     # (limb, parent, slope) is built once
     homes = {
         "mechanical_word": "words",
-        "block_decomposition": "mechanical",
+        "_blocks": "mechanical",
         "locate": "atlas",
         "_rotation_signs": "oracles",
         "_bracket": "atlas",
@@ -1061,7 +1065,7 @@ def test_enumerate_check_computes_each_stage_once_per_angle(capsys, monkeypatch)
     # --check runs the pipeline of each angle's first spec: its blocks, its
     # kneading, the rotation signs both word oracles read, and the bracket
     homes = {
-        "block_decomposition": "mechanical",
+        "_blocks": "mechanical",
         "kneading_of_spec": "kneading",
         "_rotation_signs": "oracles",
         "_bracket": "atlas",
@@ -1270,10 +1274,9 @@ class _Discard(io.TextIOBase):
         return len(text)
 
 
-def test_enumerate_holds_little_beyond_its_rows(monkeypatch):
-    # the entries go out as they are written: the command's peak stays near
-    # that of its rows, the peak when enumerate_specs returns, where a whole
-    # document would add about four times their size
+def _peaks(monkeypatch, *argv):
+    # the tracemalloc peak of `enumerate ...` and the peak when
+    # enumerate_specs returns its rows, with stdout discarded
     rows = []
 
     def measured(period):
@@ -1285,11 +1288,28 @@ def test_enumerate_holds_little_beyond_its_rows(monkeypatch):
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(_Discard()):
-            assert main(["enumerate", "--period", "1009", "--json"]) == 0
+            assert main(["enumerate", *argv]) == 0
         command = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert command < 1.5 * rows[0]
+    return command, rows[0]
+
+
+def test_enumerate_holds_little_beyond_its_rows(monkeypatch):
+    # the entries go out as they are written: the command's peak stays near
+    # that of its rows, the peak when enumerate_specs returns, where a whole
+    # document would add about four times their size
+    command, rows = _peaks(monkeypatch, "--period", "1009", "--json")
+    assert command < 1.5 * rows
+
+
+def test_enumerate_check_holds_little_beyond_its_rows(monkeypatch):
+    # the check builds each angle's spec from its first row and drops it
+    # after its checks: the command's peak stays near that of its rows, where
+    # a context kept per node, or every checked spec with its words, adds
+    # several times their size at this period
+    command, rows = _peaks(monkeypatch, "--period", "131", "--check", "--json")
+    assert command < 1.5 * rows
 
 
 def test_angle_past_the_period_budget_is_refused(capsys):

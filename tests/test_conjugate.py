@@ -25,6 +25,7 @@ from brokenline.oracles import (
     _CLOSE,
     _OPEN,
     _check_chain,
+    _check_pairing,
     _pair_regions,
     _partners_at,
     _rotation_signs,
@@ -210,6 +211,37 @@ def test_conjugate_matches_lavaurs_partner():
     for spec in all_specs(3, 12):
         theta = word_to_fraction(broken_line_word(spec))
         assert lavaurs_partner(theta) == conjugate_angle(spec).value
+
+
+def _pairs(word, cword, spec):
+    # whether the command line's pairing check accepts cword for word
+    try:
+        _check_pairing(word, cword, spec)
+    except InvariantViolated as exc:
+        assert str(exc).startswith("conjugate_word: pairing oracle disagrees")
+        return False
+    return True
+
+
+def test_pairing_by_key_accepts_what_lavaurs_partner_accepts():
+    # conjugate --verify reads the pairing by integer key, the word's value
+    # over 2^b - 1; lavaurs_partner by reduced Fraction.  Over every spec of
+    # the periods the command checks, both accept the primed-block conjugate
+    # and agree on wrong ones: the conjugate with any one digit flipped, the
+    # period word itself and the conjugate's first rotation
+    for spec in all_specs(3, 16):
+        word, cword = broken_line_word(spec), conjugate_word(spec)
+        partner = lavaurs_partner(word_to_fraction(word))
+        flips = [
+            cword[:i] + "10"[int(cword[i])] + cword[i + 1 :] for i in range(len(cword))
+        ]
+        assert _pairs(word, cword, spec) and partner == word_to_fraction(cword)
+        for wrong in (*flips, word, cword[1:] + cword[0]):
+            assert _pairs(word, wrong, spec) == (partner == word_to_fraction(wrong))
+        assert not any(_pairs(word, wrong, spec) for wrong in flips)
+    # a word of a shorter exact period has no key in its length's pairing
+    with pytest.raises(ValueError, match="1/3 missing from the period-4 pairing"):
+        _check_pairing("0101", "1010", None)
 
 
 def test_lavaurs_pairs_share_kneading():
