@@ -5,17 +5,26 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter, ne
+from itertools import compress, groupby
+from operator import eq, itemgetter
 
 from .angles import PeriodicAngle, _terms
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
 from .farey import BrokenLineSpec, FareyContext
-from .mechanical import _digits, _substitute, broken_line_word, mechanical_word
+from .mechanical import _substitute, broken_line_word
 from .oracles import _partners_at
-from .words import Convention, is_sturmian, prime_minus, prime_plus, rotate_left
+from .words import (
+    Convention,
+    _digits,
+    is_sturmian,
+    mechanical_word,
+    prime_minus,
+    prime_plus,
+    rotate_left,
+)
 
 __all__ = [
     "SpecEnumeration",
@@ -172,10 +181,21 @@ class SpecEnumeration:
     period: int
     rows: tuple[tuple[int, int, int, int, str, int], ...]
 
+    @functools.cached_property
+    def _sizes(self) -> dict[int, int]:
+        # the row count of each angle with more than one, its rows adjacent
+        keys = list(map(itemgetter(0), self.rows))
+        repeats = compress(keys, map(eq, keys, keys[1:]))
+        return {key: 1 + len(list(run)) for key, run in groupby(repeats)}
+
     def __len__(self) -> int:
-        # the rows are sorted by key: count the places where the key changes
-        keys = [row[0] for row in self.rows]
-        return len(keys) and 1 + sum(map(ne, keys, keys[1:]))
+        return len(self.rows) - sum(self._sizes.values()) + len(self._sizes)
+
+    def _firsts(self) -> Iterator[tuple[int, int, int, int, str, int]]:
+        # each angle's first row, its canonical one, in key order
+        if not self._sizes:
+            return iter(self.rows)
+        return (next(group) for _, group in groupby(self.rows, itemgetter(0)))
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[Fraction, tuple[BrokenLineSpec, ...]], ...]:
@@ -204,6 +224,8 @@ class SpecEnumeration:
 
     @property
     def collisions(self) -> list[tuple[Fraction, tuple[BrokenLineSpec, ...]]]:
+        if not self._sizes:
+            return []
         return [(angle, specs) for angle, specs in self.entries if len(specs) > 1]
 
     def specs(self) -> list[BrokenLineSpec]:
@@ -234,6 +256,13 @@ def enumerate_specs(period: int) -> SpecEnumeration:
         raise ValueError("enumeration starts at period 3")
     rows = sorted(_spec_rows(period), key=itemgetter(0))
     return SpecEnumeration(period, tuple(rows))
+
+
+def _row_spec(period: int, row: tuple[int, int, int, int, str, int]) -> BrokenLineSpec:
+    # the spec of one row of enumerate_specs, built alone
+    _, p, q, hinge, turn, a = row
+    context = FareyContext.build(Fraction(p, q), hinge, _TURNS[turn])
+    return BrokenLineSpec(context, Fraction(a, period))
 
 
 def _spec_rows(period: int) -> list[tuple[int, int, int, int, str, int]]:
@@ -277,18 +306,14 @@ def _spec_rows(period: int) -> list[tuple[int, int, int, int, str, int]]:
                 # the slope word must end in hinge copies of the limb word;
                 # the key is its value with that prefix rotated to the front
                 cut = hinge * q
+                row = (prefix << (period - cut) | value >> cut, p, q, hinge, turn, a)
                 if value & ((1 << cut) - 1) != prefix:
-                    spec = BrokenLineSpec(
-                        FareyContext.build(Fraction(p, q), hinge, _TURNS[turn]),
-                        Fraction(a, period),
-                    )
                     raise InvariantViolated(
                         "enumerate_specs",
                         "slope word does not end in the hinge prefix",
-                        spec,
+                        _row_spec(period, row),
                     )
-                key = prefix << (period - cut) | value >> cut
-                rows.append((key, p, q, hinge, turn, a))
+                rows.append(row)
                 hinge, c, d, prefix = hinge + 1, c + p, d + q, prefix << q | limb
     return rows
 

@@ -19,10 +19,8 @@ import math
 import os
 import sys
 import types
-from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
-from operator import itemgetter
 
 from .angles import PeriodicAngle, fraction_to_expansion, word_to_fraction
 from .atlas import (
@@ -30,6 +28,7 @@ from .atlas import (
     SpecEnumeration,
     _TURNS,
     _bracket,
+    _row_spec,
     enumerate_specs,
     locate,
     sturmian_census,
@@ -42,7 +41,7 @@ from .errors import (
     InvariantViolated,
     PreconditionUnmet,
 )
-from .farey import BrokenLineSpec, FareyContext, validate_spec
+from .farey import BrokenLineSpec, validate_spec
 from .kneading import invert_kneading, kneading_of_angle, kneading_of_spec
 from .mechanical import (
     _blocks,
@@ -64,7 +63,6 @@ from .oracles import (
 from .words import Convention
 
 LAVAURS_VERIFY_LIMIT = 16
-KNEADING_CHECK_LIMIT = 12
 # the longest word a command may build: the period of a "p/q" angle
 # argument, the denominator of a slope or a bulb, the word tune returns; the
 # largest period any documented command reaches is b = 10^6 + 1
@@ -376,15 +374,14 @@ def cmd_kneading_of_angle(args: argparse.Namespace) -> dict:
         "period": ks.period,
     }
     if args.check:
-        if ks.period <= KNEADING_CHECK_LIMIT:
-            partner = lavaurs_partner(theta)
-            if kneading_of_angle(partner) != ks:
+        if ks.period <= LAVAURS_VERIFY_LIMIT:
+            if kneading_of_angle(lavaurs_partner(theta)) != ks:
                 raise InvariantViolated(
                     "kneading_of_angle", "conjugate angles disagree on kneading"
                 )
             payload["check"] = "ok"
         else:
-            payload["check"] = f"skipped (period > {KNEADING_CHECK_LIMIT})"
+            payload["check"] = f"skipped (period > {LAVAURS_VERIFY_LIMIT})"
     return payload
 
 
@@ -421,8 +418,8 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
     entries = _Entries(enumeration)
     count = len(enumeration)
     payload: dict = {"period": args.period, "count": count, "entries": entries}
-    if entries.sizes:
-        payload["collisions"] = len(entries.sizes)
+    if enumeration._sizes:
+        payload["collisions"] = len(enumeration._sizes)
     if args.census:
         rows = []
         for b in range(3, args.period + 1):
@@ -443,20 +440,12 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
         payload["census"] = rows
     if args.check:
         # each angle's first spec, built from its first row, against its
-        # pipeline, and the printed angle, its row key, against the value of
-        # that spec's period word; the spec, its context and its words are
-        # dropped after its checks, so the check holds no more than the rows
-        last = -1
-        for key, p, q, hinge, turn, a in enumeration.rows:
-            if key == last:
-                continue
-            last = key
-            spec = BrokenLineSpec(
-                FareyContext.build(Fraction(p, q), hinge, _TURNS[turn]),
-                Fraction(a, args.period),
-            )
+        # pipeline, and its row key, the printed angle, against the value of
+        # its period word; each spec is dropped after its checks
+        for row in enumeration._firsts():
+            spec = _row_spec(args.period, row)
             word = broken_line_word(spec)
-            if int(word, 2) != key:
+            if int(word, 2) != row[0]:
                 raise InvariantViolated(
                     "enumerate_specs", "row key is not the period word's value", spec
                 )
@@ -478,15 +467,10 @@ class _Entries:
     rotated, 2^(B - cut) * V mod 2^B - 1, and doubling is invertible modulo
     2^B - 1, so all of them share one gcd g with it: g, the reduced
     denominator, the slope and the convention are written once per orbit.
-    The rows are sorted by key, so the rows of one angle are adjacent.
     """
 
     def __init__(self, enumeration: SpecEnumeration) -> None:
         self.enumeration = enumeration
-        keys = list(map(itemgetter(0), enumeration.rows))
-        repeats = Counter([k for k, n in zip(keys, keys[1:]) if k == n])
-        # the number of rows of each angle that has more than one
-        self.sizes = {key: 1 + n for key, n in repeats.items()}
 
     def write(self, as_json: bool) -> None:
         """Write the entries as the items of a JSON list, each after the
@@ -495,25 +479,16 @@ class _Entries:
         sys.stdout.writelines(self._texts(as_json))
 
     def _texts(self, as_json: bool) -> Iterator[str]:
-        period, sizes = self.enumeration.period, self.sizes
+        period, sizes = self.enumeration.period, self.enumeration._sizes
         full = (1 << period) - 1
         orbits: dict[tuple[int, str], tuple[int, str, str, str]] = {}
-        last = -1
-        i = 0
         lead = ""  # the separator before each JSON item after the first
-        for key, p, q, hinge, turn, a in self.enumeration.rows:
-            if key == last:
-                continue
-            last = key
+        for i, (key, p, q, hinge, turn, a) in enumerate(self.enumeration._firsts(), 1):
             orbit = orbits.get((a, turn))
             if orbit is None:
                 g = math.gcd(key, full)
-                orbit = orbits[a, turn] = (
-                    g,
-                    f"/{full // g}",
-                    f"{a}/{period}",
-                    _TURNS[turn].value,
-                )
+                slope, convention = f"{a}/{period}", _TURNS[turn].value
+                orbit = orbits[a, turn] = (g, f"/{full // g}", slope, convention)
             g, denominator, slope, convention = orbit
             n = sizes.get(key, 1) if sizes else 1
             if as_json:
@@ -525,7 +500,6 @@ class _Entries:
                 )
                 lead = ", "
             else:
-                i += 1
                 extra = f" collisions={n}" if n > 1 else ""
                 yield (
                     f"theta-{i}: {key // g}{denominator} limb={p}/{q} "

@@ -321,6 +321,14 @@ def lavaurs_pairs(period: int) -> set[tuple[Fraction, Fraction]]:
     }
 
 
+def _partner_of(period: int, key: int) -> int:
+    # the partner of key / (2^period - 1) in the pairing of its exact period
+    if (partner := _partners_at(period).get(key)) is None:
+        theta = Fraction(key, (1 << period) - 1)
+        raise ValueError(f"{theta} missing from the period-{period} pairing")
+    return partner
+
+
 def lavaurs_partner(theta: Fraction) -> Fraction:
     """Partner of a periodic angle in the pairing of its exact period."""
     theta %= 1
@@ -333,10 +341,7 @@ def lavaurs_partner(theta: Fraction) -> Fraction:
             break
     else:
         raise ValueError(f"period must be between 2 and {LAVAURS_LIMIT}")
-    partner = _partners_at(period).get(theta.numerator * (full // den))
-    if partner is None:
-        raise ValueError(f"{theta} missing from the period-{period} pairing")
-    return Fraction(partner, full)
+    return Fraction(_partner_of(period, theta.numerator * (full // den)), full)
 
 
 def _check_pairing(word: str, cword: str, spec: BrokenLineSpec) -> None:
@@ -346,10 +351,5 @@ def _check_pairing(word: str, cword: str, spec: BrokenLineSpec) -> None:
     pairing is read by integer key, each word's value being its numerator
     over 2^b - 1, and no Fraction is built.  A word missing from the pairing
     raises the ValueError lavaurs_partner raises."""
-    period, key = len(word), int(word, 2)
-    partner = _partners_at(period).get(key)
-    if partner is None:
-        theta = Fraction(key, (1 << period) - 1)
-        raise ValueError(f"{theta} missing from the period-{period} pairing")
-    if partner != int(cword, 2):
+    if _partner_of(len(word), int(word, 2)) != int(cword, 2):
         raise InvariantViolated("conjugate_word", "pairing oracle disagrees", spec)

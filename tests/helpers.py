@@ -54,7 +54,9 @@ the block lists of `broken --all` are built item by item from the exponents
 (production spells them from the block pattern with one substitution).  The
 transcription inversion writes every kneading block out as limb and parent
 words and counts the 1s of the word (production reads the slope off the
-block counts).
+block counts).  The row groups split an enumeration's rows with
+itertools.groupby (production counts the equal neighbours among the keys and
+yields every row as its angle's first when no key repeats).
 """
 
 import contextlib
@@ -63,9 +65,9 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import groupby, repeat
 from math import gcd, inf, lcm
-from operator import floordiv, sub
+from operator import floordiv, itemgetter, sub
 
 import pytest
 
@@ -459,6 +461,17 @@ def _hinge_caps(turns: str) -> list[int]:
         after = turns.find(turn, i + 1)
         caps.append(len(turns) - i if after < 0 else after - i)
     return caps
+
+
+def assert_row_grammar(enumeration):
+    """Assert that len(), _sizes and _firsts() of an enumeration read its
+    rows as groupby groups them: one group per angle, its first row the
+    angle's canonical one, the row count of every group of two or more."""
+    groups = [list(group) for _, group in groupby(enumeration.rows, itemgetter(0))]
+    assert len(enumeration) == len(groups)
+    sizes = {group[0][0]: len(group) for group in groups if len(group) > 1}
+    assert enumeration._sizes == sizes
+    assert list(enumeration._firsts()) == [group[0] for group in groups]
 
 
 def enumerate_payload_by_objects(period, census=False, check=False):

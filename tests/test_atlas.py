@@ -36,6 +36,7 @@ from brokenline.cli import main
 from helpers import (
     CONVENTIONS,
     all_specs,
+    assert_row_grammar,
     balanced_by_factor_counts,
     census_by_rotations,
     census_by_word,
@@ -229,7 +230,42 @@ def test_enumerate_golden():
 
 def test_enumerate_has_no_collisions():
     for b in range(3, 15):
-        assert enumerate_specs(b).collisions == []
+        enumeration = enumerate_specs(b)
+        assert enumeration.collisions == []
+        # an enumeration without collisions reads them off its row counts
+        assert "entries" not in vars(enumeration)
+
+
+def test_enumerate_rows_group_by_angle():
+    # len(), _sizes and _firsts() read the rows' grouping by key: one group
+    # per angle, its first row canonical; _row_spec builds, alone, the spec
+    # that entries builds for the same row from its per-node contexts
+    for b in range(3, 41):
+        enumeration = enumerate_specs(b)
+        assert_row_grammar(enumeration)
+        specs = [atlas._row_spec(b, row) for row in enumeration.rows]
+        assert specs == enumeration.specs()
+    assert_row_grammar(atlas.SpecEnumeration(3, ()))
+    # a second row for the first angle and two more for the last, each after
+    # the rows of its angle, as the sort by key leaves them
+    rows = enumerate_specs(9).rows
+    collided = atlas.SpecEnumeration(9, rows[:1] * 2 + rows[1:] + rows[-1:] * 2)
+    assert_row_grammar(collided)
+    assert collided._sizes == {rows[0][0]: 2, rows[-1][0]: 3}
+    assert len(collided) == len(rows)
+
+
+def test_enumerate_names_the_row_whose_slope_word_breaks_the_prefix(monkeypatch):
+    # slope words of 0s alone are right for a = 1 only: the walk of 2/9 meets
+    # 1/4 twice hinged under 10, whose prefix 0010 0010 its word 000000010
+    # does not end in, and raises with the spec of that row
+    monkeypatch.setattr(atlas, "_digits", lambda p, q: "0" * (q - 2))
+    with pytest.raises(InvariantViolated) as failure:
+        enumerate_specs(9)
+    assert str(failure.value) == (
+        "enumerate_specs: slope word does not end in the hinge prefix"
+    )
+    assert failure.value.spec == _spec((1, 4), (2, 9), 2, "10")
 
 
 def test_enumerate_matches_the_per_spec_loop():

@@ -37,6 +37,7 @@ from brokenline import cli
 from brokenline.cli import main
 from helpers import (
     all_specs,
+    assert_row_grammar,
     block_lists_by_exponents,
     broken_word_by_digit_rule,
     enumerate_payload_by_objects,
@@ -539,6 +540,18 @@ def test_kneading_commands(capsys):
     fields = as_dict(out)
     assert fields["kneading"] == "100*"
     assert fields["period"] == "4"
+
+
+def test_kneading_of_angle_checks_the_pairing_through_period_16(capsys):
+    # --check compares the kneading with its Lavaurs partner's up to the
+    # period conjugate --verify pairs, and skips the angles past it
+    for digits, check in ((16, "ok"), (17, "skipped (period > 16)")):
+        angle = f"0.({'0' * (digits - 1)}1)"
+        code, out, _ = run(capsys, "kneading-of-angle", angle, "--check")
+        assert code == 0
+        fields = as_dict(out)
+        assert fields["period"] == str(digits)
+        assert fields["check"] == check
 
 
 def test_invert_kneading(capsys):
@@ -1140,6 +1153,7 @@ def test_enumerate_prints_collisions_and_reducible_keys(capsys, monkeypatch):
         ]
 
     monkeypatch.setattr(atlas, "_spec_rows", injected)
+    assert_row_grammar(enumerate_specs(9))
     payload = enumerate_payload_by_objects(9)
     assert payload["collisions"] == 2
     assert payload["count"] == len(payload["entries"])
@@ -1236,6 +1250,7 @@ def test_enumerate_prints_collisions_far_into_the_list(capsys, monkeypatch):
         ]
 
     monkeypatch.setattr(atlas, "_spec_rows", injected)
+    assert_row_grammar(enumerate_specs(229))
     payload = enumerate_payload_by_objects(229)
     entries = payload["entries"]
     assert payload["collisions"] == 2
