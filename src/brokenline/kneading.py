@@ -129,8 +129,11 @@ def invert_kneading(
     leading Q-blocks gives n; the first block of another length is k*Q + T
     and gives the parent denominator; the minimal Bezout solution gives the
     limb fraction; a block of length L other than Q stands for one parent
-    word and (L - T)/Q limb words, and those counts give a.  The spec is
-    validated by the round trip of its kneading before returning.
+    word and (L - T)/Q limb words, and those counts give a.  Only the
+    nonempty blocks are listed: the empty ones, closed by a 0 or the star
+    right after a 0, are counted from the 0s, and the first of them is found
+    from the first "00".  The spec is validated by the round trip of its
+    kneading before returning.
     """
     if isinstance(kneading, str):
         try:
@@ -138,16 +141,32 @@ def invert_kneading(
         except ValueError as exc:
             raise NotBrokenLineKneading(str(exc)) from exc
     symbols = kneading.symbols
-    # a block is a run of 1s closed by a 0, the last one by the star; the
-    # distinct block lengths are listed once each, in order of appearance
-    blocks = symbols[:-1].split("0")
-    lengths = [len(block) + 1 for block in dict.fromkeys(blocks)]
-    q = lengths[0]
-    if q < 2:
+    # a block is a run of 1s closed by a 0, the last one by the star, so a
+    # block's index is the count of 0s before it.  Only the nonempty runs
+    # are listed, and the distinct block lengths once each, in order of
+    # appearance.  The empty blocks, of length 1, are counted: every symbol
+    # outside the runs but the star is a 0.  Counted by one join, they cost
+    # a kneading with few 0s little, where str.count reads every symbol; and
+    # the 0s are sought in the symbols, as a copy of the body held through
+    # the round trip below cost the half-limb kneading of b = 131,071 13 %
+    if symbols[0] == "0":
         raise NotBrokenLineKneading("leading block is too short to be a limb word")
+    runs = symbols[:-1].replace("0", " ").split()
+    zeros = len(symbols) - 1 - len("".join(runs))
+    lengths = [len(run) + 1 for run in dict.fromkeys(runs)]
+    q = lengths[0]
+    # of the 0s + 1 blocks, those that are not runs are empty.  The first
+    # empty block is closed by the second 0 of the first "00", or else by
+    # the star after a trailing 0.  Every block before it is a run, so its
+    # index, the count of 0s before it, counts runs, and the lengths of
+    # those runs are the ones that appear before it
+    if zeros + 1 > len(runs):
+        empty = symbols.count("0", 0, symbols.find("00") + 1 or len(symbols))
+        lengths.insert(len(dict.fromkeys(runs[:empty])), 1)
     if len(lengths) == 1:
         raise NotBrokenLineKneading("every block has the limb length")
-    n = blocks.index("1" * (lengths[1] - 1))
+    # a second length other than 1 appears before any empty block
+    n = empty if lengths[1] == 1 else runs.index("1" * (lengths[1] - 1))
     t = lengths[1] % q
     if t == 0 or math.gcd(q, t) != 1:
         raise NotBrokenLineKneading("parent length is incompatible with the limb")
@@ -162,9 +181,10 @@ def invert_kneading(
     limb = Fraction(p, q)
     ctx = FareyContext.build(limb, n, convention)
     # the inverse of mechanical._word_counts: the period is `parents` parent
-    # words and (b - t*parents)/q limb words
+    # words and (b - t*parents)/q limb words, one parent word for each
+    # block, empty or not, that is not a limb block
     b = len(symbols)
-    parents = len(blocks) - blocks.count("1" * (q - 1))
+    parents = zeros + 1 - runs.count(runs[0])
     a = p * ((b - t * parents) // q) + ctx.parent.numerator * parents
     if math.gcd(a, b) != 1:
         raise NotBrokenLineKneading("transcribed word has a reducible 1-count")

@@ -12,12 +12,14 @@ The tags, the structural kneading, the re-concatenated decomposition and
 the conjugate spell that pattern with one two-word substitution, each block
 written as head·unit^e in its tags or its kneading slots, as its bits, or
 as its primed bits.  The geometric pipeline (grid crossings, then
-contraction) computes the same words independently: it places the crossing
-of each horizontal grid line by the floor of its abscissa, writing one byte
-per crossing and sorting nothing, and contracts with ``str.replace``.  The
-test suite holds both pipelines against the digit rule of the Christoffel
-word and against mediant concatenation over the Stern-Brocot tree, and the
-block pattern against a greedy parse of the descent tags.
+contraction) computes the same words independently: one division step of
+the slope tells which gaps between horizontal crossings hold one vertical
+more, the fewer kind of gap is placed by floors with nothing sorted, the
+gaps are spelled by repetition and one ``translate``, and the word is
+contracted with ``str.replace``.  The test suite holds both pipelines
+against the digit rule of the Christoffel word and against mediant
+concatenation over the Stern-Brocot tree, and the block pattern against a
+greedy parse of the descent tags.
 """
 
 from __future__ import annotations
@@ -51,18 +53,36 @@ def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
     Crossings of vertical grid lines contribute 0, horizontal ones 1, in
     their order along the line; the lattice point (q, p) contributes the
     convention's two-symbol marker.  Length is p + q.  Horizontal line j,
-    0 < j < p, is crossed after the j - 1 horizontals below it and the
-    floor(jq/p) verticals left of it (jq/p is never whole, as gcd(p, q) = 1),
-    so its 1 sits at index j - 1 + floor(jq/p) and every other index is a 0.
+    0 < j < p, is crossed after the floor(jq/p) verticals left of it (jq/p is
+    never whole, as gcd(p, q) = 1).  One division step, q = a·p + r, gives
+    floor(jq/p) = ja + floor(jr/p), so a or a + 1 verticals part two
+    consecutive horizontals, a + 1 exactly before line j = ceil(mp/r) for
+    m = 1..r - 1, and a verticals follow the last horizontal (p = 1 crosses
+    none and has q - 1 verticals).  The other p - r gaps, of a verticals,
+    come before line j = floor(mp/(p - r)) + 1 for m = 0..p - r - 1.
+    Whichever kind is fewer is placed by floor; the gaps are spelled at a
+    fixed width, a filler pads the short ones, and one ``translate`` deletes
+    it.
     """
     if not 0 < p_over_q < 1:
         raise ValueError("slope must lie strictly between 0 and 1")
     p, q = p_over_q.numerator, p_over_q.denominator
-    cut = bytearray(b"0") * (p + q - 2)
-    # x = j(p + q) - p for j = 1..p - 1, so x // p = j - 1 + floor(jq/p)
-    for x in range(q, (p - 1) * (p + q), p + q):
-        cut[x // p] = 49  # "1"
-    return cut.decode() + convention.value
+    if p == 1:
+        return "0" * (q - 1) + convention.value
+    a, r = divmod(q, p)
+    # the gap before horizontal j is spelled in bytes j*w - w .. j*w - 1:
+    # 0^(a+1) 1 when long, and x 0^a 1 when short, the filler x deleted
+    w = a + 2
+    if r - 1 <= p - r:
+        cut = bytearray(b"x" + b"0" * a + b"1") * (p - 1)
+        # x = mp - 1 for m = 1..r - 1, so x // r = ceil(mp/r) - 1
+        for x in range(p - 1, (r - 1) * p, p):
+            cut[x // r * w] = 48  # "0"
+    else:
+        cut = bytearray(b"0" * (a + 1) + b"1") * (p - 1)
+        for x in range(0, (p - r) * p, p):
+            cut[x // (p - r) * w] = 120  # "x"
+    return cut.translate(None, b"x").decode() + "0" * a + convention.value
 
 
 def cutting_to_mechanical(kappa: str) -> str:

@@ -208,10 +208,17 @@ def _inversion(invert, symbols, convention):
 
 
 def test_invert_kneading_matches_the_transcription():
-    # every body of length <= 12, then every spec kneading of b = 3..30 with
-    # a 0-spliced doubling and its first slot dropped
+    # every body of length <= 12, then every spec kneading of b = 3..30 and
+    # of the benchmark's two deep families at b = 1025, 4097 and 16383 (the
+    # 1/b family, whose blocks are nearly all empty, and the half-limb
+    # family, whose body has one 0), each with a 0-spliced doubling and its
+    # first slot dropped
     inputs = [body + "*" for n in range(13) for body in all_words(n)]
-    for spec in all_specs(3, 30):
+    specs = list(all_specs(3, 30))
+    for b in (1025, 4097, 16383):
+        specs += [_spec((1, k), (1, b), 1, "10") for k in range(2, 10)]
+        specs.append(_spec((1, 2), (b // 2 + 1, b), 1, "01"))
+    for spec in specs:
         k = kneading_of_spec(spec).symbols
         inputs += [k, k[:-1] + "0" + k, k[1:]]
     inverted = 0

@@ -455,12 +455,29 @@ def test_cutting_sequence_matches_the_tuple_sort():
 def test_cutting_sequence_matches_the_tuple_sort_on_deep_slopes():
     # 1/q, where no horizontal line is crossed, (q - 1)/q, where one 0 parts
     # every two 1s, and the two deep-path families, (q//2 + 1)/q and 1/q, of
-    # the benchmark's periods 2^10..2^14
+    # the benchmark's periods 2^10..2^14.  Then, with q = a*p + r, the
+    # Fibonacci ratios, on which neither r - 1 nor p - r, the two counts of
+    # gaps that could be marked, is small; seeded random slopes; and r = 1,
+    # where every gap between two horizontals holds a verticals
     slopes = []
     for q in (2, 3, 4, 5, 1023, 1025, 2047, 4097, 8191, 14285, 16383):
         slopes += [Fraction(1, q), Fraction(q - 1, q)]
         if q % 2:
             slopes.append(Fraction(q // 2 + 1, q))
+    p, q = 1, 2
+    while q <= 10946:
+        slopes.append(Fraction(p, q))
+        p, q = q, p + q
+    rng = random.Random(38)
+    drawn = []
+    while len(drawn) < 20:
+        q = rng.randint(5000, 16384)
+        p = rng.randrange(1, q)
+        if gcd(p, q) == 1:
+            drawn.append(Fraction(p, q))
+    slopes += drawn
+    for k in (1, 2, 3, 7, 100):
+        slopes += [Fraction(p, k * p + 1) for p in (2, 3, 10, 999)]
     for slope in slopes:
         for convention in CONVENTIONS:
             kappa = cutting_sequence(slope, convention)
