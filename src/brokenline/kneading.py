@@ -145,10 +145,7 @@ def invert_kneading(
     # block's index is the count of 0s before it.  Only the nonempty runs
     # are listed, and the distinct block lengths once each, in order of
     # appearance.  The empty blocks, of length 1, are counted: every symbol
-    # outside the runs but the star is a 0.  Counted by one join, they cost
-    # a kneading with few 0s little, where str.count reads every symbol; and
-    # the 0s are sought in the symbols, as a copy of the body held through
-    # the round trip below cost the half-limb kneading of b = 131,071 13 %
+    # outside the runs but the star is a 0
     if symbols[0] == "0":
         raise NotBrokenLineKneading("leading block is too short to be a limb word")
     runs = symbols[:-1].replace("0", " ").split()

@@ -14,12 +14,12 @@ written as head·unit^e in its tags or its kneading slots, as its bits, or
 as its primed bits.  The geometric pipeline (grid crossings, then
 contraction) computes the same words independently: one division step of
 the slope tells which gaps between horizontal crossings hold one vertical
-more, the fewer kind of gap is placed by floors with nothing sorted, the
-gaps are spelled by repetition and one ``translate``, and the word is
-contracted with ``str.replace``.  The test suite holds both pipelines
-against the digit rule of the Christoffel word and against mediant
-concatenation over the Stern-Brocot tree, and the block pattern against a
-greedy parse of the descent tags.
+more, the gaps of one vertical fewer are placed by floors with nothing
+sorted, the gaps are spelled by one ``join``, and the word is contracted
+with ``str.replace``.  The test suite holds both pipelines against the
+digit rule of the Christoffel word and against mediant concatenation over
+the Stern-Brocot tree, and the block pattern against a greedy parse of the
+descent tags.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
     0 < j < p, is crossed after the floor(jq/p) verticals left of it (jq/p is
     never whole, as gcd(p, q) = 1).  One division step, q = a·p + r, gives
     floor(jq/p) = ja + floor(jr/p), so a or a + 1 verticals part two
-    consecutive horizontals, a + 1 exactly before line j = ceil(mp/r) for
-    m = 1..r - 1, and a verticals follow the last horizontal (p = 1 crosses
-    none and has q - 1 verticals).  The other p - r gaps, of a verticals,
-    come before line j = floor(mp/(p - r)) + 1 for m = 0..p - r - 1.
-    Whichever kind is fewer is placed by floor; the gaps are spelled at a
-    fixed width, a filler pads the short ones, and one ``translate`` deletes
-    it.
+    consecutive horizontals, and a verticals follow the last horizontal (p = 1
+    crosses none and has q - 1 verticals).  Of the p - 1 gaps before a
+    horizontal, the p - r short ones, of a verticals, come before line
+    j = floor(mp/(p - r)) + 1 for m = 0..p - r - 1: the gaps are listed as
+    long, the short ones are placed by floor, and one ``join`` spells them.
     """
     if not 0 < p_over_q < 1:
         raise ValueError("slope must lie strictly between 0 and 1")
@@ -70,19 +68,15 @@ def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
     if p == 1:
         return "0" * (q - 1) + convention.value
     a, r = divmod(q, p)
-    # the gap before horizontal j is spelled in bytes j*w - w .. j*w - 1:
-    # 0^(a+1) 1 when long, and x 0^a 1 when short, the filler x deleted
-    w = a + 2
-    if r - 1 <= p - r:
-        cut = bytearray(b"x" + b"0" * a + b"1") * (p - 1)
-        # x = mp - 1 for m = 1..r - 1, so x // r = ceil(mp/r) - 1
-        for x in range(p - 1, (r - 1) * p, p):
-            cut[x // r * w] = 48  # "0"
-    else:
-        cut = bytearray(b"0" * (a + 1) + b"1") * (p - 1)
-        for x in range(0, (p - r) * p, p):
-            cut[x // (p - r) * w] = 120  # "x"
-    return cut.translate(None, b"x").decode() + "0" * a + convention.value
+    # gaps[j - 1] is the gap before horizontal j and its 1: 0^(a+1) 1 when
+    # long, 0^a 1 when short; x = mp, so x // k = floor(mp/(p - r)).  The
+    # a verticals after the last horizontal and the marker close the list
+    gaps = ["0" * (a + 1) + "1"] * p
+    short, k = "0" * a + "1", p - r
+    for x in range(0, k * p, p):
+        gaps[x // k] = short
+    gaps[-1] = "0" * a + convention.value
+    return "".join(gaps)
 
 
 def cutting_to_mechanical(kappa: str) -> str:

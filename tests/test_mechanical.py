@@ -456,9 +456,9 @@ def test_cutting_sequence_matches_the_tuple_sort_on_deep_slopes():
     # 1/q, where no horizontal line is crossed, (q - 1)/q, where one 0 parts
     # every two 1s, and the two deep-path families, (q//2 + 1)/q and 1/q, of
     # the benchmark's periods 2^10..2^14.  Then, with q = a*p + r, the
-    # Fibonacci ratios, on which neither r - 1 nor p - r, the two counts of
-    # gaps that could be marked, is small; seeded random slopes; and r = 1,
-    # where every gap between two horizontals holds a verticals
+    # Fibonacci ratios, on which p - r, the count of short gaps marked, is
+    # neither small nor all; seeded random slopes; and r = 1, where every
+    # gap between two horizontals is short, of a verticals
     slopes = []
     for q in (2, 3, 4, 5, 1023, 1025, 2047, 4097, 8191, 14285, 16383):
         slopes += [Fraction(1, q), Fraction(q - 1, q)]
