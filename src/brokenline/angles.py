@@ -8,7 +8,6 @@ are ``fractions.Fraction`` throughout; binary words are plain strings over
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -117,8 +116,40 @@ def fraction_to_expansion(
     return PeriodicAngle(*_expand(x % 1, max_period))
 
 
-@dataclass(frozen=True)
-class PeriodicAngle:
+class _Value:
+    """Base of the package's value types: immutable, and compared, hashed
+    and shown by the fields ``__match_args__`` names, in that order, as a
+    frozen dataclass is.  Each subclass's ``__init__`` writes its fields into
+    the instance's ``__dict__``, where ``functools.cached_property`` memos go
+    too; assignment and deletion raise AttributeError."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PeriodicAngle(_Value):
     """Angle 0.preperiod(period)^inf in canonical form.
 
     The constructor normalizes its input on the words alone: the stored
@@ -127,10 +158,16 @@ class PeriodicAngle:
     carrying one into the preperiod.
     """
 
-    preperiod: str = ""
-    period: str = "0"
+    __match_args__ = ("preperiod", "period")
+
+    def __init__(self, preperiod: str = "", period: str = "0") -> None:
+        self.__dict__.update(preperiod=preperiod, period=period)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # the normalization of the stored words, a method of its own, which
+        # the benchmark's layer trace (perfbench/spans.py) wraps to time the
+        # class by
         pre, per = self.preperiod, self.period
         if pre:
             _check_word(pre)
@@ -153,8 +190,7 @@ class PeriodicAngle:
                 pre = pre[: width - k]
                 k %= n
                 per = per[n - k :] + per[: n - k]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        self.__dict__.update(preperiod=pre, period=per)
 
     @property
     def value(self) -> Fraction:

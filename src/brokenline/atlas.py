@@ -6,12 +6,11 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, groupby
 from operator import eq, itemgetter
 
-from .angles import PeriodicAngle, _terms
+from .angles import PeriodicAngle, _terms, _Value
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
 from .farey import BrokenLineSpec, FareyContext
 from .mechanical import _substitute, broken_line_word
@@ -104,16 +103,33 @@ def _junction_rays(context: FareyContext, indices) -> list[tuple[str, str]]:
     ]
 
 
-@dataclass(frozen=True)
-class SpokeLocation:
+class SpokeLocation(_Value):
     """Where a broken-line angle sits: which limb, which sublimb, and the two
     junction rays that bracket it."""
 
-    limb: Fraction
-    sublimb_internal_angle: Fraction
-    spoke_index: int
-    bracketing_rays: tuple[PeriodicAngle, PeriodicAngle]
-    junction_preperiod: int
+    __match_args__ = (
+        "limb",
+        "sublimb_internal_angle",
+        "spoke_index",
+        "bracketing_rays",
+        "junction_preperiod",
+    )
+
+    def __init__(
+        self,
+        limb: Fraction,
+        sublimb_internal_angle: Fraction,
+        spoke_index: int,
+        bracketing_rays: tuple[PeriodicAngle, PeriodicAngle],
+        junction_preperiod: int,
+    ) -> None:
+        self.__dict__.update(
+            limb=limb,
+            sublimb_internal_angle=sublimb_internal_angle,
+            spoke_index=spoke_index,
+            bracketing_rays=bracketing_rays,
+            junction_preperiod=junction_preperiod,
+        )
 
 
 def locate(spec: BrokenLineSpec) -> SpokeLocation:
@@ -164,8 +180,7 @@ def _bracket(spec: BrokenLineSpec) -> tuple[int, tuple[str, str], tuple[str, str
 _TURNS = {"R": Convention.ZERO_ONE, "L": Convention.ONE_ZERO}
 
 
-@dataclass(frozen=True)
-class SpecEnumeration:
+class SpecEnumeration(_Value):
     """All validated parameter choices of one period, grouped by the angle
     they produce (several choices mapping to one angle would be a collision;
     none are known).
@@ -178,8 +193,12 @@ class SpecEnumeration:
     Fractions, contexts and specs of ``entries`` are built on first read.
     """
 
-    period: int
-    rows: tuple[tuple[int, int, int, int, str, int], ...]
+    __match_args__ = ("period", "rows")
+
+    def __init__(
+        self, period: int, rows: tuple[tuple[int, int, int, int, str, int], ...]
+    ) -> None:
+        self.__dict__.update(period=period, rows=rows)
 
     @functools.cached_property
     def _sizes(self) -> dict[int, int]:

@@ -11,7 +11,6 @@ kneading's length bounds, by str.  Exit codes: 0 ok, 1 domain error, 2 usage.
 
 from __future__ import annotations
 
-import argparse
 import decimal
 import functools
 import json
@@ -73,18 +72,25 @@ MAX_PERIOD = 2**20
 MAX_ENUMERATE_PERIOD = 2**11
 
 
+def _bad_argument(message: str) -> Exception:
+    # the error argparse reports as a usage error with this message; argparse
+    # is imported here and by _build_parser only, as no well-formed command
+    # line needs it
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _ratio(text: str) -> tuple[int, int]:
     parts = text.split("/")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected p/q, got {text!r}")
+        raise _bad_argument(f"expected p/q, got {text!r}")
     try:
         num, den = int(parts[0]), int(parts[1])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers in {text!r}")
+        raise _bad_argument(f"expected integers in {text!r}")
     if num < 0 or den <= 0:
-        raise argparse.ArgumentTypeError(
-            "fractions must be nonnegative with a positive denominator"
-        )
+        raise _bad_argument("fractions must be nonnegative with a positive denominator")
     return num, den
 
 
@@ -98,10 +104,10 @@ def _angle(text: str) -> PeriodicAngle | Fraction:
         try:
             return PeriodicAngle.parse(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
+            raise _bad_argument(str(exc))
     num, den = _ratio(text)
     if num >= den:
-        raise argparse.ArgumentTypeError("angles must lie in [0, 1)")
+        raise _bad_argument("angles must lie in [0, 1)")
     return Fraction(num, den)
 
 
@@ -202,7 +208,7 @@ def _texts(*fractions: Fraction) -> list[str]:
         return list(map(text, fractions, widths))
 
 
-def _spec_of(args: argparse.Namespace) -> BrokenLineSpec:
+def _spec_of(args: types.SimpleNamespace) -> BrokenLineSpec:
     spec = validate_spec(args.limb, args.slope, args.hinge, args.convention)
     _budget(spec.period, "a/b")
     return spec
@@ -217,7 +223,7 @@ def _spec_fields(spec: BrokenLineSpec) -> dict:
     }
 
 
-def cmd_line(args: argparse.Namespace) -> dict:
+def cmd_line(args: types.SimpleNamespace) -> dict:
     slope = _strict(args.slope, "p/q")
     kappa = cutting_sequence(slope, args.convention)
     word = cutting_to_mechanical(kappa)
@@ -237,7 +243,7 @@ def cmd_line(args: argparse.Namespace) -> dict:
     return payload
 
 
-def cmd_bulb(args: argparse.Namespace) -> dict:
+def cmd_bulb(args: types.SimpleNamespace) -> dict:
     slope = _strict(args.slope, "p/q")
     low = mechanical_word(slope, Convention.ZERO_ONE)
     high = mechanical_word(slope, Convention.ONE_ZERO)
@@ -257,7 +263,7 @@ def cmd_bulb(args: argparse.Namespace) -> dict:
     return payload
 
 
-def cmd_broken(args: argparse.Namespace) -> dict:
+def cmd_broken(args: types.SimpleNamespace) -> dict:
     spec = _spec_of(args)
     word = broken_line_word(spec)
     if args.all or args.check:
@@ -329,7 +335,7 @@ class _PerBlock:
         sys.stdout.write(self._items(", ", quote))
 
 
-def cmd_conjugate(args: argparse.Namespace) -> dict:
+def cmd_conjugate(args: types.SimpleNamespace) -> dict:
     spec = _spec_of(args)
     cword, word = conjugate_word(spec), broken_line_word(spec)
     angle_text, conjugate_text = _texts(word_to_fraction(word), word_to_fraction(cword))
@@ -353,7 +359,7 @@ def cmd_conjugate(args: argparse.Namespace) -> dict:
     return payload
 
 
-def cmd_kneading(args: argparse.Namespace) -> dict:
+def cmd_kneading(args: types.SimpleNamespace) -> dict:
     spec = _spec_of(args)
     kneading = kneading_of_spec(spec)
     payload = _spec_fields(spec)
@@ -365,7 +371,7 @@ def cmd_kneading(args: argparse.Namespace) -> dict:
     return payload
 
 
-def cmd_kneading_of_angle(args: argparse.Namespace) -> dict:
+def cmd_kneading_of_angle(args: types.SimpleNamespace) -> dict:
     theta = _expansion(args.angle).value
     ks = kneading_of_angle(theta)
     payload = {
@@ -385,7 +391,7 @@ def cmd_kneading_of_angle(args: argparse.Namespace) -> dict:
     return payload
 
 
-def cmd_invert_kneading(args: argparse.Namespace) -> dict:
+def cmd_invert_kneading(args: types.SimpleNamespace) -> dict:
     spec, sequence = invert_kneading(args.kneading, args.convention)
     payload = {"kneading": args.kneading}
     payload.update(_spec_fields(spec))
@@ -407,7 +413,7 @@ def cmd_invert_kneading(args: argparse.Namespace) -> dict:
     return payload
 
 
-def cmd_enumerate(args: argparse.Namespace) -> dict:
+def cmd_enumerate(args: types.SimpleNamespace) -> dict:
     if args.census and args.period > CENSUS_LIMIT:
         sturmian_census(args.period)  # raises the cap error before any work
     if args.period > MAX_ENUMERATE_PERIOD:
@@ -507,7 +513,7 @@ class _Entries:
                 )
 
 
-def cmd_tune(args: argparse.Namespace) -> dict:
+def cmd_tune(args: types.SimpleNamespace) -> dict:
     bulb = _strict(args.bulb, "bulb")
     angle = _expansion(args.angle)
     # each digit of the angle becomes a word of the bulb's length
@@ -626,6 +632,8 @@ def _parse(argv: list[str]) -> types.SimpleNamespace | None:
 # one per process serves every call.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="brokenline",
         description="exact Sturmian external angles from broken lines",
@@ -707,7 +715,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse(argv)
     if args is None:
-        args = _build_parser().parse_args(argv)
+        args = types.SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     # a period-b angle has about 0.3*b decimal digits; the interpreter's cap
     # on int-to-str conversion is lifted while the command computes and
     # writes its answer, whose entries are written in decimal as they go,

@@ -11,10 +11,9 @@ lavaurs_partner are bound here as well, where the public API has them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import PeriodicAngle
+from .angles import PeriodicAngle, _Value
 from .farey import BrokenLineSpec
 from .mechanical import _blocks, _substitute, broken_line_word
 from .oracles import _check_chain, _rotation_signs, lavaurs_pairs, lavaurs_partner
@@ -67,8 +66,7 @@ def unlinked(pair_a: tuple[Fraction, Fraction], pair_b: tuple[Fraction, Fraction
     return _in_arc(c, a1, a2) == _in_arc(d, a1, a2)
 
 
-@dataclass(frozen=True)
-class UnlinkCertificate:
+class UnlinkCertificate(_Value):
     """Outcome of one unlinking check along the preimage chain.
 
     ``digit_zero_case`` records which side the orbit point fell on: True when
@@ -76,15 +74,28 @@ class UnlinkCertificate:
     kneading entry is 0.
     """
 
-    index: int
-    digit_zero_case: bool
+    __match_args__ = ("index", "digit_zero_case")
+
+    def __init__(self, index: int, digit_zero_case: bool) -> None:
+        self.__dict__.update(index=index, digit_zero_case=digit_zero_case)
 
 
-@dataclass(frozen=True)
-class ConjugateChain:
-    theta: PeriodicAngle
-    conjugate: PeriodicAngle
-    certificates: tuple[UnlinkCertificate, ...]
+class ConjugateChain(_Value):
+    """A broken-line angle, its conjugate, and one UnlinkCertificate per step
+    k = 2..b of the preimage chain that pulls the angle back to the
+    conjugate."""
+
+    __match_args__ = ("theta", "conjugate", "certificates")
+
+    def __init__(
+        self,
+        theta: PeriodicAngle,
+        conjugate: PeriodicAngle,
+        certificates: tuple[UnlinkCertificate, ...],
+    ) -> None:
+        self.__dict__.update(
+            theta=theta, conjugate=conjugate, certificates=certificates
+        )
 
     @property
     def preimages(self) -> tuple[PeriodicAngle, ...]:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
+from .angles import _Value
 from .errors import HypothesisViolated, InvariantViolated, NotCoprime
 from .words import Convention, mechanical_word
 
@@ -27,7 +26,7 @@ __all__ = [
 # CLI callers hand in raw (numerator, denominator) pairs so that unreduced
 # input is rejected instead of silently reduced (the denominator advertises
 # the period).
-Ratio = Union[Fraction, tuple]
+Ratio = Fraction | tuple
 
 
 def _as_reduced(value: Ratio, name: str) -> Fraction:
@@ -107,18 +106,32 @@ def bezout_minimal(q: int, t: int) -> tuple[int, int]:
     return p, (1 + t * p) // q
 
 
-@dataclass(frozen=True)
-class FareyContext:
+class FareyContext(_Value):
     """A limb fraction P/Q with its Farey parents, the hinge count, and the
     slope bound those induce; the mechanical words of P/Q and of ``parent``
     are built on first read and kept."""
 
-    p_over_q: Fraction
-    lower_parent: Fraction
-    upper_parent: Fraction
-    hinge: int
-    convention: Convention
-    bound: Fraction
+    __match_args__ = (
+        "p_over_q", "lower_parent", "upper_parent", "hinge", "convention", "bound"
+    )
+
+    def __init__(
+        self,
+        p_over_q: Fraction,
+        lower_parent: Fraction,
+        upper_parent: Fraction,
+        hinge: int,
+        convention: Convention,
+        bound: Fraction,
+    ) -> None:
+        self.__dict__.update(
+            p_over_q=p_over_q,
+            lower_parent=lower_parent,
+            upper_parent=upper_parent,
+            hinge=hinge,
+            convention=convention,
+            bound=bound,
+        )
 
     @classmethod
     def build(cls, p_over_q: Fraction, hinge: int, convention: Convention) -> "FareyContext":
@@ -159,14 +172,15 @@ def single_block_slope(context: FareyContext, m: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class BrokenLineSpec:
+class BrokenLineSpec(_Value):
     """Validated parameters of a broken line: the limb context plus the slope
     taken after the hinge point; broken_line_word builds the period word on
     first request and the spec keeps it."""
 
-    context: FareyContext
-    slope: Fraction
+    __match_args__ = ("context", "slope")
+
+    def __init__(self, context: FareyContext, slope: Fraction) -> None:
+        self.__dict__.update(context=context, slope=slope)
 
     @property
     def p_over_q(self) -> Fraction:

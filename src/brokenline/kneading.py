@@ -7,10 +7,9 @@ oracles module."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import PeriodicAngle, _is_binary, minimal_period
+from .angles import PeriodicAngle, _is_binary, _Value, minimal_period
 from .errors import HypothesisViolated, NotBrokenLineKneading, NotPeriodic
 from .farey import BrokenLineSpec, FareyContext, _check_hinge, mediant
 from .mechanical import _spell, broken_line_word
@@ -26,21 +25,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KneadingSequence:
+class KneadingSequence(_Value):
     """Itinerary of a periodic angle's doubling orbit; the single star sits in
     the final slot."""
 
-    symbols: str
+    __match_args__ = ("symbols",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, symbols: str) -> None:
         # a body over "0" and "1" alone, closed by the star
-        if (
-            len(self.symbols) < 2
-            or self.symbols[-1] != "*"
-            or not _is_binary(self.symbols[:-1])
-        ):
-            raise ValueError(f"malformed kneading sequence: {self.symbols!r}")
+        if len(symbols) < 2 or symbols[-1] != "*" or not _is_binary(symbols[:-1]):
+            raise ValueError(f"malformed kneading sequence: {symbols!r}")
+        self.__dict__.update(symbols=symbols)
 
     @property
     def period(self) -> int:

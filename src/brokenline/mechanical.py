@@ -24,10 +24,9 @@ descent tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import PeriodicAngle, _is_binary, word_to_fraction
+from .angles import PeriodicAngle, _is_binary, _Value, word_to_fraction
 from .errors import InvariantViolated, MalformedCuttingSequence
 from .farey import BrokenLineSpec, FareyContext
 from .words import Convention, _digits, mechanical_word
@@ -193,8 +192,7 @@ def block_word(context: FareyContext, m: int) -> str:
     return wp + (wp * (n - 1) + wx) * m
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(_Value):
     """Factorization of a broken-line period word into consecutive blocks.
 
     ``block_words`` holds the words of the block indices that occur, and
@@ -205,14 +203,20 @@ class BlockDecomposition:
     base_m is that block's own index).
     """
 
-    spec: BrokenLineSpec
-    base_m: int
-    block_words: dict[int, str]
-    pattern: str
+    __match_args__ = ("spec", "base_m", "block_words", "pattern")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.pattern, str):
+    def __init__(
+        self,
+        spec: BrokenLineSpec,
+        base_m: int,
+        block_words: dict[int, str],
+        pattern: str,
+    ) -> None:
+        if not isinstance(pattern, str):
             raise TypeError("BlockDecomposition takes its block pattern, a str")
+        self.__dict__.update(
+            spec=spec, base_m=base_m, block_words=block_words, pattern=pattern
+        )
 
     @property
     def units(self) -> tuple[str, str]:

@@ -789,8 +789,14 @@ def test_parser_is_built_once_per_process():
 
 
 ONLY_THE_FALLBACK_BUILDS_THE_PARSER = """
-import contextlib, io
+import contextlib, io, sys
 from brokenline import cli
+
+def loaded():
+    # argparse serves help and usage errors only; no command needs the others
+    return [name for name in ("argparse", "dataclasses", "typing") if name in sys.modules]
+
+print(*loaded(), sep=",")
 
 well_formed = [
     ["line", "--convention", "01", "2/5", "--check"],
@@ -807,20 +813,26 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in well_formed]
 print(*codes)
 print(cli._build_parser.cache_info().currsize)
+print(*loaded(), sep=",")
 try:
     cli.main(["broken", "1/2", "--hinge", "1"])
 except SystemExit as exc:
     info = cli._build_parser.cache_info()
     print(exc.code, info.misses, info.currsize)
+print("argparse" in sys.modules)
 """
 
 
 def test_only_the_fallback_builds_the_parser():
     # a fresh process that runs well-formed command lines never builds the
-    # argparse parser; the first command line left to argparse builds it once
-    done = python_fresh("-c", ONLY_THE_FALLBACK_BUILDS_THE_PARSER)
+    # argparse parser, nor imports argparse, dataclasses or typing; the first
+    # command line left to argparse builds it once.  -S keeps out what site
+    # and its .pth files import, so the child loads only what the package does
+    done = python_fresh("-S", "-c", ONLY_THE_FALLBACK_BUILDS_THE_PARSER)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["0 0 0 0 0 0 0 0 0", "0", "2 1 1"]
+    assert done.stdout.splitlines() == [
+        "", "0 0 0 0 0 0 0 0 0", "0", "", "2 1 1", "True"
+    ]
     assert "the following arguments are required: --convention" in done.stderr
 
 

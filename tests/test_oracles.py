@@ -127,16 +127,40 @@ def test_grid_crossings_build_no_period_word():
     assert not {"_digits", "mechanical_word", "is_sturmian"} & named
 
 
-def test_every_traced_function_resolves():
-    # the benchmark's layer trace wraps each function it lists by module and
-    # name; a function moved out of its listed module would drop out of it.
-    # A copy of the package and its tests without the benchmark has no list
+def load_spans():
+    # the benchmark's layer trace; a copy of the package and its tests
+    # without the benchmark has none, and the tests that read it skip
     if not SPANS.is_file():
         pytest.skip(f"no benchmark layer list at {SPANS}")
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's layer trace wraps each function it lists by module and
+    # name; a function moved out of its listed module would drop out of it
+    spans = load_spans()
     for module, names in spans.LAYERS.items():
         namespace = importlib.import_module(f"brokenline.{module}")
         for name in names:
             assert callable(getattr(namespace, name, None)), f"{module}.{name}"
+
+
+def test_traced_classes_construct_through_post_init(monkeypatch):
+    # the layer trace times a listed class by wrapping the __post_init__ its
+    # constructor runs, on the class: every construction must go through it
+    spans = load_spans()
+    classes = [
+        getattr(importlib.import_module(f"brokenline.{module}"), name)
+        for module, names in spans.LAYERS.items()
+        for name in names
+    ]
+    classes = [cls for cls in classes if isinstance(cls, type)]
+    assert classes
+    for cls in classes:
+        tracer = spans.Tracer()
+        monkeypatch.setattr(cls, "__post_init__", tracer._wrap(0, cls.__post_init__))
+        cls()
+        assert len(tracer.func) == 1, cls.__name__
