@@ -69,7 +69,8 @@ def multiplicative_order(base: int, modulus: int, limit: int | None = None) -> i
     """Least k >= 1 with base**k == 1 modulo ``modulus``.
 
     With a ``limit``, the search stops once k passes it and raises
-    BudgetExceeded, so it takes at most ``limit`` steps.
+    BudgetExceeded, so it takes at most ``limit`` steps.  Modulo 1 the order
+    is 1 under any limit, 0 included.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -100,10 +101,9 @@ def _expand(x: Fraction, max_period: int | None) -> tuple[str, str]:
     odd = den >> e
     head, rem = divmod(num, odd)  # x * 2**e == num / odd
     pre = format(head, f"0{e}b") if e else ""
-    if odd == 1:
-        return pre, "0"
     n = multiplicative_order(2, odd, max_period)
-    # rem/odd is reduced, so its period is the whole order n
+    # rem/odd is reduced, so its period is the whole order n (a dyadic x has
+    # odd == 1, n == 1 and the period "0")
     return pre, format(rem * ((1 << n) - 1) // odd, f"0{n}b")
 
 

@@ -220,6 +220,8 @@ class SpecEnumeration(_Value):
     def entries(self) -> tuple[tuple[Fraction, tuple[BrokenLineSpec, ...]], ...]:
         """(angle, specs) per angle, in increasing angle order."""
         full = (1 << self.period) - 1
+        # one context per node, shared by its rows: without it entries takes
+        # about 1.5 times as long and holds about a fifth more memory
         contexts: dict[tuple[int, int, int, str], FareyContext] = {}
         slopes: dict[int, Fraction] = {}
         entries = []
@@ -294,21 +296,16 @@ def _spec_rows(period: int) -> list[tuple[int, int, int, int, str, int]]:
         inner = int(_digits(a, period), 2) << 2
         # the walk's interval ends lo < hi, with their words' values under 01
         # and 10: a node's word is hi.lo under 01 and lo.hi under 10 (as in
-        # mediant_tags), but 0/1 has no 01 word and 1/1 no 10 word, so the
-        # nodes 1/q and (q-1)/q next to them take their closed forms, 0^(q-2)
-        # and 1^(q-2) followed by the convention's two letters
+        # mediant_tags), one sum of values.  0/1 has no 01 word and 1/1 no 10
+        # word; their stand-ins -1 and 2 make the sums at 1/q and (q-1)/q
+        # spell 0^(q-2) and 1^(q-2) followed by the convention's two letters
         lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
-        lo01 = lo10 = hi01 = hi10 = 0
+        lo01, lo10, hi01, hi10 = -1, 0, 1, 2
         while True:
             p, q = lo_p + hi_p, lo_q + hi_q
             if p == a and q == period:
                 break
-            if not lo_p:
-                v01, v10 = 1, 2
-            elif hi_p == hi_q:
-                v01, v10 = (1 << q) - 3, (1 << q) - 2
-            else:
-                v01, v10 = hi01 << lo_q | lo01, lo10 << hi_q | hi10
+            v01, v10 = (hi01 << lo_q) + lo01, (lo10 << hi_q) + hi10
             # a right turn opens 01-choices bounded from the upper end, a left
             # turn 10-choices bounded from the lower end; the turn is the
             # inequality against P/Q, and hinges go on while the bound, the

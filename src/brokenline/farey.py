@@ -86,16 +86,6 @@ def bound_fraction(p_over_q: Fraction, hinge: int, convention: Convention) -> Fr
     return FareyContext.build(p_over_q, hinge, convention).bound
 
 
-def _bound_terms(
-    p: int, q: int, parent: tuple[int, int], hinge: int
-) -> tuple[int, int]:
-    # the Farey neighbour of P/Q reached by adding hinge-1 copies of P/Q to
-    # the parent, the upper one under 01 and the lower one under 10, as
-    # (numerator, denominator): reduced, since it neighbours P/Q
-    n, d = parent
-    return n + (hinge - 1) * p, d + (hinge - 1) * q
-
-
 def bezout_minimal(q: int, t: int) -> tuple[int, int]:
     """Solve s*q - t*p == 1 with p the smallest positive integer; returns (p, s)."""
     if not 0 < t < q:
@@ -135,14 +125,19 @@ class FareyContext(_Value):
 
     @classmethod
     def build(cls, p_over_q: Fraction, hinge: int, convention: Convention) -> "FareyContext":
-        """Solve for the Farey parents once and derive the bound from them."""
+        """Solve for the Farey parents once and derive the bound from them:
+        the parent plus hinge - 1 copies of P/Q, the upper one under 01 and
+        the lower one under 10, a Farey neighbour of P/Q and so reduced."""
         lower, upper = farey_parents(p_over_q)
         if hinge < 1:
             raise ValueError("hinge must be a positive integer")
         parent = upper if convention is Convention.ZERO_ONE else lower
-        p, q = p_over_q.numerator, p_over_q.denominator
-        c, d = _bound_terms(p, q, (parent.numerator, parent.denominator), hinge)
-        return cls(p_over_q, lower, upper, hinge, convention, Fraction(c, d))
+        k = hinge - 1
+        bound = Fraction(
+            parent.numerator + k * p_over_q.numerator,
+            parent.denominator + k * p_over_q.denominator,
+        )
+        return cls(p_over_q, lower, upper, hinge, convention, bound)
 
     @property
     def parent(self) -> Fraction:

@@ -65,6 +65,7 @@ def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
         raise ValueError("slope must lie strictly between 0 and 1")
     p, q = p_over_q.numerator, p_over_q.denominator
     if p == 1:
+        # the 1/b family in one run, without the general path's unused gaps
         return "0" * (q - 1) + convention.value
     a, r = divmod(q, p)
     # gaps[j - 1] is the gap before horizontal j and its 1: 0^(a+1) 1 when

@@ -107,6 +107,7 @@ def _factor_order(text: str, word: str, count: int) -> bytes:
     b = len(word)
     if count >= _PREFIX_FROM:
         if count > _SLICES_UP_TO:
+            # no workload reaches it, but slices would be quadratic at b = 10^5
             return _factor_order_by_z(text, word, count)
         # bit s of ones >> k is text[s + k]; tied and above mask the factors
         # equal to the word so far and those already above it
@@ -129,6 +130,8 @@ def _factor_order(text: str, word: str, count: int) -> bytes:
                 signs[s] = text[s : s + b] > word
                 s = ties.find("1", s + 1)
             return bytes(signs)
+    # a slice each, one memcmp: beats the prefix's fixed cost on few factors,
+    # and a find per tie when most factors still tie
     return bytes(text[s : s + b] > word for s in range(count))
 
 

@@ -105,7 +105,7 @@ from brokenline import (
 )
 from brokenline import oracles
 from brokenline.atlas import _TURNS
-from brokenline.farey import _bound_terms, _check_hinge
+from brokenline.farey import _check_hinge
 from brokenline.oracles import _partners_at
 from brokenline.words import _digits
 
@@ -435,7 +435,9 @@ def spec_rows_by_caps(period):
             if limb is None:
                 limb = limb_words[p, q, turn] = _digits(p, q) + _TURNS[turn].value
             for hinge in range(1, cap + 1):
-                c, d = _bound_terms(p, q, parent, hinge)
+                # the hinge bound: the parent plus hinge - 1 copies of P/Q
+                c = parent[0] + (hinge - 1) * p
+                d = parent[1] + (hinge - 1) * q
                 _check_hinge(p, q, a, period, c, d, turn == "R")
                 if not word.endswith(limb * hinge):
                     spec = BrokenLineSpec(

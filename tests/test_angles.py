@@ -259,6 +259,23 @@ def test_order_and_expansion_stop_at_their_limit():
         fraction_to_expansion(Fraction(3, 508), 6)  # 508 = 4 * 127
 
 
+def test_dyadic_angle_passes_any_period_budget(capsys):
+    import json
+
+    from brokenline import multiplicative_order
+    from brokenline.cli import main
+
+    # a dyadic angle's period is "0", one step of the order of 2 modulo 1,
+    # which is returned ahead of any budget, 0 included
+    assert multiplicative_order(2, 1, limit=0) == 1
+    for budget in (None, 0, 1, 5):
+        assert str(fraction_to_expansion(Fraction(3, 8), budget)) == "0.[011](0)"
+    assert main(["tune", "3/8", "1/3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "ok"
+    assert doc["payload"]["tuned"] == "0.[001010010](001)"
+
+
 def test_periodic_angle_parse_rejects_junk():
     for bad in ["0.[01]((10))", "0.(01)(10)", "0.[](01)", "0.01", "(01)", "0.(2)"]:
         with pytest.raises(ValueError):

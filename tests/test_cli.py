@@ -27,6 +27,7 @@ from brokenline import (
     conjugate,
     conjugate_word,
     enumerate_specs,
+    farey,
     kneading_of_angle,
     mechanical,
     oracles,
@@ -498,6 +499,63 @@ def test_bulb_check_orders_the_words(capsys, monkeypatch):
     assert doc["error_kind"] == "InvariantViolated"
     assert doc["message"].startswith("characteristic_pair: ")
     assert "Traceback" not in err
+
+
+def _invariant_message(capsys, *argv):
+    # the command exits 1 with a typed InvariantViolated and its message
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["error_kind"] == "InvariantViolated"
+    return doc["message"]
+
+
+def test_line_check_catches_disagreeing_pipelines(capsys, monkeypatch):
+    # the contraction of the cutting word reversed: not the mechanical word
+    real = cli.cutting_to_mechanical
+    monkeypatch.setattr(cli, "cutting_to_mechanical", lambda kappa: real(kappa)[::-1])
+    message = _invariant_message(capsys, "line", "2/5", "--convention", "01", "--check")
+    assert message.startswith("cutting_to_mechanical: ")
+
+
+def test_kneading_of_angle_check_catches_a_wrong_partner(capsys, monkeypatch):
+    # the partner of 9/31 taken as its double 18/31, whose kneading 1011*
+    # differs from 1111*
+    monkeypatch.setattr(cli, "lavaurs_partner", lambda theta: 2 * theta % 1)
+    message = _invariant_message(capsys, "kneading-of-angle", "9/31", "--check")
+    assert message.startswith("kneading_of_angle: ")
+
+
+def test_tune_check_catches_an_expansion_that_does_not_round_trip(capsys, monkeypatch):
+    # the tuned angle printed without its preperiod: it parses as another angle
+    class Misprinted(PeriodicAngle):
+        def __str__(self):
+            return f"0.({self.period})"
+
+    real = cli.tune
+
+    def misprinted(angle, bulb):
+        tuned = real(angle, bulb)
+        return Misprinted(tuned.preperiod, tuned.period)
+
+    monkeypatch.setattr(cli, "tune", misprinted)
+    message = _invariant_message(capsys, "tune", "3/8", "1/3", "--check")
+    assert message.startswith("tune: ")
+
+
+def test_broken_line_word_checks_the_hinge_prefix(capsys, monkeypatch):
+    # the slope word of 7/17 rotated by one digit no longer ends in two
+    # copies of the limb word 00101
+    real = farey.mechanical_word
+
+    def rotated(x, convention):
+        word = real(x, convention)
+        return word[1:] + word[0] if x == Fraction(7, 17) else word
+
+    monkeypatch.setattr(farey, "mechanical_word", rotated)
+    base = ("2/5", "7/17", "--hinge", "2", "--convention", "01")
+    message = _invariant_message(capsys, "broken", *base)
+    assert message.startswith("broken_line_word: slope word does not end in the hinge prefix")
 
 
 def test_digit_limit_kept_for_arguments_and_restored_after_errors(capsys):

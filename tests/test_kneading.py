@@ -41,6 +41,7 @@ def _spec(limb, slope, hinge, convention):
 
 def test_kneading_of_angle_golden():
     assert kneading_of_angle(Fraction(7, 15)).symbols == "100*"
+    assert kneading_of_angle(Fraction(7, 15)).star_position == 4
     assert kneading_of_angle(Fraction(1, 3)).symbols == "1*"
     assert (
         kneading_of_angle(Fraction(38057, 131071)).symbols == "1111011110111111*"
