@@ -8,6 +8,7 @@ are ``fractions.Fraction`` throughout; binary words are plain strings over
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -83,11 +84,11 @@ def multiplicative_order(base: int, modulus: int, limit: int | None = None) -> i
         t = t * base % modulus
         k += 1
         if k > cap:
+            # by decimal, which writes ints past str's 4,300-digit default cap
+            b, m = Decimal(base), Decimal(modulus)
             if cap < modulus:
-                raise BudgetExceeded(
-                    f"the order of {base} modulo {modulus} exceeds {limit}"
-                )
-            raise ValueError(f"{base} is not invertible modulo {modulus}")
+                raise BudgetExceeded(f"the order of {b} modulo {m} exceeds {limit}")
+            raise ValueError(f"{b} is not invertible modulo {m}")
     return k
 
 

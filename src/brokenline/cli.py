@@ -41,7 +41,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .farey import BrokenLineSpec, validate_spec
-from .kneading import invert_kneading, kneading_of_angle, kneading_of_spec
+from .kneading import _kneading_of, invert_kneading, kneading_of_angle, kneading_of_spec
 from .mechanical import (
     _blocks,
     _substitute,
@@ -88,6 +88,13 @@ def _ratio(text: str) -> tuple[int, int]:
     try:
         num, den = int(parts[0]), int(parts[1])
     except ValueError:
+        # the cap stays: past it, p/q's order search takes ~58 s at 400,000 bits
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(part) > limit and part.isdigit() for part in parts):
+            raise _bad_argument(
+                f"p/q takes integers of at most {limit} digits; "
+                "write a longer periodic angle as 0.(w)"
+            )
         raise _bad_argument(f"expected integers in {text!r}")
     if num < 0 or den <= 0:
         raise _bad_argument("fractions must be nonnegative with a positive denominator")
@@ -300,7 +307,7 @@ def cmd_broken(args: types.SimpleNamespace) -> dict:
             }
         )
     if args.check:
-        _check_spec(spec, word, cword, kneading)
+        _check_spec(spec, word, cword, str(kneading))
         if not args.all:
             _bracket(spec)  # raises when no spoke brackets the angle
         payload["check"] = "ok"
@@ -366,14 +373,15 @@ def cmd_kneading(args: types.SimpleNamespace) -> dict:
     payload["kneading"] = str(kneading)
     if args.check:
         word = broken_line_word(spec)
-        _check_kneading(spec, word, kneading, _rotation_signs(word))
+        _check_kneading(spec, word, str(kneading), _rotation_signs(word))
         payload["check"] = "ok"
     return payload
 
 
 def cmd_kneading_of_angle(args: types.SimpleNamespace) -> dict:
-    theta = _expansion(args.angle).value
-    ks = kneading_of_angle(theta)
+    angle = _expansion(args.angle)
+    theta = angle.value
+    ks = _kneading_of(theta, angle.period)  # the word, never expanded again
     payload = {
         "angle": _texts(theta)[0],
         "kneading": str(ks),
@@ -405,7 +413,7 @@ def cmd_invert_kneading(args: types.SimpleNamespace) -> dict:
     if args.check:
         # the kneading read off the orbit of the recovered word
         word = sequence.period
-        if _kneading_of_word(word, _rotation_signs(word)).symbols != args.kneading:
+        if _kneading_of_word(word, _rotation_signs(word)) + "*" != args.kneading:
             raise InvariantViolated(
                 "invert_kneading", "the recovered word has another kneading", spec
             )
@@ -455,7 +463,7 @@ def cmd_enumerate(args: types.SimpleNamespace) -> dict:
                 raise InvariantViolated(
                     "enumerate_specs", "row key is not the period word's value", spec
                 )
-            _check_spec(spec, word, conjugate_word(spec), kneading_of_spec(spec))
+            _check_spec(spec, word, conjugate_word(spec), str(kneading_of_spec(spec)))
             _bracket(spec)  # raises when no spoke brackets the angle
         payload["check"] = f"ok ({count} angles)"
     return payload

@@ -1,18 +1,19 @@
 """Kneading sequences of periodic angles: the itinerary of an angle's
-doubling orbit, the closed-form kneading of a broken line, read off its
-block pattern, and the inverse from a kneading back to its broken line.
-The kneading read off a period word's rotations is an oracle, in the
-oracles module."""
+doubling orbit, read off the rotation signs of its period word by the
+oracles module's reader; the closed-form kneading of a broken line, read off
+its block pattern; and the inverse from a kneading back to its broken
+line."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .angles import PeriodicAngle, _is_binary, _Value, minimal_period
+from .angles import PeriodicAngle, _expand, _is_binary, _Value, minimal_period
 from .errors import HypothesisViolated, NotBrokenLineKneading, NotPeriodic
 from .farey import BrokenLineSpec, FareyContext, _check_hinge, mediant
 from .mechanical import _spell, broken_line_word
+from .oracles import _kneading_of_word, _rotation_signs
 from .words import Convention
 
 __all__ = [
@@ -55,28 +56,21 @@ def kneading_of_angle(theta: Fraction) -> KneadingSequence:
 
     Entries are 1 strictly between the partition points, 0 on the arc through
     zero, and * on a partition point; for a periodic angle the only boundary
-    hit is the final orbit point, so the loop below always terminates there.
+    hit is the final orbit point.  Read off the rotation signs of theta's
+    period word, in linear time once the order search has expanded theta.
     """
-    theta %= 1
+    return _kneading_of(theta % 1)
+
+
+def _kneading_of(theta: Fraction, word: str = "") -> KneadingSequence:
+    # kneading_of_angle of theta in [0, 1), read off the period word given or
+    # else expanded from theta
     if theta.denominator % 2 == 0:
         raise NotPeriodic(f"{theta} has an even denominator")
     if theta.denominator == 1:
         raise ValueError("the fixed angle 0 has no kneading sequence")
-    # orbit points are integers x over den; x/den sits at theta/2 or
-    # (theta + 1)/2 when 2x equals k or k + den
-    k, den = theta.numerator, theta.denominator
-    upper = k + den
-    symbols: list[str] = []
-    x = k
-    while True:
-        twice = 2 * x
-        if twice == k or twice == upper:
-            symbols.append("*")
-            break
-        symbols.append("1" if k < twice < upper else "0")
-        # 0 <= twice < 2 den, so doubling mod den is one subtraction
-        x = twice - den if twice >= den else twice
-    return KneadingSequence("".join(symbols))
+    word = word or _expand(theta, None)[1]
+    return KneadingSequence(_kneading_of_word(word, _rotation_signs(word)) + "*")
 
 
 def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:
@@ -102,17 +96,17 @@ def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:
 def lower_kneading_period(theta: Fraction) -> int:
     """Minimal period of the kneading itinerary of angles increasing to theta.
 
-    The star resolves to 1 when the final orbit point hits the upper
-    partition point and to 0 when it hits the lower one.  The result equals
-    the full period on both angles of a conjugate pair exactly when the pair
-    lands at a primitive component.
+    The star resolves to the side of the partition point that the final
+    orbit point 0.(w[-1] w[:-1]) of theta = 0.(w) hits, which is w's last
+    digit.  The result equals the full period on both angles of a conjugate
+    pair exactly when the pair lands at a primitive component (Bruin and
+    Schleicher, Symbolic dynamics of quadratic polynomials, 2002).
     """
     theta %= 1
-    ks = kneading_of_angle(theta)
-    k, den = theta.numerator, theta.denominator
-    last = pow(2, ks.period - 1, den) * k % den
-    fill = "1" if 2 * last == k + den else "0"
-    return minimal_period(ks.symbols[:-1] + fill)
+    body = kneading_of_angle(theta).symbols[:-1]
+    # w's last digit is the parity of int(w, 2) = k (2^b - 1) / den, which is
+    # k times an odd integer for theta = k / den: the parity of k
+    return minimal_period(body + str(theta.numerator % 2))
 
 
 def invert_kneading(

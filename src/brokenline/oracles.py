@@ -1,6 +1,7 @@
 """The independent verifiers of the construction, apart from the paths they
 check: the word oracles, the checks the command line runs, and the Lavaurs
-pairing.
+pairing.  The kneading read off a period word is also kneading_of_angle's,
+which the spec commands' checks hold the structural kneading against.
 
 The word oracles read a period word by the order of its factors,
 _factor_order: slices below period 64; up to period 2^14, a bit-parallel
@@ -38,7 +39,6 @@ from itertools import compress
 from .angles import minimal_period
 from .errors import InvariantViolated, UnlinkViolation
 from .farey import BrokenLineSpec
-from .kneading import KneadingSequence
 from .words import is_sturmian
 
 # most factors compared as slices: up to it memcmp beats the interpreted
@@ -199,47 +199,43 @@ def _check_chain(
         raise UnlinkViolation(next(k for k, x, y in pairs if x != y))
 
 
-def _kneading_of_word(word: str, up: bytes) -> KneadingSequence:
-    """kneading_of_angle of theta = word^inf, read from the word and its
-    rotation signs ``up = _rotation_signs(word)``.
+def _kneading_of_word(word: str, up: bytes) -> str:
+    """The body of the kneading of theta = word^inf, all but its final star,
+    read from the word and its rotation signs ``up = _rotation_signs(word)``.
 
     Orbit point i is d.z with d = word[i] and z = rotation i+1 of the word,
     repeated; it lies strictly between theta/2 and (theta+1)/2 when d = 0 and
     z > theta or d = 1 and z < theta, and on one of them when z = theta.
     Points of period b compare as their b-digit words.  With exact period b
     only the last orbit point, whose z is theta itself, lies on a partition
-    point: the star.
+    point: the star.  kneading_of_angle reads every kneading this way.
     """
     b = len(word)
     if b < 2 or minimal_period(word) != b:
         raise InvariantViolated("kneading_of_word", f"word has no exact period {b}")
     # slot i-1 is 1 exactly when digit i-1 and the sign of rotation i differ:
     # the code of "0" or "1" xor 0 or 1 is the slot's own character
-    body = _xor(word[:-1].encode(), up[1:]).decode()
-    return KneadingSequence(body + "*")
+    return _xor(word[:-1].encode(), up[1:]).decode()
 
 
-def _check_kneading(
-    spec: BrokenLineSpec, word: str, kneading: KneadingSequence, up: bytes
-) -> None:
-    # the structural kneading against the one read off the orbit
-    if kneading != _kneading_of_word(word, up):
+def _check_kneading(spec: BrokenLineSpec, word: str, symbols: str, up: bytes) -> None:
+    # the structural kneading's symbols against those read off the orbit
+    if symbols != _kneading_of_word(word, up) + "*":
         raise InvariantViolated(
             "kneading_of_spec", "structural and direct kneading disagree", spec
         )
 
 
-def _check_spec(
-    spec: BrokenLineSpec, word: str, cword: str, kneading: KneadingSequence
-) -> None:
+def _check_spec(spec: BrokenLineSpec, word: str, cword: str, symbols: str) -> None:
     # the balance of the period word, then both word oracles, which read its
-    # rotation signs; the spoke bracket is left to the caller
+    # rotation signs, against the structural kneading's symbols; the spoke
+    # bracket is left to the caller
     if not is_sturmian(word):
         raise InvariantViolated(
             "broken_line_word", "period word fails the balance test", spec
         )
     up = _rotation_signs(word)
-    _check_kneading(spec, word, kneading, up)
+    _check_kneading(spec, word, symbols, up)
     _check_chain(word, cword, up, spec)
 
 

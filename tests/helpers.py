@@ -14,6 +14,8 @@ with block 0 a case of its own (production writes every block as
 L (L^(n-1) P)^m, one head and m units), the digit tuning joins one bulb
 word per digit (production substitutes both words with str.replace), the
 orbit test just iterates the doubling map, the
+orbit walk reads a kneading off the integer numerators of the doubling
+orbit (production reads the rotation signs of the period word), the
 balance tests count the 1s of every cyclic factor or look for the word among
 the rotations of the Christoffel word of its density, spelled from the
 floors of j m / n (production desubstitutes the word, run by run), the
@@ -275,6 +277,34 @@ def doubling_orbit(theta):
         orbit.add(x)
         x = 2 * x % 1
     return orbit
+
+
+def kneading_by_orbit_walk(theta):
+    """(kneading, resolved) of a periodic theta in (0, 1): the itinerary of
+    its doubling orbit against theta/2 and (theta + 1)/2, walked as integer
+    numerators over theta's denominator, and its body with the star resolved
+    to the side of the partition point that the final orbit point hits, 1
+    on the upper one and 0 on the lower.  Quadratic in the period: each
+    step costs the width of the denominator."""
+    k, den = theta.numerator, theta.denominator
+    upper = k + den
+    symbols = []
+    x = k
+    while (twice := 2 * x) != k and twice != upper:
+        symbols.append("1" if k < twice < upper else "0")
+        # 0 <= twice < 2 den, so doubling mod den is one subtraction
+        x = twice - den if twice >= den else twice
+    body = "".join(symbols)
+    return body + "*", body + ("1" if twice == upper else "0")
+
+
+def period_by_divisors(word):
+    # the least d dividing len(word) such that the word is its first d
+    # digits repeated
+    n = len(word)
+    return next(
+        d for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word
+    )
 
 
 def all_words(length):

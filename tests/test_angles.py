@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,25 @@ def test_order_and_expansion_stop_at_their_limit():
     assert fraction_to_expansion(Fraction(1, 2), 1) == PeriodicAngle("1", "0")
     with pytest.raises(BudgetExceeded):
         fraction_to_expansion(Fraction(3, 508), 6)  # 508 = 4 * 127
+
+
+def test_order_past_its_budget_is_refused_at_any_width():
+    # the message writes the modulus in decimal, past the interpreter's
+    # default cap on int-to-str conversion too: a 50,000-bit modulus has
+    # 15,052 digits
+    from brokenline import BudgetExceeded
+
+    modulus = (1 << 50_000) - 3
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        with pytest.raises(BudgetExceeded) as refused:
+            fraction_to_expansion(Fraction(1, modulus), 100)
+        sys.set_int_max_str_digits(0)
+        expected = f"the order of 2 modulo {modulus} exceeds 100"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(refused.value) == expected
 
 
 def test_dyadic_angle_passes_any_period_budget(capsys):

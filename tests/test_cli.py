@@ -28,7 +28,6 @@ from brokenline import (
     conjugate_word,
     enumerate_specs,
     farey,
-    kneading_of_angle,
     mechanical,
     oracles,
     validate_spec,
@@ -43,6 +42,7 @@ from helpers import (
     broken_word_by_digit_rule,
     enumerate_payload_by_objects,
     enumerate_text_by_objects,
+    kneading_by_orbit_walk,
 )
 
 
@@ -134,7 +134,7 @@ def test_broken_all_at_a_long_period(capsys):
     assert doc["status"] == "ok"
     payload = doc["payload"]
     assert payload["period"] == 5003
-    assert payload["kneading"] == str(kneading_of_angle(Fraction(payload["angle"])))
+    assert payload["kneading"] == kneading_by_orbit_walk(Fraction(payload["angle"]))[0]
 
     code, out, _ = run(
         capsys,
@@ -1413,6 +1413,33 @@ def test_angle_past_the_period_budget_is_refused(capsys):
     with pytest.raises(SystemExit) as usage:
         main(["tune", "1000000007/1000000007", "1/2"])
     assert usage.value.code == 2
+
+
+def test_ratio_past_the_digit_cap_is_a_usage_error_naming_it(capsys):
+    # p/q is parsed under the interpreter's cap on str-to-int conversion, 4,300
+    # digits by default: a wider integer is a usage error that names the cap
+    # and the 0.(w) form, without echoing the argument; the same angle as an
+    # expansion is answered
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    den = str((1 << 20000) - 1)  # 6,021 digits
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run(capsys, "kneading-of-angle", "1/" + "0" * 4299 + "3")
+        assert code == 0 and as_dict(out)["kneading"] == "1*"
+        with pytest.raises(SystemExit) as usage:
+            main(["kneading-of-angle", f"1/{den}"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert usage.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "argument ANGLE: p/q takes integers of at most 4300 digits; "
+        "write a longer periodic angle as 0.(w)\n"
+    )
+    assert den[:20] not in err
+    code, out, _ = run(capsys, "kneading-of-angle", f"0.({'0' * 19999}1)")
+    assert code == 0 and as_dict(out)["period"] == "20000"
 
 
 def test_word_past_the_period_budget_is_refused(capsys):

@@ -29,7 +29,9 @@ from helpers import (
     all_words,
     doubling_orbit,
     invert_kneading_by_transcription,
+    kneading_by_orbit_walk,
     kneading_by_tag_runs,
+    period_by_divisors,
 )
 
 
@@ -56,14 +58,18 @@ def test_kneading_of_angle_rejects_bad_input():
 
 
 def test_word_kneading_equals_the_orbit_itinerary():
-    # every primitive word of length 2..14: 32,474 of them
+    # every primitive word of length 2..14: 32,474 of them, read by the word
+    # reader, through kneading_of_angle from the word's value, and resolved
+    # by lower_kneading_period, each against the integer walk of the orbit
     count = 0
     for length in range(2, 15):
         for word in all_words(length):
             if minimal_period(word) == length:
-                assert _kneading_of_word(word, _rotation_signs(word)) == kneading_of_angle(
-                    word_to_fraction(word)
-                ), word
+                theta = word_to_fraction(word)
+                symbols, resolved = kneading_by_orbit_walk(theta)
+                assert _kneading_of_word(word, _rotation_signs(word)) + "*" == symbols
+                assert kneading_of_angle(theta).symbols == symbols, word
+                assert lower_kneading_period(theta) == period_by_divisors(resolved)
                 count += 1
     assert count == 32474
 
@@ -116,7 +122,7 @@ def test_kneading_of_spec_golden():
 def test_structural_equals_direct():
     for spec in all_specs(3, 20):
         theta = word_to_fraction(broken_line_word(spec))
-        assert kneading_of_spec(spec) == kneading_of_angle(theta)
+        assert kneading_of_spec(spec).symbols == kneading_by_orbit_walk(theta)[0]
 
 
 def test_structural_kneading_matches_the_tag_loop():

@@ -36,6 +36,7 @@ from brokenline import (
     kneading_of_angle,
     kneading_of_spec,
     locate,
+    lower_kneading_period,
     minimal_period,
     stern_brocot_path,
     tune,
@@ -53,6 +54,8 @@ from helpers import (
     cutting_sequence_by_tuples,
     expansion_by_long_division,
     expansion_value,
+    kneading_by_orbit_walk,
+    period_by_divisors,
     preimage_signs_by_slices,
     rotation_signs_by_slices,
     sign_path,
@@ -90,7 +93,7 @@ def specs(draw, max_period=MAX_PERIOD):
 @given(specs())
 def test_structural_kneading_equals_the_orbit_itinerary(spec):
     theta = word_to_fraction(broken_word_by_digit_rule(spec))
-    assert kneading_of_spec(spec) == kneading_of_angle(theta)
+    assert kneading_of_spec(spec).symbols == kneading_by_orbit_walk(theta)[0]
 
 
 @PROPERTY
@@ -125,7 +128,8 @@ def test_conjugate_word_is_the_chain_conjugate(spec):
     assert chain.conjugate.value == word_to_fraction(cword)
     assert chain.theta.value == word_to_fraction(broken_word_by_digit_rule(spec))
     # both angles of a primitive pair have one itinerary
-    assert kneading_of_angle(chain.conjugate.value) == kneading_of_spec(spec)
+    symbols, _ = kneading_by_orbit_walk(chain.conjugate.value)
+    assert symbols == kneading_of_spec(spec).symbols
 
 
 @settings(PROPERTY, max_examples=100)
@@ -218,9 +222,15 @@ def test_locate_brackets_the_angle(spec):
     )
 )
 def test_word_kneading_equals_the_orbit_itinerary(word):
+    # the word reader, kneading_of_angle from the word's value and
+    # lower_kneading_period, at periods up to MAX_PERIOD, against the
+    # integer walk of the orbit
     assume(minimal_period(word) == len(word))
-    direct = _kneading_of_word(word, _rotation_signs(word))
-    assert direct == kneading_of_angle(word_to_fraction(word))
+    theta = word_to_fraction(word)
+    symbols, resolved = kneading_by_orbit_walk(theta)
+    assert _kneading_of_word(word, _rotation_signs(word)) + "*" == symbols
+    assert kneading_of_angle(theta).symbols == symbols
+    assert lower_kneading_period(theta) == period_by_divisors(resolved)
 
 
 @PROPERTY
