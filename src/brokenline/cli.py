@@ -21,7 +21,7 @@ import types
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .angles import PeriodicAngle, fraction_to_expansion, word_to_fraction
+from .angles import PeriodicAngle, _terms, fraction_to_expansion, word_to_fraction
 from .atlas import (
     CENSUS_LIMIT,
     SpecEnumeration,
@@ -29,7 +29,6 @@ from .atlas import (
     _bracket,
     _row_spec,
     enumerate_specs,
-    locate,
     sturmian_census,
     tune,
 )
@@ -88,9 +87,11 @@ def _ratio(text: str) -> tuple[int, int]:
     try:
         num, den = int(parts[0]), int(parts[1])
     except ValueError:
-        # the cap stays: past it, p/q's order search takes ~58 s at 400,000 bits
+        # the cap stays: past it, p/q's order search takes ~58 s at 400,000 bits.
+        # A part of more digits than the cap is refused by it, whatever signs,
+        # spaces or underscores surround them, and is not echoed
         limit = sys.get_int_max_str_digits()
-        if limit and any(len(part) > limit and part.isdigit() for part in parts):
+        if limit and any(sum(map(str.isdecimal, part)) > limit for part in parts):
             raise _bad_argument(
                 f"p/q takes integers of at most {limit} digits; "
                 "write a longer periodic angle as 0.(w)"
@@ -277,11 +278,13 @@ def cmd_broken(args: types.SimpleNamespace) -> dict:
         m, pattern, low, high = _blocks(spec)
         cword = _primed_word(spec.convention, pattern, low, high)
         kneading = kneading_of_spec(spec)
+        spoke, lower, upper = _bracket(spec)  # raises when no spoke brackets the angle
     if args.all:
-        spot = locate(spec)
-        lower, upper = spot.bracketing_rays
         angle, conjugate, spoke_lower, spoke_upper = _texts(
-            word_to_fraction(word), word_to_fraction(cword), lower.value, upper.value
+            word_to_fraction(word),
+            word_to_fraction(cword),
+            Fraction(*_terms(*lower)),
+            Fraction(*_terms(*upper)),
         )
     else:
         angle = _texts(word_to_fraction(word))[0]
@@ -301,15 +304,13 @@ def cmd_broken(args: types.SimpleNamespace) -> dict:
                 "kneading": str(kneading),
                 "block-exponents": _PerBlock(pattern, m, m + 1),
                 "blocks": _PerBlock(pattern, low, high),
-                "spoke": spot.spoke_index,
+                "spoke": spoke,
                 "spoke-lower": spoke_lower,
                 "spoke-upper": spoke_upper,
             }
         )
     if args.check:
         _check_spec(spec, word, cword, str(kneading))
-        if not args.all:
-            _bracket(spec)  # raises when no spoke brackets the angle
         payload["check"] = "ok"
     return payload
 

@@ -55,27 +55,25 @@ def cutting_sequence(p_over_q: Fraction, convention: Convention) -> str:
     0 < j < p, is crossed after the floor(jq/p) verticals left of it (jq/p is
     never whole, as gcd(p, q) = 1).  One division step, q = a·p + r, gives
     floor(jq/p) = ja + floor(jr/p), so a or a + 1 verticals part two
-    consecutive horizontals, and a verticals follow the last horizontal (p = 1
-    crosses none and has q - 1 verticals).  Of the p - 1 gaps before a
-    horizontal, the p - r short ones, of a verticals, come before line
-    j = floor(mp/(p - r)) + 1 for m = 0..p - r - 1: the gaps are listed as
-    long, the short ones are placed by floor, and one ``join`` spells them.
+    consecutive horizontals, and (q - 1) // p verticals follow the last
+    horizontal: a when p > 1, as r > 0, and all q - 1 when p = 1, which
+    crosses no horizontal.  Of the p - 1 gaps before a horizontal, the p - r
+    short ones, of a verticals, come before line j = floor(mp/(p - r)) + 1
+    for m = 0..p - r - 1: the gaps are listed as long, the short ones are
+    placed by floor, and one ``join`` spells them.
     """
     if not 0 < p_over_q < 1:
         raise ValueError("slope must lie strictly between 0 and 1")
     p, q = p_over_q.numerator, p_over_q.denominator
-    if p == 1:
-        # the 1/b family in one run, without the general path's unused gaps
-        return "0" * (q - 1) + convention.value
     a, r = divmod(q, p)
     # gaps[j - 1] is the gap before horizontal j and its 1: 0^(a+1) 1 when
     # long, 0^a 1 when short; x = mp, so x // k = floor(mp/(p - r)).  The
-    # a verticals after the last horizontal and the marker close the list
+    # verticals after the last horizontal and the marker close the list
     gaps = ["0" * (a + 1) + "1"] * p
     short, k = "0" * a + "1", p - r
     for x in range(0, k * p, p):
         gaps[x // k] = short
-    gaps[-1] = "0" * a + convention.value
+    gaps[-1] = "0" * ((q - 1) // p) + convention.value
     return "".join(gaps)
 
 

@@ -5,10 +5,10 @@ which the spec commands' checks hold the structural kneading against.
 
 The word oracles read a period word by the order of its factors,
 _factor_order: slices below period 64; up to period 2^14, a bit-parallel
-prefix of 24 digits and a slice per factor still tied, for the rotation and
-the preimage signs alike; a Z-array in linear time above.  The rotation
-signs of the word serve both: the direct kneading reads the orbit's
-itinerary off them, and the preimage chain pulls the angle back
+prefix of 24 digits, then a slice for each factor still tied, however many
+tie, for the rotation and the preimage signs alike; a Z-array in linear time
+above.  The rotation signs of the word serve both: the direct kneading reads
+the orbit's itinerary off them, and the preimage chain pulls the angle back
 along a candidate conjugate word one doubling step at a time, checking that
 the circle intervals stay unlinked.  The chain's side strings and the
 kneading's slot string each come from one integer XOR of the word's digit
@@ -47,13 +47,11 @@ from .words import is_sturmian
 _SLICES_UP_TO = 1 << 14
 # from _PREFIX_FROM factors on, every factor is first read on its leading
 # _PREFIX_DIGITS digits at once, by whole-integer operations (below, their
-# fixed cost loses to the slices); if more than _TIED_SHARE of the factors
-# still tie, a slice per factor beats a slice per tie found.  A balanced word
-# has only L + 1 factors of length L, so about count / (L + 1) factors still
-# tie with the word after L digits
+# fixed cost loses to the slices), and each factor still tied then by a
+# slice of its own.  A balanced word has only L + 1 factors of length L, so
+# about count / (L + 1) factors still tie with the word after L digits
 _PREFIX_FROM = 64
 _PREFIX_DIGITS = 24
-_TIED_SHARE = 0.5
 _BIT = bytes.maketrans(b"01", b"\0\1")  # digit characters to bytes 0 and 1
 
 
@@ -99,10 +97,10 @@ def _factor_order(text: str, word: str, count: int) -> bytes:
     than _SLICES_UP_TO factors read the order off a Z-array, so no text is
     quadratic.  Any count between settles every factor on its first
     _PREFIX_DIGITS digits at once, by a few integer operations per digit,
-    and compares only the factors still tied as slices.  The gate is the
-    count, not the word: the preimage signs of period b compare b factors
-    with a word of 2b digits, and on the prefix they cost what the rotation
-    signs of the same period cost.
+    then each factor still tied as a slice of its own, however many tie.  The
+    gate is the count, not the word: the preimage signs of period b compare b
+    factors with a word of 2b digits, and on the prefix they cost what the
+    rotation signs of the same period cost.
     """
     b = len(word)
     if count >= _PREFIX_FROM:
@@ -121,17 +119,15 @@ def _factor_order(text: str, word: str, count: int) -> bytes:
                 tied &= ~shifted
             else:
                 tied &= shifted
-        if tied.bit_count() <= _TIED_SHARE * count:
-            ties = format(tied, f"0{count}b")[::-1]
-            signs = format(above, f"0{count}b")[::-1].encode()
-            signs = bytearray(signs.translate(_BIT))
-            s = ties.find("1")
-            while s >= 0:
-                signs[s] = text[s : s + b] > word
-                s = ties.find("1", s + 1)
-            return bytes(signs)
-    # a slice each, one memcmp: beats the prefix's fixed cost on few factors,
-    # and a find per tie when most factors still tie
+        ties = format(tied, f"0{count}b")[::-1]
+        signs = format(above, f"0{count}b")[::-1].encode()
+        signs = bytearray(signs.translate(_BIT))
+        s = ties.find("1")
+        while s >= 0:
+            signs[s] = text[s : s + b] > word
+            s = ties.find("1", s + 1)
+        return bytes(signs)
+    # a slice each, one memcmp: beats the prefix's fixed cost on few factors
     return bytes(text[s : s + b] > word for s in range(count))
 
 

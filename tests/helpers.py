@@ -1012,14 +1012,13 @@ def preimage_signs_by_slices(word, cword):
 # Ways to the signs of oracles._factor_order, each a patch of its constants:
 # the Z-array on every word (a prefix cutoff of 0 and a slice limit of 1);
 # plain slices on every word (a prefix cutoff above every factor count); the
-# bit-parallel prefix on every word, of 1 or 3 digits, with a slice for every
-# factor still tied however many tie, so that short words reach the slice
-# step too; and production.
+# bit-parallel prefix on every word, of 1 or 3 digits, so that short words
+# reach the slice it takes for each factor still tied; and production.
 SIGN_PATHS = {
     "z-array": {"_PREFIX_FROM": 0, "_SLICES_UP_TO": 1},
     "slices": {"_PREFIX_FROM": inf},
-    "prefix-1": {"_PREFIX_FROM": 0, "_PREFIX_DIGITS": 1, "_TIED_SHARE": 1},
-    "prefix-3": {"_PREFIX_FROM": 0, "_PREFIX_DIGITS": 3, "_TIED_SHARE": 1},
+    "prefix-1": {"_PREFIX_FROM": 0, "_PREFIX_DIGITS": 1},
+    "prefix-3": {"_PREFIX_FROM": 0, "_PREFIX_DIGITS": 3},
     "production": {},
 }
 

@@ -304,3 +304,11 @@ def test_periodic_angle_parse_rejects_junk():
         PeriodicAngle("01", "")
     with pytest.raises(ValueError):
         PeriodicAngle("2", "01")
+
+
+def test_order_modulo_less_than_one_is_refused():
+    from brokenline import multiplicative_order
+
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="^modulus must be positive$"):
+            multiplicative_order(2, modulus)

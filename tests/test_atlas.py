@@ -32,6 +32,7 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
+from brokenline.angles import _terms
 from brokenline.cli import main
 from helpers import (
     CONVENTIONS,
@@ -398,3 +399,29 @@ def test_euler_phi():
     assert [euler_phi(n) for n in range(1, 13)] == [
         1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4,
     ]
+
+
+def test_out_of_range_inputs_are_refused():
+    phi = PeriodicAngle(period="01")
+    for bulb in (Fraction(0), Fraction(1), Fraction(-1, 2)):
+        with pytest.raises(
+            ValueError, match="^bulb fraction must lie strictly between 0 and 1$"
+        ):
+            tune(phi, bulb)
+    with pytest.raises(ValueError, match="^hinge must be a positive integer$"):
+        junction_rays(Fraction(1, 3), 0, Convention.ZERO_ONE)
+    for period in (2, 0):
+        with pytest.raises(ValueError, match="^enumeration starts at period 3$"):
+            enumerate_specs(period)
+
+
+def test_bracket_equals_locate():
+    # the command line prints the spoke and its rays from _bracket's words,
+    # without the SpokeLocation locate wraps them in
+    for spec in all_specs(3, 30):
+        spot = locate(spec)
+        index, low, high = atlas._bracket(spec)
+        assert index == spot.spoke_index
+        assert (Fraction(*_terms(*low)), Fraction(*_terms(*high))) == tuple(
+            ray.value for ray in spot.bracketing_rays
+        )

@@ -1117,15 +1117,16 @@ def test_broken_all_check_computes_each_stage_once(capsys, monkeypatch):
     counts = _count_calls(monkeypatch, homes)
     spec = ("55/144", "377/987", "--hinge", "1", "--convention", "01")
     # calls per command, in the order of homes: the limb and slope words
-    # make the period word, the parent word only the blocks; locate brackets
-    # the angle, so --all --check brackets it once; invert-kneading reads
+    # make the period word, the parent word only the blocks; _bracket gives
+    # the spoke and its rays and locate is not called, so --all --check
+    # brackets the angle once; invert-kneading reads
     # the slope off its block counts, builds no parent word, and checks the
     # round trip with the structural kneading before the limb and slope
     # words make the period word
     expected = {
-        ("broken", *spec, "--all", "--check"): (3, 1, 1, 1, 1, 1),
+        ("broken", *spec, "--all", "--check"): (3, 1, 0, 1, 1, 1),
         ("broken", *spec, "--check"): (3, 1, 0, 1, 1, 1),
-        ("broken", *spec, "--all"): (3, 1, 1, 0, 1, 1),
+        ("broken", *spec, "--all"): (3, 1, 0, 0, 1, 1),
         ("broken", *spec): (2, 0, 0, 0, 0, 0),
         ("conjugate", *spec, "--verify"): (3, 1, 0, 1, 0, 0),
         ("kneading", *spec, "--check"): (2, 0, 0, 1, 0, 1),
@@ -1265,7 +1266,8 @@ def test_plain_enumerate_builds_no_specs(capsys, monkeypatch):
 
 
 def test_enumerate_check_builds_no_rays(capsys, monkeypatch):
-    # the spoke check compares integers: only broken --all prints the rays
+    # the spoke check compares integers, and broken --all prints the rays
+    # from their words: no command builds a ray as an object
     built = _count_inits(monkeypatch, PeriodicAngle, atlas.SpokeLocation)
     code, out, _ = run(capsys, "enumerate", "--period", "24", "--check")
     assert code == 0 and as_dict(out)["check"].startswith("ok (")
@@ -1274,7 +1276,7 @@ def test_enumerate_check_builds_no_rays(capsys, monkeypatch):
     assert run(capsys, "broken", *base, "--check")[0] == 0
     assert built == {}
     assert run(capsys, "broken", *base, "--all", "--check")[0] == 0
-    assert built == {"PeriodicAngle": 2, "SpokeLocation": 1}
+    assert built == {}
 
 
 def test_enumerate_check_compares_the_printed_angle(capsys, monkeypatch):
@@ -1440,6 +1442,41 @@ def test_ratio_past_the_digit_cap_is_a_usage_error_naming_it(capsys):
     assert den[:20] not in err
     code, out, _ = run(capsys, "kneading-of-angle", f"0.({'0' * 19999}1)")
     assert code == 0 and as_dict(out)["period"] == "20000"
+
+
+def test_ratio_past_the_digit_cap_with_a_sign_space_or_underscore(capsys):
+    # int would read each of these but for the cap: the usage error names the
+    # cap, as for an all-digit part, and echoes none of the digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for num in ("+1", " 1", "1_"):
+            with pytest.raises(SystemExit) as usage:
+                main(["kneading-of-angle", num + "0" * 4400 + "/3"])
+            assert usage.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(
+                "argument ANGLE: p/q takes integers of at most 4300 digits; "
+                "write a longer periodic angle as 0.(w)\n"
+            ), num
+            assert not re.search(r"\d{20}", err), num
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_malformed_angles_are_usage_errors(capsys):
+    # a p/q that is not two integers, and an expansion the grammar refuses,
+    # each named in the message
+    for text, message in (
+        ("x/3", "expected integers in 'x/3'"),
+        ("1/3.0", "expected integers in '1/3.0'"),
+        ("0.(2)", "not an expansion: '0.(2)'"),
+        ("0.[01]((10))", "not an expansion: '0.[01]((10))'"),
+    ):
+        with pytest.raises(SystemExit) as usage:
+            main(["kneading-of-angle", text])
+        assert usage.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument ANGLE: {message}\n"), text
 
 
 def test_word_past_the_period_budget_is_refused(capsys):

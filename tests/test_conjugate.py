@@ -346,3 +346,14 @@ def test_chain_rejects_coincident_points(monkeypatch):
     monkeypatch.setattr(conjugate, "conjugate_word", broken_line_word)
     with pytest.raises(UnlinkViolation):
         conjugate_chain(spec)
+
+
+def test_lavaurs_oracles_refuse_what_they_cannot_pair():
+    for period in (1, 21):
+        with pytest.raises(ValueError, match="^period must be between 2 and 20$"):
+            lavaurs_pairs(period)
+    for theta in (Fraction(1, 4), Fraction(3, 10), Fraction(0)):
+        with pytest.raises(
+            ValueError, match=r"^angle is not periodic of period >= 2 under doubling$"
+        ):
+            lavaurs_partner(theta)

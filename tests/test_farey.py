@@ -13,6 +13,7 @@ from brokenline import (
     farey_parents,
     mediant,
     single_block_slope,
+    stern_brocot_path,
     validate_spec,
 )
 from helpers import (
@@ -261,3 +262,16 @@ def test_bezout_minimal_is_minimal():
             p, s = bezout_minimal(q, t)
             assert s * q - t * p == 1
             assert 0 < p < q
+
+
+def test_out_of_range_inputs_are_refused():
+    # a raw pair with a denominator that is not positive, either argument
+    for limb, slope, name in (((1, 0), (1, 3), "P/Q"), ((1, 3), (1, -5), "a/b")):
+        with pytest.raises(HypothesisViolated, match=f"^{name}: denominator must be positive$"):
+            validate_spec(limb, slope, 1, Convention.ZERO_ONE)
+    for x in (Fraction(0), Fraction(1), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="^x must lie strictly between 0 and 1$"):
+            stern_brocot_path(x)
+    context = FareyContext.build(Fraction(1, 3), 1, Convention.ZERO_ONE)
+    with pytest.raises(ValueError, match="^m must be nonnegative$"):
+        single_block_slope(context, -1)

@@ -320,3 +320,15 @@ def test_kneading_concatenates():
         assert kneading_concatenates(lower, upper, spec)
         checked += 1
     assert checked > 100
+
+
+def test_kneading_concatenates_within_one_context_only():
+    a = _spec((1, 2), (3, 4), 1, "01")
+    b = _spec((1, 2), (4, 5), 1, "01")
+    c = _spec((1, 2), (7, 9), 1, "01")
+    other = _spec((2, 5), (7, 17), 2, "01")
+    for parts in ((other, b, c), (a, other, c), (a, b, other)):
+        with pytest.raises(
+            ValueError, match="^all three parameter sets must share one context$"
+        ):
+            kneading_concatenates(*parts)

@@ -483,3 +483,29 @@ def test_cutting_sequence_matches_the_tuple_sort_on_deep_slopes():
             kappa = cutting_sequence(slope, convention)
             assert kappa == cutting_sequence_by_tuples(slope, convention), slope
             assert len(kappa) == slope.numerator + slope.denominator
+
+
+def test_out_of_range_inputs_are_refused():
+    for slope in (Fraction(0), Fraction(1), Fraction(3, 2)):
+        with pytest.raises(
+            ValueError, match="^slope must lie strictly between 0 and 1$"
+        ):
+            cutting_sequence(slope, Convention.ZERO_ONE)
+    lo, hi = Fraction(1, 3), Fraction(1, 2)
+    for x in (lo, hi, Fraction(3, 5)):
+        with pytest.raises(ValueError, match="^x must lie strictly between lo and hi$"):
+            mediant_tags(x, lo, hi, Convention.ZERO_ONE)
+    with pytest.raises(ValueError, match="^lo and hi must be Farey neighbors$"):
+        mediant_tags(Fraction(2, 5), Fraction(1, 3), Fraction(1, 1), Convention.ZERO_ONE)
+    context = FareyContext.build(Fraction(1, 3), 1, Convention.ZERO_ONE)
+    with pytest.raises(ValueError, match="^m must be nonnegative$"):
+        block_word(context, -1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 16383, 1_000_001])
+def test_cutting_sequence_of_one_over_q_is_one_run(q):
+    # the line y = x/q crosses no horizontal before the lattice point (q, 1):
+    # q - 1 verticals, then the marker
+    for convention in CONVENTIONS:
+        word = cutting_sequence(Fraction(1, q), convention)
+        assert word == "0" * (q - 1) + convention.value

@@ -20,7 +20,6 @@ VERIFIERS = {
     "_SLICES_UP_TO",
     "_PREFIX_FROM",
     "_PREFIX_DIGITS",
-    "_TIED_SHARE",
     "_BIT",
     "_z_array",
     "_factor_order_by_z",

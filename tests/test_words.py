@@ -9,6 +9,7 @@ from brokenline import (
     NoDifference,
     NonMinimalPeriod,
     broken_line_word,
+    conjugate_word,
     first_difference,
     is_sturmian,
     mechanical_word,
@@ -308,7 +309,7 @@ def long_tie_words(b):
 )
 def test_signs_of_words_with_long_ties(b):
     # every path at b = 101, where production takes the prefix: most factors
-    # of 0^(b-1) 1 still tie after it, so they fall back to the slices, while
+    # of 0^(b-1) 1 still tie after it, each then settled by a slice, while
     # the Fibonacci flips tie on few but long factors; just below the slice
     # limit production takes the prefix for the b factors of the preimage
     # signs too, whose word has 2b digits; past it every path but the plain
@@ -321,3 +322,42 @@ def test_signs_of_words_with_long_ties(b):
             with sign_path(path):
                 assert _rotation_signs(word) == up, path
                 assert _preimage_signs(word, cword) == above, path
+
+
+def test_first_difference_refuses_streams_in_the_wrong_order():
+    with pytest.raises(ValueError, match="^streams are ordered the wrong way around$"):
+        first_difference("01", "00")
+
+
+def _prefix_ties(text, word, count):
+    # how many of the count factors of text equal word on its first
+    # _PREFIX_DIGITS digits
+    digits = oracles._PREFIX_DIGITS
+    return sum(text[s : s + digits] == word[:digits] for s in range(count))
+
+
+def _most_tied_words():
+    # verify-query's 2/941 and 931/936 period words with their conjugates,
+    # and 0^16382 1 with its last digit flipped
+    for limb, slope, convention in (
+        ((1, 153), (2, 941), Convention.ONE_ZERO),
+        ((167, 168), (931, 936), Convention.ZERO_ONE),
+    ):
+        spec = validate_spec(limb, slope, 1, convention)
+        yield broken_line_word(spec), conjugate_word(spec)
+    word = mechanical_word(Fraction(1, 16383), Convention.ZERO_ONE)
+    yield word, word[:-1] + "0"
+
+
+def test_signs_where_most_factors_tie_after_the_prefix():
+    # each factor still tied after the prefix is settled by a slice of its
+    # own, on every path, however many tie
+    for word, cword in _most_tied_words():
+        b = len(word)
+        assert oracles._PREFIX_FROM <= b <= oracles._SLICES_UP_TO
+        assert 2 * _prefix_ties(word + word, word, b) > b
+        up, above = rotation_signs_by_slices(word), preimage_signs_by_slices(word, cword)
+        for path in SIGN_PATHS:
+            with sign_path(path):
+                assert _rotation_signs(word) == up, (b, path)
+                assert _preimage_signs(word, cword) == above, (b, path)
