@@ -4,7 +4,8 @@ preimage chain.
 The production path primes the two block words of the period and spells
 the block pattern with them.
 conjugate_chain runs the chain check of the oracles module on the period
-word and its conjugate, then builds an UnlinkCertificate per step.  The
+word's itinerary and the two words, then reads an UnlinkCertificate per
+step off the same itinerary.  The
 Lavaurs pairing lives in the oracles module too; lavaurs_pairs and
 lavaurs_partner are bound here as well, where the public API has them.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .angles import PeriodicAngle, _Value
 from .farey import BrokenLineSpec
 from .mechanical import _blocks, _substitute, broken_line_word
-from .oracles import _check_chain, _rotation_signs, lavaurs_pairs, lavaurs_partner
+from .oracles import _check_chain, _kneading_of_word, lavaurs_pairs, lavaurs_partner
 from .words import Convention, prime_minus, prime_plus
 
 __all__ = [
@@ -114,20 +115,16 @@ def conjugate_chain(spec: BrokenLineSpec) -> ConjugateChain:
     preimage is unlinked from the partition interval.  The k-th preimage is
     the last k conjugate digits before theta, so it halves to the previous
     one and the b-th closes the chain on the conjugate by construction; the
-    checks that remain are those of oracles._check_chain.
+    checks that remain are those of oracles._check_chain.  Step k is the zero
+    case when slot b - k of the itinerary, the direct kneading, is 0.
     """
     word = broken_line_word(spec)
     cword = conjugate_word(spec)
-    up = _rotation_signs(word)
-    _check_chain(word, cword, up, spec)
-    # O_k against x2 = last theta: by the first digit, then by the rotation;
-    # a lazy pass, so that only the returned tuple holds b pointers
-    zero_one = spec.convention is Convention.ZERO_ONE
-    last = word[-1]
-    cases = (
-        (d > last if d != last else o_up) == zero_one
-        for d, o_up in zip(word[-2::-1], reversed(up))
-    )
+    body = _kneading_of_word(word)
+    _check_chain(word, cword, body, spec)
+    # step k's case is slot b - k of the itinerary; a lazy pass, so that only
+    # the returned tuple holds b pointers
+    cases = map("0".__eq__, reversed(body))
     return ConjugateChain(
         PeriodicAngle(period=word),
         PeriodicAngle(period=cword),

@@ -13,7 +13,7 @@ from .angles import PeriodicAngle, _expand, _is_binary, _Value, minimal_period
 from .errors import HypothesisViolated, NotBrokenLineKneading, NotPeriodic
 from .farey import BrokenLineSpec, FareyContext, _check_hinge, mediant
 from .mechanical import _spell, broken_line_word
-from .oracles import _kneading_of_word, _rotation_signs
+from .oracles import _kneading_of_word
 from .words import Convention
 
 __all__ = [
@@ -70,7 +70,7 @@ def _kneading_of(theta: Fraction, word: str = "") -> KneadingSequence:
     if theta.denominator == 1:
         raise ValueError("the fixed angle 0 has no kneading sequence")
     word = word or _expand(theta, None)[1]
-    return KneadingSequence(_kneading_of_word(word, _rotation_signs(word)) + "*")
+    return KneadingSequence(_kneading_of_word(word) + "*")
 
 
 def kneading_of_spec(spec: BrokenLineSpec) -> KneadingSequence:

@@ -7,18 +7,17 @@ The word oracles read a period word by the order of its factors,
 _factor_order: slices below period 64; up to period 2^14, a bit-parallel
 prefix of 24 digits, then a slice for each factor still tied, however many
 tie, for the rotation and the preimage signs alike; a Z-array in linear time
-above.  The rotation signs of the word serve both: the direct kneading reads
-the orbit's itinerary off them, and the preimage chain pulls the angle back
-along a candidate conjugate word one doubling step at a time, checking that
-the circle intervals stay unlinked.  The chain's side strings and the
-kneading's slot string each come from one integer XOR of the word's digit
-bytes with the sign bytes.  Every point along the chain is a suffix
-of the period word or of the conjugate word followed by theta, so it
-compares with theta by the preimage signs, which order the conjugate word's
-tails followed by one period against the period word twice, and by the
-rotation signs.  A period word of exact period b >= 2 mixes 0s and 1s, so
-no expansion ends in 0^inf or 1^inf and comparing two expansions compares
-their values.
+above.  One integer XOR of the word's digit bytes with its rotation signs
+gives the orbit's itinerary, the direct kneading, and the kneading check,
+the preimage chain and its certificates all read it.  The chain pulls the
+angle back along a candidate conjugate word one doubling step at a time,
+checking that the circle intervals stay unlinked: each preimage, a suffix
+of the conjugate word followed by theta, compares with theta by the
+preimage signs, which order the conjugate word's tails followed by one
+period against the period word twice, and must lie on the side the
+itinerary gives the orbit point of its step.  A period word of exact period
+b >= 2 mixes 0s and 1s, so no expansion ends in 0^inf or 1^inf and
+comparing two expansions compares their values.
 
 The Lavaurs pairing is the other verifier, which ``conjugate --verify``,
 ``kneading-of-angle --check`` and sturmian_census read: the chords of the
@@ -133,8 +132,8 @@ def _factor_order(text: str, word: str, count: int) -> bytes:
 
 def _rotation_signs(word: str) -> bytes:
     """One byte per rotation of the word: byte i is 1 when rotation i lies
-    above the word, ``ww[i:i+b] > word`` with ``ww = word + word``.  Both
-    word oracles, the preimage chain and the direct kneading, read it."""
+    above the word, ``ww[i:i+b] > word`` with ``ww = word + word``.  The
+    direct kneading alone reads it, and both word oracles read that."""
     return _factor_order(word + word, word, len(word))
 
 
@@ -159,25 +158,24 @@ def _xor(x: bytes, y: bytes) -> bytes:
 
 
 def _check_chain(
-    word: str, cword: str, up: bytes, spec: BrokenLineSpec | None = None
+    word: str, cword: str, body: str, spec: BrokenLineSpec | None = None
 ) -> None:
     """Check the preimage chain of theta = word^inf towards the candidate
-    conjugate cword^inf, read from the two words and the rotation signs
-    ``up = _rotation_signs(word)``.
+    conjugate cword^inf, read from the two words and the orbit's itinerary
+    ``body = _kneading_of_word(word)``, whose reader holds the word to exact
+    period b >= 2, so no O_k or P_k with k >= 2 lies on a partition point.
 
     The k-th orbit point is O_k = word[b-k:] theta and the k-th preimage
     P_k = cword[b-k:] theta; the partition points are x1 = P_1 and x2 = O_1,
     that is theta/2 and (theta+1)/2.  A point d.z lies strictly between them
     when d = 0 and z > theta or d = 1 and z < theta, and on one of them when
-    z = theta.  Raises unless x1 != x2 and, at every k >= 2, O_k and P_k lie
-    on the same side of the partition.
+    z = theta.  Raises unless x1 != x2 and, at every k >= 2, P_k lies on the
+    side of O_k, which is slot b - k of the itinerary.
     """
     b = len(word)
-    # exact period b: rotation i of the word differs from it for 0 < i < b,
-    # so no O_k or P_k with k >= 2 lies on a partition point
-    if b < 2 or minimal_period(word) != b:
+    if len(body) != b - 1:
         raise InvariantViolated(
-            "conjugate_chain", f"period word has no exact period {b}", spec
+            "conjugate_chain", f"itinerary has length {len(body)}, not {b - 1}", spec
         )
     if len(cword) != b:
         raise InvariantViolated(
@@ -185,54 +183,54 @@ def _check_chain(
         )
     if cword[-1] == word[-1]:
         raise UnlinkViolation(2, "the partition points coincide")
-    # by k = 2..b: O_k = d (rotation b-k+1)^inf and P_k = e P_(k-1); d.z
-    # lies between the partition points when the digit d and the sign of z
+    # by k = 2..b, against the itinerary read backwards: P_k = e P_(k-1) lies
+    # between the partition points when the digit e and the sign of P_(k-1)
     # differ: the code of "0" or "1" xor 0 or 1 names the side
-    orbit_sides = _xor(word[-2::-1].encode(), up[:0:-1])
-    preimage_sides = _xor(cword[-2::-1].encode(), _preimage_signs(word, cword))
-    if orbit_sides != preimage_sides:
-        pairs = zip(range(2, b + 1), orbit_sides, preimage_sides)
+    sides = _xor(cword[-2::-1].encode(), _preimage_signs(word, cword)).decode()
+    if sides != body[::-1]:
+        pairs = zip(range(2, b + 1), reversed(body), sides)
         raise UnlinkViolation(next(k for k, x, y in pairs if x != y))
 
 
-def _kneading_of_word(word: str, up: bytes) -> str:
-    """The body of the kneading of theta = word^inf, all but its final star,
-    read from the word and its rotation signs ``up = _rotation_signs(word)``.
+def _kneading_of_word(word: str) -> str:
+    """The body of the kneading of theta = word^inf, all but its final star:
+    the orbit's itinerary, read from the word and its rotation signs.
 
     Orbit point i is d.z with d = word[i] and z = rotation i+1 of the word,
     repeated; it lies strictly between theta/2 and (theta+1)/2 when d = 0 and
     z > theta or d = 1 and z < theta, and on one of them when z = theta.
     Points of period b compare as their b-digit words.  With exact period b
     only the last orbit point, whose z is theta itself, lies on a partition
-    point: the star.  kneading_of_angle reads every kneading this way.
+    point: the star.  kneading_of_angle, the kneading check, the preimage
+    chain and its certificates all read this one itinerary.
     """
     b = len(word)
     if b < 2 or minimal_period(word) != b:
         raise InvariantViolated("kneading_of_word", f"word has no exact period {b}")
     # slot i-1 is 1 exactly when digit i-1 and the sign of rotation i differ:
     # the code of "0" or "1" xor 0 or 1 is the slot's own character
-    return _xor(word[:-1].encode(), up[1:]).decode()
+    return _xor(word[:-1].encode(), _rotation_signs(word)[1:]).decode()
 
 
-def _check_kneading(spec: BrokenLineSpec, word: str, symbols: str, up: bytes) -> None:
-    # the structural kneading's symbols against those read off the orbit
-    if symbols != _kneading_of_word(word, up) + "*":
+def _check_kneading(spec: BrokenLineSpec, symbols: str, body: str) -> None:
+    # the structural kneading's symbols against the itinerary of the orbit
+    if symbols != body + "*":
         raise InvariantViolated(
             "kneading_of_spec", "structural and direct kneading disagree", spec
         )
 
 
 def _check_spec(spec: BrokenLineSpec, word: str, cword: str, symbols: str) -> None:
-    # the balance of the period word, then both word oracles, which read its
-    # rotation signs, against the structural kneading's symbols; the spoke
-    # bracket is left to the caller
+    # the balance of the period word, then the word's itinerary, read once,
+    # against the structural kneading's symbols and by the preimage chain;
+    # the spoke bracket is left to the caller
     if not is_sturmian(word):
         raise InvariantViolated(
             "broken_line_word", "period word fails the balance test", spec
         )
-    up = _rotation_signs(word)
-    _check_kneading(spec, word, symbols, up)
-    _check_chain(word, cword, up, spec)
+    body = _kneading_of_word(word)
+    _check_kneading(spec, symbols, body)
+    _check_chain(word, cword, body, spec)
 
 
 LAVAURS_LIMIT = 20

@@ -26,9 +26,9 @@ from brokenline.oracles import (
     _OPEN,
     _check_chain,
     _check_pairing,
+    _kneading_of_word,
     _pair_regions,
     _partners_at,
-    _rotation_signs,
 )
 from helpers import (
     LAVAURS_GRID,
@@ -128,13 +128,13 @@ def test_word_chain_rejects_wrong_conjugates():
     assert long.period > oracles._SLICES_UP_TO
     for spec in all_specs(3, 22) + (long,):
         word, cword = broken_line_word(spec), conjugate_word(spec)
-        up = _rotation_signs(word)
+        body = _kneading_of_word(word)
         for wrong in _wrong_conjugates(word, cword):
             assert wrong != cword and len(wrong) == len(cword)
             with pytest.raises(UnlinkViolation) as by_integers:
                 chain_by_integers(spec, wrong)
             with pytest.raises(UnlinkViolation) as by_words:
-                _check_chain(word, wrong, up)
+                _check_chain(word, wrong, body)
             assert by_words.value.index == by_integers.value.index
 
 
@@ -144,10 +144,69 @@ def test_word_chain_rejects_malformed_words():
     for word in ("011011", "0101", "111", "0"):
         cword = word[:-1] + ("1" if word[-1] == "0" else "0")
         with pytest.raises(InvariantViolated, match="no exact period"):
-            _check_chain(word, cword, _rotation_signs(word))
+            _check_chain(word, cword, _kneading_of_word(word))
     for cword in ("10", "0110", ""):
         with pytest.raises(InvariantViolated, match="conjugate word has length"):
-            _check_chain("011", cword, _rotation_signs("011"))
+            _check_chain("011", cword, _kneading_of_word("011"))
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def test_word_chain_reads_the_itinerary_backwards():
+    # the chain holds each preimage to the side the itinerary gives its
+    # orbit point: flipping slot s of the true itinerary fails step b - s,
+    # for every slot of every spec with b <= 14 (4,048 flips) and for a
+    # spread of slots of the b = 16385 spec, whose signs come from the
+    # Z-array
+    long = _spec((1, 2), (8193, 16385), 1, "01")
+    assert long.period > oracles._SLICES_UP_TO
+    b = long.period
+    cases = [(spec, range(spec.period - 1)) for spec in all_specs(3, 14)]
+    cases.append((long, [0, 1, 2, b // 3, b // 2, b - 4, b - 3, b - 2]))
+    flips = 0
+    for spec, slots in cases:
+        word, cword = broken_line_word(spec), conjugate_word(spec)
+        body = _kneading_of_word(word)
+        _check_chain(word, cword, body)
+        for s in slots:
+            with pytest.raises(UnlinkViolation) as raised:
+                _check_chain(word, cword, body[:s] + "10"[int(body[s])] + body[s + 1 :])
+            assert raised.value.index == spec.period - s, (spec, s)
+            flips += 1
+    assert flips == 4048 + 8
+
+
+def test_word_chain_rejects_an_itinerary_of_the_wrong_length():
+    # one slot short or long, or empty, is an invariant failure, not a step
+    # search that runs off the end of a shorter string
+    for spec in all_specs(3, 8):
+        word, cword = broken_line_word(spec), conjugate_word(spec)
+        body = _kneading_of_word(word)
+        for wrong in (body[:-1], body[1:], body + "0", body + "1", ""):
+            with pytest.raises(InvariantViolated, match="itinerary has length"):
+                _check_chain(word, cword, wrong, spec)
+
+
+def test_spec_check_hands_the_chain_the_words_own_itinerary(monkeypatch):
+    # with the kneading check switched off, wrong structural symbols must
+    # not reach the chain: it reads the itinerary of the period word, so the
+    # check still passes; with the kneading check on, they are refused
+    cases = [
+        (
+            spec,
+            broken_line_word(spec),
+            conjugate_word(spec),
+            kneading_of_spec(spec).symbols[:-1].translate(_FLIP) + "*",
+        )
+        for spec in all_specs(3, 14)
+    ]
+    for case in cases:
+        with pytest.raises(InvariantViolated, match="structural and direct"):
+            oracles._check_spec(*case)
+    monkeypatch.setattr(oracles, "_check_kneading", lambda *args: None)
+    for case in cases:
+        oracles._check_spec(*case)
 
 
 def test_chain_cases_match_kneading_digits():

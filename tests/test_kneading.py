@@ -22,7 +22,7 @@ from brokenline import (
     validate_spec,
     word_to_fraction,
 )
-from brokenline.oracles import _kneading_of_word, _rotation_signs
+from brokenline.oracles import _kneading_of_word
 from helpers import (
     CONVENTIONS,
     all_specs,
@@ -67,7 +67,7 @@ def test_word_kneading_equals_the_orbit_itinerary():
             if minimal_period(word) == length:
                 theta = word_to_fraction(word)
                 symbols, resolved = kneading_by_orbit_walk(theta)
-                assert _kneading_of_word(word, _rotation_signs(word)) + "*" == symbols
+                assert _kneading_of_word(word) + "*" == symbols
                 assert kneading_of_angle(theta).symbols == symbols, word
                 assert lower_kneading_period(theta) == period_by_divisors(resolved)
                 count += 1
@@ -77,7 +77,7 @@ def test_word_kneading_equals_the_orbit_itinerary():
 def test_word_kneading_rejects_a_proper_power():
     for word in ("011011", "0101", "111", "0", ""):
         with pytest.raises(InvariantViolated, match="no exact period"):
-            _kneading_of_word(word, _rotation_signs(word))
+            _kneading_of_word(word)
 
 
 def test_kneading_sequence_form():

@@ -228,7 +228,7 @@ def test_word_kneading_equals_the_orbit_itinerary(word):
     assume(minimal_period(word) == len(word))
     theta = word_to_fraction(word)
     symbols, resolved = kneading_by_orbit_walk(theta)
-    assert _kneading_of_word(word, _rotation_signs(word)) + "*" == symbols
+    assert _kneading_of_word(word) + "*" == symbols
     assert kneading_of_angle(theta).symbols == symbols
     assert lower_kneading_period(theta) == period_by_divisors(resolved)
 
