@@ -7,6 +7,7 @@ are ``fractions.Fraction`` throughout; binary words are plain strings over
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from enum import Enum
@@ -69,27 +70,33 @@ def minimal_period(word: str) -> int:
 def multiplicative_order(base: int, modulus: int, limit: int | None = None) -> int:
     """Least k >= 1 with base**k == 1 modulo ``modulus``.
 
-    With a ``limit``, the search stops once k passes it and raises
-    BudgetExceeded, so it takes at most ``limit`` steps.  Modulo 1 the order
-    is 1 under any limit, 0 included.
+    A base sharing a factor with the modulus has no order and raises
+    ValueError at once.  With a ``limit``, the search stops once k passes it
+    and raises BudgetExceeded, so it takes at most ``limit`` steps.  Modulo 1
+    the order is 1 under any limit, 0 included.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if modulus == 1:
         return 1
-    cap = modulus if limit is None else min(limit, modulus)
+    if math.gcd(base, modulus) != 1:
+        raise ValueError(f"{_named(base)} is not invertible modulo {_named(modulus)}")
     t = base % modulus
     k = 1
     while t != 1:
         t = t * base % modulus
         k += 1
-        if k > cap:
-            # by decimal, which writes ints past str's 4,300-digit default cap
-            b, m = Decimal(base), Decimal(modulus)
-            if cap < modulus:
-                raise BudgetExceeded(f"the order of {b} modulo {m} exceeds {limit}")
-            raise ValueError(f"{b} is not invertible modulo {m}")
+        if limit is not None and k > limit:
+            b, m = _named(base), _named(modulus)
+            raise BudgetExceeded(f"the order of {b} modulo {m} exceeds {limit}")
     return k
+
+
+def _named(n: int) -> str:
+    # decimal, past str's default cap, up to 14,285 bits, which hold every
+    # 4,300-digit n; a wider n by its bit length: its decimal takes 2 s at 2^20
+    width = n.bit_length()
+    return str(Decimal(n)) if width <= 14_285 else f"an integer of {width} bits"
 
 
 def _expand(x: Fraction, max_period: int | None) -> tuple[str, str]:

@@ -40,7 +40,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .farey import BrokenLineSpec, validate_spec
-from .kneading import _kneading_of, invert_kneading, kneading_of_angle, kneading_of_spec
+from .kneading import _kneading_of, invert_kneading, kneading_of_spec
 from .mechanical import (
     _blocks,
     _substitute,
@@ -55,7 +55,7 @@ from .oracles import (
     _check_pairing,
     _check_spec,
     _kneading_of_word,
-    lavaurs_partner,
+    _partner_of,
 )
 from .words import Convention
 
@@ -391,8 +391,11 @@ def cmd_kneading_of_angle(args: types.SimpleNamespace) -> dict:
         "period": ks.period,
     }
     if args.check:
-        if ks.period <= LAVAURS_VERIFY_LIMIT:
-            if kneading_of_angle(lavaurs_partner(theta)) != ks:
+        b = ks.period
+        if b <= LAVAURS_VERIFY_LIMIT:
+            # by integer key, as in conjugate --verify: the word's value over 2^b - 1
+            partner = format(_partner_of(b, int(angle.period, 2)), f"0{b}b")
+            if _kneading_of_word(partner) + "*" != ks.symbols:
                 raise InvariantViolated(
                     "kneading_of_angle", "conjugate angles disagree on kneading"
                 )

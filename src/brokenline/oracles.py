@@ -25,8 +25,10 @@ lower periods cut the disc into regions, and inside each region the angles
 of one exact period are joined in consecutive pairs, by one sweep over the
 sorted chord endpoints.  Its angles are integer numerators over 2^p - 1, as
 in the enumeration and the census; the sweep places each lower chord end in
-the gap between two such numerators, so it needs no common denominator.  A
-``Fraction`` is built only where a public function returns one.
+the gap between two such numerators, so it needs no common denominator.
+Both pairing checks, ``conjugate --verify`` and ``kneading-of-angle
+--check``, read it by the period word's integer key, through _partner_of.
+A ``Fraction`` is built only where a public function returns one.
 """
 
 from __future__ import annotations

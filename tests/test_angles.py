@@ -261,9 +261,9 @@ def test_order_and_expansion_stop_at_their_limit():
 
 
 def test_order_past_its_budget_is_refused_at_any_width():
-    # the message writes the modulus in decimal, past the interpreter's
-    # default cap on int-to-str conversion too: a 50,000-bit modulus has
-    # 15,052 digits
+    # the message names a modulus past 14,285 bits by its bit length, under
+    # the interpreter's default cap on int-to-str conversion too: a
+    # 50,000-bit modulus has 15,052 digits
     from brokenline import BudgetExceeded
 
     modulus = (1 << 50_000) - 3
@@ -272,11 +272,60 @@ def test_order_past_its_budget_is_refused_at_any_width():
     try:
         with pytest.raises(BudgetExceeded) as refused:
             fraction_to_expansion(Fraction(1, modulus), 100)
-        sys.set_int_max_str_digits(0)
-        expected = f"the order of 2 modulo {modulus} exceeds 100"
     finally:
         sys.set_int_max_str_digits(limit)
+    expected = "the order of 2 modulo an integer of 50000 bits exceeds 100"
     assert str(refused.value) == expected
+
+
+def test_order_of_a_base_sharing_a_factor_is_refused_at_once():
+    # no power of such a base is 1: the gcd refuses it before any step, where
+    # a search would run until k passed the modulus, and a limit does not
+    # turn the refusal into a budget error
+    from brokenline import BudgetExceeded, multiplicative_order
+
+    try:
+        multiplicative_order(2, 1 << 20, limit=10)
+    except BudgetExceeded:
+        pytest.fail("a base with no order raised BudgetExceeded")
+    except ValueError as refused:
+        assert str(refused) == "2 is not invertible modulo 1048576"
+    for base, modulus in ((2, 1 << 64), (6, 3**41), (2, 1 << 20), (0, 5)):
+        with pytest.raises(ValueError, match="^.* is not invertible modulo .*$"):
+            multiplicative_order(base, modulus)
+
+
+def test_order_messages_name_a_wide_modulus_by_its_bit_length():
+    # up to 14,285 bits, which holds every 4,300-digit integer, the modulus
+    # is written in decimal, past str's default cap of 4,300 digits too; a
+    # wider one by its bit length, so the 2^20-bit refusal takes no time
+    import time
+
+    from brokenline import BudgetExceeded, multiplicative_order
+
+    assert ((10**4300 - 1) >> 14_285) == 0  # the widest the parse cap admits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        with pytest.raises(BudgetExceeded) as decimal:
+            multiplicative_order(2, 10**4300 + 1, limit=100)  # 4,301 digits
+        with pytest.raises(ValueError) as even:
+            multiplicative_order(2, 10**4300 + 2)
+        with pytest.raises(BudgetExceeded) as wide:
+            multiplicative_order(2, (1 << 14_285) + 1, limit=100)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as widest:
+            fraction_to_expansion(Fraction(1, (1 << 1_048_576) - 3), 10)
+        took = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(limit)
+    digits = "1" + "0" * 4299 + "1"
+    assert str(decimal.value) == f"the order of 2 modulo {digits} exceeds 100"
+    assert str(even.value) == f"2 is not invertible modulo {digits[:-1]}2"
+    assert str(wide.value) == "the order of 2 modulo an integer of 14286 bits exceeds 100"
+    expected = "the order of 2 modulo an integer of 1048576 bits exceeds 10"
+    assert str(widest.value) == expected
+    assert took < 0.5
 
 
 def test_dyadic_angle_passes_any_period_budget(capsys):

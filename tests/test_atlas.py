@@ -240,7 +240,7 @@ def test_enumerate_has_no_collisions():
 def test_enumerate_rows_group_by_angle():
     # len(), _sizes and _firsts() read the rows' grouping by key: one group
     # per angle, its first row canonical; _row_spec builds, alone, the spec
-    # that entries builds for the same row from its per-node contexts
+    # that entries builds for the same row
     for b in range(3, 41):
         enumeration = enumerate_specs(b)
         assert_row_grammar(enumeration)
@@ -254,6 +254,24 @@ def test_enumerate_rows_group_by_angle():
     assert_row_grammar(collided)
     assert collided._sizes == {rows[0][0]: 2, rows[-1][0]: 3}
     assert len(collided) == len(rows)
+
+
+def test_enumerate_entries_build_every_spec_through_row_spec(monkeypatch):
+    # entries builds each spec from its row by _row_spec, once per row, in
+    # row order, and builds no spec any other way
+    real, calls = atlas._row_spec, []
+
+    def counted(period, row):
+        calls.append((period, row))
+        return real(period, row)
+
+    monkeypatch.setattr(atlas, "_row_spec", counted)
+    for b in range(3, 21):
+        enumeration = enumerate_specs(b)
+        calls.clear()
+        specs = enumeration.specs()
+        assert calls == [(b, row) for row in enumeration.rows]
+        assert len(specs) == len(calls)
 
 
 def test_enumerate_names_the_row_whose_slope_word_breaks_the_prefix(monkeypatch):

@@ -4,6 +4,7 @@ import collections
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -29,6 +30,7 @@ from brokenline import (
     enumerate_specs,
     farey,
     mechanical,
+    multiplicative_order,
     oracles,
     validate_spec,
     word_to_fraction,
@@ -521,7 +523,7 @@ def test_line_check_catches_disagreeing_pipelines(capsys, monkeypatch):
 def test_kneading_of_angle_check_catches_a_wrong_partner(capsys, monkeypatch):
     # the partner of 9/31 taken as its double 18/31, whose kneading 1011*
     # differs from 1111*
-    monkeypatch.setattr(cli, "lavaurs_partner", lambda theta: 2 * theta % 1)
+    monkeypatch.setattr(cli, "_partner_of", lambda b, key: 2 * key % ((1 << b) - 1))
     message = _invariant_message(capsys, "kneading-of-angle", "9/31", "--check")
     assert message.startswith("kneading_of_angle: ")
 
@@ -610,6 +612,50 @@ def test_kneading_of_angle_checks_the_pairing_through_period_16(capsys):
         fields = as_dict(out)
         assert fields["period"] == str(digits)
         assert fields["check"] == check
+
+
+def test_kneading_of_angle_check_reads_the_partner_by_integer_key(capsys, monkeypatch):
+    # the partner is read off the pairing table by the period word's key, as
+    # in conjugate --verify, with no Fraction search and no second expansion:
+    # only a p/q argument is expanded, once.  7/21845 is 21/65535, of period
+    # 16 and key 21, not its numerator 7
+    from brokenline import angles, kneading
+
+    def refused(*args):
+        raise AssertionError("the partner went through Fractions")
+
+    for module in (brokenline, cli, kneading, oracles):
+        for name in ("kneading_of_angle", "lavaurs_partner"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    real, calls = angles.multiplicative_order, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(angles, "multiplicative_order", counted)
+    for angle, orders in (("9/31", 1), ("0.(0000000000000001)", 0), ("7/21845", 1)):
+        calls.clear()
+        code, out, _ = run(capsys, "kneading-of-angle", angle, "--check")
+        assert code == 0
+        assert as_dict(out)["check"] == "ok"
+        assert len(calls) == orders, angle
+
+
+def test_kneading_of_angle_check_passes_on_every_angle_up_to_period_16(capsys):
+    # every reduced p/q with odd q <= 255 whose period the pairing check
+    # reaches: 1,618 angles, 1,282 of them with a key other than p
+    checked = 0
+    for q in range(3, 256, 2):
+        if multiplicative_order(2, q) > cli.LAVAURS_VERIFY_LIMIT:
+            continue
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                code, out, _ = run(capsys, "kneading-of-angle", f"{p}/{q}", "--check")
+                assert (code, as_dict(out)["check"]) == (0, "ok"), f"{p}/{q}"
+                checked += 1
+    assert checked == 1618
 
 
 def test_invert_kneading(capsys):
