@@ -13,7 +13,7 @@ from operator import eq, itemgetter
 from .angles import PeriodicAngle, _terms, _Value
 from .errors import BracketingFailed, InvariantViolated, PreconditionUnmet
 from .farey import BrokenLineSpec, FareyContext
-from .mechanical import _substitute, broken_line_word
+from .mechanical import broken_line_word
 from .oracles import _partners_at
 from .words import (
     Convention,
@@ -47,9 +47,8 @@ def tune(phi: PeriodicAngle, bulb: Fraction) -> PeriodicAngle:
         raise ValueError("bulb fraction must lie strictly between 0 and 1")
     low = mechanical_word(bulb, Convention.ZERO_ONE)
     high = mechanical_word(bulb, Convention.ONE_ZERO)
-    return PeriodicAngle(
-        _substitute(phi.preperiod, low, high), _substitute(phi.period, low, high)
-    )
+    table = {48: low, 49: high}
+    return PeriodicAngle(phi.preperiod.translate(table), phi.period.translate(table))
 
 
 def tuned_is_nonsturmian(phi: PeriodicAngle, bulb: Fraction) -> bool:

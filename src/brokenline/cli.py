@@ -43,7 +43,7 @@ from .farey import BrokenLineSpec, validate_spec
 from .kneading import _kneading_of, invert_kneading, kneading_of_spec
 from .mechanical import (
     _blocks,
-    _substitute,
+    _spell_pattern,
     broken_line_word,
     cutting_sequence,
     cutting_to_mechanical,
@@ -320,19 +320,19 @@ def cmd_broken(args: types.SimpleNamespace) -> dict:
 class _PerBlock:
     """A list with one item per block of the period: ``zero`` for each block
     of index m and ``one`` for each of index m + 1, in the order of the block
-    pattern.  It is spelled by one substitution of the pattern, each item
-    with its separator as a unit and the last separator cut off, so no item
-    is built as an object.  str() gives the text form, items separated by
+    pattern.  It is spelled by the standard-word recursion, each item with
+    its separator as a unit and the last separator cut off, so no item is
+    built as an object.  str() gives the text form, items separated by
     spaces; write() gives the JSON form, which _write_json writes in place,
     as it does the entries of an enumeration."""
 
-    def __init__(self, pattern: str, zero: int | str, one: int | str) -> None:
+    def __init__(self, pattern: tuple, zero: int | str, one: int | str) -> None:
         self.pattern, self.zero, self.one = pattern, zero, one
 
     def _items(self, sep: str, quote: str) -> str:
         zero = f"{quote}{self.zero}{quote}{sep}"
         one = f"{quote}{self.one}{quote}{sep}"
-        return _substitute(self.pattern, zero, one)[: -len(sep)]
+        return _spell_pattern(self.pattern, zero, one)[: -len(sep)]
 
     def __str__(self) -> str:
         return self._items(" ", "")

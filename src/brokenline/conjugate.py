@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .angles import PeriodicAngle, _Value
 from .farey import BrokenLineSpec
-from .mechanical import _blocks, _substitute, broken_line_word
+from .mechanical import _blocks, _spell_pattern, broken_line_word
 from .oracles import _check_chain, _kneading_of_word, lavaurs_pairs, lavaurs_partner
 from .words import Convention, prime_minus, prime_plus
 
@@ -32,12 +32,12 @@ __all__ = [
 ]
 
 
-def _primed_word(convention: Convention, pattern: str, low: str, high: str) -> str:
+def _primed_word(convention: Convention, pattern: tuple, low: str, high: str) -> str:
     # the block pattern spelled with each block word primed: +1 under the 01
     # convention and -1 under 10; the empty word of a single block's missing
     # block m + 1 stays empty
     prime = prime_plus if convention is Convention.ZERO_ONE else prime_minus
-    return _substitute(pattern, prime(low), high and prime(high))
+    return _spell_pattern(pattern, prime(low), high and prime(high))
 
 
 def conjugate_word(spec: BrokenLineSpec) -> str:

@@ -9,7 +9,7 @@ closed-form block pattern: with the slope's word made of `limbs` limb words
 and `bounds` bound words, and m, r = divmod(bounds, limbs), the blocks of
 index m and m + 1 read as 0 and 1 form the upper Christoffel word of r/limbs.
 The tags, the structural kneading, the re-concatenated decomposition and
-the conjugate spell that pattern with one two-word substitution, each block
+the conjugate spell that pattern by the standard-word recursion, each block
 written as head·unit^e in its tags or its kneading slots, as its bits, or
 as its primed bits.  The geometric pipeline (grid crossings, then
 contraction) computes the same words independently: one division step of
@@ -19,7 +19,8 @@ sorted, the gaps are spelled by one ``join``, and the word is contracted
 with ``str.replace``.  The test suite holds both pipelines against the
 digit rule of the Christoffel word and against mediant concatenation over
 the Stern-Brocot tree, and the block pattern against a greedy parse of the
-descent tags.
+descent tags.  ``BlockDecomposition.word`` and the atlas's ``tune`` write
+each digit of a given word as one of two words with one ``str.translate``.
 """
 
 from __future__ import annotations
@@ -128,32 +129,30 @@ def _word_counts(spec: BrokenLineSpec) -> tuple[int, int]:
     return abs(b * c - a * d), abs(a * q - b * p)
 
 
-def _block_pattern(spec: BrokenLineSpec) -> tuple[int, str]:
-    # (m, pattern): the period is `limbs` blocks of index m and m + 1, and
-    # pattern spells their order with 0 for block m and 1 for block m + 1.
-    # Block e holds one limb word and e bound words, so m, rest = divmod(
-    # bounds, limbs) and `rest` blocks have index m + 1.  Read over {0, 1}
-    # the blocks are the upper Christoffel word 1 w 0 of rest/limbs, w its
-    # central word (the derived word of a Christoffel word is Christoffel;
-    # Lothaire, ch. 2), and the one block m when limbs = 1
+def _block_pattern(spec: BrokenLineSpec) -> tuple[int, tuple[int, int]]:
+    # (m, (rest, limbs)): the period is `limbs` blocks of index m and m + 1;
+    # block e holds one limb word and e bound words, so `rest` blocks have
+    # index m + 1.  Read as 0 for block m and 1 for block m + 1 the blocks are
+    # the upper Christoffel word 1 w 0 of rest/limbs, w its central word (the
+    # derived word of a Christoffel word is Christoffel; Lothaire, ch. 2), and
+    # the one block m when limbs = 1
     limbs, bounds = _word_counts(spec)
     m, rest = divmod(bounds, limbs)
-    if limbs == 1:
-        return m, "0"
-    return m, "1" + _digits(rest, limbs) + "0"
+    return m, (rest, limbs)
 
 
-def _substitute(word: str, zero: str, one: str) -> str:
-    # the word with every 0 written as `zero` and every 1 as `one`; the 1s
-    # are set aside first, as `zero` may contain 1s
-    return word.replace("1", "+").replace("0", zero).replace("+", one)
+def _spell_pattern(pattern: tuple[int, int], zero: str, one: str) -> str:
+    # the block pattern, 1 w 0 or 0, with `zero` for its 0 and `one` for its 1
+    if pattern[1] == 1:
+        return zero
+    return one + _digits(*pattern, zero, one) + zero
 
 
 def _spell(spec: BrokenLineSpec, head: str, unit: str) -> str:
     # the block pattern with block e written as head + unit * e
     m, pattern = _block_pattern(spec)
     low = head + unit * m
-    return _substitute(pattern, low, low + unit)
+    return _spell_pattern(pattern, low, low + unit)
 
 
 def broken_line_tags(spec: BrokenLineSpec) -> list[Fraction]:
@@ -232,10 +231,11 @@ class BlockDecomposition(_Value):
 
     @property
     def word(self) -> str:
-        return _substitute(self.pattern, *self.units)
+        low, high = self.units
+        return self.pattern.translate({48: low, 49: high})
 
 
-def _blocks(spec: BrokenLineSpec) -> tuple[int, str, str, str]:
+def _blocks(spec: BrokenLineSpec) -> tuple[int, tuple[int, int], str, str]:
     # (m, pattern, low, high): the block index m, the block pattern, and the
     # words of blocks m and m + 1, which spell its 0s and 1s; a single block
     # has no block m + 1, and its pattern no 1, so that word is empty.  The
@@ -243,8 +243,8 @@ def _blocks(spec: BrokenLineSpec) -> tuple[int, str, str, str]:
     ctx = spec.context
     m, pattern = _block_pattern(spec)
     low = block_word(ctx, m)
-    high = "" if pattern == "0" else block_word(ctx, m + 1)
-    if _substitute(pattern, low, high) != broken_line_word(spec):
+    high = "" if pattern[1] == 1 else block_word(ctx, m + 1)
+    if _spell_pattern(pattern, low, high) != broken_line_word(spec):
         raise InvariantViolated(
             "block_decomposition", "block re-concatenation mismatch", spec
         )
@@ -262,10 +262,10 @@ def block_decomposition(spec: BrokenLineSpec) -> BlockDecomposition:
     limbs)/limbs, w its central word, or the one block m when limbs = 1,
     which is when the slope is a single-block fraction.  The tags and the
     structural kneading spell the same pattern, and the conjugate primes
-    these blocks.  Re-concatenation of the result, one substitution of the
-    two block words into the pattern, is checked to reproduce the period
+    these blocks.  Re-concatenation of the result, the pattern spelled with
+    the two block words as its letters, is checked to reproduce the period
     word, which the spec builds as the rotated slope word.
     """
     m, pattern, low, high = _blocks(spec)
-    block_words = {m: low} if pattern == "0" else {m: low, m + 1: high}
-    return BlockDecomposition(spec, m, block_words, pattern)
+    block_words = {m: low, m + 1: high} if high else {m: low}
+    return BlockDecomposition(spec, m, block_words, _spell_pattern(pattern, "0", "1"))

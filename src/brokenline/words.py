@@ -35,19 +35,19 @@ class Convention(Enum):
         return self.value
 
 
-def _digits(p: int, q: int) -> str:
-    # inner digits 1..q-2 of the p/q Christoffel word, which the standard word
-    # of p/q = [0; a1, ..., an] spells before its two closing letters; the
-    # standard words are s_k = s_(k-1)^(a_k) s_(k-2) from s_(-1) = 1, s_0 = 0,
-    # with a1 - 1 in place of a1 (Lothaire, Algebraic Combinatorics on Words,
-    # ch. 2)
-    prev, word = "1", "0"
+def _digits(p: int, q: int, zero: str = "0", one: str = "1") -> str:
+    # inner digits 1..q-2 of the p/q Christoffel word, `zero` for 0 and `one`
+    # for 1: the standard word of p/q = [0; a1, ..., an] less its closing 0
+    # and 1, in either order, s_k = s_(k-1)^(a_k) s_(k-2) from s_(-1) = one,
+    # s_0 = zero, a1 - 1 in place of a1 (Lothaire, Algebraic Combinatorics on
+    # Words, ch. 2)
+    prev, word = one, zero
     q -= p
     while p:
         a, r = divmod(q, p)
         prev, word = word, word * a + prev
         q, p = p, r
-    return word[:-2]
+    return word[: -(len(zero) + len(one))]
 
 
 def mechanical_word(p_over_q: Fraction, convention: Convention) -> str:
@@ -120,14 +120,19 @@ def is_sturmian(word: str) -> bool:
             return True  # constant, or empty
         a = (len(word) - c) // c
         # rotated to start at a y, the word holds every x-run whole, after
-        # its y: a count of y x^a reaching c puts every run at a or more, and
-        # no x^(a+2) puts none past a + 1
+        # its y: a count of y x^a reaching c puts every run at a or more.
+        # Each run then holds a + e x's, the e summing to len - c - a c, and
+        # the long-run marker shortens the word by a + 1 per run with e > 0:
+        # by (a + 1) times that sum exactly when no run is past a + 1
         i = word.index(y)
         word = word[i:] + word[:i]
         short = y + x * a
-        if word.count(short) < c or x * (a + 2) in word:
+        if word.count(short) < c:
             return False
-        word = word.replace(short + x, "2").replace(short, "0").translate(_LONG)
+        derived = word.replace(short + x, "2")
+        if len(word) - len(derived) != (a + 1) * (len(word) - c - a * c):
+            return False
+        word = derived.replace(short, "0").translate(_LONG)
 
 
 def rotation_diagnostics(word: str) -> tuple[Fraction, bool]:

@@ -12,7 +12,10 @@ spells both from one closed-form block pattern), the run blocks spell block m
 as m parent words set into hinge-sized limb runs, L^n (P L^(n-1))^(m-1) P,
 with block 0 a case of its own (production writes every block as
 L (L^(n-1) P)^m, one head and m units), the digit tuning joins one bulb
-word per digit (production substitutes both words with str.replace), the
+word per digit (production writes each digit with one str.translate), the
+replace substitution writes a word of 0s and 1s with two words by three
+str.replace passes (production spells the block pattern by the
+standard-word recursion with the two words as its letters), the
 orbit test just iterates the doubling map, the
 orbit walk reads a kneading off the integer numerators of the doubling
 orbit (production reads the rotation signs of the period word), the
@@ -53,10 +56,10 @@ for each factor still tied, and reads the order off a Z-array above).  The
 object payload writes `enumerate --period B` from the Fractions and specs of
 the enumeration's entries (production writes it from the integer rows), and
 the block lists of `broken --all` are built item by item from the exponents
-(production spells them from the block pattern with one substitution).  The
-transcription inversion writes every kneading block out as limb and parent
-words and counts the 1s of the word (production reads the slope off the
-block counts).  The row groups split an enumeration's rows with
+(production spells them from the block pattern by the standard-word
+recursion).  The transcription inversion writes every kneading block out
+as limb and parent words and counts the 1s of the word (production reads
+the slope off the block counts).  The row groups split an enumeration's rows with
 itertools.groupby (production counts the equal neighbours among the keys and
 yields every row as its angle's first when no key repeats).
 """
@@ -631,6 +634,13 @@ def expansion_value(u, w):
     mod 1."""
     head = int(u, 2) if u else 0
     return (head + Fraction(int(w, 2), 2 ** len(w) - 1)) / 2 ** len(u) % 1
+
+
+def substitute_by_replace(word, zero, one):
+    """The word of 0s and 1s with every 0 written as `zero` and every 1 as
+    `one`, by three str.replace passes: the 1s are set aside as "+" first,
+    as `zero` may contain 1s.  Neither letter may contain "+"."""
+    return word.replace("1", "+").replace("0", zero).replace("+", one)
 
 
 def tune_by_digits(phi, bulb):

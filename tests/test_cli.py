@@ -420,8 +420,8 @@ def test_json_writer_writes_what_json_dumps_writes(capsys, no_digit_limit):
     # that need escapes, JSON's constants, negative and long ints, a list of
     # dicts, verbatim keys holding other types, and lists that write
     # themselves first, last, alone and next to each other
-    numbers, words = cli._PerBlock("0110", 3, 4), cli._PerBlock("001", "01", "1")
-    spelled = {id(numbers): [3, 4, 4, 3], id(words): ["01", "01", "1"]}
+    numbers, words = cli._PerBlock((2, 3), 3, 4), cli._PerBlock((1, 3), "01", "1")
+    spelled = {id(numbers): [4, 4, 3], id(words): ["1", "01", "01"]}
     escapes = 'a "quoted" \\ back\\slash, a tab\t, a bell\x07, é and ☃'
     payloads = [
         {},

@@ -19,18 +19,21 @@ from brokenline import (
     broken_line_word,
     characteristic_pair,
     compare_prefix_classes,
+    conjugate_word,
     cutting_sequence,
     cutting_to_mechanical,
     farey_parents,
     mechanical_word,
     mediant_tags,
     minimal_period,
+    prime_minus,
+    prime_plus,
     single_block_slope,
     stern_brocot_path,
     validate_spec,
 )
-from brokenline import farey
-from brokenline.mechanical import _digits
+from brokenline import cli, farey
+from brokenline.mechanical import _block_pattern, _blocks, _digits, _spell
 from helpers import (
     CONVENTIONS,
     all_specs,
@@ -48,6 +51,7 @@ from helpers import (
     pair_rewrite,
     reduced_fractions,
     rotation_digit_word,
+    substitute_by_replace,
     tags_by_descent,
 )
 
@@ -175,6 +179,32 @@ def test_standard_words_match_the_digit_rule():
             assert mechanical_word(slope, convention) == rotation_digit_word(
                 slope, convention
             )
+
+
+# letter pairs for the standard-word recursion: the digits, swapped, of
+# unequal lengths, and words that hold both digits, as block words do
+LETTERS = [
+    ("0", "1"),
+    ("1", "0"),
+    ("0", "11"),
+    ("001", "1"),
+    ("01", "10"),
+    ("10", "0110"),
+    ("1101", "01"),
+    ("L", "LLP"),
+]
+
+
+def test_standard_words_spell_any_two_letters():
+    # the recursion started from two words writes the word of 0s and 1s with
+    # each digit replaced by its word, as three str.replace passes do
+    for q in range(2, 201):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                word = _digits(p, q)
+                for zero, one in LETTERS:
+                    spelled = substitute_by_replace(word, zero, one)
+                    assert _digits(p, q, zero, one) == spelled, (p, q, zero, one)
 
 
 def test_mechanical_word_keeps_no_memory():
@@ -312,6 +342,46 @@ def test_block_decomposition_reconcatenates():
         assert set(exps) <= {base, base + 1}
         if len(exps) > 1:
             assert exps[0] == base + 1 and exps[-1] == base
+
+
+def test_block_pattern_spellings_match_the_replace_reference(capsys):
+    # every spelling of the block pattern against its 0s and 1s, written by
+    # the digit rule from the pattern's two integers and substituted by
+    # str.replace: the block words and their re-concatenation, the conjugate,
+    # the tags, the kneading's slots and both per-block lists of broken --all
+    deep = (
+        _spec((1, 2), (7412, 14823), 1, "01"),
+        _spec((1, 3), (1, 16383), 1, "10"),
+    )
+    for spec in all_specs(3, 40) + deep:
+        ctx = spec.context
+        m, (rest, limbs) = _block_pattern(spec)
+        pattern = "0" if limbs == 1 else "1" + digit_rule(rest, limbs) + "0"
+        _, code, low, high = _blocks(spec)
+        assert code == (rest, limbs)
+        assert low == block_word(ctx, m)
+        assert high == ("" if limbs == 1 else block_word(ctx, m + 1))
+        assert substitute_by_replace(pattern, low, high) == broken_line_word(spec)
+        prime = prime_plus if spec.convention is Convention.ZERO_ONE else prime_minus
+        primed = substitute_by_replace(pattern, prime(low), high and prime(high))
+        assert conjugate_word(spec) == primed
+        n, q, t = ctx.hinge, ctx.p_over_q.denominator, ctx.parent.denominator
+        window = ("0" + "1" * (q - 1)) * (n - 1) + "0" + "1" * (t - 1)
+        spelled = {}
+        for head, unit in (("L", "L" * (n - 1) + "P"), ("1" * q, window)):
+            low_e, high_e = head + unit * m, head + unit * (m + 1)
+            spelled[head] = substitute_by_replace(pattern, low_e, high_e)
+            assert _spell(spec, head, unit) == spelled[head]
+        value = {"L": ctx.p_over_q, "P": ctx.parent}
+        assert broken_line_tags(spec) == [value[c] for c in spelled["L"]]
+        for zero, one in ((m, m + 1), (low, high)):
+            per_block = cli._PerBlock(code, zero, one)
+            text = substitute_by_replace(pattern, f"{zero} ", f"{one} ")
+            assert str(per_block) == text[:-1]
+            quote = '"' if isinstance(zero, str) else ""
+            items = f"{quote}{zero}{quote}, ", f"{quote}{one}{quote}, "
+            per_block.write(as_json=True)
+            assert capsys.readouterr().out == substitute_by_replace(pattern, *items)[:-2]
 
 
 def test_base_index_matches_the_scan():

@@ -130,6 +130,19 @@ def test_is_sturmian_matches_the_christoffel_reference():
     assert not is_sturmian(flipped) and not balanced_by_christoffel(flipped)
 
 
+@pytest.mark.parametrize("n", [3, 100, 470, 2499, 2501, 5000])
+def test_balance_of_words_with_one_rare_letter(n):
+    # 0^n 1 0^(n-1) 1 is balanced and 0^n 1 0^(n-2) 1 is not, nor are their
+    # complements: two runs of the frequent letter, at lengths on both sides
+    # of 2,500 characters, where CPython's str search changes its algorithm
+    balanced = "0" * n + "1" + "0" * (n - 1) + "1"
+    unbalanced = "0" * n + "1" + "0" * (n - 2) + "1"
+    flip = str.maketrans("01", "10")
+    for word, expected in ((balanced, True), (unbalanced, False)):
+        for variant in (word, word.translate(flip)):
+            assert is_sturmian(variant) == balanced_by_christoffel(variant) == expected
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_balance_property_on_random_slopes(data):
