@@ -50,16 +50,16 @@ from .mechanical import (
     mechanical_word,
 )
 from .oracles import (
+    _PAIRING_SKIPPED,
     _check_chain,
     _check_kneading,
     _check_pairing,
     _check_spec,
     _kneading_of_word,
-    _partner_of,
+    _pairing_partner,
 )
 from .words import Convention
 
-LAVAURS_VERIFY_LIMIT = 16
 # the longest word a command may build: the period of a "p/q" angle
 # argument, the denominator of a slope or a bulb, the word tune returns; the
 # largest period any documented command reaches is b = 10^6 + 1
@@ -361,11 +361,7 @@ def cmd_conjugate(args: types.SimpleNamespace) -> dict:
         _check_chain(word, cword, _kneading_of_word(word), spec)
         payload["chain"] = "ok"
     if args.verify:
-        if spec.period <= LAVAURS_VERIFY_LIMIT:
-            _check_pairing(word, cword, spec)
-            payload["lavaurs"] = "ok"
-        else:
-            payload["lavaurs"] = f"skipped (period > {LAVAURS_VERIFY_LIMIT})"
+        payload["lavaurs"] = _check_pairing(word, cword, spec)
     return payload
 
 
@@ -391,17 +387,15 @@ def cmd_kneading_of_angle(args: types.SimpleNamespace) -> dict:
         "period": ks.period,
     }
     if args.check:
-        b = ks.period
-        if b <= LAVAURS_VERIFY_LIMIT:
-            # by integer key, as in conjugate --verify: the word's value over 2^b - 1
-            partner = format(_partner_of(b, int(angle.period, 2)), f"0{b}b")
-            if _kneading_of_word(partner) + "*" != ks.symbols:
-                raise InvariantViolated(
-                    "kneading_of_angle", "conjugate angles disagree on kneading"
-                )
-            payload["check"] = "ok"
+        # the partner's word, read as conjugate --verify reads it
+        if (partner := _pairing_partner(angle.period)) is None:
+            payload["check"] = _PAIRING_SKIPPED
+        elif _kneading_of_word(partner) + "*" != ks.symbols:
+            raise InvariantViolated(
+                "kneading_of_angle", "conjugate angles disagree on kneading"
+            )
         else:
-            payload["check"] = f"skipped (period > {LAVAURS_VERIFY_LIMIT})"
+            payload["check"] = "ok"
     return payload
 
 

@@ -13,7 +13,6 @@ from .words import Convention, mechanical_word
 __all__ = [
     "BrokenLineSpec",
     "FareyContext",
-    "Ratio",
     "bezout_minimal",
     "bound_fraction",
     "farey_parents",

@@ -27,7 +27,8 @@ sorted chord endpoints.  Its angles are integer numerators over 2^p - 1, as
 in the enumeration and the census; the sweep places each lower chord end in
 the gap between two such numerators, so it needs no common denominator.
 Both pairing checks, ``conjugate --verify`` and ``kneading-of-angle
---check``, read it by the period word's integer key, through _partner_of.
+--check``, read it through _pairing_partner, by the period word's integer
+key, up to their period budget LAVAURS_VERIFY_LIMIT.
 A ``Fraction`` is built only where a public function returns one.
 """
 
@@ -236,6 +237,10 @@ def _check_spec(spec: BrokenLineSpec, word: str, cword: str, symbols: str) -> No
 
 
 LAVAURS_LIMIT = 20
+# the highest period the command line's pairing checks run at, and their
+# verdict past it
+LAVAURS_VERIFY_LIMIT = 16
+_PAIRING_SKIPPED = f"skipped (period > {LAVAURS_VERIFY_LIMIT})"
 
 # event kinds of the pairing sweep, encoded as 4 * position + kind; in one
 # gap between angles the closes come first: a chord opened in the gap and
@@ -339,12 +344,24 @@ def lavaurs_partner(theta: Fraction) -> Fraction:
     return Fraction(_partner_of(period, theta.numerator * (full // den)), full)
 
 
-def _check_pairing(word: str, cword: str, spec: BrokenLineSpec) -> None:
-    """The pairing check of ``conjugate --verify``: raise InvariantViolated
-    unless the Lavaurs pairing of the period b pairs the period word ``word``
-    with ``cword``.  A period word's exact period is its length, so the
-    pairing is read by integer key, each word's value being its numerator
-    over 2^b - 1, and no Fraction is built.  A word missing from the pairing
+def _pairing_partner(word: str) -> str | None:
+    """The period word of the Lavaurs partner of the period word ``word``,
+    or None past LAVAURS_VERIFY_LIMIT.  A period word's exact period is its
+    length, so the pairing is read by integer key, the word's value over
+    2^b - 1, and no Fraction is built.  A word missing from the pairing
     raises the ValueError lavaurs_partner raises."""
-    if _partner_of(len(word), int(word, 2)) != int(cword, 2):
+    b = len(word)
+    if b > LAVAURS_VERIFY_LIMIT:
+        return None
+    return format(_partner_of(b, int(word, 2)), f"0{b}b")
+
+
+def _check_pairing(word: str, cword: str, spec: BrokenLineSpec) -> str:
+    """The pairing check of ``conjugate --verify``: its verdict, "ok" or the
+    skip text past the period budget; InvariantViolated unless the Lavaurs
+    pairing pairs the period word ``word`` with ``cword``."""
+    if (partner := _pairing_partner(word)) is None:
+        return _PAIRING_SKIPPED
+    if partner != cword:
         raise InvariantViolated("conjugate_word", "pairing oracle disagrees", spec)
+    return "ok"

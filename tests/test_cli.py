@@ -523,7 +523,7 @@ def test_line_check_catches_disagreeing_pipelines(capsys, monkeypatch):
 def test_kneading_of_angle_check_catches_a_wrong_partner(capsys, monkeypatch):
     # the partner of 9/31 taken as its double 18/31, whose kneading 1011*
     # differs from 1111*
-    monkeypatch.setattr(cli, "_partner_of", lambda b, key: 2 * key % ((1 << b) - 1))
+    monkeypatch.setattr(oracles, "_partner_of", lambda b, key: 2 * key % ((1 << b) - 1))
     message = _invariant_message(capsys, "kneading-of-angle", "9/31", "--check")
     assert message.startswith("kneading_of_angle: ")
 
@@ -604,14 +604,26 @@ def test_kneading_commands(capsys):
 
 def test_kneading_of_angle_checks_the_pairing_through_period_16(capsys):
     # --check compares the kneading with its Lavaurs partner's up to the
-    # period conjugate --verify pairs, and skips the angles past it
-    for digits, check in ((16, "ok"), (17, "skipped (period > 16)")):
+    # period conjugate --verify pairs, and skips the angles past it; both
+    # commands write the one skip text, the oracles module's
+    skip = "skipped (period > 16)"
+    assert oracles._PAIRING_SKIPPED == skip
+    for digits, check in ((16, "ok"), (17, skip)):
         angle = f"0.({'0' * (digits - 1)}1)"
         code, out, _ = run(capsys, "kneading-of-angle", angle, "--check")
         assert code == 0
         fields = as_dict(out)
         assert fields["period"] == str(digits)
         assert fields["check"] == check
+    # the period of a spec is its slope's denominator
+    for spec, lavaurs in (
+        (("1/3", "5/16", "--hinge", "1", "--convention", "10"), "ok"),
+        (("1/2", "9/17", "--hinge", "1", "--convention", "01"), skip),
+    ):
+        code, out, _ = run(capsys, "conjugate", *spec, "--verify")
+        assert code == 0
+        fields = as_dict(out)
+        assert (fields["chain"], fields["lavaurs"]) == ("ok", lavaurs)
 
 
 def test_kneading_of_angle_check_reads_the_partner_by_integer_key(capsys, monkeypatch):
@@ -648,7 +660,7 @@ def test_kneading_of_angle_check_passes_on_every_angle_up_to_period_16(capsys):
     # reaches: 1,618 angles, 1,282 of them with a key other than p
     checked = 0
     for q in range(3, 256, 2):
-        if multiplicative_order(2, q) > cli.LAVAURS_VERIFY_LIMIT:
+        if multiplicative_order(2, q) > oracles.LAVAURS_VERIFY_LIMIT:
             continue
         for p in range(1, q):
             if math.gcd(p, q) == 1:

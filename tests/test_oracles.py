@@ -31,6 +31,10 @@ VERIFIERS = {
     "_check_kneading",
     "_check_spec",
     "LAVAURS_LIMIT",
+    "LAVAURS_VERIFY_LIMIT",
+    "_PAIRING_SKIPPED",
+    "_pairing_partner",
+    "_check_pairing",
     "_ANGLE",
     "_OPEN",
     "_CLOSE",
@@ -98,6 +102,20 @@ def test_only_oracles_defines_the_verifiers():
         assert "_GRID" not in named, path.name
         if path.stem != "oracles":
             assert not VERIFIERS & _defined(tree), path.name
+
+
+def test_command_line_reads_the_pairing_through_its_one_gate():
+    # the pairing checks' budget, partner read and skip text are the oracles
+    # module's: the command line reads the partner through _pairing_partner
+    # and the verdict from _check_pairing, and spells no skip text
+    cli = _tree(SOURCES / "cli.py")
+    named = {n.id for n in ast.walk(cli) if isinstance(n, ast.Name)}
+    named |= {n.name for n in ast.walk(cli) if isinstance(n, ast.alias)}
+    assert not {"_partner_of", "_partners_at", "LAVAURS_VERIFY_LIMIT"} & named
+    assert {"_pairing_partner", "_check_pairing"} <= _package_imports(cli)["oracles"]
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.stem != "oracles":
+            assert "skipped (period" not in path.read_text(), path.name
 
 
 def _names_in(module, function):
