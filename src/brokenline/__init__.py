@@ -8,7 +8,8 @@ junction rays of the limb locate the landing component.  Everything runs on
 ``fractions.Fraction`` and bit strings; no floats anywhere.
 """
 
-# each module's __all__ (errors: its exception classes) is the package's
+# the nine submodules and each module's __all__ (errors: its exception classes)
+from . import angles, atlas, conjugate, errors, farey, kneading, mechanical, oracles, words
 from .angles import *
 from .atlas import *
 from .conjugate import *

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 from fractions import Fraction
-from itertools import compress, groupby
 from operator import eq, itemgetter
 
 from .angles import PeriodicAngle, _terms, _Value
@@ -178,17 +176,15 @@ _TURNS = {"R": Convention.ZERO_ONE, "L": Convention.ONE_ZERO}
 
 
 class SpecEnumeration(_Value):
-    """All validated parameter choices of one period, grouped by the angle
-    they produce (several choices mapping to one angle would be a collision;
-    none are known).
+    """All validated parameter choices of one period, one per angle: no two
+    choices give one angle (see enumerate_specs).
 
     ``rows`` holds one row per choice, ``(key, P, Q, hinge, turn, a)``, in
-    increasing angle order and, within one angle, in the order the walk met
-    them: the angle is key/(2^period - 1), the limb P/Q, the slope a/period,
-    and turn is the side the slope's Stern-Brocot path takes at P/Q, "R" for
-    the 01 convention and "L" for 10.  ``len()`` reads the rows; the
-    Fractions and specs of ``entries`` are built on first read, each spec
-    from its row by _row_spec.
+    increasing angle order: the angle is key/(2^period - 1), the limb P/Q,
+    the slope a/period, and turn is the side the slope's Stern-Brocot path
+    takes at P/Q, "R" for the 01 convention and "L" for 10.  ``len()`` reads
+    the rows; the Fractions and specs of ``entries`` are built on first read,
+    each spec from its row by _row_spec.
     """
 
     __match_args__ = ("period", "rows")
@@ -198,29 +194,16 @@ class SpecEnumeration(_Value):
     ) -> None:
         self.__dict__.update(period=period, rows=rows)
 
-    @functools.cached_property
-    def _sizes(self) -> dict[int, int]:
-        # the row count of each angle with more than one, its rows adjacent
-        keys = list(map(itemgetter(0), self.rows))
-        repeats = compress(keys, map(eq, keys, keys[1:]))
-        return {key: 1 + len(list(run)) for key, run in groupby(repeats)}
-
     def __len__(self) -> int:
-        return len(self.rows) - sum(self._sizes.values()) + len(self._sizes)
-
-    def _firsts(self) -> Iterator[tuple[int, int, int, int, str, int]]:
-        # each angle's first row, its canonical one, in key order
-        if not self._sizes:
-            return iter(self.rows)
-        return (next(group) for _, group in groupby(self.rows, itemgetter(0)))
+        return len(self.rows)
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[Fraction, tuple[BrokenLineSpec, ...]], ...]:
-        """(angle, specs) per angle, in increasing angle order."""
+        """(angle, (spec,)) per angle, in increasing angle order."""
         full = (1 << self.period) - 1
         return tuple(
-            (Fraction(key, full), tuple(_row_spec(self.period, row) for row in group))
-            for key, group in groupby(self.rows, itemgetter(0))
+            (Fraction(row[0], full), (_row_spec(self.period, row),))
+            for row in self.rows
         )
 
     @property
@@ -229,9 +212,7 @@ class SpecEnumeration(_Value):
 
     @property
     def collisions(self) -> list[tuple[Fraction, tuple[BrokenLineSpec, ...]]]:
-        if not self._sizes:
-            return []
-        return [(angle, specs) for angle, specs in self.entries if len(specs) > 1]
+        return []
 
     def specs(self) -> list[BrokenLineSpec]:
         return [spec for _, specs in self.entries for spec in specs]
@@ -256,10 +237,23 @@ def enumerate_specs(period: int) -> SpecEnumeration:
     value, which is the angle's numerator over 2^period - 1.  The result
     holds one integer row per choice and builds no Fraction, context or spec
     until they are read.
+
+    No two choices give one angle.  The angle fixes its kneading, off which
+    invert_kneading reads Q, the hinge, the parent's denominator and the
+    block counts under one convention: one choice per convention.  Under the
+    other, the mirrored limb and parent turn a slope a/b into 1 - a/b, whose
+    word has b - a ones, not a, as b >= 3.  So a repeated key, checked once
+    over the sorted keys, is a bug.
     """
     if period < 3:
         raise ValueError("enumeration starts at period 3")
     rows = sorted(_spec_rows(period), key=itemgetter(0))
+    following = map(itemgetter(0), rows)
+    next(following, None)
+    if any(map(eq, map(itemgetter(0), rows), following)):
+        raise InvariantViolated(
+            "enumerate_specs", f"two choices give one angle at period {period}"
+        )
     return SpecEnumeration(period, tuple(rows))
 
 

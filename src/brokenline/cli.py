@@ -151,13 +151,18 @@ def _convention(text: str) -> Convention:
 
 
 # CPython 3.11 writes an int in decimal in time quadratic in its length.
-# Splitting it in binary and joining the halves in ``decimal`` is no faster
-# for one int of 8,192 or 16,384 bits (93 and 387 us by str, 104 and 472 us
-# split; single runs, Python 3.11, 2 vCPUs).  It pays through the powers one
-# call shares over its fractions, and from about 2^16 bits: 3.7 ms for a
-# 65,536-bit fraction, 6.1 ms for str of its numerator alone; 0.12 against
-# 1.57 s at 2^20 bits.  libmpdec multiplies under about 4,900 digits by its
-# quadratic basecase too, so below 2^16 bits any gain is a constant factor
+# Splitting it in binary and joining the halves in ``decimal`` takes, as a
+# share of str's time on broken-line angles over 2^b - 1 (min of 9 x 100
+# calls in process, range of three runs, Python 3.11, 2 vCPUs):
+#   b                       4,001      8,191      16,383
+#   one angle               1.04-1.12  0.84-0.98  0.82-0.84
+#   angle and conjugate     0.84-1.05  0.69-0.71  0.63-0.67
+# (str: about 48, 180 and 740 us for one angle).  The split pays through the
+# powers one call shares over its fractions, and from about 2^16 bits: 4.5 ms
+# for a 65,536-bit fraction, 6 ms for str of its numerator alone; 0.11
+# against 1.6 s at 2^20 bits.  libmpdec multiplies under about 4,900 digits
+# by its quadratic basecase too, so below 2^16 bits any gain is a constant
+# factor
 _DECIMAL_BITS = 4000
 
 
@@ -432,8 +437,6 @@ def cmd_enumerate(args: types.SimpleNamespace) -> dict:
     entries = _Entries(enumeration)
     count = len(enumeration)
     payload: dict = {"period": args.period, "count": count, "entries": entries}
-    if enumeration._sizes:
-        payload["collisions"] = len(enumeration._sizes)
     if args.census:
         rows = []
         for b in range(3, args.period + 1):
@@ -453,10 +456,10 @@ def cmd_enumerate(args: types.SimpleNamespace) -> dict:
                 )
         payload["census"] = rows
     if args.check:
-        # each angle's first spec, built from its first row, against its
-        # pipeline, and its row key, the printed angle, against the value of
-        # its period word; each spec is dropped after its checks
-        for row in enumeration._firsts():
+        # each angle's spec, built from its row, against its pipeline, and
+        # its row key, the printed angle, against the value of its period
+        # word; each spec is dropped after its checks
+        for row in enumeration.rows:
             spec = _row_spec(args.period, row)
             word = broken_line_word(spec)
             if int(word, 2) != row[0]:
@@ -474,9 +477,9 @@ class _Entries:
     rows by main, after every check has passed: nothing but integers is
     formatted on the way, and no entry is built as an object.
 
-    Each angle is written from its first row as str writes the Fractions of
-    its first spec: the limb and the slope are reduced, the angle is reduced
-    by g, and each lies strictly between 0 and 1, so its Fraction prints p/q.
+    Each angle is written from its row as str writes the Fractions of its
+    spec: the limb and the slope are reduced, the angle is reduced by g, and
+    each lies strictly between 0 and 1, so its Fraction prints p/q.
     Every key of one slope a and one turn is the slope word's value V
     rotated, 2^(B - cut) * V mod 2^B - 1, and doubling is invertible modulo
     2^B - 1, so all of them share one gcd g with it: g, the reduced
@@ -493,31 +496,28 @@ class _Entries:
         sys.stdout.writelines(self._texts(as_json))
 
     def _texts(self, as_json: bool) -> Iterator[str]:
-        period, sizes = self.enumeration.period, self.enumeration._sizes
+        period = self.enumeration.period
         full = (1 << period) - 1
         orbits: dict[tuple[int, str], tuple[int, str, str, str]] = {}
         lead = ""  # the separator before each JSON item after the first
-        for i, (key, p, q, hinge, turn, a) in enumerate(self.enumeration._firsts(), 1):
+        for i, (key, p, q, hinge, turn, a) in enumerate(self.enumeration.rows, 1):
             orbit = orbits.get((a, turn))
             if orbit is None:
                 g = math.gcd(key, full)
                 slope, convention = f"{a}/{period}", _TURNS[turn].value
                 orbit = orbits[a, turn] = (g, f"/{full // g}", slope, convention)
             g, denominator, slope, convention = orbit
-            n = sizes.get(key, 1) if sizes else 1
             if as_json:
-                extra = f', "collisions": {n}' if n > 1 else ""
                 yield (
                     f'{lead}{{"limb": "{p}/{q}", "slope": "{slope}", "hinge": {hinge}, '
                     f'"convention": "{convention}", '
-                    f'"angle": "{key // g}{denominator}"{extra}}}'
+                    f'"angle": "{key // g}{denominator}"}}'
                 )
                 lead = ", "
             else:
-                extra = f" collisions={n}" if n > 1 else ""
                 yield (
                     f"theta-{i}: {key // g}{denominator} limb={p}/{q} "
-                    f"slope={slope} hinge={hinge} convention={convention}{extra}\n"
+                    f"slope={slope} hinge={hinge} convention={convention}\n"
                 )
 
 

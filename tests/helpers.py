@@ -59,9 +59,7 @@ the block lists of `broken --all` are built item by item from the exponents
 (production spells them from the block pattern by the standard-word
 recursion).  The transcription inversion writes every kneading block out
 as limb and parent words and counts the 1s of the word (production reads
-the slope off the block counts).  The row groups split an enumeration's rows with
-itertools.groupby (production counts the equal neighbours among the keys and
-yields every row as its angle's first when no key repeats).
+the slope off the block counts).
 """
 
 import contextlib
@@ -70,9 +68,9 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cache
-from itertools import groupby, repeat
+from itertools import repeat
 from math import gcd, inf, lcm
-from operator import floordiv, itemgetter, sub
+from operator import floordiv, sub
 
 import pytest
 
@@ -499,38 +497,29 @@ def _hinge_caps(turns: str) -> list[int]:
 
 
 def assert_row_grammar(enumeration):
-    """Assert that len(), _sizes and _firsts() of an enumeration read its
-    rows as groupby groups them: one group per angle, its first row the
-    angle's canonical one, the row count of every group of two or more."""
-    groups = [list(group) for _, group in groupby(enumeration.rows, itemgetter(0))]
-    assert len(enumeration) == len(groups)
-    sizes = {group[0][0]: len(group) for group in groups if len(group) > 1}
-    assert enumeration._sizes == sizes
-    assert list(enumeration._firsts()) == [group[0] for group in groups]
+    """Assert that an enumeration holds one row per angle: its keys strictly
+    increase, and len() is its row count."""
+    keys = [row[0] for row in enumeration.rows]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(enumeration) == len(enumeration.rows)
 
 
 def enumerate_payload_by_objects(period, census=False, check=False):
     """The payload of `enumerate --period B`, written from the Fractions and
-    specs of enumerate_specs(period).entries: str of each Fraction and of the
-    first spec's fields, the collisions read off the groups."""
+    specs of enumerate_specs(period).entries: str of each Fraction and of its
+    one spec's fields."""
     enumeration = enumerate_specs(period)
     payload = {"period": period, "count": len(enumeration)}
-    entries = []
-    for angle, specs in enumeration.entries:
-        spec = specs[0]
-        head = {
+    payload["entries"] = [
+        {
             "limb": str(spec.p_over_q),
             "slope": str(spec.slope),
             "hinge": spec.hinge,
             "convention": str(spec.convention),
             "angle": str(angle),
         }
-        if len(specs) > 1:
-            head["collisions"] = len(specs)
-        entries.append(head)
-    payload["entries"] = entries
-    if enumeration.collisions:
-        payload["collisions"] = len(enumeration.collisions)
+        for angle, (spec,) in enumeration.entries
+    ]
     if census:
         rows = []
         for b in range(3, period + 1):
@@ -565,14 +554,11 @@ def enumerate_text_by_objects(payload):
     for key, value in payload.items():
         if key == "entries":
             for i, entry in enumerate(value, 1):
-                line = (
+                lines.append(
                     f"theta-{i}: {entry['angle']} limb={entry['limb']} "
                     f"slope={entry['slope']} hinge={entry['hinge']} "
                     f"convention={entry['convention']}"
                 )
-                if "collisions" in entry:
-                    line += f" collisions={entry['collisions']}"
-                lines.append(line)
         elif key == "census":
             for row in value:
                 lines.append(

@@ -18,7 +18,9 @@ from brokenline import (
     enumerate_specs,
     euler_phi,
     fraction_to_expansion,
+    invert_kneading,
     junction_rays,
+    kneading_of_spec,
     lavaurs_partner,
     locate,
     mechanical_word,
@@ -229,31 +231,37 @@ def test_enumerate_golden():
     assert len(atlas.SpecEnumeration(3, ())) == 0
 
 
-def test_enumerate_has_no_collisions():
-    for b in range(3, 15):
+def test_enumeration_is_injective():
+    # one row per angle, its keys strictly increasing, and no collision, read
+    # without building the entries
+    for b in range(3, 201):
         enumeration = enumerate_specs(b)
+        assert_row_grammar(enumeration)
         assert enumeration.collisions == []
-        # an enumeration without collisions reads them off its row counts
         assert "entries" not in vars(enumeration)
+    # the argument of enumerate_specs: the kneading, a function of the angle,
+    # gives the spec back under its own convention, and under the other the
+    # mirrored limb and slope 1 - a/b, whose word has b - a ones, not a
+    other = dict(zip(CONVENTIONS, reversed(CONVENTIONS)))
+    for b in range(3, 41):
+        for spec in enumerate_specs(b).specs():
+            kneading = kneading_of_spec(spec)
+            assert invert_kneading(kneading, spec.convention)[0] == spec
+            mirrored, _ = invert_kneading(kneading, other[spec.convention])
+            assert mirrored.slope == 1 - spec.slope
+            assert mirrored.p_over_q == 1 - spec.p_over_q
+            assert mirrored.hinge == spec.hinge
 
 
 def test_enumerate_rows_group_by_angle():
-    # len(), _sizes and _firsts() read the rows' grouping by key: one group
-    # per angle, its first row canonical; _row_spec builds, alone, the spec
-    # that entries builds for the same row
+    # one row per angle; _row_spec builds, alone, the spec that entries
+    # builds for the same row
     for b in range(3, 41):
         enumeration = enumerate_specs(b)
         assert_row_grammar(enumeration)
         specs = [atlas._row_spec(b, row) for row in enumeration.rows]
         assert specs == enumeration.specs()
     assert_row_grammar(atlas.SpecEnumeration(3, ()))
-    # a second row for the first angle and two more for the last, each after
-    # the rows of its angle, as the sort by key leaves them
-    rows = enumerate_specs(9).rows
-    collided = atlas.SpecEnumeration(9, rows[:1] * 2 + rows[1:] + rows[-1:] * 2)
-    assert_row_grammar(collided)
-    assert collided._sizes == {rows[0][0]: 2, rows[-1][0]: 3}
-    assert len(collided) == len(rows)
 
 
 def test_enumerate_entries_build_every_spec_through_row_spec(monkeypatch):

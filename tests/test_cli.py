@@ -21,6 +21,7 @@ from brokenline import (
     BrokenLineSpec,
     Convention,
     FareyContext,
+    InvariantViolated,
     KneadingSequence,
     PeriodicAngle,
     SpecEnumeration,
@@ -657,9 +658,11 @@ def test_kneading_of_angle_check_reads_the_partner_by_integer_key(capsys, monkey
 
 def test_kneading_of_angle_check_passes_on_every_angle_up_to_period_16(capsys):
     # every reduced p/q with odd q <= 255 whose period the pairing check
-    # reaches: 1,618 angles, 1,282 of them with a key other than p
+    # reaches, none of period 16, and every p/257: 257 is prime and 2 has
+    # order 16 modulo it, so these 256 sit at the budget's edge.  1,874
+    # angles, 1,538 of them with a key other than p
     checked = 0
-    for q in range(3, 256, 2):
+    for q in [*range(3, 256, 2), 257]:
         if multiplicative_order(2, q) > oracles.LAVAURS_VERIFY_LIMIT:
             continue
         for p in range(1, q):
@@ -667,7 +670,7 @@ def test_kneading_of_angle_check_passes_on_every_angle_up_to_period_16(capsys):
                 code, out, _ = run(capsys, "kneading-of-angle", f"{p}/{q}", "--check")
                 assert (code, as_dict(out)["check"]) == (0, "ok"), f"{p}/{q}"
                 checked += 1
-    assert checked == 1618
+    assert checked == 1874
 
 
 def test_invert_kneading(capsys):
@@ -1261,35 +1264,57 @@ def test_enumerate_prints_what_the_object_path_prints(capsys):
     _assert_enumerate_prints(capsys, payload, "9", "--census", "--check")
 
 
-def test_enumerate_prints_collisions_and_reducible_keys(capsys, monkeypatch):
+def test_enumerate_prints_reducible_keys(capsys, monkeypatch):
     real = atlas._spec_rows
 
     def injected(period):
-        # a second choice for the first angle met, two more for the last, and
         # a key sharing the factor 7 with 2^9 - 1 = 7 * 73, which no real
         # angle of these periods has but a Fraction would reduce.  The command
         # reduces once per slope and turn, so the reducible key goes to slope
         # 1/9 under turn R, which no real row has: its path turns left only
         rows = real(period)
         assert all(row[4:] != ("R", 1) for row in rows)
-        last = rows[-1][0]
-        return [
-            *rows,
-            rows[0],
-            (last, *rows[1][1:]),
-            (last, *rows[2][1:]),
-            (21, *rows[3][1:4], "R", 1),
-        ]
+        return [*rows, (21, *rows[3][1:4], "R", 1)]
 
     monkeypatch.setattr(atlas, "_spec_rows", injected)
     assert_row_grammar(enumerate_specs(9))
     payload = enumerate_payload_by_objects(9)
-    assert payload["collisions"] == 2
     assert payload["count"] == len(payload["entries"])
-    sizes = [e["collisions"] for e in payload["entries"] if "collisions" in e]
-    assert sorted(sizes) == [2, 3]
     assert "3/73" in [e["angle"] for e in payload["entries"]]
     _assert_enumerate_prints(capsys, payload, "9")
+
+
+def _assert_refuses_a_repeat(capsys, period):
+    # enumerate_specs raises on a repeated key, and the command exits 1 with
+    # one typed error, before any entry is written and without a traceback
+    with pytest.raises(InvariantViolated, match="^enumerate_specs: ") as raised:
+        enumerate_specs(period)
+    assert raised.value.stage == "enumerate_specs"
+    code, out, err = run(capsys, "enumerate", "--period", str(period))
+    assert code == 1 and out == ""
+    assert err.startswith("error: InvariantViolated: enumerate_specs: ")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, "enumerate", "--period", str(period), "--json")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert out == json.dumps(doc) + "\n"
+    assert doc["status"] == "error" and doc["error_kind"] == "InvariantViolated"
+    assert doc["message"].startswith("enumerate_specs: ")
+    assert "payload" not in doc
+
+
+def test_enumerate_refuses_a_repeated_angle(capsys, monkeypatch):
+    # a second choice for the first angle met and two more for the last: no
+    # two choices give one angle, so a repeat is a fault of the walk
+    real = atlas._spec_rows
+
+    def injected(period):
+        rows = real(period)
+        last = rows[-1][0]
+        return [*rows, rows[0], (last, *rows[1][1:]), (last, *rows[2][1:])]
+
+    monkeypatch.setattr(atlas, "_spec_rows", injected)
+    _assert_refuses_a_repeat(capsys, 9)
 
 
 def _count_inits(monkeypatch, *classes):
@@ -1361,10 +1386,10 @@ def test_enumerate_check_compares_the_printed_angle(capsys, monkeypatch):
     assert doc["message"].startswith("enumerate_specs: ")
 
 
-def test_enumerate_prints_collisions_far_into_the_list(capsys, monkeypatch):
+def test_enumerate_refuses_a_repeat_far_into_the_list(capsys, monkeypatch):
     # a second choice for the 4,096th angle and two more for the next, far
-    # into the list the command writes as it goes, must print where the
-    # object payload prints them
+    # into the list the command writes as it goes: the repeat is refused
+    # before the first entry is written
     real = atlas._spec_rows
 
     def injected(period):
@@ -1380,13 +1405,7 @@ def test_enumerate_prints_collisions_far_into_the_list(capsys, monkeypatch):
         ]
 
     monkeypatch.setattr(atlas, "_spec_rows", injected)
-    assert_row_grammar(enumerate_specs(229))
-    payload = enumerate_payload_by_objects(229)
-    entries = payload["entries"]
-    assert payload["collisions"] == 2
-    assert entries[4096 - 1]["collisions"] == 2
-    assert entries[4096]["collisions"] == 3
-    _assert_enumerate_prints(capsys, payload, "229")
+    _assert_refuses_a_repeat(capsys, 229)
 
 
 def test_enumerate_prints_nothing_before_its_checks_pass(capsys, monkeypatch):
@@ -1449,7 +1468,7 @@ def test_enumerate_holds_little_beyond_its_rows(monkeypatch):
 
 
 def test_enumerate_check_holds_little_beyond_its_rows(monkeypatch):
-    # the check builds each angle's spec from its first row and drops it
+    # the check builds each angle's spec from its row and drops it
     # after its checks: the command's peak stays near that of its rows, where
     # a context kept per node, or every checked spec with its words, adds
     # several times their size at this period

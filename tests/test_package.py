@@ -2,8 +2,11 @@
 ``__all__`` (``errors``: its exception classes), re-exported as they are,
 and nothing else."""
 
+import ast
+import pkgutil
 import sys
 import types
+from pathlib import Path
 
 import brokenline
 from brokenline import errors
@@ -56,3 +59,18 @@ def test_each_public_name_is_its_modules_export():
         assert homes, name
         assert all(getattr(module, name) is value for module in homes), name
 
+
+def test_package_imports_each_submodule_by_name():
+    # a submodule is public because __init__.py imports it by name, not
+    # because another module imports it: its `from . import` names every
+    # module of the package but the command line
+    tree = ast.parse(Path(brokenline.__file__).read_text())
+    named = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+        for alias in node.names
+    }
+    modules = {info.name for info in pkgutil.iter_modules(brokenline.__path__)}
+    assert named == modules - {"__main__", "cli"}
+    assert len(named) == 9

@@ -304,14 +304,12 @@ def test_memos_are_built_once(monkeypatch):
     assert context.parent_word is context.parent_word
     assert words == [Fraction(1, 3), Fraction(3, 8), Fraction(1, 2)]
 
-    runs = []
-    group = atlas.groupby
+    builds = []
+    row_spec = atlas._row_spec
     monkeypatch.setattr(
-        atlas, "groupby", lambda *args: runs.append(args) or group(*args)
+        atlas, "_row_spec", lambda *args: builds.append(args) or row_spec(*args)
     )
     enumeration = SpecEnumeration(4, ROWS)
-    assert enumeration._sizes is enumeration._sizes
-    assert len(runs) == 1
     assert enumeration.entries is enumeration.entries
-    assert len(runs) == 2
-    assert len(enumeration) == 4 and len(runs) == 2
+    assert builds == [(4, row) for row in ROWS]
+    assert len(enumeration) == 4 and len(builds) == 4
