@@ -176,15 +176,15 @@ _TURNS = {"R": Convention.ZERO_ONE, "L": Convention.ONE_ZERO}
 
 
 class SpecEnumeration(_Value):
-    """All validated parameter choices of one period, one per angle: no two
-    choices give one angle (see enumerate_specs).
+    """All validated parameter choices of one period, one spec per angle: no
+    two choices give one angle (the argument is in enumerate_specs).
 
     ``rows`` holds one row per choice, ``(key, P, Q, hinge, turn, a)``, in
     increasing angle order: the angle is key/(2^period - 1), the limb P/Q,
     the slope a/period, and turn is the side the slope's Stern-Brocot path
     takes at P/Q, "R" for the 01 convention and "L" for 10.  ``len()`` reads
-    the rows; the Fractions and specs of ``entries`` are built on first read,
-    each spec from its row by _row_spec.
+    the rows; ``entries``, one (angle, spec) pair per row, is built on first
+    read, each spec from its row by _row_spec.
     """
 
     __match_args__ = ("period", "rows")
@@ -198,11 +198,11 @@ class SpecEnumeration(_Value):
         return len(self.rows)
 
     @functools.cached_property
-    def entries(self) -> tuple[tuple[Fraction, tuple[BrokenLineSpec, ...]], ...]:
-        """(angle, (spec,)) per angle, in increasing angle order."""
+    def entries(self) -> tuple[tuple[Fraction, BrokenLineSpec], ...]:
+        """(angle, spec) per angle, in increasing angle order."""
         full = (1 << self.period) - 1
         return tuple(
-            (Fraction(row[0], full), (_row_spec(self.period, row),))
+            (Fraction(row[0], full), _row_spec(self.period, row))
             for row in self.rows
         )
 
@@ -210,12 +210,8 @@ class SpecEnumeration(_Value):
     def angles(self) -> list[Fraction]:
         return [angle for angle, _ in self.entries]
 
-    @property
-    def collisions(self) -> list[tuple[Fraction, tuple[BrokenLineSpec, ...]]]:
-        return []
-
     def specs(self) -> list[BrokenLineSpec]:
-        return [spec for _, specs in self.entries for spec in specs]
+        return [spec for _, spec in self.entries]
 
 
 def enumerate_specs(period: int) -> SpecEnumeration:

@@ -362,8 +362,8 @@ def parameter_sweep_angles(b):
 def enumerate_specs_per_spec(period):
     """The entries of enumerate_specs(period), one spec at a time: every
     candidate of the Stern-Brocot path is validated, its period word built by
-    broken_line_word and its angle by word_to_fraction; specs are grouped by
-    angle in the order they are met and the groups sorted by angle."""
+    broken_line_word and its angle by word_to_fraction, one (angle, spec)
+    pair per angle sorted by angle.  An angle met twice fails the test."""
     found = {}
     for a in range(1, period):
         if gcd(a, period) != 1:
@@ -382,8 +382,18 @@ def enumerate_specs_per_spec(period):
             for hinge in range(1, straight + 2):
                 spec = validate_spec(node, slope, hinge, convention)
                 angle = word_to_fraction(broken_line_word(spec))
-                found.setdefault(angle, []).append(spec)
-    return tuple((angle, tuple(found[angle])) for angle in sorted(found))
+                _add_once(found, angle, spec, period)
+    return tuple((angle, found[angle]) for angle in sorted(found))
+
+
+def _add_once(found, key, spec, period):
+    """Record spec under key, failing with the period and both specs if the
+    key was met before: the enumeration is injective."""
+    if key in found:
+        raise AssertionError(
+            f"period {period}: {found[key]!r} and {spec!r} give one angle"
+        )
+    found[key] = spec
 
 
 def enumerate_by_validation(period):
@@ -391,7 +401,8 @@ def enumerate_by_validation(period):
     of each slope's Stern-Brocot path with validate_spec: the slope word is
     built once per convention and each choice's period word is that word with
     its trailing hinge prefix rotated to the front, keyed by its integer
-    numerator over 2^period - 1."""
+    numerator over 2^period - 1, one (angle, spec) pair per angle.  A key
+    met twice fails the test."""
     found = {}
     for a in range(1, period):
         if gcd(a, period) != 1:
@@ -420,9 +431,9 @@ def enumerate_by_validation(period):
                     )
                 cut = hinge * node.denominator
                 key = int(word[-cut:] + word[:-cut], 2)
-                found.setdefault(key, []).append(spec)
+                _add_once(found, key, spec, period)
     full = (1 << period) - 1
-    return tuple((Fraction(key, full), tuple(found[key])) for key in sorted(found))
+    return tuple((Fraction(key, full), found[key]) for key in sorted(found))
 
 
 def spec_rows_by_caps(period):
@@ -518,7 +529,7 @@ def enumerate_payload_by_objects(period, census=False, check=False):
             "convention": str(spec.convention),
             "angle": str(angle),
         }
-        for angle, (spec,) in enumeration.entries
+        for angle, spec in enumeration.entries
     ]
     if census:
         rows = []

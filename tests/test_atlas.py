@@ -232,12 +232,12 @@ def test_enumerate_golden():
 
 
 def test_enumeration_is_injective():
-    # one row per angle, its keys strictly increasing, and no collision, read
-    # without building the entries
+    # one row per angle and its keys strictly increasing, read without
+    # building the entries; an enumeration has no collisions to report
+    assert not hasattr(atlas.SpecEnumeration, "collisions")
     for b in range(3, 201):
         enumeration = enumerate_specs(b)
         assert_row_grammar(enumeration)
-        assert enumeration.collisions == []
         assert "entries" not in vars(enumeration)
     # the argument of enumerate_specs: the kneading, a function of the angle,
     # gives the spec back under its own convention, and under the other the
@@ -299,7 +299,8 @@ def test_enumerate_matches_the_per_spec_loop():
     # one rotated word per slope and integer keys give the same angles, the
     # same specs and the same spec order as building every word on its own,
     # and the integer walk with one context per node, hinge and convention
-    # gives the same as validating every candidate of stern_brocot_path
+    # gives the same as validating every candidate of stern_brocot_path: one
+    # (angle, spec) per angle, each reference refusing a key met twice
     for b in [*range(3, 61), 127]:
         enumeration = enumerate_specs(b)
         assert enumeration.entries == enumerate_specs_per_spec(b)
@@ -375,12 +376,11 @@ def test_enumerated_conjugates():
     for b in range(3, 13):
         enumeration = enumerate_specs(b)
         angles = set(enumeration.angles)
-        for angle, specs in enumeration.entries:
-            partner = conjugate_angle(specs[0]).value
+        for angle, spec in enumeration.entries:
+            partner = conjugate_angle(spec).value
             assert partner == lavaurs_partner(angle)
-            for spec in specs:
-                if spec.p_over_q == Fraction(1, 2) and spec.hinge == 1:
-                    assert partner in angles
+            if spec.p_over_q == Fraction(1, 2) and spec.hinge == 1:
+                assert partner in angles
 
 
 def test_census_small():
@@ -415,8 +415,8 @@ def test_census_sweep_matches_the_rotation_sweep():
 def test_census_constructed_angles_are_counted_by_the_sweep():
     for b in range(3, 11):
         enumeration = enumerate_specs(b)
-        for angle, specs in enumeration.entries:
-            word = broken_line_word(specs[0])
+        for angle, spec in enumeration.entries:
+            word = broken_line_word(spec)
             assert balanced_by_factor_counts(word)
             assert minimal_period(word) == b
 
