@@ -152,17 +152,22 @@ def _convention(text: str) -> Convention:
 
 # CPython 3.11 writes an int in decimal in time quadratic in its length.
 # Splitting it in binary and joining the halves in ``decimal`` takes, as a
-# share of str's time on broken-line angles over 2^b - 1 (min of 9 x 100
-# calls in process, range of three runs, Python 3.11, 2 vCPUs):
-#   b                       4,001      8,191      16,383
-#   one angle               1.04-1.12  0.84-0.98  0.82-0.84
-#   angle and conjugate     0.84-1.05  0.69-0.71  0.63-0.67
-# (str: about 48, 180 and 740 us for one angle).  The split pays through the
-# powers one call shares over its fractions, and from about 2^16 bits: 4.5 ms
-# for a 65,536-bit fraction, 6 ms for str of its numerator alone; 0.11
-# against 1.6 s at 2^20 bits.  libmpdec multiplies under about 4,900 digits
-# by its quadratic basecase too, so below 2^16 bits any gain is a constant
-# factor
+# share of str's time on broken-line angles over 2^b - 1 (limb 1/2, slope
+# (b//2 + 1)/b; min of 9 x 100 calls in process, range of three runs,
+# Python 3.11, 2 vCPUs):
+#   b                          4,001      8,191      16,383
+#   one angle                  1.10-1.29  0.77-0.93  0.76-0.84
+#   angle with a sibling       0.65-0.80  0.49-0.50  0.41-0.48
+#   2^(b-2) / (2^b - 1)        0.69-0.77  0.44-0.51  0.34-0.36
+# (str: about 45, 180 and 700 us for one angle).  The sibling is the
+# angle's conjugate, here 1 minus the angle.  The split pays through what
+# one call shares over its fractions, and from about 2^16 bits: 4.5 ms for a
+# 65,536-bit fraction, 6 ms for str of its numerator alone; 0.11 against
+# 1.6 s at 2^20 bits.  libmpdec multiplies under about 4,900 digits by its
+# quadratic basecase too, so below 2^16 bits any gain is a constant factor.
+# The edge at 6,000 or 8,000 bits read 5 % or 8 % slower over deep-path's
+# calls of _texts (seeds 1-3, in process, the faster of two runs), so it
+# stays at 4,000
 _DECIMAL_BITS = 4000
 
 
@@ -177,19 +182,36 @@ def _texts(*fractions: Fraction) -> list[str]:
     Every part of every fraction is split at the widest width of the call,
     so they all share one table of powers of 2, and a zero high half costs
     no product: a reduced angle printed with its unreduced conjugate reuses
-    the conjugate's powers.  A denominator 2^w - 1, w the fraction's own
-    width, that of every unreduced angle over 2^b - 1, is written as 2^w
-    less one.  The table is built by the call and dropped after it.
+    the conjugate's powers.  A power of 2 is built from one the table holds
+    up to 64 bits below it by one short product, and a numerator that is a
+    power of 2 is read off the table.  A denominator 2^w - 1, that of every
+    unreduced angle over 2^b - 1, is written as 2^w less one, once per call.
+    A sibling, a fraction over the denominator of one printed before it in
+    the call whose numerator lies within 2^1024 of that one's numerator m or
+    of den - m, is written as that one's value, or the denominator's less
+    it, plus the small difference: a bulb's two angles differ by 1/(2^q - 1),
+    a real angle's conjugate is 1 minus it.  The tables are built by the
+    call and dropped after it.
     """
     widths = [max(abs(x.numerator), x.denominator).bit_length() for x in fractions]
     top = max(widths)
     if top <= _DECIMAL_BITS:
         return list(map(str, fractions))
     powers: dict[int, decimal.Decimal] = {}
+    wholes: dict[int, decimal.Decimal] = {}  # denominator -> its decimal value
+    printed: list[tuple[int, int, decimal.Decimal]] = []  # (den, num, num's value)
 
     def power(k: int) -> decimal.Decimal:  # 2^k
         if k not in powers:
-            if k <= 1024:
+            # a short product from a power up to 64 bits below.  With value's
+            # two fast paths, deep-path's calls of _texts (seed 1, min of 21
+            # in process) read 11.1-11.6 ms; without this short product
+            # 12.9-13.4, without the power-of-2 numerator 12.2-12.7, without
+            # siblings 13.1-14.1, without all three 15.0-17.4
+            near = max((j for j in powers if k - 64 <= j < k), default=None)
+            if near is not None:
+                powers[k] = powers[near] * (1 << (k - near))
+            elif k <= 1024:
                 powers[k] = decimal.Decimal(2) ** k
             else:
                 powers[k] = power(k >> 1) * power(k - (k >> 1))
@@ -204,18 +226,36 @@ def _texts(*fractions: Fraction) -> list[str]:
             return join(m, half)
         return join(hi, bits - half) * power(half) + join(m - (hi << half), half)
 
+    def whole(den: int) -> decimal.Decimal:
+        if den not in wholes:
+            if den & (den + 1):
+                wholes[den] = join(den, top)
+            else:  # 2^w - 1
+                wholes[den] = power(den.bit_length()) - 1
+        return wholes[den]
+
+    def value(num: int, den: int) -> decimal.Decimal:
+        # a sibling adds a number of at most 1024 bits, not a join at full
+        # width; see power for what each fast path saves
+        for d, m, earlier in printed:
+            if d == den:
+                if (num - m).bit_length() <= 1024:
+                    return earlier + (num - m)
+                if (num - den + m).bit_length() <= 1024:
+                    return whole(den) - earlier + (num - den + m)
+        if num > 0 and not num & (num - 1):
+            return power(num.bit_length() - 1)
+        if num < 0:
+            return -join(-num, top)
+        return join(num, top)
+
     def text(x: Fraction, width: int) -> str:
         num, den = x.numerator, x.denominator
         if width <= _DECIMAL_BITS:
             return str(x)
-        digits = str(join(abs(num), top))
-        if num < 0:
-            digits = "-" + digits
-        if den == 1:
-            return digits
-        if den == (1 << width) - 1:
-            return f"{digits}/{power(width) - 1}"
-        return f"{digits}/{join(den, top)}"
+        numerator = value(num, den)
+        printed.append((den, num, numerator))
+        return str(numerator) if den == 1 else f"{numerator}/{whole(den)}"
 
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX

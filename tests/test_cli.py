@@ -255,6 +255,29 @@ def test_fractions_print_what_str_prints(no_digit_limit):
     for x in pool:
         for y in pool:
             assert cli._texts(x, y) == [str(x), str(y)]
+    # siblings printed in one call, each over the denominator of one before
+    # it: numerators n, n + 1, n - 1, den - n and den - n + 5; powers 2^j over
+    # 2^w - 1, alone and together; negative siblings, and an angle printed
+    # with its negative; and, with 3 | w, n + 1 a multiple of 7, so that
+    # (n + 1)/(2^w - 1) reduces by 2^3 - 1 and takes the full path.  They
+    # draw from their own generator, which leaves rng's draws below as they
+    # were
+    draw = random.Random(50)
+    for k in (edge - 1, edge + 1, 16_383, 100_003):
+        full = (1 << k) - 1
+        n = draw.randrange(1, full >> 1)
+        n -= (n + 1) % 7
+        siblings = [Fraction(m, full) for m in (n, n + 1, n - 1, full - n, full - n + 5)]
+        powers = [Fraction(1 << j, full) for j in (k - 1, k - 2, k - 64, k - 65)]
+        negative = [-x for x in siblings[:3]]
+        sets = [siblings, powers, negative, [siblings[0], negative[0]]]
+        sets += [[x] for x in powers]
+        # str of each fraction once, as str writes a negative: "-" and the rest
+        texts = {x: str(x) for x in siblings + powers}
+        texts.update({-x: "-" + texts[x] for x in siblings[:3]})
+        for fractions in sets:
+            assert cli._texts(*fractions) == [texts[x] for x in fractions]
+        assert (siblings[1].denominator < full) == (k % 3 == 0)
     # the second angle of one width past the edge pays for no power: its
     # calls of power() all hit the table the first one filled
     full = (1 << (edge + 1)) - 1
@@ -271,18 +294,46 @@ def test_fractions_print_what_str_prints(no_digit_limit):
     assert _power_calls(x, y) < _power_calls(x) + _power_calls(y)
     assert _power_calls(x, y, new=True) == _power_calls(y, new=True)
     assert _power_calls(y, x, new=True) == _power_calls(y, new=True)
+    # a bulb's two angles at 16,383 bits differ by 1/(2^w - 1), and a real
+    # angle's conjugate is 1 minus it: the sibling adds a small number to the
+    # first angle's value, with no join at full width and no new power
+    w = 16_383
+    low, high = mechanical.characteristic_pair(Fraction(8192, w))
+    assert high - low == Fraction(1, (1 << w) - 1) and low.denominator == high.denominator
+    for y in (high, 1 - low):
+        assert _join_calls(low, y, bits=w) == _join_calls(low, bits=w) == 1
+        assert _power_calls(low, y, new=True) == _power_calls(low, new=True)
+    # a numerator 2^(w - 2) is read off the table, and its denominator
+    # 2^w - 1 adds one power, 2^w, a short product from 2^(w - 2) that calls
+    # power() no further
+    x, n = Fraction(1 << (w - 2), (1 << w) - 1), Fraction(1 << (w - 2))
+    assert _join_calls(x, bits=w) == 0
+    assert _power_calls(x) == _power_calls(n) + 1
+    assert _power_calls(x, new=True) == _power_calls(n, new=True) + 1
 
 
 def _power_calls(*fractions, new=False):
     # calls of the power() of one _texts call, hits on its table included,
     # or with new only those that compute a power the table does not hold
+    return _calls(
+        fractions, "power", lambda local: not new or local["k"] not in local["powers"]
+    )
+
+
+def _join_calls(*fractions, bits):
+    # calls of the join() of one _texts call on a number split at bits
+    return _calls(fractions, "join", lambda local: local["bits"] == bits)
+
+
+def _calls(fractions, name, counts):
+    # calls of the inner function name of one _texts call whose locals
+    # counts holds for
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_name == "power":
-            local = frame.f_locals
-            calls += not new or local["k"] not in local["powers"]
+        if event == "call" and frame.f_code.co_name == name:
+            calls += counts(frame.f_locals)
 
     sys.setprofile(profile)
     try:
