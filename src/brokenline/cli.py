@@ -151,23 +151,24 @@ def _convention(text: str) -> Convention:
 
 
 # CPython 3.11 writes an int in decimal in time quadratic in its length.
-# Splitting it in binary and joining the halves in ``decimal`` takes, as a
-# share of str's time on broken-line angles over 2^b - 1 (limb 1/2, slope
-# (b//2 + 1)/b; min of 9 x 100 calls in process, range of three runs,
-# Python 3.11, 2 vCPUs):
+# Writing it in ``decimal`` instead takes, as a share of str's time on
+# broken-line angles over 2^b - 1 (limb 1/2, slope (b//2 + 1)/b; min of 9 x
+# 100 calls in process, range of three runs, Python 3.11, 2 vCPUs):
 #   b                          4,001      8,191      16,383
-#   one angle                  1.10-1.29  0.77-0.93  0.76-0.84
-#   angle with a sibling       0.65-0.80  0.49-0.50  0.41-0.48
-#   2^(b-2) / (2^b - 1)        0.69-0.77  0.44-0.51  0.34-0.36
-# (str: about 45, 180 and 700 us for one angle).  The sibling is the
-# angle's conjugate, here 1 minus the angle.  The split pays through what
-# one call shares over its fractions, and from about 2^16 bits: 4.5 ms for a
-# 65,536-bit fraction, 6 ms for str of its numerator alone; 0.11 against
-# 1.6 s at 2^20 bits.  libmpdec multiplies under about 4,900 digits by its
-# quadratic basecase too, so below 2^16 bits any gain is a constant factor.
-# The edge at 6,000 or 8,000 bits read 5 % or 8 % slower over deep-path's
-# calls of _texts (seeds 1-3, in process, the faster of two runs), so it
-# stays at 4,000
+#   one angle                  0.75-0.79  0.46-0.47  0.35-0.37
+#   angle with a sibling       0.46-0.49  0.28-0.29  0.20
+#   2^(b-2) / (2^b - 1)        0.70-0.72  0.42-0.44  0.34-0.35
+# (str: about 41, 170 and 690 us for one angle).  That angle lies near 5/12
+# and is written from its denominator's value, which is most of the cost;
+# the sibling is its conjugate, here 1 minus the angle.  A numerator split
+# in binary pays through what one call shares over its fractions, and from
+# about 2^16 bits: 4.5 ms for a 65,536-bit fraction, 6 ms for str of its
+# numerator alone; 0.11 against 1.6 s at 2^20 bits.  libmpdec multiplies
+# under about 4,900 digits by its quadratic basecase too, so below 2^16 bits
+# a split gains a constant factor at most.  Over deep-path's calls of _texts
+# (seeds 1-3, in process, the fastest of three runs) the edge at 2,000,
+# 3,000 or 6,000 bits read -1 %, -4 % and +7 %, inside or near the spread
+# between runs, so it stays at 4,000
 _DECIMAL_BITS = 4000
 
 
@@ -176,22 +177,32 @@ def _texts(*fractions: Fraction) -> list[str]:
     one call: an angle alone, an angle and its conjugate, the two angles of a
     bulb, or broken --all's angle, conjugate and two spoke rays.
 
-    Above _DECIMAL_BITS bits, an integer n = hi * 2^k + lo is written as the
-    ``decimal`` value of hi times 2^k plus that of lo, recursively, exactly:
-    the context's precision is the maximum and an inexact result traps.
-    Every part of every fraction is split at the widest width of the call,
-    so they all share one table of powers of 2, and a zero high half costs
-    no product: a reduced angle printed with its unreduced conjugate reuses
-    the conjugate's powers.  A power of 2 is built from one the table holds
-    up to 64 bits below it by one short product, and a numerator that is a
-    power of 2 is read off the table.  A denominator 2^w - 1, that of every
-    unreduced angle over 2^b - 1, is written as 2^w less one, once per call.
-    A sibling, a fraction over the denominator of one printed before it in
-    the call whose numerator lies within 2^1024 of that one's numerator m or
-    of den - m, is written as that one's value, or the denominator's less
-    it, plus the small difference: a bulb's two angles differ by 1/(2^q - 1),
-    a real angle's conjugate is 1 minus it.  The tables are built by the
-    call and dropped after it.
+    Above _DECIMAL_BITS bits, each part is written as a ``decimal`` value,
+    exactly: at the context's maximum precision no sum or product rounds,
+    and an inexact quotient raises.  A denominator 2^w - 1, that of every
+    unreduced angle over 2^b - 1, is 2^w less one, and any other is split
+    like a numerator; each is written once per call.  A numerator is written
+    by the first of:
+    - a sibling, over the denominator of a fraction printed before it in the
+      call and within 2^1024 of that one's numerator m or of den - m, is that
+      one's value, or the denominator's less it, plus the small difference: a
+      bulb's two angles differ by 1/(2^q - 1), a real angle's conjugate is 1
+      minus it;
+    - a power of 2 is read off the table of powers;
+    - a numerator near a small rational, num/den = u/v + e/(v den) with
+      v < 2^64 and e of at most 1024 bits (_near_rational), is
+      (den's value * u + e) / v: one short product, one small addition and
+      one exact short division.  The angles of deep Stern-Brocot slopes lie
+      within a few units of such a point, as their period words are almost
+      all limb and parent words;
+    - otherwise n = hi * 2^k + lo is the value of hi times 2^k plus that of
+      lo, recursively.  Every part of every fraction is split at the widest
+      width of the call, so they all share one table of powers of 2, and a
+      zero high half costs no product: a reduced angle printed with its
+      unreduced conjugate reuses the conjugate's powers.
+    A power of 2 is built from one the table holds up to 64 bits below it by
+    one short product.  The tables are built by the call and dropped after
+    it.
     """
     widths = [max(abs(x.numerator), x.denominator).bit_length() for x in fractions]
     top = max(widths)
@@ -204,10 +215,12 @@ def _texts(*fractions: Fraction) -> list[str]:
     def power(k: int) -> decimal.Decimal:  # 2^k
         if k not in powers:
             # a short product from a power up to 64 bits below.  With value's
-            # two fast paths, deep-path's calls of _texts (seed 1, min of 21
-            # in process) read 11.1-11.6 ms; without this short product
-            # 12.9-13.4, without the power-of-2 numerator 12.2-12.7, without
-            # siblings 13.1-14.1, without all three 15.0-17.4
+            # three fast paths, deep-path's calls of _texts (seed 1, min of 21
+            # in process, four runs) read 7.6-7.9 ms; without this short
+            # product 9.4-9.6, without the near rational 10.7-11.0, without
+            # the power-of-2 numerator 7.8, without siblings 7.7-8.0.  The
+            # last two still pay where no small rational is near:
+            # bulb 10001/20011 takes 1.4-1.5 ms with them, 1.9 without
             near = max((j for j in powers if k - 64 <= j < k), default=None)
             if near is not None:
                 powers[k] = powers[near] * (1 << (k - near))
@@ -235,8 +248,9 @@ def _texts(*fractions: Fraction) -> list[str]:
         return wholes[den]
 
     def value(num: int, den: int) -> decimal.Decimal:
-        # a sibling adds a number of at most 1024 bits, not a join at full
-        # width; see power for what each fast path saves
+        # a sibling adds a number of at most 1024 bits, and a near rational
+        # a short product and division, not a join at full width; see power
+        # for what each fast path saves
         for d, m, earlier in printed:
             if d == den:
                 if (num - m).bit_length() <= 1024:
@@ -245,6 +259,9 @@ def _texts(*fractions: Fraction) -> list[str]:
                     return whole(den) - earlier + (num - den + m)
         if num > 0 and not num & (num - 1):
             return power(num.bit_length() - 1)
+        if 0 < num < den and (close := _near_rational(num, den)):
+            u, v, e = close
+            return (whole(den) * u + e) / v
         if num < 0:
             return -join(-num, top)
         return join(num, top)
@@ -261,6 +278,32 @@ def _texts(*fractions: Fraction) -> list[str]:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
         return list(map(text, fractions, widths))
+
+
+def _near_rational(num: int, den: int) -> tuple[int, int, int] | None:
+    """(u, v, e) with num * v == u * den + e, 0 < v < 2^64 and e of at most
+    1024 bits, for 0 < num < den past _DECIMAL_BITS bits, or None if there
+    is none.
+
+    u/v is the last convergent below 2^64 of num/den's leading 192 bits.
+    When a triple exists, |num/den - u/v| < 2^1024 / den is far below
+    1 / (2 v^2), and the 192 bits hold num/den to about 2^-190, so u/v is a
+    convergent of both and the next one's denominator passes 2^64.  e is
+    computed exactly, so a returned triple always holds, and the division by
+    v is exact: at the context's maximum precision an inexact quotient could
+    not be written, and raises.
+    """
+    shift = den.bit_length() - 192
+    a, b = num >> shift, den >> shift
+    u, v, u0, v0 = 1, 0, 0, 1  # the convergents before the first
+    while b:
+        t, r = divmod(a, b)
+        if (t * v + v0) >> 64:
+            break
+        u, v, u0, v0 = t * u + u0, t * v + v0, u, v
+        a, b = b, r
+    e = num * v - u * den
+    return (u, v, e) if e.bit_length() <= 1024 else None
 
 
 def _spec_of(args: types.SimpleNamespace) -> BrokenLineSpec:

@@ -3,6 +3,7 @@ import ast
 import collections
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from brokenline import (
     PeriodicAngle,
     SpecEnumeration,
     atlas,
+    broken_line_word,
     conjugate,
     conjugate_word,
     enumerate_specs,
@@ -294,11 +296,13 @@ def test_fractions_print_what_str_prints(no_digit_limit):
     assert _power_calls(x, y) < _power_calls(x) + _power_calls(y)
     assert _power_calls(x, y, new=True) == _power_calls(y, new=True)
     assert _power_calls(y, x, new=True) == _power_calls(y, new=True)
-    # a bulb's two angles at 16,383 bits differ by 1/(2^w - 1), and a real
+    # a bulb's two angles at 20,011 bits differ by 1/(2^w - 1), and a real
     # angle's conjugate is 1 minus it: the sibling adds a small number to the
-    # first angle's value, with no join at full width and no new power
-    w = 16_383
-    low, high = mechanical.characteristic_pair(Fraction(8192, w))
+    # first angle's value, with no join at full width and no new power.  The
+    # slope 10001/20011 puts the first angle near no small rational, so it
+    # takes the split
+    w = 20_011
+    low, high = mechanical.characteristic_pair(Fraction(10001, w))
     assert high - low == Fraction(1, (1 << w) - 1) and low.denominator == high.denominator
     for y in (high, 1 - low):
         assert _join_calls(low, y, bits=w) == _join_calls(low, bits=w) == 1
@@ -310,6 +314,52 @@ def test_fractions_print_what_str_prints(no_digit_limit):
     assert _join_calls(x, bits=w) == 0
     assert _power_calls(x) == _power_calls(n) + 1
     assert _power_calls(x, new=True) == _power_calls(n, new=True) + 1
+    # n/den = u/v + e/(v den), near a small rational u/v: with v < 2^64 and e
+    # of at most 1024 bits, n is written as (den's value * u + e) / v, with
+    # no join of n; v = 2^64, or e = ±2^1024, takes the split.  Over 2^k - 1
+    # and over a reduced denominator, which is joined once itself.  e = 0
+    # leaves u/v itself, here n = den, which str prints; v = 2^64 with e = 1
+    # over 2^k - 1 gives n = 2^(k - 64), which is read off the table of powers
+    short, long = (1 << 1024) - 1, 1 << 1024
+    grid = [(v, e, True) for v in (1, 2, 3, 12, 2**64 - 1) for e in (0, 1, -1, short, -short)]
+    grid += [(2**64, e, False) for e in (-1, short, -short)]
+    grid += [(v, e, False) for v in (3, 2**64 - 1) for e in (long, -long)]
+    for k in (edge + 1, 16_383, 100_003):
+        full = (1 << k) - 1
+        # 2^k - 1 over its least divisor 2jk + 1: an angle's denominator
+        # once its numerator shares that divisor.  At k = edge + 1 it falls
+        # below the edge, where no part is joined
+        q = next(q for q in itertools.count(2 * k + 1, 2 * k) if pow(2, k, q) == 1)
+        for den in (full, full // q):
+            den_text = str(den)
+            for v, e, near in grid:
+                # u makes n whole; a multiple of den more makes it positive
+                n = (den * (-e * pow(den, -1, v) % v) + e) // v
+                x = Fraction(n if n > 0 else n + den, den)
+                if not e:
+                    assert x == 1 and cli._texts(x) == ["1"]
+                    continue
+                assert x.denominator == den
+                text = f"{x.numerator}/{den_text}"
+                joins = _join_calls(x, bits=den.bit_length(), texts=[text])
+                past = den.bit_length() > edge
+                assert joins == past * ((den != full) + (not near)), (k, v, e)
+    # the period angles of both deep-path families, limb 1/2 at slope
+    # (b//2 + 1)/b and limb 1/5 at slope 1/b, lie near u/v with v of a few
+    # bits: past the edge each one, and the angle with its conjugate, prints
+    # with no join at full width, where a random angle of that width takes one
+    for b in (edge + 1, 16_383):
+        full = (1 << b) - 1
+        families = [(Fraction(1, 2), Fraction(b // 2 + 1, b), Convention.ZERO_ONE)]
+        families += [(Fraction(1, 5), Fraction(1, b), Convention.ONE_ZERO)]
+        for limb, slope, convention in families:
+            spec = validate_spec(limb, slope, 1, convention)
+            angle = word_to_fraction(broken_line_word(spec))
+            conjugate = word_to_fraction(conjugate_word(spec))
+            assert angle.denominator == conjugate.denominator == full
+            for pair in ([angle], [conjugate], [angle, conjugate]):
+                assert _join_calls(*pair, bits=b) == 0
+        assert _join_calls(Fraction(draw.randrange(1, full), full), bits=b) == 1
 
 
 def _power_calls(*fractions, new=False):
@@ -320,14 +370,15 @@ def _power_calls(*fractions, new=False):
     )
 
 
-def _join_calls(*fractions, bits):
+def _join_calls(*fractions, bits, texts=None):
     # calls of the join() of one _texts call on a number split at bits
-    return _calls(fractions, "join", lambda local: local["bits"] == bits)
+    return _calls(fractions, "join", lambda local: local["bits"] == bits, texts)
 
 
-def _calls(fractions, name, counts):
+def _calls(fractions, name, counts, texts=None):
     # calls of the inner function name of one _texts call whose locals
-    # counts holds for
+    # counts holds for; the call must print texts, by default what str
+    # prints of each fraction
     calls = 0
 
     def profile(frame, event, arg):
@@ -337,10 +388,10 @@ def _calls(fractions, name, counts):
 
     sys.setprofile(profile)
     try:
-        texts = cli._texts(*fractions)
+        printed = cli._texts(*fractions)
     finally:
         sys.setprofile(None)
-    assert texts == list(map(str, fractions))
+    assert printed == (texts or list(map(str, fractions)))
     return calls
 
 
