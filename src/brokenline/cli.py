@@ -2,7 +2,7 @@
 
 Text output is one "key: value" line per field so runs diff cleanly; --json
 emits a single document instead, the bytes json.dumps writes, written key by
-key so that bit words and printed fractions are copied, not scanned for
+key so that bit words and written fractions are copied, not scanned for
 escapes.  Every numeric field is an exact fraction or a bit string, never a
 float.  The angles a command prints are written by one _texts call; the
 limb, the slope and the bulb, whose denominators the period budget or a
@@ -155,12 +155,12 @@ def _convention(text: str) -> Convention:
 # broken-line angles over 2^b - 1 (limb 1/2, slope (b//2 + 1)/b; min of 9 x
 # 100 calls in process, range of three runs, Python 3.11, 2 vCPUs):
 #   b                          4,001      8,191      16,383
-#   one angle                  0.75-0.79  0.46-0.47  0.35-0.37
-#   angle with a sibling       0.46-0.49  0.28-0.29  0.20
-#   2^(b-2) / (2^b - 1)        0.70-0.72  0.42-0.44  0.34-0.35
-# (str: about 41, 170 and 690 us for one angle).  That angle lies near 5/12
-# and is written from its denominator's value, which is most of the cost;
-# the sibling is its conjugate, here 1 minus the angle.  A numerator split
+#   one angle                  0.73-0.75  0.46-0.47  0.36
+#   angle with its conjugate   0.51-0.54  0.29-0.34  0.20
+#   2^(b-2) / (2^b - 1)        0.72-0.75  0.46-0.52  0.35-0.36
+# (str: about 41, 175 and 700 us for one angle).  That angle lies near 5/12,
+# its conjugate near 7/12 and 2^(b-2) / (2^b - 1) near 1/4: each is written
+# from its denominator's value, which is most of the cost.  A numerator split
 # in binary pays through what one call shares over its fractions, and from
 # about 2^16 bits: 4.5 ms for a 65,536-bit fraction, 6 ms for str of its
 # numerator alone; 0.11 against 1.6 s at 2^20 bits.  libmpdec multiplies
@@ -179,26 +179,20 @@ def _texts(*fractions: Fraction) -> list[str]:
 
     Above _DECIMAL_BITS bits, each part is written as a ``decimal`` value,
     exactly: at the context's maximum precision no sum or product rounds,
-    and an inexact quotient raises.  A denominator 2^w - 1, that of every
-    unreduced angle over 2^b - 1, is 2^w less one, and any other is split
-    like a numerator; each is written once per call.  A numerator is written
-    by the first of:
-    - a sibling, over the denominator of a fraction printed before it in the
-      call and within 2^1024 of that one's numerator m or of den - m, is that
-      one's value, or the denominator's less it, plus the small difference: a
-      bulb's two angles differ by 1/(2^q - 1), a real angle's conjugate is 1
-      minus it;
-    - a power of 2 is read off the table of powers;
+    and the one quotient, by v below, is exact.  A denominator 2^w - 1, that
+    of every unreduced angle over 2^b - 1, is 2^w less one, and any other is
+    split like a numerator; each is written once per call.  A numerator is
+    written by one of two rules:
     - a numerator near a small rational, num/den = u/v + e/(v den) with
       v < 2^64 and e of at most 1024 bits (_near_rational), is
       (den's value * u + e) / v: one short product, one small addition and
       one exact short division.  The angles of deep Stern-Brocot slopes lie
       within a few units of such a point, as their period words are almost
       all limb and parent words;
-    - otherwise n = hi * 2^k + lo is the value of hi times 2^k plus that of
+    - any other, n = hi * 2^k + lo, is the value of hi times 2^k plus that of
       lo, recursively.  Every part of every fraction is split at the widest
       width of the call, so they all share one table of powers of 2, and a
-      zero high half costs no product: a reduced angle printed with its
+      zero high half costs no product: a reduced angle written with its
       unreduced conjugate reuses the conjugate's powers.
     A power of 2 is built from one the table holds up to 64 bits below it by
     one short product.  The tables are built by the call and dropped after
@@ -210,17 +204,12 @@ def _texts(*fractions: Fraction) -> list[str]:
         return list(map(str, fractions))
     powers: dict[int, decimal.Decimal] = {}
     wholes: dict[int, decimal.Decimal] = {}  # denominator -> its decimal value
-    printed: list[tuple[int, int, decimal.Decimal]] = []  # (den, num, num's value)
 
     def power(k: int) -> decimal.Decimal:  # 2^k
         if k not in powers:
-            # a short product from a power up to 64 bits below.  With value's
-            # three fast paths, deep-path's calls of _texts (seed 1, min of 21
-            # in process, four runs) read 7.6-7.9 ms; without this short
-            # product 9.4-9.6, without the near rational 10.7-11.0, without
-            # the power-of-2 numerator 7.8, without siblings 7.7-8.0.  The
-            # last two still pay where no small rational is near:
-            # bulb 10001/20011 takes 1.4-1.5 ms with them, 1.9 without
+            # a short product from a power up to 64 bits below: deep-path's
+            # 336 calls of _texts (seeds 1-3, min of 31 in process, five
+            # runs) read 24.8-25.0 ms with it and 27.0-27.3 without
             near = max((j for j in powers if k - 64 <= j < k), default=None)
             if near is not None:
                 powers[k] = powers[near] * (1 << (k - near))
@@ -248,17 +237,8 @@ def _texts(*fractions: Fraction) -> list[str]:
         return wholes[den]
 
     def value(num: int, den: int) -> decimal.Decimal:
-        # a sibling adds a number of at most 1024 bits, and a near rational
-        # a short product and division, not a join at full width; see power
-        # for what each fast path saves
-        for d, m, earlier in printed:
-            if d == den:
-                if (num - m).bit_length() <= 1024:
-                    return earlier + (num - m)
-                if (num - den + m).bit_length() <= 1024:
-                    return whole(den) - earlier + (num - den + m)
-        if num > 0 and not num & (num - 1):
-            return power(num.bit_length() - 1)
+        # a near rational takes a short product and division, not a join at
+        # full width
         if 0 < num < den and (close := _near_rational(num, den)):
             u, v, e = close
             return (whole(den) * u + e) / v
@@ -271,12 +251,10 @@ def _texts(*fractions: Fraction) -> list[str]:
         if width <= _DECIMAL_BITS:
             return str(x)
         numerator = value(num, den)
-        printed.append((den, num, numerator))
         return str(numerator) if den == 1 else f"{numerator}/{whole(den)}"
 
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
         return list(map(text, fractions, widths))
 
 
@@ -289,9 +267,8 @@ def _near_rational(num: int, den: int) -> tuple[int, int, int] | None:
     When a triple exists, |num/den - u/v| < 2^1024 / den is far below
     1 / (2 v^2), and the 192 bits hold num/den to about 2^-190, so u/v is a
     convergent of both and the next one's denominator passes 2^64.  e is
-    computed exactly, so a returned triple always holds, and the division by
-    v is exact: at the context's maximum precision an inexact quotient could
-    not be written, and raises.
+    computed exactly, so a returned triple always holds: u * den + e is
+    num * v, and its division by v is exact.
     """
     shift = den.bit_length() - 192
     a, b = num >> shift, den >> shift
@@ -540,7 +517,7 @@ def cmd_enumerate(args: types.SimpleNamespace) -> dict:
         payload["census"] = rows
     if args.check:
         # each angle's spec, built from its row, against its pipeline, and
-        # its row key, the printed angle, against the value of its period
+        # its row key, the angle as written, against the value of its period
         # word; each spec is dropped after its checks
         for row in enumeration.rows:
             spec = _row_spec(args.period, row)
@@ -762,7 +739,7 @@ def _print_lines(payload: dict) -> None:
 # the payload values that write themselves, as the items of a JSON list
 _WRITERS = {_Entries, _PerBlock}
 # the keys whose string values the commands spell from digits alone: bit
-# words, expansions, kneadings, cutting words and printed fractions, over
+# words, expansions, kneadings, cutting words and written fractions, over
 # 0-9 . / ( ) [ ] * -, which JSON quotes without escapes
 _VERBATIM = frozenset(
     {

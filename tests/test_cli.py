@@ -297,32 +297,31 @@ def test_fractions_print_what_str_prints(no_digit_limit):
     assert _power_calls(x, y, new=True) == _power_calls(y, new=True)
     assert _power_calls(y, x, new=True) == _power_calls(y, new=True)
     # a bulb's two angles at 20,011 bits differ by 1/(2^w - 1), and a real
-    # angle's conjugate is 1 minus it: the sibling adds a small number to the
-    # first angle's value, with no join at full width and no new power.  The
-    # slope 10001/20011 puts the first angle near no small rational, so it
-    # takes the split
+    # angle's conjugate is 1 minus it.  The slope 10001/20011 puts both near
+    # no small rational, so each takes its own split at full width, and the
+    # second computes no power the first did not
     w = 20_011
     low, high = mechanical.characteristic_pair(Fraction(10001, w))
     assert high - low == Fraction(1, (1 << w) - 1) and low.denominator == high.denominator
     for y in (high, 1 - low):
-        assert _join_calls(low, y, bits=w) == _join_calls(low, bits=w) == 1
+        assert _join_calls(low, y, bits=w) == 2 * _join_calls(low, bits=w) == 2
         assert _power_calls(low, y, new=True) == _power_calls(low, new=True)
-    # a numerator 2^(w - 2) is read off the table, and its denominator
-    # 2^w - 1 adds one power, 2^w, a short product from 2^(w - 2) that calls
-    # power() no further
-    x, n = Fraction(1 << (w - 2), (1 << w) - 1), Fraction(1 << (w - 2))
+    # a numerator 2^(w - 2) over 2^w - 1 lies near 1/4, with e = 1: it is
+    # written from its denominator's value, with no join and no power beyond
+    # the denominator's 2^w, as 1/(2^w - 1) is
+    x, one = Fraction(1 << (w - 2), (1 << w) - 1), Fraction(1, (1 << w) - 1)
     assert _join_calls(x, bits=w) == 0
-    assert _power_calls(x) == _power_calls(n) + 1
-    assert _power_calls(x, new=True) == _power_calls(n, new=True) + 1
+    assert _power_calls(x) == _power_calls(one)
+    assert _power_calls(x, new=True) == _power_calls(one, new=True)
     # n/den = u/v + e/(v den), near a small rational u/v: with v < 2^64 and e
     # of at most 1024 bits, n is written as (den's value * u + e) / v, with
-    # no join of n; v = 2^64, or e = ±2^1024, takes the split.  Over 2^k - 1
-    # and over a reduced denominator, which is joined once itself.  e = 0
-    # leaves u/v itself, here n = den, which str prints; v = 2^64 with e = 1
-    # over 2^k - 1 gives n = 2^(k - 64), which is read off the table of powers
+    # no join of n; v = 2^64, or e = ±2^1024, takes the split, even where
+    # n = 2^(k - 64), v = 2^64 and e = 1 over 2^k - 1.  Over 2^k - 1 and over
+    # a reduced denominator, which is joined once itself.  e = 0 leaves u/v
+    # itself, here n = den, which str prints
     short, long = (1 << 1024) - 1, 1 << 1024
     grid = [(v, e, True) for v in (1, 2, 3, 12, 2**64 - 1) for e in (0, 1, -1, short, -short)]
-    grid += [(2**64, e, False) for e in (-1, short, -short)]
+    grid += [(2**64, e, False) for e in (1, -1, short, -short)]
     grid += [(v, e, False) for v in (3, 2**64 - 1) for e in (long, -long)]
     for k in (edge + 1, 16_383, 100_003):
         full = (1 << k) - 1
@@ -345,9 +344,10 @@ def test_fractions_print_what_str_prints(no_digit_limit):
                 past = den.bit_length() > edge
                 assert joins == past * ((den != full) + (not near)), (k, v, e)
     # the period angles of both deep-path families, limb 1/2 at slope
-    # (b//2 + 1)/b and limb 1/5 at slope 1/b, lie near u/v with v of a few
-    # bits: past the edge each one, and the angle with its conjugate, prints
-    # with no join at full width, where a random angle of that width takes one
+    # (b//2 + 1)/b and limb 1/5 at slope 1/b, and the two angles of the
+    # bulb of that slope, lie near u/v with v of a few bits: past the edge
+    # each angle, the angle with its conjugate and the bulb's pair print with
+    # no join at full width, where a random angle of that width takes one
     for b in (edge + 1, 16_383):
         full = (1 << b) - 1
         families = [(Fraction(1, 2), Fraction(b // 2 + 1, b), Convention.ZERO_ONE)]
@@ -357,7 +357,9 @@ def test_fractions_print_what_str_prints(no_digit_limit):
             angle = word_to_fraction(broken_line_word(spec))
             conjugate = word_to_fraction(conjugate_word(spec))
             assert angle.denominator == conjugate.denominator == full
-            for pair in ([angle], [conjugate], [angle, conjugate]):
+            bulb = list(mechanical.characteristic_pair(slope))
+            assert bulb[0].denominator == bulb[1].denominator == full
+            for pair in ([angle], [conjugate], [angle, conjugate], bulb):
                 assert _join_calls(*pair, bits=b) == 0
         assert _join_calls(Fraction(draw.randrange(1, full), full), bits=b) == 1
 
